@@ -65,6 +65,8 @@ class Node:
     e_c: float  # battery capacity (J)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.pos, self.e_b, self.e_d, self.e_c))):
+            raise ValidationError(f"node {self.id}: position and energies must be finite")
         if self.e_b < 0 or self.e_d < 0:
             raise ValidationError(f"node {self.id}: energies must be nonnegative")
         if self.e_c <= 0:
@@ -92,8 +94,9 @@ class DmcParams:
 
     def __post_init__(self):
         for name in ("p0", "e_b0", "v_bar", "w0", "d_max", "phi", "delta", "alpha", "beta"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"dmc parameter {name} must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValidationError(f"dmc parameter {name} must be positive and finite")
         if not self.phi < TWO_PI:
             raise ValidationError("sector angle must be below a full turn")
 
@@ -122,6 +125,8 @@ class AsymmetryField:
     overrides: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.k_dis_range, *self.k_egy_range, self.grid))):
+            raise ValidationError("coefficient ranges and grid must be finite")
         for lo, hi in (self.k_dis_range, self.k_egy_range):
             if lo <= 0 or hi <= 0:
                 raise ValidationError("coefficient range bounds must be positive")
@@ -132,6 +137,22 @@ class AsymmetryField:
 
     def quantize(self, p: Point) -> tuple[int, int]:
         return (round(p[0] / self.grid), round(p[1] / self.grid))
+
+
+def _key_head(asym: AsymmetryField, q: tuple[int, int]) -> bytes:
+    """First half of a pair's hash key: the seed and the origin cell."""
+    return struct.pack("<Q2q", asym.seed & 0xFFFFFFFFFFFFFFFF, q[0], q[1])
+
+
+def _key_tail(q: tuple[int, int]) -> bytes:
+    """Second half of a pair's hash key: the destination cell."""
+    return struct.pack("<2q", q[0], q[1])
+
+
+def _scale(word, bounds: tuple[float, float]):
+    """Map a 64-bit hash word (an int, or a uint64 array) into [lo, hi]."""
+    lo, hi = bounds
+    return lo + word / 2.0**64 * (hi - lo)
 
 
 def ra_coefficients(asym: AsymmetryField, a: Point, b: Point) -> tuple[float, float]:
@@ -147,13 +168,11 @@ def ra_coefficients(asym: AsymmetryField, a: Point, b: Point) -> tuple[float, fl
         hit = asym.overrides.get((qa, qb))
         if hit is not None:
             return hit
-    key = struct.pack("<Q4q", asym.seed & 0xFFFFFFFFFFFFFFFF, qa[0], qa[1], qb[0], qb[1])
-    digest = hashlib.blake2b(key, digest_size=16).digest()
-    u1 = int.from_bytes(digest[:8], "little") / 2.0**64
-    u2 = int.from_bytes(digest[8:], "little") / 2.0**64
-    d_lo, d_hi = asym.k_dis_range
-    e_lo, e_hi = asym.k_egy_range
-    return (d_lo + u1 * (d_hi - d_lo), e_lo + u2 * (e_hi - e_lo))
+    digest = hashlib.blake2b(_key_head(asym, qa) + _key_tail(qb), digest_size=16).digest()
+    return (
+        _scale(int.from_bytes(digest[:8], "little"), asym.k_dis_range),
+        _scale(int.from_bytes(digest[8:], "little"), asym.k_egy_range),
+    )
 
 
 def ra_distance(a: Point, b: Point, asym: AsymmetryField) -> float:
@@ -182,6 +201,8 @@ class NetworkInstance:
     def __post_init__(self):
         if len(self.nodes) < 1:
             raise ValidationError("instance needs at least one node")
+        if not all(map(math.isfinite, self.bs_pos)):
+            raise ValidationError("base station position must be finite")
         for i, node in enumerate(self.nodes):
             if node.id != i:
                 raise ValidationError(f"node ids must be 0..n-1 in order (got {node.id} at {i})")
@@ -220,16 +241,50 @@ class RoutingMatrices:
 def build_routing_matrices(
     positions: list[Point], asym: AsymmetryField, dmc: DmcParams
 ) -> RoutingMatrices:
+    """Directed travel matrices, built one origin row at a time.
+
+    Every entry is bit-identical to ``ra_coefficients`` times ``euclidean``
+    for its pair: each point is quantized and packed once, each row hashes
+    the shared ``seed || origin`` prefix of the scalar key followed by every
+    destination's packed cell, and the row's digests are decoded in one numpy
+    call.  Same-cell pairs and ``overrides`` hits keep their scalar values.
+    """
     n = len(positions)
     dist = np.zeros((n, n))
     rate = np.zeros((n, n))
+    cells = [asym.quantize(p) for p in positions]
+    tails = [_key_tail(q) for q in cells]
+    by_cell: dict[tuple[int, int], list[int]] = {}
+    for j, q in enumerate(cells):
+        by_cell.setdefault(q, []).append(j)
+    xs = np.array([p[0] for p in positions], dtype=float)
+    ys = np.array([p[1] for p in positions], dtype=float)
     for i, a in enumerate(positions):
-        for j, b in enumerate(positions):
-            if i == j:
-                continue
-            k_dis, k_egy = ra_coefficients(asym, a, b)
-            dist[i, j] = k_dis * euclidean(a, b)
-            rate[i, j] = k_egy * dmc.w0
+        # hashing the head once and copying the state is the same blake2b
+        # as hashing head + tail, at half the cost per pair
+        head = hashlib.blake2b(_key_head(asym, cells[i]), digest_size=16)
+        digests = []
+        for tail in tails:
+            h = head.copy()
+            h.update(tail)
+            digests.append(h.digest())
+        words = np.frombuffer(b"".join(digests), "<u8").reshape(n, 2)
+        k_dis = _scale(words[:, 0], asym.k_dis_range)
+        k_egy = _scale(words[:, 1], asym.k_egy_range)
+        same = by_cell[cells[i]]
+        k_dis[same] = 1.0
+        k_egy[same] = 1.0
+        if asym.overrides is not None:
+            for j, q in enumerate(cells):
+                hit = asym.overrides.get((cells[i], q)) if q != cells[i] else None
+                if hit is not None:
+                    k_dis[j], k_egy[j] = hit
+        # math.hypot, not np.hypot: the two differ in the last bit on some pairs
+        span = map(math.hypot, (a[0] - xs).tolist(), (a[1] - ys).tolist())
+        dist[i] = k_dis * np.fromiter(span, dtype=float, count=n)
+        rate[i] = k_egy * dmc.w0
+        dist[i, i] = 0.0
+        rate[i, i] = 0.0
     return RoutingMatrices(tuple(positions), dist, rate)
 
 

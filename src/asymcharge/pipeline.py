@@ -10,6 +10,7 @@ models and produces the metrics.
 from __future__ import annotations
 
 import math
+import sys
 import time as _time
 from dataclasses import dataclass, replace
 
@@ -56,36 +57,65 @@ class ScheduleMetrics:
     feasible: bool
 
 
+def _rounding(x: float) -> float:
+    """Half a unit in the 9th significant digit of ``x``: the most a file's rounding moves it."""
+    return 0.5 * 10.0 ** (math.floor(math.log10(abs(x))) - 8) if x else 0.0
+
+
 def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> ScheduleMetrics:
     """Replay a schedule item by item and account for every joule.
 
-    Movement durations must match the directed travel time implied by the
-    asymmetry field to within 1e-6 s.  Received energy accumulates linearly
-    and is capacity-clipped once at the end.
+    Every number in an item must be finite.  Movement durations must match
+    the directed travel time implied by the asymmetry field up to what the
+    file format's 9-significant-digit rounding of the duration and of the
+    move's two ends can change, and transmissions must happen where the
+    charger is.  Each transmission first drops the
+    nodes whose squared distance exceeds ``(d_max * (1 + 1e-9))**2``, which no
+    node within ``d_max`` does, and credits the rest in node-id order.
+    Received energy accumulates linearly and is capacity-clipped once at the
+    end.
     """
     dmc = instance.dmc
     here = instance.bs_pos
+    nodes = instance.nodes
+    xs = np.array([u.pos[0] for u in nodes])
+    ys = np.array([u.pos[1] for u in nodes])
+    # never below the smallest normal float, so underflowed squares pass too
+    reach2 = max((dmc.d_max * (1.0 + 1e-9)) ** 2, sys.float_info.min)
     received_raw = np.zeros(instance.n)
     move_energy = 0.0
     move_time = 0.0
     tran_time = 0.0
     distance = 0.0
     for idx, item in enumerate(schedule.items):
+        if not all(map(math.isfinite, (item.pos[0], item.pos[1], item.psi, item.t))):
+            raise MalformedScheduleError(f"item {idx}: non-finite position, direction or duration")
         if item.t < 0:
             raise MalformedScheduleError(f"item {idx}: negative duration")
         if item.state == MOVE:
-            energy, t = model.segment_move_energy_time(here, item.pos, instance.asym, dmc)
-            if abs(t - item.t) > 1e-6:
+            k_dis, k_egy = model.ra_coefficients(instance.asym, here, item.pos)
+            d = k_dis * model.euclidean(here, item.pos)
+            t = d / dmc.v_bar
+            # files keep 9 significant digits of the duration and of both ends;
+            # math.ulp covers the binary error of the stored decimal
+            shift = sum(map(_rounding, (here[0], here[1], item.pos[0], item.pos[1])))
+            if abs(t - item.t) > _rounding(t) + k_dis * shift / dmc.v_bar + math.ulp(t):
                 raise MalformedScheduleError(
                     f"item {idx}: duration {item.t:.9g} s does not match travel time {t:.9g} s"
                 )
-            move_energy += energy
+            move_energy += d * k_egy * dmc.w0
             move_time += item.t
-            distance += model.ra_distance(here, item.pos, instance.asym)
+            distance += d
             here = item.pos
         elif item.state == TRANSMIT:
+            if tuple(item.pos) != tuple(here):
+                raise MalformedScheduleError(
+                    f"item {idx}: transmits from {item.pos} but the charger is at {here}"
+                )
             tran_time += item.t
-            for u in instance.nodes:
+            near = (xs - item.pos[0]) ** 2 + (ys - item.pos[1]) ** 2 <= reach2
+            for k in np.flatnonzero(near).tolist():
+                u = nodes[k]
                 dx = u.pos[0] - item.pos[0]
                 dy = u.pos[1] - item.pos[1]
                 d = math.hypot(dx, dy)
@@ -118,15 +148,15 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
 
 
 def _movement_items(
-    tour_order: list[int], points: list[Point], instance: NetworkInstance
+    tour_order: list[int], mats: model.RoutingMatrices, v_bar: float
 ) -> list[tuple[int, ScheduleItem]]:
     """(destination index, movement item) per tour arc, skipping zero hops."""
     out = []
     for a, b in zip(tour_order, tour_order[1:]):
         if a == b:
             continue
-        t = model.ra_distance(points[a], points[b], instance.asym) / instance.dmc.v_bar
-        out.append((b, ScheduleItem(MOVE, points[b], 0.0, t)))
+        t = float(mats.dist[a, b]) / v_bar
+        out.append((b, ScheduleItem(MOVE, mats.positions[b], 0.0, t)))
     return out
 
 
@@ -163,7 +193,7 @@ def plan_schedule(
 
         transmitted: set[int] = set()
         path = list(tour.order)
-        for dest, move_item in _movement_items(path, points, instance):
+        for dest, move_item in _movement_items(path, mats, instance.dmc.v_bar):
             items.append(move_item)
             if dest != 0 and dest not in transmitted:
                 transmitted.add(dest)
@@ -192,7 +222,7 @@ def one_to_one_schedule(instance: NetworkInstance) -> tuple[OperationSchedule, S
         mats = model.build_routing_matrices(points, instance.asym, instance.dmc)
         tour = greedy_tour(cost_graph(mats.move_cost()))
         apex = instance.dmc.apex_coefficient
-        for dest, move_item in _movement_items(list(tour.order), points, instance):
+        for dest, move_item in _movement_items(list(tour.order), mats, instance.dmc.v_bar):
             items.append(move_item)
             if dest != 0:
                 u = targets[dest - 1]

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 
@@ -214,6 +215,19 @@ class TestCommandLine:
         bad.write_text("{broken")
         code = main(["schedule", "--instance", str(bad), "--out", str(tmp_path / "s.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("field", ["x", "e_b", "d", "grid"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_instance_exit_code(self, tmp_path, capsys, field, bad):
+        text = instance_to_text(generate_instance(5, seed=2))
+        text = re.sub(rf'"{field}": [^,\n]+', f'"{field}": {bad}', text, count=1)
+        inst = tmp_path / "inst.json"
+        inst.write_text(text)
+        capsys.readouterr()
+        code = main(["schedule", "--instance", str(inst), "--out", str(tmp_path / "s.json")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:validation:")
 
     def test_infeasible_exit_code_mapping(self):
         assert InfeasibleError("x").exit_code == 3

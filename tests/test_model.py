@@ -271,3 +271,36 @@ class TestNodeValidation:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             Node(0, (0.0, 0.0), e_b=-1.0, e_d=0.0, e_c=60.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError):
+            Node(0, (bad, 1.0), 10.0, 20.0, 60.0)
+        with pytest.raises(ValidationError):
+            Node(0, (1.0, 1.0), bad, 20.0, 60.0)
+        with pytest.raises(ValidationError):
+            Node(0, (1.0, 1.0), 10.0, 20.0, bad)
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["p0", "d_max", "phi", "v_bar", "beta"])
+    def test_dmc_rejects(self, name, bad):
+        with pytest.raises(ValidationError):
+            DmcParams(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_field_rejects(self, bad):
+        with pytest.raises(ValidationError):
+            AsymmetryField(seed=0, grid=bad)
+        with pytest.raises(ValidationError):
+            AsymmetryField(seed=0, k_dis_range=(0.5, bad))
+        with pytest.raises(ValidationError):
+            AsymmetryField(seed=0, k_egy_range=(bad, 1.0))
+
+    def test_instance_rejects_non_finite_base_station(self):
+        from asymcharge import NetworkInstance
+
+        node = Node(0, (1.0, 1.0), 10.0, 20.0, 60.0)
+        with pytest.raises(ValidationError):
+            NetworkInstance((node,), (math.nan, 0.0), DmcParams(), AsymmetryField(seed=0))

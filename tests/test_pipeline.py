@@ -71,6 +71,80 @@ class TestExecuteSchedule:
         with pytest.raises(MalformedScheduleError):
             execute_schedule(instance, OperationSchedule(items))
 
+    def test_duration_checked_at_nine_significant_digits(self):
+        # a 98765.43214 m move at 1 m/s is stored as 98765.4321 s, and its end
+        # as 98765.4321 m; a 10 m move between round points has next to no
+        # rounding to absorb, so half a microsecond off is wrong
+        instance = make_instance([node_at((10.0, 0.0))])
+        cases = (
+            (98765.43214, 98765.43214, True),
+            (98765.43214, 98765.4321, True),
+            (98765.43214, 98765.4323, False),
+            (10.0, 10.0, True),
+            (10.0, 10.0000005, False),
+        )
+        for x, t, ok in cases:
+            items = (ScheduleItem(MOVE, (x, 0.0), 0.0, t),)
+            if ok:
+                assert execute_schedule(instance, OperationSchedule(items)).moving_time == t
+            else:
+                with pytest.raises(MalformedScheduleError):
+                    execute_schedule(instance, OperationSchedule(items))
+
+    def test_file_round_trip_evaluates_at_area_5000(self):
+        from asymcharge.cli import (
+            generate_instance,
+            instance_from_text,
+            instance_to_text,
+            schedule_from_text,
+            schedule_to_text,
+        )
+
+        for seed in range(3):
+            instance = generate_instance(8, seed=seed, area=5000.0)
+            schedule, metrics = plan_schedule(instance, seed=seed)
+            assert max(i.t for i in schedule.items if i.state == MOVE) > 1000.0
+            back = execute_schedule(
+                instance_from_text(instance_to_text(instance)),
+                schedule_from_text(schedule_to_text(schedule)),
+            )
+            assert back.time_span == pytest.approx(metrics.time_span, rel=1e-8)
+            assert back.total_energy_loss == pytest.approx(metrics.total_energy_loss, rel=1e-8)
+
+    def test_plan_replays_with_unsnapped_base_station(self):
+        # the planner moves from the 9-digit base station; the replay from the exact one
+        specs = [node_at((10.0, 20.0)), node_at((150.0, 160.0)), node_at((60.0, 170.0))]
+        instance = make_instance(specs, bs=(100.123456789123, 50.98765432198))
+        _, metrics = plan_schedule(instance, seed=1)
+        assert metrics.feasible
+
+    def test_transmit_away_from_charger_rejected(self):
+        # the charger is still at the base station (0, 0)
+        instance = make_instance([node_at((10.0, 0.0))])
+        items = (ScheduleItem(TRANSMIT, (10.0, 0.0), 0.0, 5.0),)
+        with pytest.raises(MalformedScheduleError):
+            execute_schedule(instance, OperationSchedule(items))
+
+    def test_transmit_after_moving_elsewhere_rejected(self):
+        instance = make_instance([node_at((10.0, 0.0)), node_at((0.0, 10.0))])
+        items = (
+            ScheduleItem(MOVE, (10.0, 0.0), 0.0, 10.0),
+            ScheduleItem(TRANSMIT, (0.0, 10.0), 0.0, 5.0),
+        )
+        with pytest.raises(MalformedScheduleError):
+            execute_schedule(instance, OperationSchedule(items))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_item_rejected(self, bad):
+        instance = make_instance([node_at((10.0, 0.0))])
+        for item in (
+            ScheduleItem(MOVE, (bad, 0.0), 0.0, 1.0),
+            ScheduleItem(MOVE, (10.0, 0.0), 0.0, bad),
+            ScheduleItem(TRANSMIT, (0.0, 0.0), bad, 1.0),
+        ):
+            with pytest.raises(MalformedScheduleError):
+                execute_schedule(instance, OperationSchedule((item,)))
+
     def test_negative_duration_rejected(self):
         instance = make_instance([node_at((10.0, 0.0))])
         items = (ScheduleItem(TRANSMIT, (0.0, 0.0), 0.0, -1.0),)
