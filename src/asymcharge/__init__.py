@@ -4,6 +4,7 @@ from .errors import (
     InfeasibleError,
     MalformedScheduleError,
     MalformedTourError,
+    PivotLimitError,
     SchedulingError,
     ValidationError,
 )
@@ -19,9 +20,7 @@ from .model import (
     final_node_energy,
     ra_coefficients,
     ra_distance,
-    received_energy,
     segment_move_energy_time,
-    tour_move_energy_time,
     transfer_coefficient,
 )
 from .positions import (
@@ -43,17 +42,14 @@ from .routing import (
     DirectedCostGraph,
     SymmetricReformulation,
     Tour,
-    brute_force_tour,
     cost_graph,
     expand_tour,
     greedy_tour,
     held_karp,
     lk_tour,
     metric_closure,
-    read_cost_matrix,
     to_symmetric,
     tour_cost,
-    write_cost_matrix,
 )
 from .pipeline import (
     MOVE,

@@ -26,6 +26,12 @@ class MalformedScheduleError(ValidationError):
     code = "malformed-schedule"
 
 
+class PivotLimitError(SchedulingError):
+    """The simplex hit its pivot limit before reaching an optimal basis."""
+
+    code = "pivot-limit"
+
+
 class InfeasibleError(SchedulingError):
     """A demand cannot be met (uncoverable node, infeasible program)."""
 

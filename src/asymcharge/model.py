@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedTourError, ValidationError
+from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
+_CELL_LIMIT = 2.0**63  # grid cells must fit a signed 64-bit int
 
 Point = tuple[float, float]
 
@@ -136,7 +137,12 @@ class AsymmetryField:
             raise ValidationError("quantization grid must be positive")
 
     def quantize(self, p: Point) -> tuple[int, int]:
-        return (round(p[0] / self.grid), round(p[1] / self.grid))
+        """Grid cell of a point; hash keys pack it as two signed 64-bit ints."""
+        x = p[0] / self.grid
+        y = p[1] / self.grid
+        if not (-_CELL_LIMIT <= x < _CELL_LIMIT and -_CELL_LIMIT <= y < _CELL_LIMIT):
+            raise ValidationError(f"point {p} lies outside the quantization grid's 64-bit range")
+        return (round(x), round(y))
 
 
 def _key_head(asym: AsymmetryField, q: tuple[int, int]) -> bytes:
@@ -288,23 +294,6 @@ def build_routing_matrices(
     return RoutingMatrices(tuple(positions), dist, rate)
 
 
-def tour_move_energy_time(
-    tour: list[int], mat: RoutingMatrices, dmc: DmcParams
-) -> tuple[float, float]:
-    """Total movement energy and time along a tour of position indices."""
-    if len(tour) < 2:
-        raise MalformedTourError("a tour needs at least a start and an end")
-    if tour[0] != 0 or tour[-1] != 0:
-        raise MalformedTourError("tours must start and end at the base station (index 0)")
-    energy = 0.0
-    time = 0.0
-    for a, b in zip(tour, tour[1:]):
-        d = mat.dist[a, b]
-        energy += d * mat.egy_rate[a, b]
-        time += d / dmc.v_bar
-    return energy, time
-
-
 def transfer_coefficient(psi: float, phi: float, theta: float, d: float, dmc: DmcParams) -> float:
     """Energy transfer coefficient from a charger sector to a node.
 
@@ -319,17 +308,6 @@ def transfer_coefficient(psi: float, phi: float, theta: float, d: float, dmc: Dm
     if d > 0.0 and angular_distance(theta, psi) > phi / 2.0:
         return 0.0
     return dmc.delta / (dmc.alpha + d) ** dmc.beta
-
-
-def received_energy(entries: np.ndarray, t: np.ndarray, p0: float) -> np.ndarray:
-    """Per-node received energy for transmission times ``t`` over the pair rows."""
-    entries = np.asarray(entries, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if entries.ndim != 2 or t.shape != (entries.shape[0],):
-        raise ValidationError(
-            f"time vector of length {t.shape} does not match {entries.shape[0]} pair rows"
-        )
-    return p0 * (entries.T @ t)
 
 
 def final_node_energy(e_b: np.ndarray, e_r: np.ndarray, e_c: np.ndarray) -> np.ndarray:

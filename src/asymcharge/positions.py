@@ -134,6 +134,16 @@ def kmeans(points: list[Point], k: int, seed: int) -> list[Cluster]:
     if not 1 <= k <= n:
         raise ValidationError(f"cluster count must be in 1..{n}, got {k}")
     pts = np.asarray(points, dtype=float)
+    clusters = []
+    for ids in _members(_lloyd(pts, k, seed), k):
+        center, radius = min_enclosing_circle([tuple(pts[i]) for i in ids])
+        clusters.append(Cluster(tuple(int(i) for i in ids), center, radius))
+    return clusters
+
+
+def _lloyd(pts: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Cluster index of every point after k-means++ seeding and Lloyd iteration."""
+    n = len(pts)
     rng = np.random.default_rng(seed)
 
     centers = np.empty((k, 2))
@@ -148,9 +158,13 @@ def kmeans(points: list[Point], k: int, seed: int) -> list[Cluster]:
         centers[c] = pts[idx]
         d2 = np.minimum(d2, ((pts - centers[c]) ** 2).sum(axis=1))
 
+    xs = pts[:, 0]
+    ys = pts[:, 1]
     assign = np.full(n, -1, dtype=int)
     for _ in range(_KMEANS_MAX_ITER):
-        dist2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        dx = xs[:, None] - centers[:, 0]
+        dy = ys[:, None] - centers[:, 1]
+        dist2 = dx * dx + dy * dy
         new_assign = dist2.argmin(axis=1)
         # re-seed empty clusters from the farthest point, one at a time
         for _ in range(k):
@@ -168,19 +182,41 @@ def kmeans(points: list[Point], k: int, seed: int) -> list[Cluster]:
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for c in range(k):
-            members = pts[assign == c]
-            if len(members):
-                centers[c] = members.mean(axis=0)
+        # bincount adds each cluster's members in index order, as a masked
+        # mean(axis=0) does, so the centroids are the same to the bit
+        counts = np.bincount(assign, minlength=k)
+        filled = counts > 0
+        for axis, coord in enumerate((xs, ys)):
+            sums = np.bincount(assign, weights=coord, minlength=k)
+            centers[filled, axis] = sums[filled] / counts[filled]
+    return assign
 
-    clusters = []
-    for c in range(k):
-        ids = np.flatnonzero(assign == c)
-        if ids.size == 0:
-            continue
-        center, radius = min_enclosing_circle([tuple(pts[i]) for i in ids])
-        clusters.append(Cluster(tuple(int(i) for i in ids), center, radius))
-    return clusters
+
+def _members(assign: np.ndarray, k: int) -> list[np.ndarray]:
+    """Point indices of each nonempty cluster, in cluster order."""
+    groups = (np.flatnonzero(assign == c) for c in range(k))
+    return [ids for ids in groups if ids.size]
+
+
+def _wider_than(pts: np.ndarray, assign: np.ndarray, limit: float) -> bool:
+    """True when some cluster has two members more than ``limit`` apart.
+
+    Two sweeps per cluster: find the member farthest from its first member,
+    then measure every member's distance from that one.  Each distance is a
+    lower bound on the cluster's diameter.
+    """
+    order = np.argsort(assign, kind="stable")
+    group = assign[order]
+    head = np.r_[True, group[1:] != group[:-1]]
+    first = np.flatnonzero(head)
+    last = np.r_[first[1:], len(order)] - 1
+    of = np.cumsum(head) - 1  # nonempty-cluster number of each sorted member
+    p = pts[order]
+    d = np.hypot(*(p - p[first[of]]).T)
+    # sorted by (group, distance), each group's last entry is its farthest member
+    far = np.lexsort((d, of))[last]
+    d = np.hypot(*(p - p[far[of]]).T)
+    return bool(d.max() > limit)
 
 
 def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
@@ -190,18 +226,32 @@ def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
     circle has radius at most the charge distance wins, and the circle centers
     become the charging positions.  Seeding comes from the instance's
     asymmetry seed, so the result is a pure function of the instance.
+
+    Circles are computed only when needed: a k with two members of one
+    cluster farther apart than a circle of radius ``d_max`` can hold is
+    rejected without any, and otherwise the clusters are enclosed in order
+    until one does not fit.
     """
-    node_points = [u.pos for u in instance.nodes]
+    pts = np.asarray([u.pos for u in instance.nodes], dtype=float)
     d_max = instance.dmc.d_max
+    # the margin covers ``_in_circle``'s tolerance and the rounding of the
+    # distances: members farther apart cannot share a circle of radius <= d_max
+    span = 2.0 * (d_max * (1.0 + 1e-9) + 1e-12)
     for k in range(1, instance.n + 1):
-        clusters = kmeans(node_points, k, seed=instance.asym.seed)
-        if all(cl.radius <= d_max for cl in clusters):
+        assign = _lloyd(pts, k, instance.asym.seed)
+        if _wider_than(pts, assign, span):
+            continue
+        members = _members(assign, k)
+        circles = []
+        for ids in members:
+            center, radius = min_enclosing_circle([tuple(pts[i]) for i in ids])
+            if radius > d_max:
+                break
+            circles.append(center)
+        else:
             assignment = [0] * instance.n
-            for ci, cl in enumerate(clusters):
-                for nid in cl.member_ids:
+            for ci, ids in enumerate(members):
+                for nid in ids:
                     assignment[nid] = ci
-            return ChargingPositionSet(
-                positions=tuple(cl.center for cl in clusters),
-                assignment=tuple(assignment),
-            )
+            return ChargingPositionSet(positions=tuple(circles), assignment=tuple(assignment))
     raise AssertionError("unreachable: singleton clusters always have radius 0")

@@ -9,7 +9,6 @@ counts, and a symmetric node-doubling reformulation of the directed problem.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -234,20 +233,6 @@ def held_karp(g: DirectedCostGraph) -> Tour:
     return Tour(tuple(order), tour_cost(order, cost))
 
 
-def brute_force_tour(cost: np.ndarray) -> Tour:
-    """Factorial-time exact tour; only for cross-checking tiny cases."""
-    n = cost.shape[0]
-    if n == 1:
-        return Tour((0, 0), 0.0)
-    best = None
-    for perm in itertools.permutations(range(1, n)):
-        order = (0, *perm, 0)
-        c = tour_cost(order, cost)
-        if best is None or c < best.cost:
-            best = Tour(order, c)
-    return best
-
-
 @dataclass(frozen=True)
 class SymmetricReformulation:
     """Node-doubled symmetric instance of a directed tour problem.
@@ -306,23 +291,3 @@ def to_symmetric(g: DirectedCostGraph) -> SymmetricReformulation:
     if not np.all(np.isfinite(sym)):
         raise ValidationError("sentinel arithmetic overflowed")
     return SymmetricReformulation(cost=sym, n=n, bonus=bonus, sentinel=sentinel)
-
-
-def write_cost_matrix(path, g: DirectedCostGraph) -> None:
-    """Plain-text full matrix: a count line, then one row of costs per line."""
-    with open(path, "w", encoding="ascii") as f:
-        f.write(f"{g.n}\n")
-        for row in g.cost:
-            f.write(" ".join(format(v, ".9g") for v in row) + "\n")
-
-
-def read_cost_matrix(path) -> DirectedCostGraph:
-    with open(path, encoding="ascii") as f:
-        tokens = f.read().split()
-    if not tokens:
-        raise ValidationError("empty cost matrix file")
-    n = int(tokens[0])
-    values = [float(v) for v in tokens[1:]]
-    if len(values) != n * n:
-        raise ValidationError(f"expected {n * n} costs, found {len(values)}")
-    return cost_graph(np.array(values).reshape(n, n))

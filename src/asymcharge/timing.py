@@ -3,6 +3,12 @@
 The program is min 1't subject to coverage * t >= demand, t >= 0.  It is
 solved with a dense two-phase simplex; Dantzig pricing with a Bland
 anti-cycling fallback keeps the pivot sequence deterministic.
+
+Each pivot is a rank-one update of the tableau.  The covering matrix is very
+sparse, so the entering column usually touches only a few rows; when it
+touches fewer than a quarter of them, only those rows are updated.  Rows
+with a zero factor would change by at most the sign of a zero, so both ways
+take the same pivots and give the same solution.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, PivotLimitError, ValidationError
 from .directions import CoefficientMatrix
 from .model import NetworkInstance
 
@@ -94,7 +100,7 @@ def _simplex_min(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str]:
     cost1 = np.zeros(n + 2 * m)
     cost1[n + m :] = 1.0
     if not _run_simplex(tab, basis, cost1, allowed=n + 2 * m):
-        raise RuntimeError("simplex pivot limit exceeded in phase 1")
+        raise PivotLimitError(f"simplex pivot limit ({_MAX_PIVOTS}) exceeded in phase 1")
     if float(tab[:, -1] @ cost1[basis]) > _FEAS_TOL:
         return np.zeros(n), "infeasible"
     _drive_out_artificials(tab, basis, n + m)
@@ -102,7 +108,7 @@ def _simplex_min(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str]:
     cost2 = np.zeros(n + 2 * m)
     cost2[:n] = 1.0
     if not _run_simplex(tab, basis, cost2, allowed=n + m):
-        raise RuntimeError("simplex pivot limit exceeded in phase 2")
+        raise PivotLimitError(f"simplex pivot limit ({_MAX_PIVOTS}) exceeded in phase 2")
 
     x = np.zeros(n)
     for row, var in enumerate(basis):
@@ -140,12 +146,7 @@ def _run_simplex(tab: np.ndarray, basis: list[int], cost: np.ndarray, allowed: i
         tie_rows = np.flatnonzero(ratios <= best + _EPS * (1.0 + best))
         row = int(min(tie_rows, key=lambda r: basis[r]))
 
-        pivot = tab[row, col]
-        tab[row] /= pivot
-        factors = tab[:, col].copy()
-        factors[row] = 0.0
-        tab -= np.outer(factors, tab[row])
-        basis[row] = col
+        _pivot(tab, basis, row, col)
 
         obj = float(cost[basis] @ tab[:, -1])
         if obj < last_obj - _EPS:
@@ -167,10 +168,17 @@ def _drive_out_artificials(tab: np.ndarray, basis: list[int], n_real: int) -> No
         candidates = np.flatnonzero(np.abs(tab[row, :n_real]) > _EPS)
         if candidates.size == 0:
             continue  # redundant constraint; the artificial stays at level 0
-        col = int(candidates[0])
-        pivot = tab[row, col]
-        tab[row] /= pivot
-        factors = tab[:, col].copy()
-        factors[row] = 0.0
+        _pivot(tab, basis, row, int(candidates[0]))
+
+
+def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    """Make ``col`` basic in ``row``: scale the row, eliminate it elsewhere."""
+    tab[row] /= tab[row, col]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    touched = np.flatnonzero(factors)
+    if 4 * touched.size < tab.shape[0]:
+        tab[touched] -= np.outer(factors[touched], tab[row])
+    else:
         tab -= np.outer(factors, tab[row])
-        basis[row] = col
+    basis[row] = col

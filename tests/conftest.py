@@ -1,6 +1,22 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from asymcharge import AsymmetryField, DmcParams, NetworkInstance, Node
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def subprocess_env() -> dict[str, str]:
+    """Environment for ``python -m asymcharge.cli`` children.
+
+    pytest's ``pythonpath`` setting reaches only its own process, so the
+    checkout's ``src`` goes first on the children's ``PYTHONPATH``.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def neutral_field(seed: int = 0) -> AsymmetryField:

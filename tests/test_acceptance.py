@@ -22,7 +22,6 @@ from asymcharge import (
     TRANSMIT,
     OperationSchedule,
     ScheduleItem,
-    brute_force_tour,
     build_routing_matrices,
     cost_graph,
     execute_schedule,
@@ -41,6 +40,9 @@ from asymcharge import (
 from asymcharge.cli import generate_instance
 from asymcharge.model import angular_distance, normalize_angle, ra_distance, snap9_point
 from asymcharge.model import segment_move_energy_time, transfer_coefficient
+
+from conftest import subprocess_env
+from support import brute_force_tour
 
 
 @contextmanager
@@ -331,7 +333,7 @@ def test_criterion_10_byte_identical_runs(tmp_path):
         subprocess.run(
             [sys.executable, "-m", "asymcharge.cli", "generate",
              "--nodes", "40", "--seed", "10", "--out", str(inst)],
-            check=True, capture_output=True,
+            check=True, capture_output=True, env=subprocess_env(),
         )
         blobs = []
         for name in ("one.json", "two.json"):
@@ -340,7 +342,7 @@ def test_criterion_10_byte_identical_runs(tmp_path):
                 [sys.executable, "-m", "asymcharge.cli", "schedule",
                  "--instance", str(inst), "--algorithm", "ra_dmcs",
                  "--seed", "10", "--out", str(out)],
-                check=True, capture_output=True,
+                check=True, capture_output=True, env=subprocess_env(),
             )
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]

@@ -27,6 +27,8 @@ from asymcharge.cli import (
 from asymcharge.errors import InfeasibleError
 from asymcharge.pipeline import plan_schedule
 
+from conftest import subprocess_env
+
 
 class TestGenerateInstance:
     def test_reproducible(self):
@@ -229,6 +231,32 @@ class TestCommandLine:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:validation:")
 
+    @pytest.mark.parametrize("algorithm", ["ra_dmcs", "o2o_greedy"])
+    def test_cell_outside_int64_exit_code(self, tmp_path, capsys, algorithm):
+        text = instance_to_text(generate_instance(5, seed=2))
+        inst = tmp_path / "inst.json"
+        inst.write_text(re.sub(r'"x": [^,\n]+', '"x": 1e17', text, count=1))
+        capsys.readouterr()
+        code = main([
+            "schedule", "--instance", str(inst), "--algorithm", algorithm,
+            "--out", str(tmp_path / "s.json"),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:validation:")
+
+    def test_pivot_limit_exit_code(self, tmp_path, capsys, monkeypatch):
+        from asymcharge import timing
+
+        monkeypatch.setattr(timing, "_MAX_PIVOTS", 1)
+        inst = tmp_path / "inst.json"
+        assert main(["generate", "--nodes", "12", "--seed", "4", "--out", str(inst)]) == 0
+        capsys.readouterr()
+        code = main(["schedule", "--instance", str(inst), "--out", str(tmp_path / "s.json")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:pivot-limit:")
+
     def test_infeasible_exit_code_mapping(self):
         assert InfeasibleError("x").exit_code == 3
 
@@ -241,7 +269,7 @@ class TestCommandLine:
             proc = subprocess.run(
                 [sys.executable, "-m", "asymcharge.cli", "schedule",
                  "--instance", str(inst), "--seed", "6", "--out", str(path)],
-                capture_output=True, text=True, check=True,
+                capture_output=True, text=True, check=True, env=subprocess_env(),
             )
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]

@@ -15,15 +15,14 @@ from asymcharge import (
     final_node_energy,
     ra_coefficients,
     ra_distance,
-    received_energy,
     segment_move_energy_time,
-    tour_move_energy_time,
     transfer_coefficient,
 )
 from asymcharge.errors import MalformedTourError
 from asymcharge.model import angular_distance, normalize_angle
 
 from conftest import neutral_field
+from support import received_energy, tour_move_energy_time
 
 APEX = 4000.0 / 100.0**2  # transfer coefficient at zero distance
 
@@ -67,6 +66,22 @@ class TestAsymmetryField:
             AsymmetryField(seed=0, k_dis_range=(1.5, 0.5))
         with pytest.raises(ValidationError):
             AsymmetryField(seed=0, k_dis_range=(0.0, 1.0))
+
+    @pytest.mark.parametrize("p", [(1e17, 0.0), (0.0, -1e17), (9.3e16, 5.0), (1e308, 1e308)])
+    def test_cell_outside_int64_rejected(self, p):
+        # the hash key packs each cell as two signed 64-bit ints
+        field = AsymmetryField(seed=0)
+        with pytest.raises(ValidationError):
+            field.quantize(p)
+        with pytest.raises(ValidationError):
+            ra_coefficients(field, (0.0, 0.0), p)
+        with pytest.raises(ValidationError):
+            build_routing_matrices([(0.0, 0.0), p], field, DmcParams())
+
+    def test_cells_at_int64_ends_accepted(self):
+        field = AsymmetryField(seed=0, grid=1.0)
+        assert field.quantize((2.0**63 - 1024.0, -(2.0**63))) == (2**63 - 1024, -(2**63))
+        assert AsymmetryField(seed=0, grid=1e-300).quantize((0.0, 1e-290)) == (0, 10**10)
 
 
 class TestRaDistance:

@@ -7,7 +7,6 @@ from asymcharge import (
     AsymmetryField,
     DmcParams,
     ValidationError,
-    brute_force_tour,
     build_routing_matrices,
     cost_graph,
     expand_tour,
@@ -15,12 +14,12 @@ from asymcharge import (
     held_karp,
     lk_tour,
     metric_closure,
-    read_cost_matrix,
     to_symmetric,
     tour_cost,
-    write_cost_matrix,
 )
 from asymcharge.errors import MalformedTourError
+
+from support import brute_force_tour, read_cost_matrix, write_cost_matrix
 
 
 def random_directed_graph(rng, n, closed=True):

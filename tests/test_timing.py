@@ -7,6 +7,7 @@ from asymcharge import (
     ChargingPositionSet,
     InfeasibleError,
     LpProblem,
+    PivotLimitError,
     ValidationError,
     build_coefficient_matrix,
     build_time_lp,
@@ -154,3 +155,11 @@ class TestSolveLp:
         # positive demand with no coverage at all
         solution = solve_lp(LpProblem(a=np.zeros((1, 2)), b=np.array([5.0])))
         assert solution.status == "infeasible"
+
+    def test_pivot_limit_is_a_library_error(self, monkeypatch):
+        from asymcharge import timing
+
+        monkeypatch.setattr(timing, "_MAX_PIVOTS", 1)
+        a = np.eye(3)
+        with pytest.raises(PivotLimitError):
+            solve_lp(LpProblem(a=a, b=np.ones(3)))
