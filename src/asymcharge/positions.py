@@ -198,60 +198,34 @@ def _members(assign: np.ndarray, k: int) -> list[np.ndarray]:
     return [ids for ids in groups if ids.size]
 
 
-def _wider_than(pts: np.ndarray, assign: np.ndarray, limit: float) -> bool:
-    """True when some cluster has two members more than ``limit`` apart.
-
-    Two sweeps per cluster: find the member farthest from its first member,
-    then measure every member's distance from that one.  Each distance is a
-    lower bound on the cluster's diameter.
-    """
-    order = np.argsort(assign, kind="stable")
-    group = assign[order]
-    head = np.r_[True, group[1:] != group[:-1]]
-    first = np.flatnonzero(head)
-    last = np.r_[first[1:], len(order)] - 1
-    of = np.cumsum(head) - 1  # nonempty-cluster number of each sorted member
-    p = pts[order]
-    d = np.hypot(*(p - p[first[of]]).T)
-    # sorted by (group, distance), each group's last entry is its farthest member
-    far = np.lexsort((d, of))[last]
-    d = np.hypot(*(p - p[far[of]]).T)
-    return bool(d.max() > limit)
-
-
 def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
     """Smallest cluster count whose enclosing circles all fit the charge range.
 
     Tries k = 1, 2, ... in order; the first k where every cluster's enclosing
-    circle has radius at most the charge distance wins, and the circle centers
-    become the charging positions.  Seeding comes from the instance's
-    asymmetry seed, so the result is a pure function of the instance.
+    circle has radius at most the charge distance wins, and the centers of
+    ``kmeans``'s clusters for that k become the charging positions.  Seeding
+    comes from the instance's asymmetry seed, so the result is a pure function
+    of the instance.
 
-    Circles are computed only when needed: a k with two members of one
-    cluster farther apart than a circle of radius ``d_max`` can hold is
-    rejected without any, and otherwise the clusters are enclosed in order
-    until one does not fit.
+    Each k runs only the Lloyd step and encloses its clusters in order until
+    one does not fit, so a losing k costs no more circles than it needs.
     """
-    pts = np.asarray([u.pos for u in instance.nodes], dtype=float)
+    points = [u.pos for u in instance.nodes]
+    pts = np.asarray(points, dtype=float)
     d_max = instance.dmc.d_max
-    # the margin covers ``_in_circle``'s tolerance and the rounding of the
-    # distances: members farther apart cannot share a circle of radius <= d_max
-    span = 2.0 * (d_max * (1.0 + 1e-9) + 1e-12)
+    seed = instance.asym.seed
     for k in range(1, instance.n + 1):
-        assign = _lloyd(pts, k, instance.asym.seed)
-        if _wider_than(pts, assign, span):
-            continue
-        members = _members(assign, k)
-        circles = []
-        for ids in members:
-            center, radius = min_enclosing_circle([tuple(pts[i]) for i in ids])
-            if radius > d_max:
-                break
-            circles.append(center)
-        else:
+        assign = _lloyd(pts, k, seed)
+        if all(
+            min_enclosing_circle([tuple(pts[i]) for i in ids])[1] <= d_max
+            for ids in _members(assign, k)
+        ):
+            clusters = kmeans(points, k, seed)
             assignment = [0] * instance.n
-            for ci, ids in enumerate(members):
-                for nid in ids:
+            for ci, cluster in enumerate(clusters):
+                for nid in cluster.member_ids:
                     assignment[nid] = ci
-            return ChargingPositionSet(positions=tuple(circles), assignment=tuple(assignment))
+            return ChargingPositionSet(
+                positions=tuple(c.center for c in clusters), assignment=tuple(assignment)
+            )
     raise AssertionError("unreachable: singleton clusters always have radius 0")

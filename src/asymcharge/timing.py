@@ -4,11 +4,11 @@ The program is min 1't subject to coverage * t >= demand, t >= 0.  It is
 solved with a dense two-phase simplex; Dantzig pricing with a Bland
 anti-cycling fallback keeps the pivot sequence deterministic.
 
-Each pivot is a rank-one update of the tableau.  The covering matrix is very
-sparse, so the entering column usually touches only a few rows; when it
-touches fewer than a quarter of them, only those rows are updated.  Rows
-with a zero factor would change by at most the sign of a zero, so both ways
-take the same pivots and give the same solution.
+Each pivot is a rank-one update of the tableau.  Only the rows where the
+entering column is nonzero change, and the covering matrix is very sparse,
+so the update runs row by row over those rows alone, in place.  Each row gets
+the same products and differences as a whole-tableau update, so the pivots
+and the solution are the same.
 """
 
 from __future__ import annotations
@@ -174,11 +174,9 @@ def _drive_out_artificials(tab: np.ndarray, basis: list[int], n_real: int) -> No
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
     """Make ``col`` basic in ``row``: scale the row, eliminate it elsewhere."""
     tab[row] /= tab[row, col]
+    pivot_row = tab[row]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    touched = np.flatnonzero(factors)
-    if 4 * touched.size < tab.shape[0]:
-        tab[touched] -= np.outer(factors[touched], tab[row])
-    else:
-        tab -= np.outer(factors, tab[row])
+    for r in np.flatnonzero(factors):
+        tab[r] -= factors[r] * pivot_row
     basis[row] = col

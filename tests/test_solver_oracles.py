@@ -38,8 +38,8 @@ def covering_programs(draw):
 
     Small integer entries and demands give ties in the ratio test; copied
     columns give alternate optima; zero-demand rows and empty columns are
-    dropped by ``solve_lp`` before the simplex runs.  Sparse programs with
-    many rows take the few-row update, dense ones the whole-tableau update.
+    dropped by ``solve_lp`` before the simplex runs.  Sparse programs touch
+    a few rows per pivot, dense ones nearly all of them.
     """
     m = draw(st.integers(1, 36))
     n = draw(st.integers(1, 30))
@@ -78,7 +78,7 @@ class TestSimplex:
             assert_same_solution(problem)
 
     def test_identity_and_duplicate_columns(self):
-        # one nonzero per entering column: every pivot takes the few-row update
+        # one nonzero per entering column: every pivot touches a single row
         a = np.hstack([np.eye(24), np.eye(24)[:, :6]])
         assert_same_solution(LpProblem(a=a, b=np.arange(24, dtype=float) % 3))
 
