@@ -19,8 +19,6 @@ from .model import (
     energy_accounting,
     final_node_energy,
     ra_coefficients,
-    ra_distance,
-    segment_move_energy_time,
     transfer_coefficient,
 )
 from .positions import (

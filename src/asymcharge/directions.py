@@ -8,6 +8,7 @@ subset, found by sweeping the sector boundary events around the circle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,16 +50,27 @@ def nodes_in_range(pos: Point, instance: NetworkInstance) -> tuple[list[int], li
 
     Bearings are measured counterclockwise from the positive x axis; a node
     exactly at ``pos`` gets bearing 0 (it is covered regardless of direction).
+    One numpy test first drops the nodes whose squared distance exceeds
+    ``(d_max * (1 + 1e-9))**2``, which no node within ``d_max`` does; the
+    exact scalar checks run on the rest in node-id order (``math.hypot``, not
+    ``np.hypot``: the two differ in the last bit on some pairs).
     """
+    nodes = instance.nodes
+    d_max = instance.dmc.d_max
+    xs, ys = instance.node_xy
+    # never below the smallest normal float, so underflowed squares pass too
+    reach2 = max((d_max * (1.0 + 1e-9)) ** 2, sys.float_info.min)
+    near = (xs - pos[0]) ** 2 + (ys - pos[1]) ** 2 <= reach2
     ids: list[int] = []
     thetas: list[float] = []
     dists: list[float] = []
-    for u in instance.nodes:
+    for i in np.flatnonzero(near).tolist():
+        u = nodes[i]
         dx = u.pos[0] - pos[0]
         dy = u.pos[1] - pos[1]
         d = math.hypot(dx, dy)
-        if d <= instance.dmc.d_max:
-            ids.append(u.id)
+        if d <= d_max:
+            ids.append(i)
             thetas.append(normalize_angle(math.atan2(dy, dx)) if d > 0.0 else 0.0)
             dists.append(d)
     return ids, thetas, dists

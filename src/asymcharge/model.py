@@ -13,6 +13,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -181,20 +182,6 @@ def ra_coefficients(asym: AsymmetryField, a: Point, b: Point) -> tuple[float, fl
     )
 
 
-def ra_distance(a: Point, b: Point, asym: AsymmetryField) -> float:
-    """Directed travel distance: coefficient times the euclidean distance."""
-    return ra_coefficients(asym, a, b)[0] * euclidean(a, b)
-
-
-def segment_move_energy_time(
-    a: Point, b: Point, asym: AsymmetryField, dmc: DmcParams
-) -> tuple[float, float]:
-    """Movement energy (J) and travel time (s) for one directed segment."""
-    k_dis, k_egy = ra_coefficients(asym, a, b)
-    d = k_dis * euclidean(a, b)
-    return (d * k_egy * dmc.w0, d / dmc.v_bar)
-
-
 @dataclass(frozen=True)
 class NetworkInstance:
     """A complete problem input: nodes, base station, charger, asymmetry."""
@@ -216,6 +203,14 @@ class NetworkInstance:
     @property
     def n(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def node_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """Node x and y coordinates as float arrays, built once per instance."""
+        return (
+            np.array([u.pos[0] for u in self.nodes], dtype=float),
+            np.array([u.pos[1] for u in self.nodes], dtype=float),
+        )
 
     def e_b_vector(self) -> np.ndarray:
         return np.array([u.e_b for u in self.nodes], dtype=float)

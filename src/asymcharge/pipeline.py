@@ -10,7 +10,6 @@ models and produces the metrics.
 from __future__ import annotations
 
 import math
-import sys
 import time as _time
 from dataclasses import dataclass, replace
 
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import MalformedScheduleError
 from . import model
 from .model import NetworkInstance, Point
-from .directions import build_coefficient_matrix
+from .directions import build_coefficient_matrix, nodes_in_range
 from .positions import select_charging_positions
 from .routing import cost_graph, expand_tour, greedy_tour, lk_tour, metric_closure
 from .timing import build_time_lp, solve_lp
@@ -69,19 +68,13 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
     the directed travel time implied by the asymmetry field up to what the
     file format's 9-significant-digit rounding of the duration and of the
     move's two ends can change, and transmissions must happen where the
-    charger is.  Each transmission first drops the
-    nodes whose squared distance exceeds ``(d_max * (1 + 1e-9))**2``, which no
-    node within ``d_max`` does, and credits the rest in node-id order.
-    Received energy accumulates linearly and is capacity-clipped once at the
-    end.
+    charger is.  The charger starts at the 9-digit base station, the point an
+    instance file holds.  Each transmission credits the nodes that
+    ``nodes_in_range`` finds, in node-id order.  Received energy accumulates
+    linearly and is capacity-clipped once at the end.
     """
     dmc = instance.dmc
-    here = instance.bs_pos
-    nodes = instance.nodes
-    xs = np.array([u.pos[0] for u in nodes])
-    ys = np.array([u.pos[1] for u in nodes])
-    # never below the smallest normal float, so underflowed squares pass too
-    reach2 = max((dmc.d_max * (1.0 + 1e-9)) ** 2, sys.float_info.min)
+    here = model.snap9_point(instance.bs_pos)
     received_raw = np.zeros(instance.n)
     move_energy = 0.0
     move_time = 0.0
@@ -113,17 +106,9 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
                     f"item {idx}: transmits from {item.pos} but the charger is at {here}"
                 )
             tran_time += item.t
-            near = (xs - item.pos[0]) ** 2 + (ys - item.pos[1]) ** 2 <= reach2
-            for k in np.flatnonzero(near).tolist():
-                u = nodes[k]
-                dx = u.pos[0] - item.pos[0]
-                dy = u.pos[1] - item.pos[1]
-                d = math.hypot(dx, dy)
-                if d > dmc.d_max:
-                    continue
-                theta = model.normalize_angle(math.atan2(dy, dx)) if d > 0 else 0.0
+            for k, theta, d in zip(*nodes_in_range(item.pos, instance)):
                 c = model.transfer_coefficient(item.psi, dmc.phi, theta, d, dmc)
-                received_raw[u.id] += dmc.p0 * c * item.t
+                received_raw[k] += dmc.p0 * c * item.t
         else:
             raise MalformedScheduleError(f"item {idx}: unknown state {item.state}")
 
@@ -218,7 +203,7 @@ def one_to_one_schedule(instance: NetworkInstance) -> tuple[OperationSchedule, S
     targets = [u for u in instance.nodes if u.e_d > 0]
     items: list[ScheduleItem] = []
     if targets:
-        points = [instance.bs_pos] + [u.pos for u in targets]
+        points = [model.snap9_point(instance.bs_pos)] + [u.pos for u in targets]
         mats = model.build_routing_matrices(points, instance.asym, instance.dmc)
         tour = greedy_tour(cost_graph(mats.move_cost()))
         apex = instance.dmc.apex_coefficient

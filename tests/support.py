@@ -1,8 +1,8 @@
 """Library code that only the tests use, kept here unchanged.
 
-Movement totals along a tour, received energy from pair rows, the factorial
-tour oracle and the plain-text cost-matrix format: no scheduler or CLI
-command calls any of them.
+Directed segment distance, energy and time, movement totals along a tour,
+received energy from pair rows, the factorial tour oracle and the plain-text
+cost-matrix format: no scheduler or CLI command calls any of them.
 """
 
 import itertools
@@ -10,9 +10,29 @@ import itertools
 import numpy as np
 
 from asymcharge.errors import MalformedTourError, ValidationError
-from asymcharge.model import DmcParams, RoutingMatrices
+from asymcharge.model import (
+    AsymmetryField,
+    DmcParams,
+    Point,
+    RoutingMatrices,
+    euclidean,
+    ra_coefficients,
+)
 from asymcharge.routing import DirectedCostGraph, Tour, cost_graph, tour_cost
 
+
+def ra_distance(a: Point, b: Point, asym: AsymmetryField) -> float:
+    """Directed travel distance: coefficient times the euclidean distance."""
+    return ra_coefficients(asym, a, b)[0] * euclidean(a, b)
+
+
+def segment_move_energy_time(
+    a: Point, b: Point, asym: AsymmetryField, dmc: DmcParams
+) -> tuple[float, float]:
+    """Movement energy (J) and travel time (s) for one directed segment."""
+    k_dis, k_egy = ra_coefficients(asym, a, b)
+    d = k_dis * euclidean(a, b)
+    return (d * k_egy * dmc.w0, d / dmc.v_bar)
 
 def tour_move_energy_time(
     tour: list[int], mat: RoutingMatrices, dmc: DmcParams

@@ -38,11 +38,10 @@ from asymcharge import (
     to_symmetric,
 )
 from asymcharge.cli import generate_instance
-from asymcharge.model import angular_distance, normalize_angle, ra_distance, snap9_point
-from asymcharge.model import segment_move_energy_time, transfer_coefficient
+from asymcharge.model import angular_distance, normalize_angle, snap9_point, transfer_coefficient
 
 from conftest import subprocess_env
-from support import brute_force_tour
+from support import brute_force_tour, ra_distance, segment_move_energy_time
 
 
 @contextmanager

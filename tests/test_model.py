@@ -14,15 +14,18 @@ from asymcharge import (
     energy_accounting,
     final_node_energy,
     ra_coefficients,
-    ra_distance,
-    segment_move_energy_time,
     transfer_coefficient,
 )
 from asymcharge.errors import MalformedTourError
 from asymcharge.model import angular_distance, normalize_angle
 
 from conftest import neutral_field
-from support import received_energy, tour_move_energy_time
+from support import (
+    ra_distance,
+    received_energy,
+    segment_move_energy_time,
+    tour_move_energy_time,
+)
 
 APEX = 4000.0 / 100.0**2  # transfer coefficient at zero distance
 

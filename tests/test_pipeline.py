@@ -16,6 +16,7 @@ from asymcharge.errors import MalformedScheduleError
 from asymcharge import energy_accounting
 
 from conftest import make_instance
+from support import segment_move_energy_time
 
 APEX = 4000.0 / 100.0**2
 
@@ -222,7 +223,7 @@ class TestPlanSchedule:
         tran_time = 0.0
         here = instance.bs_pos
         raw = np.zeros(instance.n)
-        from asymcharge import segment_move_energy_time, transfer_coefficient
+        from asymcharge import transfer_coefficient
         from asymcharge.model import normalize_angle
 
         for item in schedule.items:

@@ -22,7 +22,7 @@ from asymcharge import (
     plan_schedule,
 )
 from asymcharge.cli import demo_instance, generate_instance
-from asymcharge.model import ra_coefficients, ra_distance
+from asymcharge.model import ra_coefficients
 
 from conftest import make_instance
 from scalar_reference import (
@@ -30,6 +30,7 @@ from scalar_reference import (
     reference_execute_schedule,
     reference_routing_matrices,
 )
+from support import ra_distance
 
 coordinate = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
 point = st.tuples(coordinate, coordinate)
