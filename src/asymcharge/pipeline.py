@@ -154,10 +154,13 @@ def plan_schedule(
     reduction, times from the covering program, and the visiting order from
     the local-search tour over the metric closure of the directed
     movement-energy graph.  Positions allocated zero transmission time are
-    not visited at all.
+    not visited at all.  The cover's centers are snapped to the 9 digits a
+    schedule file stores before the coefficient matrix is built, so the LP,
+    the tour and the replay all see the same points.
     """
     started = _time.perf_counter()
-    positions = select_charging_positions(instance)
+    cover = select_charging_positions(instance)
+    positions = replace(cover, positions=tuple(map(model.snap9_point, cover.positions)))
     matrix = build_coefficient_matrix(positions, instance)
     solution = solve_lp(build_time_lp(matrix, instance))
 
@@ -169,9 +172,7 @@ def plan_schedule(
     items: list[ScheduleItem] = []
     if per_position:
         kept = sorted(per_position)
-        points = [model.snap9_point(instance.bs_pos)] + [
-            model.snap9_point(positions.positions[pi]) for pi in kept
-        ]
+        points = [model.snap9_point(instance.bs_pos)] + [positions.positions[pi] for pi in kept]
         mats = model.build_routing_matrices(points, instance.asym, instance.dmc)
         closed = metric_closure(cost_graph(mats.move_cost()))
         tour = expand_tour(lk_tour(closed, seed=seed, budget=restart_budget), closed)

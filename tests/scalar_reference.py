@@ -1,8 +1,8 @@
 """Reference versions that the faster library code must reproduce bit for bit.
 
 The straightforward one-pair-at-a-time and one-node-at-a-time loops behind
-``model.ra_coefficients``, ``model.build_routing_matrices`` and
-``pipeline.execute_schedule``; the simplex that updates the whole tableau on
+``model.ra_coefficients``, ``model.build_routing_matrices``,
+``directions.nodes_in_range`` and ``pipeline.execute_schedule``; the simplex that updates the whole tableau on
 every pivot, behind ``timing.solve_lp``; and the cover that encloses every
 cluster of every k, behind ``positions.select_charging_positions``.  The
 simplex reads its tolerances and limits from ``timing`` when it runs, so a
@@ -59,12 +59,28 @@ def reference_routing_matrices(
     return dist, rate
 
 
+def reference_nodes_in_range(
+    pos: Point, instance: NetworkInstance
+) -> tuple[list[int], list[float], list[float]]:
+    """Ids, bearings and distances from one ``math.hypot`` test per node."""
+    ids, thetas, dists = [], [], []
+    for u in instance.nodes:
+        dx = u.pos[0] - pos[0]
+        dy = u.pos[1] - pos[1]
+        d = math.hypot(dx, dy)
+        if d <= instance.dmc.d_max:
+            ids.append(u.id)
+            thetas.append(model.normalize_angle(math.atan2(dy, dx)) if d > 0.0 else 0.0)
+            dists.append(d)
+    return ids, thetas, dists
+
+
 def reference_execute_schedule(
     instance: NetworkInstance, schedule: OperationSchedule
 ) -> ScheduleMetrics:
     """Replay that checks every node against every transmission."""
     dmc = instance.dmc
-    here = instance.bs_pos
+    here = model.snap9_point(instance.bs_pos)
     received_raw = np.zeros(instance.n)
     move_energy = 0.0
     move_time = 0.0

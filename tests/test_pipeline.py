@@ -113,11 +113,33 @@ class TestExecuteSchedule:
             assert back.total_energy_loss == pytest.approx(metrics.total_energy_loss, rel=1e-8)
 
     def test_plan_replays_with_unsnapped_base_station(self):
-        # the planner moves from the 9-digit base station; the replay from the exact one
+        # the planner and the replay both start at the 9-digit base station
         specs = [node_at((10.0, 20.0)), node_at((150.0, 160.0)), node_at((60.0, 170.0))]
         instance = make_instance(specs, bs=(100.123456789123, 50.98765432198))
         _, metrics = plan_schedule(instance, seed=1)
         assert metrics.feasible
+
+    @pytest.mark.parametrize("bs", [(100.00500000004, 50.0), (12.3450000004, 50.0)])
+    def test_base_station_snap_crossing_a_grid_cell(self, bs):
+        # the exact and the 9-digit base station lie in different 0.01 m cells,
+        # so a first move planned from one and replayed from the other has
+        # another travel coefficient
+        from asymcharge import AsymmetryField
+        from asymcharge.cli import (
+            instance_from_text,
+            instance_to_text,
+            schedule_from_text,
+            schedule_to_text,
+        )
+
+        specs = [node_at((10.0, 20.0)), node_at((150.0, 160.0)), node_at((60.0, 170.0))]
+        instance = make_instance(specs, bs=bs, asym=AsymmetryField(seed=1))
+        parsed = instance_from_text(instance_to_text(instance))
+        for schedule, metrics in (plan_schedule(instance, seed=1), one_to_one_schedule(instance)):
+            back = execute_schedule(parsed, schedule_from_text(schedule_to_text(schedule)))
+            assert metrics.feasible and back.feasible
+            assert back.time_span == pytest.approx(metrics.time_span, rel=1e-8)
+            assert back.total_energy_loss == pytest.approx(metrics.total_energy_loss, rel=1e-8)
 
     def test_transmit_away_from_charger_rejected(self):
         # the charger is still at the base station (0, 0)
@@ -190,6 +212,23 @@ class TestPlanSchedule:
             instance = generate_instance(25, seed=seed)
             _, metrics = plan_schedule(instance, seed=seed)
             assert metrics.feasible
+
+    def test_lp_runs_at_the_written_positions(self):
+        # each node is its own cluster; the center 40.123456789 is written as
+        # 40.1234568, 1.1e-8 m east of its node, which an apex charge planned
+        # at the exact center (direction 0) does not reach
+        instance = make_instance([node_at((0.123456789, 0.0)), node_at((40.123456789, 0.0))])
+        schedule, metrics = plan_schedule(instance, seed=1)
+        assert (40.1234568, 0.0) in {i.pos for i in schedule.items if i.state == TRANSMIT}
+        assert metrics.feasible
+
+    def test_large_field_plan_feasible(self):
+        # infeasible by about 1e-6 J while the LP ran at the unsnapped centers
+        from asymcharge.cli import generate_instance
+
+        instance = generate_instance(15, seed=0, area=2000.0)
+        _, metrics = plan_schedule(instance, seed=0)
+        assert metrics.feasible
 
     def test_transmissions_contiguous_and_sorted(self):
         from asymcharge.cli import generate_instance

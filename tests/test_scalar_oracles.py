@@ -1,4 +1,4 @@
-"""The row-wise matrix build and the prefiltered replay against scalar loops.
+"""The row-wise matrix build, the prefiltered reach test and the replay against scalar loops.
 
 Every comparison is exact: matrices by their bytes, metrics with ``==``.
 """
@@ -18,6 +18,7 @@ from asymcharge import (
     ScheduleItem,
     build_routing_matrices,
     execute_schedule,
+    nodes_in_range,
     one_to_one_schedule,
     plan_schedule,
 )
@@ -28,6 +29,7 @@ from conftest import make_instance
 from scalar_reference import (
     reference_coefficients,
     reference_execute_schedule,
+    reference_nodes_in_range,
     reference_routing_matrices,
 )
 from support import ra_distance
@@ -135,6 +137,22 @@ def boundary_offsets(d_max: float, psi: float, phi: float) -> list[tuple[float, 
 
 
 class TestReplay:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+        st.floats(min_value=0.5, max_value=40.0),
+        st.lists(point, max_size=10),
+    )
+    def test_nodes_in_range_equal_to_per_node_loop(self, pos, d_max, extra):
+        pos = (float(pos[0]), float(pos[1]))
+        specs = [
+            ((pos[0] + dx, pos[1] + dy), 5.0, 20.0, 60.0)
+            for dx, dy in boundary_offsets(d_max, 0.0, 1.0)
+        ]
+        specs += [(p, 5.0, 20.0, 60.0) for p in extra]
+        instance = make_instance(specs, dmc=DmcParams(d_max=d_max))
+        assert nodes_in_range(pos, instance) == reference_nodes_in_range(pos, instance)
+
     @settings(max_examples=120, deadline=None)
     @given(
         st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
