@@ -24,6 +24,8 @@ from .model import (
 )
 from .positions import ChargingPositionSet
 
+_SMALLEST_NORMAL = sys.float_info.min
+
 
 @dataclass(frozen=True)
 class PosDirPair:
@@ -57,17 +59,19 @@ def nodes_in_range(pos: Point, instance: NetworkInstance) -> tuple[list[int], li
     """
     nodes = instance.nodes
     d_max = instance.dmc.d_max
+    x, y = pos
     xs, ys = instance.node_xy
+    dxs = xs - x
+    dys = ys - y
     # never below the smallest normal float, so underflowed squares pass too
-    reach2 = max((d_max * (1.0 + 1e-9)) ** 2, sys.float_info.min)
-    near = (xs - pos[0]) ** 2 + (ys - pos[1]) ** 2 <= reach2
+    near = dxs * dxs + dys * dys <= max((d_max * (1.0 + 1e-9)) ** 2, _SMALLEST_NORMAL)
     ids: list[int] = []
     thetas: list[float] = []
     dists: list[float] = []
-    for i in np.flatnonzero(near).tolist():
-        u = nodes[i]
-        dx = u.pos[0] - pos[0]
-        dy = u.pos[1] - pos[1]
+    for i in near.nonzero()[0].tolist():
+        u = nodes[i].pos
+        dx = u[0] - x
+        dy = u[1] - y
         d = math.hypot(dx, dy)
         if d <= d_max:
             ids.append(i)
