@@ -2,11 +2,12 @@
 
 The straightforward one-pair-at-a-time and one-node-at-a-time loops behind
 ``model.ra_coefficients``, ``model.build_routing_matrices``,
-``directions.nodes_in_range`` and ``pipeline.execute_schedule``; the simplex that updates the whole tableau on
-every pivot, behind ``timing.solve_lp``; and the cover that encloses every
-cluster of every k, behind ``positions.select_charging_positions``.  The
-simplex reads its tolerances and limits from ``timing`` when it runs, so a
-test that changes them changes both sides.
+``directions.nodes_in_range`` and ``pipeline.execute_schedule``; the simplex
+that updates the whole tableau on every pivot, behind ``timing.solve_lp``;
+and the cover that encloses every cluster of every k, behind
+``positions.select_charging_positions``.  The simplex reads its tolerances
+and limits from ``timing`` when it runs, so a test that changes them changes
+both sides.
 """
 
 import hashlib

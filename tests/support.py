@@ -34,6 +34,7 @@ def segment_move_energy_time(
     d = k_dis * euclidean(a, b)
     return (d * k_egy * dmc.w0, d / dmc.v_bar)
 
+
 def tour_move_energy_time(
     tour: list[int], mat: RoutingMatrices, dmc: DmcParams
 ) -> tuple[float, float]:
