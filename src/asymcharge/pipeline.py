@@ -71,7 +71,9 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
     charger is.  The charger starts at the 9-digit base station, the point an
     instance file holds.  Each transmission credits the nodes that
     ``nodes_in_range`` finds, in node-id order.  Received energy accumulates
-    linearly and is capacity-clipped once at the end.
+    linearly and is capacity-clipped once at the end.  The schedule is
+    feasible when every demand is met and the charger's battery does not run
+    out.
     """
     dmc = instance.dmc
     here = model.snap9_point(instance.bs_pos)
@@ -128,7 +130,7 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
         moving_time=move_time,
         algorithm_runtime=0.0,
         received_total=ledger.e_nodes_rcv,
-        feasible=demand_met,
+        feasible=demand_met and ledger.dmc_energy_ok,
     )
 
 

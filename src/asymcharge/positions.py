@@ -193,9 +193,14 @@ def _lloyd(pts: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def _members(assign: np.ndarray, k: int) -> list[np.ndarray]:
-    """Point indices of each nonempty cluster, in cluster order."""
-    groups = (np.flatnonzero(assign == c) for c in range(k))
-    return [ids for ids in groups if ids.size]
+    """Point indices of each nonempty cluster, in cluster order.
+
+    A stable sort keeps each cluster's members in index order, and the
+    cumulative cluster sizes cut the sorted indices into one slice per cluster.
+    """
+    order = np.argsort(assign, kind="stable")
+    ends = np.cumsum(np.bincount(assign, minlength=k)).tolist()
+    return [order[a:b] for a, b in zip([0] + ends, ends) if b > a]
 
 
 def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:

@@ -37,10 +37,15 @@ class Tour:
 
 
 def cost_graph(cost: np.ndarray) -> DirectedCostGraph:
-    """Wrap a raw cost matrix; next hops start out as the direct arcs."""
+    """Wrap a raw cost matrix; next hops start out as the direct arcs.
+
+    Costs must be finite and nonnegative.
+    """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValidationError("cost matrix must be square")
+    if not np.all(np.isfinite(cost)):
+        raise ValidationError("directed costs must be finite")
     if np.any(cost < 0):
         raise ValidationError("directed costs must be nonnegative")
     n = cost.shape[0]
@@ -110,6 +115,13 @@ def _best_3opt_move(cost: np.ndarray, order: list[int]) -> tuple[float, int, int
     segments in swapped order changes exactly three arcs; every segment keeps
     its internal orientation, so the move is valid under asymmetric costs.
     Covers single-segment reinsertion (any length) as a special case.
+
+    The scan runs over the middle cut j: one block holds the gains of every
+    i < j and k > j, summed in a fixed order from two matrices built once per
+    call.  The result is the largest gain strictly above ``_GAIN_EPS``, at the
+    lexicographically smallest (i, j, k) among exact ties: a block's row-major
+    argmax is its smallest (i, k), and a later block replaces the best move
+    only with a larger gain, or an equal one at a smaller i.
     """
     n = len(order) - 1  # order[-1] == order[0]
     if n < 3:
@@ -118,20 +130,22 @@ def _best_3opt_move(cost: np.ndarray, order: list[int]) -> tuple[float, int, int
     nxt = np.array(order[1 : n + 1])
     removed = cost[t, nxt]
     arc = cost[t[:, None], nxt[None, :]]  # arc[x, y] = cost(t_x -> t_{y+1})
-    pos = np.arange(n)
-    after = pos[None, :] > pos[:, None]
+    # gain(i, j, k) = (first[i, j] + last[i, k]) - arc[j, k], where
+    # first[i, j] = removed_i + (removed_j - arc(i -> j+1)) and
+    # last[i, k] = removed_k - arc(k -> i+1); first is stored transposed
+    first = removed[None, :] + (removed[:, None] - arc.T)
+    last = removed[None, :] - arc.T
     best_gain = _GAIN_EPS
     best = None
-    for i in range(n - 2):
-        # gain[j, k] = removed_i + removed_j + removed_k
-        #            - arc(i -> j+1) - arc(k -> i+1) - arc(j -> k+1)
-        gain = removed[i] + (removed - arc[i])[:, None] + (removed - arc[:, i])[None, :] - arc
-        valid = after & (pos[:, None] > i)
-        gain = np.where(valid, gain, -np.inf)
-        j, k = np.unravel_index(int(np.argmax(gain)), gain.shape)
-        if gain[j, k] > best_gain:
-            best_gain = float(gain[j, k])
-            best = (best_gain, i, int(j), int(k))
+    for j in range(1, n - 1):
+        gain = first[j, :j, None] + last[:j, j + 1 :]
+        gain -= arc[j, j + 1 :]
+        flat = int(gain.argmax())
+        g = gain.item(flat)
+        i, k = divmod(flat, n - j - 1)
+        if g > best_gain or (g == best_gain and best is not None and i < best[1]):
+            best_gain = g
+            best = (g, i, j, j + 1 + k)
     return best
 
 

@@ -4,10 +4,11 @@ The straightforward one-pair-at-a-time and one-node-at-a-time loops behind
 ``model.ra_coefficients``, ``model.build_routing_matrices``,
 ``directions.nodes_in_range`` and ``pipeline.execute_schedule``; the simplex
 that updates the whole tableau on every pivot, behind ``timing.solve_lp``;
-and the cover that encloses every cluster of every k, behind
-``positions.select_charging_positions``.  The simplex reads its tolerances
-and limits from ``timing`` when it runs, so a test that changes them changes
-both sides.
+the cover that encloses every cluster of every k, behind
+``positions.select_charging_positions``; and the segment-swap scan that
+builds a whole gain matrix for every first cut, behind
+``routing._best_3opt_move``.  The simplex reads its tolerances and limits from
+``timing`` when it runs, so a test that changes them changes both sides.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ import struct
 
 import numpy as np
 
-from asymcharge import model, positions, timing
+from asymcharge import model, positions, routing, timing
 from asymcharge.model import AsymmetryField, DmcParams, NetworkInstance, Point
 from asymcharge.errors import MalformedScheduleError, ValidationError
 from asymcharge.pipeline import MOVE, TRANSMIT, OperationSchedule, ScheduleMetrics
@@ -127,7 +128,7 @@ def reference_execute_schedule(
         moving_time=move_time,
         algorithm_runtime=0.0,
         received_total=ledger.e_nodes_rcv,
-        feasible=demand_met,
+        feasible=demand_met and ledger.dmc_energy_ok,
     )
 
 
@@ -340,3 +341,37 @@ def reference_select_charging_positions(instance: NetworkInstance) -> ChargingPo
                 assignment=tuple(assignment),
             )
     raise AssertionError("unreachable: singleton clusters always have radius 0")
+
+
+def reference_best_3opt_move(
+    cost: np.ndarray, order: list[int]
+) -> tuple[float, int, int, int] | None:
+    """Best orientation-preserving segment swap over all cut triples.
+
+    Cutting after positions i < j < k and reconnecting the three directed
+    segments in swapped order changes exactly three arcs; every segment keeps
+    its internal orientation, so the move is valid under asymmetric costs.
+    Covers single-segment reinsertion (any length) as a special case.
+    """
+    n = len(order) - 1  # order[-1] == order[0]
+    if n < 3:
+        return None
+    t = np.array(order[:n])
+    nxt = np.array(order[1 : n + 1])
+    removed = cost[t, nxt]
+    arc = cost[t[:, None], nxt[None, :]]  # arc[x, y] = cost(t_x -> t_{y+1})
+    pos = np.arange(n)
+    after = pos[None, :] > pos[:, None]
+    best_gain = routing._GAIN_EPS
+    best = None
+    for i in range(n - 2):
+        # gain[j, k] = removed_i + removed_j + removed_k
+        #            - arc(i -> j+1) - arc(k -> i+1) - arc(j -> k+1)
+        gain = removed[i] + (removed - arc[i])[:, None] + (removed - arc[:, i])[None, :] - arc
+        valid = after & (pos[:, None] > i)
+        gain = np.where(valid, gain, -np.inf)
+        j, k = np.unravel_index(int(np.argmax(gain)), gain.shape)
+        if gain[j, k] > best_gain:
+            best_gain = float(gain[j, k])
+            best = (best_gain, i, int(j), int(k))
+    return best

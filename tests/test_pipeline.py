@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -285,6 +286,19 @@ class TestPlanSchedule:
         assert metrics.total_energy_loss == pytest.approx(ledger.e_total_loss, rel=1e-9)
         assert metrics.charging_energy_loss == pytest.approx(ledger.e_wpt_loss, rel=1e-9)
         assert metrics.movement_energy == pytest.approx(ledger.e_mc_move, rel=1e-9)
+
+    def test_battery_deficit_infeasible(self):
+        # the demands are met, but the charger runs out of energy on the way
+        from asymcharge.cli import generate_instance
+
+        instance = generate_instance(20, seed=8)
+        _, metrics = plan_schedule(instance, seed=8)
+        assert metrics.feasible
+        spent = metrics.movement_energy + instance.dmc.p0 * metrics.charging_time
+        short = dataclasses.replace(instance, dmc=dataclasses.replace(instance.dmc, e_b0=0.5 * spent))
+        with pytest.warns(UserWarning, match="battery deficit"):
+            _, metrics = plan_schedule(short, seed=8)
+        assert metrics.feasible is False
 
     def test_deterministic(self):
         from asymcharge.cli import generate_instance

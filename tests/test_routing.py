@@ -62,6 +62,14 @@ class TestMetricClosure:
         with pytest.raises(ValidationError):
             cost_graph(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        # NaN passes a sign check, and one NaN arc makes the tour cost nan
+        cost = np.ones((4, 4))
+        cost[1, 2] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            cost_graph(cost)
+
 
 class TestExpandTour:
     def test_trivial_closure_identity(self):

@@ -1,7 +1,9 @@
-"""The row-sparse simplex and the lazy position cover against their eager versions.
+"""The row-sparse simplex, the lazy position cover and the middle-cut
+segment-swap scan against their eager versions.
 
 Every comparison is exact: LP times with ``np.array_equal`` and objectives
-with ``==``, clusters and position sets with ``==`` and by ``repr``.
+with ``==``, clusters and position sets with ``==`` and by ``repr``, moves
+and tours with ``==``.
 """
 
 import math
@@ -13,19 +15,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymcharge import (
+    AsymmetryField,
     DmcParams,
     LpProblem,
     build_coefficient_matrix,
+    build_routing_matrices,
     build_time_lp,
+    cost_graph,
     kmeans,
+    lk_tour,
+    metric_closure,
+    plan_schedule,
+    routing,
     select_charging_positions,
     solve_lp,
     timing,
+    to_symmetric,
 )
 from asymcharge.cli import generate_instance
 
 from conftest import make_instance, neutral_field
 from scalar_reference import (
+    reference_best_3opt_move,
     reference_kmeans,
     reference_select_charging_positions,
     reference_solve_lp,
@@ -172,3 +183,82 @@ class TestCover:
             assert select_charging_positions(instance) == reference_select_charging_positions(
                 instance
             )
+
+
+def tie_costs(rng, n):
+    """Costs 0-3: most gains have many exact ties."""
+    return rng.integers(0, 4, (n, n)).astype(float)
+
+
+def doubled_costs(rng, n):
+    """A node-doubled matrix: zero mirror pairs, shifted arcs and huge sentinels."""
+    return to_symmetric(cost_graph(tie_costs(rng, n))).cost
+
+
+@st.composite
+def swap_scans(draw):
+    """A cost matrix and a random closed tour over all of its n <= 40 points."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["ties", "uniform", "doubled"]))
+    if kind == "doubled":
+        cost = doubled_costs(rng, draw(st.integers(1, 20)))
+    else:
+        n = draw(st.integers(0, 40))
+        cost = tie_costs(rng, n) if kind == "ties" else rng.uniform(0.0, 10.0, (n, n))
+    perm = [int(p) for p in rng.permutation(cost.shape[0])]
+    return cost, perm + perm[:1]
+
+
+def seeded_graphs(seed):
+    """Closed movement-energy, tie and doubled graphs of 4-30 points."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 31))
+    points = [tuple(p) for p in rng.uniform(0.0, 200.0, (n, 2))]
+    mats = build_routing_matrices(points, AsymmetryField(seed=seed), DmcParams())
+    return (
+        metric_closure(cost_graph(mats.move_cost())),
+        cost_graph(tie_costs(rng, n)),
+        cost_graph(doubled_costs(rng, n // 2)),
+    )
+
+
+class TestSegmentSwapScan:
+    @settings(max_examples=400, deadline=None)
+    @given(swap_scans())
+    def test_equal_to_per_first_cut_scan(self, scan):
+        cost, order = scan
+        assert routing._best_3opt_move(cost, order) == reference_best_3opt_move(cost, order)
+
+    def test_all_moves_tied(self):
+        # every move trades three tour arcs of cost 2 for three arcs of cost 1
+        n = 7
+        cost = np.ones((n, n)) - np.eye(n)
+        cost[np.arange(n), (np.arange(n) + 1) % n] = 2.0
+        order = list(range(n)) + [0]
+        assert routing._best_3opt_move(cost, order) == (3.0, 0, 1, 2)
+        assert reference_best_3opt_move(cost, order) == (3.0, 0, 1, 2)
+
+    def test_seeded_tie_matrices(self):
+        # ties between middle cuts, where a later cut may hold a smaller first cut
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            cost = tie_costs(rng, 4 + seed % 9)
+            order = [int(p) for p in rng.permutation(cost.shape[0])]
+            order.append(order[0])
+            assert routing._best_3opt_move(cost, order) == reference_best_3opt_move(cost, order)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lk_tour_equal_with_per_first_cut_scan(self, seed):
+        for g in seeded_graphs(seed):
+            got = lk_tour(g, seed=seed, budget=6)
+            with mock.patch.object(routing, "_best_3opt_move", reference_best_3opt_move):
+                want = lk_tour(g, seed=seed, budget=6)
+            assert got == want
+
+    def test_planner_schedules(self):
+        instance = generate_instance(60, seed=3, area=2000.0)
+        got = plan_schedule(instance, seed=3)[0]
+        with mock.patch.object(routing, "_best_3opt_move", reference_best_3opt_move):
+            want = plan_schedule(instance, seed=3)[0]
+        assert got == want
