@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -347,11 +346,6 @@ def energy_accounting(
     e_mc_total = e_mc_tran + move_energy
     e_f0 = dmc.e_b0 - e_mc_total
     ok = e_f0 >= 0.0
-    if not ok:
-        warnings.warn(
-            f"charger battery deficit: needs {e_mc_total:.3f} J but starts with {dmc.e_b0:.3f} J",
-            stacklevel=2,
-        )
     e_f = final_node_energy(e_b, received_raw, e_c)
     e_nodes_rcv = float(np.sum(e_f - e_b))
     e_wpt_loss = e_mc_tran - e_nodes_rcv

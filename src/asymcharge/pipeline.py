@@ -156,13 +156,12 @@ def plan_schedule(
     reduction, times from the covering program, and the visiting order from
     the local-search tour over the metric closure of the directed
     movement-energy graph.  Positions allocated zero transmission time are
-    not visited at all.  The cover's centers are snapped to the 9 digits a
-    schedule file stores before the coefficient matrix is built, so the LP,
-    the tour and the replay all see the same points.
+    not visited at all.  The cover's positions already carry the 9 digits a
+    schedule file stores, so the LP, the tour and the replay all see the
+    same points.
     """
     started = _time.perf_counter()
-    cover = select_charging_positions(instance)
-    positions = replace(cover, positions=tuple(map(model.snap9_point, cover.positions)))
+    positions = select_charging_positions(instance)
     matrix = build_coefficient_matrix(positions, instance)
     solution = solve_lp(build_time_lp(matrix, instance))
 

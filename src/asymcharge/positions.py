@@ -1,7 +1,8 @@
 """Charging position selection: clustering until every cluster fits a disc.
 
-The number of clusters starts at one and grows until the minimum enclosing
-circle of every cluster has radius at most the charge distance; circle
+The number of clusters starts at a proven lower bound and grows until every
+cluster lies within the charge distance of its minimum enclosing circle's
+center, rounded to the 9 digits a schedule file stores; those rounded
 centers become the charging positions.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import NetworkInstance, Point
+from .model import NetworkInstance, Point, snap9_point
 
 _KMEANS_MAX_ITER = 100
 
@@ -203,14 +204,41 @@ def _members(assign: np.ndarray, k: int) -> list[np.ndarray]:
     return [order[a:b] for a, b in zip([0] + ends, ends) if b > a]
 
 
-def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
-    """Smallest cluster count whose enclosing circles all fit the charge range.
+def _separated_count(pts: np.ndarray, d_max: float) -> int:
+    """Size of a greedy set of nodes, in id order, pairwise farther apart than 2 d_max.
 
-    Tries k = 1, 2, ... in order; the first k where every cluster's enclosing
-    circle has radius at most the charge distance wins, and the centers of
-    ``kmeans``'s clusters for that k become the charging positions.  Seeding
-    comes from the instance's asymmetry seed, so the result is a pure function
-    of the instance.
+    No cluster count below it can fit: fewer clusters put two of these nodes
+    in one cluster, and no center lies within ``d_max`` of both.  The 1e-6
+    margin keeps the distances' rounding on the failing side.
+    """
+    reach = 2.0 * d_max * (1.0 + 1e-6)
+    xs = pts[:, 0]
+    ys = pts[:, 1]
+    free = np.ones(len(pts), dtype=bool)
+    count = 0
+    while free.any():
+        i = int(free.argmax())
+        count += 1
+        free &= np.hypot(xs - xs[i], ys - ys[i]) > reach
+    return count
+
+
+def _snapped_fit(members: list[Point], d_max: float) -> bool:
+    """Every member within ``d_max`` of the 9-digit enclosing-circle center."""
+    cx, cy = snap9_point(min_enclosing_circle(members)[0])
+    return all(math.hypot(x - cx, y - cy) <= d_max for x, y in members)
+
+
+def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
+    """Smallest cluster count whose clusters all fit the charge range.
+
+    Tries k = L, L + 1, ... in order, where L is ``_separated_count``'s
+    lower bound; the first k where every cluster lies within the charge
+    distance of its enclosing circle's center rounded to 9 digits wins, and
+    those rounded centers of ``kmeans``'s clusters for that k become the
+    charging positions.  The LP, the tour and the replay therefore all see
+    the points a schedule file stores.  Seeding comes from the instance's
+    asymmetry seed, so the result is a pure function of the instance.
 
     Each k runs only the Lloyd step and encloses its clusters in order until
     one does not fit, so a losing k costs no more circles than it needs.
@@ -219,11 +247,10 @@ def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
     pts = np.asarray(points, dtype=float)
     d_max = instance.dmc.d_max
     seed = instance.asym.seed
-    for k in range(1, instance.n + 1):
+    for k in range(_separated_count(pts, d_max), instance.n + 1):
         assign = _lloyd(pts, k, seed)
         if all(
-            min_enclosing_circle([tuple(pts[i]) for i in ids])[1] <= d_max
-            for ids in _members(assign, k)
+            _snapped_fit([tuple(pts[i]) for i in ids], d_max) for ids in _members(assign, k)
         ):
             clusters = kmeans(points, k, seed)
             assignment = [0] * instance.n
@@ -231,6 +258,7 @@ def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
                 for nid in cluster.member_ids:
                     assignment[nid] = ci
             return ChargingPositionSet(
-                positions=tuple(c.center for c in clusters), assignment=tuple(assignment)
+                positions=tuple(snap9_point(c.center) for c in clusters),
+                assignment=tuple(assignment),
             )
-    raise AssertionError("unreachable: singleton clusters always have radius 0")
+    raise AssertionError("unreachable: singleton clusters always fit at distance 0")

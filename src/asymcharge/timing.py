@@ -1,14 +1,16 @@
 """Transmission time allocation: minimum total time meeting every demand.
 
-The program is min 1't subject to coverage * t >= demand, t >= 0.  It is
-solved with a dense two-phase simplex; Dantzig pricing with a Bland
-anti-cycling fallback keeps the pivot sequence deterministic.
+The program is min 1't subject to coverage * t >= demand, t >= 0.  Every cost
+is 1 and the coverage is nonnegative, so the basis of the surplus variables
+is dual feasible from the start, and a dense dual simplex from that basis
+solves the program without a phase 1.  The most negative rhs leaves, the
+smallest ratio enters with ties to the smallest column, and a Bland fallback
+for dual-degenerate stalls keeps the pivot sequence deterministic.
 
-Each pivot is a rank-one update of the tableau.  Only the rows where the
-entering column is nonzero change, and the covering matrix is very sparse,
-so the update runs row by row over those rows alone, in place.  Each row gets
-the same products and differences as a whole-tableau update, so the pivots
-and the solution are the same.
+Each pivot is a rank-one update of the tableau, reduced-cost row included.
+Only the rows where the entering column is nonzero change, and the covering
+matrix is very sparse, so the update runs row by row over those rows alone,
+in place.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from .directions import CoefficientMatrix
 from .model import NetworkInstance
 
 _EPS = 1e-9
-_FEAS_TOL = 1e-7
 _MAX_PIVOTS = 20000
-_STALL_LIMIT = 60  # degenerate pivots before switching to Bland's rule
+_STALL_LIMIT = 60  # pivots without dual progress before switching to Bland's rule
 
 
 @dataclass(frozen=True)
@@ -87,69 +88,51 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
 
 def _simplex_min(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str]:
-    """Two-phase tableau simplex for min 1'x, a x >= b, x >= 0 (a, b >= 0)."""
+    """Dual simplex for min 1'x, a x >= b, x >= 0 (a, b >= 0).
+
+    The tableau rows are ``[-a | I | -b]`` with the surplus variables basic,
+    and the last row holds the reduced costs ``[1 | 0 | -objective]``.  Every
+    cost is 1 and ``a >= 0``, so that basis is dual feasible from the start:
+    no phase 1 and no artificial columns.  Each pivot raises the dual
+    objective (or keeps it) until no rhs is negative.
+    """
     m, n = a.shape
-    # columns: n structural | m surplus | m artificial | rhs
-    tab = np.zeros((m, n + 2 * m + 1))
-    tab[:, :n] = a
-    tab[:, n : n + m] = -np.eye(m)
-    tab[:, n + m : n + 2 * m] = np.eye(m)
-    tab[:, -1] = b
-    basis = list(range(n + m, n + 2 * m))
+    # columns: n structural | m surplus | rhs; the last row holds the reduced costs
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = -a
+    tab[:m, n : n + m] = np.eye(m)
+    tab[:m, -1] = -b
+    tab[m, :n] = 1.0
+    basis = list(range(n, n + m))
 
-    cost1 = np.zeros(n + 2 * m)
-    cost1[n + m :] = 1.0
-    if not _run_simplex(tab, basis, cost1, allowed=n + 2 * m):
-        raise PivotLimitError(f"simplex pivot limit ({_MAX_PIVOTS}) exceeded in phase 1")
-    if float(tab[:, -1] @ cost1[basis]) > _FEAS_TOL:
-        return np.zeros(n), "infeasible"
-    _drive_out_artificials(tab, basis, n + m)
-
-    cost2 = np.zeros(n + 2 * m)
-    cost2[:n] = 1.0
-    if not _run_simplex(tab, basis, cost2, allowed=n + m):
-        raise PivotLimitError(f"simplex pivot limit ({_MAX_PIVOTS}) exceeded in phase 2")
-
-    x = np.zeros(n)
-    for row, var in enumerate(basis):
-        if var < n:
-            x[var] = tab[row, -1]
-    return x, "optimal"
-
-
-def _run_simplex(tab: np.ndarray, basis: list[int], cost: np.ndarray, allowed: int) -> bool:
-    """Pivot to optimality in place; returns False only on a pivot-limit stall."""
-    m = tab.shape[0]
     stall = 0
     bland = False
-    last_obj = np.inf
+    last_obj = -np.inf
     for _ in range(_MAX_PIVOTS):
-        reduced = cost[:allowed] - cost[basis] @ tab[:, :allowed]
+        rhs = tab[:m, -1]
         if bland:
-            entering_candidates = np.flatnonzero(reduced < -_EPS)
-            if entering_candidates.size == 0:
-                return True
-            col = int(entering_candidates[0])
+            leaving = np.flatnonzero(rhs < -_EPS)
+            if leaving.size == 0:
+                break
+            row = int(min(leaving, key=lambda r: basis[r]))
         else:
-            col = int(np.argmin(reduced))
-            if reduced[col] >= -_EPS:
-                return True
-        column = tab[:, col]
-        positive = column > _EPS
-        if not np.any(positive):
-            # unbounded direction: impossible for these programs (cost >= 0,
-            # feasible region in the positive orthant), treat as failure
-            return False
-        ratios = np.full(m, np.inf)
-        ratios[positive] = np.maximum(tab[positive, -1], 0.0) / column[positive]
+            row = int(np.argmin(rhs))
+            if rhs[row] >= -_EPS:
+                break
+        entries = tab[row, :-1]
+        candidates = np.flatnonzero(entries < -_EPS)
+        if candidates.size == 0:
+            # the row reads x_B = rhs - sum(entry * x) with rhs < 0 and no
+            # entry < 0, so its basic variable can never reach 0
+            return np.zeros(n), "infeasible"
+        ratios = np.maximum(tab[m, candidates], 0.0) / -entries[candidates]
         best = ratios.min()
-        tie_rows = np.flatnonzero(ratios <= best + _EPS * (1.0 + best))
-        row = int(min(tie_rows, key=lambda r: basis[r]))
+        col = int(candidates[np.argmax(ratios <= best + _EPS * (1.0 + best))])
 
         _pivot(tab, basis, row, col)
 
-        obj = float(cost[basis] @ tab[:, -1])
-        if obj < last_obj - _EPS:
+        obj = -float(tab[m, -1])
+        if obj > last_obj + _EPS:
             stall = 0
             bland = False
         else:
@@ -157,18 +140,14 @@ def _run_simplex(tab: np.ndarray, basis: list[int], cost: np.ndarray, allowed: i
             if stall > _STALL_LIMIT:
                 bland = True
         last_obj = obj
-    return False
+    else:
+        raise PivotLimitError(f"simplex pivot limit ({_MAX_PIVOTS}) exceeded")
 
-
-def _drive_out_artificials(tab: np.ndarray, basis: list[int], n_real: int) -> None:
-    """Pivot zero-level artificial variables out of the basis where possible."""
+    x = np.zeros(n)
     for row, var in enumerate(basis):
-        if var < n_real:
-            continue
-        candidates = np.flatnonzero(np.abs(tab[row, :n_real]) > _EPS)
-        if candidates.size == 0:
-            continue  # redundant constraint; the artificial stays at level 0
-        _pivot(tab, basis, row, int(candidates[0]))
+        if var < n:
+            x[var] = tab[row, -1]
+    return x, "optimal"
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:

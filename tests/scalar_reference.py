@@ -1,14 +1,18 @@
-"""Reference versions that the faster library code must reproduce bit for bit.
+"""Reference versions that the faster library code must reproduce.
 
 The straightforward one-pair-at-a-time and one-node-at-a-time loops behind
 ``model.ra_coefficients``, ``model.build_routing_matrices``,
-``directions.nodes_in_range`` and ``pipeline.execute_schedule``; the simplex
-that updates the whole tableau on every pivot, behind ``timing.solve_lp``;
-the cover that encloses every cluster of every k, behind
+``directions.nodes_in_range`` and ``pipeline.execute_schedule``; the cover
+that encloses every cluster of every k from k = 1, behind
 ``positions.select_charging_positions``; and the segment-swap scan that
 builds a whole gain matrix for every first cut, behind
-``routing._best_3opt_move``.  The simplex reads its tolerances and limits from
-``timing`` when it runs, so a test that changes them changes both sides.
+``routing._best_3opt_move``.  These must agree bit for bit.
+
+The two-phase primal simplex behind ``timing.solve_lp`` is the objective
+oracle for the dual simplex there: both reach an optimal vertex, but not
+always the same one, so they agree on status and objective, not on ``t``.
+It reads its tolerances and limits from ``timing`` when it runs, so a test
+that changes them changes both sides.
 """
 
 import hashlib
@@ -132,6 +136,9 @@ def reference_execute_schedule(
     )
 
 
+_FEAS_TOL = 1e-7  # phase-1 objective above which the program is infeasible
+
+
 def reference_solve_lp(problem: LpProblem) -> LpSolution:
     """Optimal transmission times for a well-formed covering program.
 
@@ -177,7 +184,7 @@ def _reference_simplex_min(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, st
     cost1[n + m :] = 1.0
     if not _reference_run_simplex(tab, basis, cost1, allowed=n + 2 * m):
         raise RuntimeError("simplex pivot limit exceeded in phase 1")
-    if float(tab[:, -1] @ cost1[basis]) > timing._FEAS_TOL:
+    if float(tab[:, -1] @ cost1[basis]) > _FEAS_TOL:
         return np.zeros(n), "infeasible"
     _reference_drive_out_artificials(tab, basis, n + m)
 
@@ -320,27 +327,30 @@ def reference_kmeans(points: list[Point], k: int, seed: int) -> list[Cluster]:
 
 
 def reference_select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
-    """Smallest cluster count whose enclosing circles all fit the charge range.
+    """Smallest cluster count whose clusters all fit the charge range.
 
-    Tries k = 1, 2, ... in order; the first k where every cluster's enclosing
-    circle has radius at most the charge distance wins, and the circle centers
-    become the charging positions.  Seeding comes from the instance's
-    asymmetry seed, so the result is a pure function of the instance.
+    Tries k = 1, 2, ... in order; the first k where every cluster lies within
+    the charge distance of its circle center rounded to 9 digits wins, and
+    those rounded centers become the charging positions.  Seeding comes from
+    the instance's asymmetry seed, so the result is a pure function of the
+    instance.
     """
     node_points = [u.pos for u in instance.nodes]
     d_max = instance.dmc.d_max
     for k in range(1, instance.n + 1):
         clusters = reference_kmeans(node_points, k, seed=instance.asym.seed)
-        if all(cl.radius <= d_max for cl in clusters):
+        centers = [model.snap9_point(cl.center) for cl in clusters]
+        if all(
+            math.hypot(node_points[i][0] - c[0], node_points[i][1] - c[1]) <= d_max
+            for cl, c in zip(clusters, centers)
+            for i in cl.member_ids
+        ):
             assignment = [0] * instance.n
             for ci, cl in enumerate(clusters):
                 for nid in cl.member_ids:
                     assignment[nid] = ci
-            return ChargingPositionSet(
-                positions=tuple(cl.center for cl in clusters),
-                assignment=tuple(assignment),
-            )
-    raise AssertionError("unreachable: singleton clusters always have radius 0")
+            return ChargingPositionSet(positions=tuple(centers), assignment=tuple(assignment))
+    raise AssertionError("unreachable: singleton clusters always fit at distance 0")
 
 
 def reference_best_3opt_move(

@@ -260,6 +260,21 @@ class TestCommandLine:
     def test_infeasible_exit_code_mapping(self):
         assert InfeasibleError("x").exit_code == 3
 
+    def test_battery_deficit_is_quiet(self, tmp_path):
+        # the deficit shows only as feasible = false, not as a warning on stderr
+        text = instance_to_text(generate_instance(20, seed=8))
+        inst = tmp_path / "inst.json"
+        inst.write_text(re.sub(r'"e_b0": [^,\n]+', '"e_b0": 100.0', text, count=1))
+        metrics_csv = tmp_path / "m.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "asymcharge.cli", "schedule", "--instance", str(inst),
+             "--seed", "8", "--out", str(tmp_path / "s.json"), "--metrics-out", str(metrics_csv)],
+            capture_output=True, text=True, env=subprocess_env(),
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert load_metrics_csv(metrics_csv)[0]["feasible"] == "false"
+
     def test_byte_identical_across_processes(self, tmp_path):
         inst = tmp_path / "inst.json"
         main(["generate", "--nodes", "15", "--seed", "6", "--out", str(inst)])

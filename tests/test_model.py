@@ -248,9 +248,9 @@ class TestEnergyAccounting:
 
     def test_battery_deficit_flag(self):
         dmc = DmcParams(e_b0=10.0)
-        with pytest.warns(UserWarning):
-            led = energy_accounting([0.0], [60.0], np.zeros(1), 100.0, 0.0, dmc)
-        assert not led.dmc_energy_ok
+        led = energy_accounting([0.0], [60.0], np.zeros(1), 100.0, 0.0, dmc)
+        assert led.dmc_energy_ok is False
+        assert led.e_f0 == 10.0 - 400.0
 
     def test_conservation_identity_random(self, dmc):
         rng = np.random.default_rng(17)

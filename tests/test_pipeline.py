@@ -292,13 +292,19 @@ class TestPlanSchedule:
         from asymcharge.cli import generate_instance
 
         instance = generate_instance(20, seed=8)
-        _, metrics = plan_schedule(instance, seed=8)
+        full, metrics = plan_schedule(instance, seed=8)
         assert metrics.feasible
         spent = metrics.movement_energy + instance.dmc.p0 * metrics.charging_time
         short = dataclasses.replace(instance, dmc=dataclasses.replace(instance.dmc, e_b0=0.5 * spent))
-        with pytest.warns(UserWarning, match="battery deficit"):
-            _, metrics = plan_schedule(short, seed=8)
+        schedule, metrics = plan_schedule(short, seed=8)
+        assert schedule == full
         assert metrics.feasible is False
+        # the battery ledger reads only the charger's totals, not the nodes' receipts
+        ledger = energy_accounting(
+            short.e_b_vector(), short.e_c_vector(), np.zeros(short.n),
+            metrics.charging_time, metrics.movement_energy, short.dmc,
+        )
+        assert ledger.dmc_energy_ok is False
 
     def test_deterministic(self):
         from asymcharge.cli import generate_instance

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from asymcharge import (
+    TRANSMIT,
     DmcParams,
     ValidationError,
     kmeans,
     min_enclosing_circle,
+    plan_schedule,
     select_charging_positions,
 )
 
@@ -192,6 +194,17 @@ class TestSelectChargingPositions:
             if k > 1:
                 smaller = kmeans([u.pos for u in instance.nodes], k - 1, seed=instance.asym.seed)
                 assert any(c.radius > d_max for c in smaller)
+
+    def test_fit_judged_at_the_stored_center(self):
+        # one circle would center at 21.0000000001, stored as 21.0, which is
+        # 20.0000000001 m from node 0: each node needs its own position
+        specs = [((1.0000000001, 0.0), 10.0, 20.0, 60.0), ((41.0000000001, 0.0), 10.0, 20.0, 60.0)]
+        instance = make_instance(specs, bs=(50.0, 50.0), dmc=DmcParams(d_max=20.0))
+        cover = select_charging_positions(instance)
+        assert sorted(cover.positions) == [(1.0, 0.0), (41.0, 0.0)]
+        schedule, metrics = plan_schedule(instance)
+        assert {item.pos for item in schedule.items if item.state == TRANSMIT} == {(1.0, 0.0), (41.0, 0.0)}
+        assert metrics.feasible
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)

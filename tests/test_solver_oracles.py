@@ -1,9 +1,11 @@
-"""The row-sparse simplex, the lazy position cover and the middle-cut
-segment-swap scan against their eager versions.
+"""The dual simplex, the lazy position cover and the middle-cut segment-swap
+scan against their reference versions.
 
-Every comparison is exact: LP times with ``np.array_equal`` and objectives
-with ``==``, clusters and position sets with ``==`` and by ``repr``, moves
-and tours with ``==``.
+The dual simplex may stop at another optimal vertex than the two-phase
+primal, so it must match the primal's status and objective (to 1e-9
+relative) and return nonnegative times that meet every demand.  Every other
+comparison is exact: clusters and position sets with ``==`` and by
+``repr``, moves and tours with ``==``.
 """
 
 import math
@@ -26,6 +28,7 @@ from asymcharge import (
     lk_tour,
     metric_closure,
     plan_schedule,
+    positions,
     routing,
     select_charging_positions,
     solve_lp,
@@ -72,32 +75,50 @@ def covering_programs(draw):
     return LpProblem(a=a, b=b)
 
 
-def assert_same_solution(problem):
+def assert_same_optimum(problem):
     got = solve_lp(problem)
     want = reference_solve_lp(problem)
     assert got.status == want.status
-    assert np.array_equal(got.t, want.t)
-    assert got.objective == want.objective
+    assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=0.0)
+    assert np.all(got.t >= 0.0)
+    if got.status == "optimal":
+        b = np.asarray(problem.b, dtype=float)
+        assert np.all(problem.a @ got.t >= b - 1e-9 * np.maximum(1.0, b))
+    return got
 
 
 class TestSimplex:
     @settings(max_examples=250, deadline=None)
     @given(covering_programs(), st.sampled_from([0, 1, 3, timing._STALL_LIMIT]))
-    def test_equal_to_whole_tableau_updates(self, problem, stall_limit):
-        # a low stall limit hands most pivots to Bland's rule
+    def test_same_optimum_as_primal(self, problem, stall_limit):
+        # a low stall limit hands most pivots to Bland's rule, on both sides
         with mock.patch.object(timing, "_STALL_LIMIT", stall_limit):
-            assert_same_solution(problem)
+            assert_same_optimum(problem)
 
     def test_identity_and_duplicate_columns(self):
         # one nonzero per entering column: every pivot touches a single row
         a = np.hstack([np.eye(24), np.eye(24)[:, :6]])
-        assert_same_solution(LpProblem(a=a, b=np.arange(24, dtype=float) % 3))
+        assert_same_optimum(LpProblem(a=a, b=np.arange(24, dtype=float) % 3))
 
     def test_planner_programs(self):
         for seed in (2, 5):
             instance = generate_instance(120, seed=seed, area=100.0)
             matrix = build_coefficient_matrix(select_charging_positions(instance), instance)
-            assert_same_solution(build_time_lp(matrix, instance))
+            assert_same_optimum(build_time_lp(matrix, instance))
+
+    def test_uncoverable_demand_row_is_infeasible(self):
+        # the second row demands but is zero over the one useful column, so
+        # the dual finds no entering column once that row leaves
+        got = assert_same_optimum(LpProblem(a=np.array([[1.0], [0.0]]), b=np.array([1.0, 1.0])))
+        assert got.status == "infeasible"
+
+    def test_ties_enter_the_smallest_column(self):
+        # exact ties, and a later column whose ratio is smaller by less than
+        # the tie tolerance: the first column enters either way
+        for a in ([[2.0, 2.0, 2.0]], [[1.0, 1.0 + 1e-12]]):
+            got = solve_lp(LpProblem(a=np.array(a), b=np.array([2.0])))
+            assert got.t[0] == 2.0 / a[0][0]
+            assert not np.any(got.t[1:])
 
 
 def diameter_specs(d_max: float) -> list[float]:
@@ -138,14 +159,79 @@ def cover_instances(draw):
     return make_instance(specs, dmc=DmcParams(d_max=d_max), asym=field)
 
 
+def separation_specs(d_max: float) -> list[float]:
+    """Member distances a few ulps either side of the separation reach 2 d_max (1 + 1e-6)."""
+    out = []
+    x = 2.0 * d_max * (1.0 + 1e-6)
+    for _ in range(3):
+        x = math.nextafter(x, 0.0)
+    for _ in range(7):
+        out.append(x)
+        x = math.nextafter(x, math.inf)
+    return out
+
+
+@st.composite
+def spread_instances(draw):
+    """Nodes on a line whose spacing sits near the separation reach, plus duplicates.
+
+    Such rows give a large lower bound on the cluster count, so the cover
+    starts far from k = 1; tight pairs on both sides of the reach and
+    repeated nodes probe the bound's margin.
+    """
+    d_max = draw(st.sampled_from([20.0, 7.5, 1.0, 0.3]))
+    spans = separation_specs(d_max) + diameter_specs(d_max) + [1.5 * d_max, 3.0 * d_max]
+    xs = [0.0]
+    for _ in range(draw(st.integers(0, 14))):
+        xs.append(xs[-1] + draw(st.sampled_from(spans)))
+    y = float(draw(st.integers(-40, 40)))
+    points = [(x, y) for x in xs]
+    points += draw(st.lists(st.sampled_from(points), max_size=4))  # duplicates
+    points = draw(st.permutations(points))
+    specs = [(p, 0.0, 1.0, 10.0) for p in points]
+    field = neutral_field(draw(st.integers(0, 2**32 - 1)))
+    return make_instance(specs, dmc=DmcParams(d_max=d_max), asym=field)
+
+
 class TestCover:
-    @settings(max_examples=150, deadline=None)
-    @given(cover_instances())
+    @settings(max_examples=250, deadline=None)
+    @given(st.one_of(cover_instances(), spread_instances()))
     def test_equal_to_eager_cover(self, instance):
+        # the reference tries every k from 1; the cover starts at its lower bound
         got = select_charging_positions(instance)
         want = reference_select_charging_positions(instance)
         assert got == want
         assert repr(got) == repr(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(cover_instances(), spread_instances()))
+    def test_no_k_below_the_bound_fits(self, instance):
+        pts = np.asarray([u.pos for u in instance.nodes], dtype=float)
+        d_max = instance.dmc.d_max
+        bound = positions._separated_count(pts, d_max)
+        assert 1 <= bound <= len(select_charging_positions(instance).positions)
+        for k in range(1, bound):
+            clusters = positions._members(positions._lloyd(pts, k, instance.asym.seed), k)
+            assert not all(
+                positions._snapped_fit([tuple(pts[i]) for i in ids], d_max) for ids in clusters
+            )
+
+    def test_bound_on_tight_pairs_and_duplicates(self):
+        d_max = 20.0
+        reach = 2.0 * d_max * (1.0 + 1e-6)
+        far = math.nextafter(reach, math.inf)
+        for close in (reach, math.nextafter(reach, 0.0), 2.0 * d_max):
+            # three nodes pairwise just past the reach, each repeated, and a
+            # node at most the reach from the first, which counts for nothing
+            xs = [0.0, far, 2.0 * far, close, 0.0, far, 2.0 * far]
+            pts = np.array([(x, 0.0) for x in xs])
+            assert positions._separated_count(pts, d_max) == 3
+            assert positions._separated_count(pts[[0, 3, 4]], d_max) == 1
+            specs = [((x, 0.0), 0.0, 1.0, 10.0) for x in xs]
+            instance = make_instance(specs, dmc=DmcParams(d_max=d_max))
+            assert select_charging_positions(instance) == reference_select_charging_positions(
+                instance
+            )
 
     @settings(max_examples=100, deadline=None)
     @given(
