@@ -2,14 +2,22 @@
 
 Sub-loop tours are handled by taking the metric closure first (all-pairs
 shortest directed paths) and expanding closure arcs back into witness paths
-afterwards.  Solvers: nearest-neighbor, a k-opt style local search with
-seeded double-bridge restarts, an exact subset-DP oracle for small point
-counts, and a symmetric node-doubling reformulation of the directed problem.
+afterwards.  Solvers: nearest-neighbor, a segment-swap (orientation-
+preserving 3-opt) local search with seeded double-bridge restarts, an
+exact subset-DP oracle for small point counts, and a symmetric
+node-doubling reformulation of the directed problem.
+
+The local search follows LKH (Helsgaun, EJOR 2000): each point keeps its
+``_CANDIDATES`` cheapest outgoing arcs, a move's new arcs are drawn from
+those lists while the partial gain stays positive, and don't-look bits
+confine each descent to the points whose arcs a move or a restart changed.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +25,7 @@ import numpy as np
 from .errors import MalformedTourError, ValidationError
 
 _GAIN_EPS = 1e-9
+_CANDIDATES = 10  # outgoing candidate arcs kept per point
 _HELD_KARP_MAX = 14
 
 
@@ -97,109 +106,168 @@ def greedy_tour(g: DirectedCostGraph) -> Tour:
     n = g.n
     if n == 1:
         return Tour((0, 0), 0.0)
-    unvisited = set(range(1, n))
+    blocked = np.zeros(n)  # inf at visited points; costs are finite
+    blocked[0] = np.inf
     order = [0]
-    while unvisited:
-        here = order[-1]
-        nxt = min(unvisited, key=lambda j: (g.cost[here, j], j))
+    for _ in range(n - 1):
+        nxt = int(np.argmin(g.cost[order[-1]] + blocked))
         order.append(nxt)
-        unvisited.remove(nxt)
+        blocked[nxt] = np.inf
     order.append(0)
     return Tour(tuple(order), tour_cost(order, g.cost))
 
 
-def _best_3opt_move(cost: np.ndarray, order: list[int]) -> tuple[float, int, int, int] | None:
-    """Best orientation-preserving segment swap over all cut triples.
+def _candidates(cost: np.ndarray) -> list[list[int]]:
+    """The ``_CANDIDATES`` cheapest outgoing arcs of every point, cheapest first.
 
-    Cutting after positions i < j < k and reconnecting the three directed
-    segments in swapped order changes exactly three arcs; every segment keeps
-    its internal orientation, so the move is valid under asymmetric costs.
-    Covers single-segment reinsertion (any length) as a special case.
-
-    The scan runs over the middle cut j: one block holds the gains of every
-    i < j and k > j, summed in a fixed order from two matrices built once per
-    call.  The result is the largest gain strictly above ``_GAIN_EPS``, at the
-    lexicographically smallest (i, j, k) among exact ties: a block's row-major
-    argmax is its smallest (i, k), and a later block replaces the best move
-    only with a larger gain, or an equal one at a smaller i.
+    The stable sort sends ties to the smaller index; a point is never its
+    own candidate.
     """
-    n = len(order) - 1  # order[-1] == order[0]
-    if n < 3:
-        return None
-    t = np.array(order[:n])
-    nxt = np.array(order[1 : n + 1])
-    removed = cost[t, nxt]
-    arc = cost[t[:, None], nxt[None, :]]  # arc[x, y] = cost(t_x -> t_{y+1})
-    # gain(i, j, k) = (first[i, j] + last[i, k]) - arc[j, k], where
-    # first[i, j] = removed_i + (removed_j - arc(i -> j+1)) and
-    # last[i, k] = removed_k - arc(k -> i+1); first is stored transposed
-    first = removed[None, :] + (removed[:, None] - arc.T)
-    last = removed[None, :] - arc.T
-    best_gain = _GAIN_EPS
-    best = None
-    for j in range(1, n - 1):
-        gain = first[j, :j, None] + last[:j, j + 1 :]
-        gain -= arc[j, j + 1 :]
-        flat = int(gain.argmax())
-        g = gain.item(flat)
-        i, k = divmod(flat, n - j - 1)
-        if g > best_gain or (g == best_gain and best is not None and i < best[1]):
-            best_gain = g
-            best = (g, i, j, j + 1 + k)
-    return best
+    n = cost.shape[0]
+    out = cost.copy()
+    np.fill_diagonal(out, np.inf)
+    return np.argsort(out, axis=1, kind="stable")[:, : min(_CANDIDATES, n - 1)].tolist()
 
 
-def _apply_3opt(order: list[int], i: int, j: int, k: int) -> list[int]:
-    n = len(order) - 1
-    return order[: i + 1] + order[j + 1 : k + 1] + order[i + 1 : j + 1] + order[k + 1 : n] + [order[0]]
+def _improving_swap(
+    cost: list[list[float]], cand: list[list[int]], t: list[int], pos: list[int], a: int
+) -> tuple[int, int] | None:
+    """The first improving segment swap whose first cut is a, as its cuts (b, c).
+
+    Cuts a, b, c in cyclic order swap the segments after a and after b: the
+    arcs t_a -> t_{b+1}, t_b -> t_{c+1} and t_c -> t_{a+1} replace the arcs
+    out of t_a, t_b and t_c.  t_{b+1} runs over the candidates of t_a and
+    t_{c+1} over those of t_b, each list only while the partial gain stays
+    positive; the first move gaining more than ``_GAIN_EPS`` is returned.
+    Every swap of positive gain has a rotation of its cuts whose partial
+    gains are all positive, so with full lists none is missed.
+    """
+    n = len(t)
+    ta = t[a]
+    ca = cost[ta]
+    ta1 = t[a + 1 - n]
+    for tb1 in cand[ta]:
+        g1 = ca[ta1] - ca[tb1]
+        if g1 <= 0.0:
+            return None
+        b = pos[tb1] - 1
+        rb = (b - a) % n
+        cb = cost[t[b]]
+        for tc1 in cand[t[b]]:
+            g2 = g1 + cb[tb1] - cb[tc1]
+            if g2 <= 0.0:
+                break
+            c = pos[tc1] - 1
+            if (c - a) % n <= rb:
+                continue  # c must lie strictly between b and a
+            cc = cost[t[c]]
+            if g2 + cc[tc1] - cc[ta1] > _GAIN_EPS:
+                return b % n, c % n
+    return None
 
 
-def _local_search(cost: np.ndarray, order: list[int]) -> list[int]:
-    while True:
-        move = _best_3opt_move(cost, order)
+def _descend(
+    cost: list[list[float]],
+    cand: list[list[int]],
+    t: list[int],
+    pos: list[int],
+    active: Iterable[int],
+) -> int:
+    """Apply improving segment swaps from the active points until none is active.
+
+    ``t`` is the tour without its closing 0 and ``pos[x]`` the index of x in
+    it; both change in place.  Active points wait in a queue; a popped point
+    that finds no move stays inactive (its don't-look bit) until a move
+    changes an arc at it, and after a move the six ends of its changed arcs
+    join the queue again.  Returns the number of moves applied.
+    """
+    n = len(t)
+    queue = deque(dict.fromkeys(active))
+    queued = [False] * n
+    for x in queue:
+        queued[x] = True
+    moves = 0
+    while queue:
+        ta = queue.popleft()
+        queued[ta] = False
+        a = pos[ta]
+        move = _improving_swap(cost, cand, t, pos, a)
         if move is None:
-            return order
-        _, i, j, k = move
-        order = _apply_3opt(order, i, j, k)
+            continue
+        b, c = move
+        ends = [t[x - n] for x in (a, a + 1, b, b + 1, c, c + 1)]
+        i, j, k = sorted((a, b, c))
+        t[i + 1 : k + 1] = t[j + 1 : k + 1] + t[i + 1 : j + 1]
+        for at in range(i + 1, k + 1):
+            pos[t[at]] = at
+        moves += 1
+        for x in ends:
+            if not queued[x]:
+                queued[x] = True
+                queue.append(x)
+    return moves
 
 
-def _double_bridge(order: list[int], rng: random.Random) -> list[int]:
+def _double_bridge(order: list[int], rng: random.Random) -> tuple[list[int], list[int]]:
+    """Swap two random consecutive segments of the closed tour.
+
+    Returns the kicked tour and the ends of its three new arcs.
+    """
     n = len(order) - 1
     if n < 4:
-        return list(order)
+        return list(order), []
     p, q, r = sorted(rng.sample(range(1, n), 3))
-    return order[:p] + order[q:r] + order[p:q] + order[r:n] + [order[0]]
+    kicked = order[:p] + order[q:r] + order[p:q] + order[r:n] + [order[0]]
+    return kicked, [order[p - 1], order[q], order[r - 1], order[p], order[q - 1], order[r]]
 
 
 def lk_tour(g: DirectedCostGraph, seed: int = 0, budget: int = 20) -> Tour:
-    """Local-search tour: greedy start, segment-swap descent, seeded restarts.
+    """Local-search tour: greedy start, candidate-list segment swaps, seeded restarts.
 
-    Descends with the best improving orientation-preserving 3-opt move until
-    none exists, then restarts from double-bridge perturbations of the best
-    tour, stacking more bridges the longer no restart improves; gives up
-    after ``budget`` consecutive non-improving restarts.  Deterministic for a
-    fixed (graph, seed, budget).
+    Descends from the greedy tour with every point queued (see
+    ``_descend``), then restarts from double-bridge perturbations of the
+    best tour with only the ends of the bridges' new arcs queued, stacking
+    more bridges the longer no restart improves; gives up after ``budget``
+    consecutive non-improving restarts.  The best tour is then descended
+    again with every point queued until a whole pass applies no move, so
+    with full candidate lists (n <= ``_CANDIDATES`` + 1) no segment swap
+    improves it.  Deterministic for a fixed (graph, seed, budget).
     """
     start = greedy_tour(g)
-    if g.n <= 3:
+    n = g.n
+    if n < 3:
         return start
-    cost = g.cost
-    best = _local_search(cost, list(start.order))
-    best_cost = tour_cost(best, cost)
+    cost = g.cost.tolist()
+    cand = _candidates(g.cost)
+
+    def descend(order: list[int] | tuple[int, ...], active: Iterable[int]) -> tuple[list[int], int]:
+        t = list(order[:n])
+        pos = [0] * n
+        for at, x in enumerate(t):
+            pos[x] = at
+        moves = _descend(cost, cand, t, pos, active)
+        return t + [t[0]], moves
+
+    best, _ = descend(start.order, start.order[:n])
+    best_cost = tour_cost(best, g.cost)
     rng = random.Random(seed)
     misses = 0
     while misses < budget:
-        kicked = list(best)
+        kicked, active = best, []
         for _ in range(1 + misses // 4):
-            kicked = _double_bridge(kicked, rng)
-        candidate = _local_search(cost, kicked)
-        candidate_cost = tour_cost(candidate, cost)
+            kicked, ends = _double_bridge(kicked, rng)
+            active += ends
+        candidate, _ = descend(kicked, active)
+        candidate_cost = tour_cost(candidate, g.cost)
         if candidate_cost < best_cost - _GAIN_EPS:
             best, best_cost = candidate, candidate_cost
             misses = 0
         else:
             misses += 1
-    return Tour(tuple(best), best_cost)
+    moves = 1
+    while moves:  # confirm the best tour from every point
+        best, moves = descend(best, best[:n])
+    return Tour(tuple(best), tour_cost(best, g.cost))
 
 
 def held_karp(g: DirectedCostGraph) -> Tour:

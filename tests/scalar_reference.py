@@ -4,15 +4,20 @@ The straightforward one-pair-at-a-time and one-node-at-a-time loops behind
 ``model.ra_coefficients``, ``model.build_routing_matrices``,
 ``directions.nodes_in_range`` and ``pipeline.execute_schedule``; the cover
 that encloses every cluster of every k from k = 1, behind
-``positions.select_charging_positions``; and the segment-swap scan that
-builds a whole gain matrix for every first cut, behind
-``routing._best_3opt_move``.  These must agree bit for bit.
+``positions.select_charging_positions``; and the nearest-neighbor tour that
+takes a Python ``min`` over the unvisited set, behind
+``routing.greedy_tour``.  These must agree bit for bit.
 
 The two-phase primal simplex behind ``timing.solve_lp`` is the objective
 oracle for the dual simplex there: both reach an optimal vertex, but not
 always the same one, so they agree on status and objective, not on ``t``.
 It reads its tolerances and limits from ``timing`` when it runs, so a test
 that changes them changes both sides.
+
+The best segment swap over all cut triples is the local-optimality oracle
+for ``routing.lk_tour``, whose candidate-list search scans only a few
+arcs per point: once the lists hold every other point, no swap may improve
+a tour it returns.
 """
 
 import hashlib
@@ -26,6 +31,7 @@ from asymcharge.model import AsymmetryField, DmcParams, NetworkInstance, Point
 from asymcharge.errors import MalformedScheduleError, ValidationError
 from asymcharge.pipeline import MOVE, TRANSMIT, OperationSchedule, ScheduleMetrics
 from asymcharge.positions import ChargingPositionSet, Cluster
+from asymcharge.routing import DirectedCostGraph, Tour
 from asymcharge.timing import LpProblem, LpSolution
 
 
@@ -385,3 +391,19 @@ def reference_best_3opt_move(
             best_gain = float(gain[j, k])
             best = (best_gain, i, int(j), int(k))
     return best
+
+
+def reference_greedy_tour(g: DirectedCostGraph) -> Tour:
+    """Nearest-neighbor cycle from index 0 on outgoing costs, lowest index on ties."""
+    n = g.n
+    if n == 1:
+        return Tour((0, 0), 0.0)
+    unvisited = set(range(1, n))
+    order = [0]
+    while unvisited:
+        here = order[-1]
+        nxt = min(unvisited, key=lambda j: (g.cost[here, j], j))
+        order.append(nxt)
+        unvisited.remove(nxt)
+    order.append(0)
+    return Tour(tuple(order), routing.tour_cost(order, g.cost))

@@ -6,6 +6,7 @@ import pytest
 from asymcharge import (
     AsymmetryField,
     DmcParams,
+    Tour,
     ValidationError,
     build_routing_matrices,
     cost_graph,
@@ -124,6 +125,17 @@ class TestLkTour:
             closed = random_directed_graph(rng, n)
             tour = lk_tour(closed, seed=0)
             assert tour.cost == pytest.approx(brute_force_tour(closed.cost).cost, rel=1e-9)
+
+    def test_three_points_take_the_swap(self):
+        # greedy runs 0 -> 1 -> 2 -> 0 at 1 + 3 + 2; the one segment swap costs 2 + 1 + 1
+        cost = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 10.0], [10.0, 1.0, 0.0]])
+        closed = metric_closure(cost_graph(cost))
+        assert greedy_tour(closed).cost == 6.0
+        assert lk_tour(closed) == Tour((0, 2, 1, 0), 4.0)
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            closed = metric_closure(cost_graph(rng.integers(0, 100, (3, 3)).astype(float)))
+            assert lk_tour(closed).cost == held_karp(closed).cost
 
     def test_never_worse_than_greedy(self):
         rng = np.random.default_rng(6)

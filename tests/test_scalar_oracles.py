@@ -1,4 +1,5 @@
-"""The row-wise matrix build, the prefiltered reach test and the replay against scalar loops.
+"""The row-wise matrix build, the prefiltered reach test, the replay and the
+masked nearest-neighbor tour against scalar loops.
 
 Every comparison is exact: matrices by their bytes, metrics with ``==``.
 """
@@ -17,7 +18,9 @@ from asymcharge import (
     OperationSchedule,
     ScheduleItem,
     build_routing_matrices,
+    cost_graph,
     execute_schedule,
+    greedy_tour,
     nodes_in_range,
     one_to_one_schedule,
     plan_schedule,
@@ -29,6 +32,7 @@ from conftest import make_instance
 from scalar_reference import (
     reference_coefficients,
     reference_execute_schedule,
+    reference_greedy_tour,
     reference_nodes_in_range,
     reference_routing_matrices,
 )
@@ -197,3 +201,12 @@ class TestReplay:
             if item.state == MOVE:
                 assert item.t == ra_distance(here, item.pos, instance.asym) / instance.dmc.v_bar
                 here = item.pos
+
+
+class TestGreedyTour:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_equal_to_set_scan(self, n, top, s):
+        # costs 0..top: with top = 0 every step is a tie over all unvisited points
+        g = cost_graph(np.random.default_rng(s).integers(0, top + 1, (n, n)).astype(float))
+        assert greedy_tour(g) == reference_greedy_tour(g)

@@ -1,11 +1,13 @@
-"""The dual simplex, the lazy position cover and the middle-cut segment-swap
-scan against their reference versions.
+"""The dual simplex, the lazy position cover and the candidate-list
+segment-swap search against their reference versions.
 
 The dual simplex may stop at another optimal vertex than the two-phase
 primal, so it must match the primal's status and objective (to 1e-9
 relative) and return nonnegative times that meet every demand.  Every other
 comparison is exact: clusters and position sets with ``==`` and by
-``repr``, moves and tours with ``==``.
+``repr``.  The tour search scans only a few candidate arcs per point, so
+it must leave no improving segment swap once its lists hold every other
+point, with costs whose sums are all exact.
 """
 
 import math
@@ -24,9 +26,11 @@ from asymcharge import (
     build_routing_matrices,
     build_time_lp,
     cost_graph,
+    held_karp,
     kmeans,
     lk_tour,
     metric_closure,
+    pipeline,
     plan_schedule,
     positions,
     routing,
@@ -34,6 +38,7 @@ from asymcharge import (
     solve_lp,
     timing,
     to_symmetric,
+    tour_cost,
 )
 from asymcharge.cli import generate_instance
 
@@ -282,69 +287,89 @@ def doubled_costs(rng, n):
 
 
 @st.composite
-def swap_scans(draw):
-    """A cost matrix and a random closed tour over all of its n <= 40 points."""
+def tour_graphs(draw, max_n):
+    """Cost graphs of 1 to ``max_n`` points.
+
+    Tie-heavy integers, dyadic eighths up to 8 and node-doubled tie
+    matrices, whose sums are all exact; beyond the full candidate lists
+    also movement-energy closures.
+    """
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    kind = draw(st.sampled_from(["ties", "uniform", "doubled"]))
+    full = max_n <= routing._CANDIDATES + 1
+    kinds = ["ties", "dyadic", "doubled"] + ([] if full else ["closure"])
+    kind = draw(st.sampled_from(kinds))
     if kind == "doubled":
-        cost = doubled_costs(rng, draw(st.integers(1, 20)))
-    else:
-        n = draw(st.integers(0, 40))
-        cost = tie_costs(rng, n) if kind == "ties" else rng.uniform(0.0, 10.0, (n, n))
-    perm = [int(p) for p in rng.permutation(cost.shape[0])]
-    return cost, perm + perm[:1]
+        return cost_graph(doubled_costs(rng, draw(st.integers(1, max_n // 2))))
+    n = draw(st.integers(1, max_n))
+    if kind == "closure":
+        points = [tuple(p) for p in rng.uniform(0.0, 200.0, (n, 2))]
+        mats = build_routing_matrices(points, AsymmetryField(seed=seed), DmcParams())
+        return metric_closure(cost_graph(mats.move_cost()))
+    if kind == "ties":
+        return cost_graph(tie_costs(rng, n))
+    return cost_graph(rng.integers(0, 65, (n, n)) / 8.0)
 
 
-def seeded_graphs(seed):
-    """Closed movement-energy, tie and doubled graphs of 4-30 points."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(4, 31))
-    points = [tuple(p) for p in rng.uniform(0.0, 200.0, (n, 2))]
-    mats = build_routing_matrices(points, AsymmetryField(seed=seed), DmcParams())
-    return (
-        metric_closure(cost_graph(mats.move_cost())),
-        cost_graph(tie_costs(rng, n)),
-        cost_graph(doubled_costs(rng, n // 2)),
-    )
+restarts = st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 8))
+
+
+def assert_no_improving_swap(cost, order):
+    assert reference_best_3opt_move(cost, list(order)) is None
 
 
 class TestSegmentSwapScan:
-    @settings(max_examples=400, deadline=None)
-    @given(swap_scans())
-    def test_equal_to_per_first_cut_scan(self, scan):
-        cost, order = scan
-        assert routing._best_3opt_move(cost, order) == reference_best_3opt_move(cost, order)
+    """The candidate-list search of ``lk_tour`` against the all-triples scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tour_graphs(routing._CANDIDATES + 1), restarts)
+    def test_full_lists_leave_no_improving_swap(self, g, restart):
+        # every point's list holds every other point, so every swap is seen
+        seed, budget = restart
+        assert_no_improving_swap(g.cost, lk_tour(g, seed=seed, budget=budget).order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tour_graphs(40), restarts)
+    def test_visits_every_point(self, g, restart):
+        seed, budget = restart
+        tour = lk_tour(g, seed=seed, budget=budget)
+        assert tour.order[0] == tour.order[-1] == 0
+        assert sorted(tour.order[:-1]) == list(range(g.n))
+        assert tour.cost == tour_cost(tour.order, g.cost)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tour_graphs(40), restarts)
+    def test_same_seed_same_tour(self, g, restart):
+        seed, budget = restart
+        assert lk_tour(g, seed=seed, budget=budget) == lk_tour(g, seed=seed, budget=budget)
 
     def test_all_moves_tied(self):
-        # every move trades three tour arcs of cost 2 for three arcs of cost 1
+        # every swap trades three tour arcs of cost 2 for three arcs of cost 1,
+        # so a tour without a cost-2 arc is optimal
         n = 7
         cost = np.ones((n, n)) - np.eye(n)
         cost[np.arange(n), (np.arange(n) + 1) % n] = 2.0
-        order = list(range(n)) + [0]
-        assert routing._best_3opt_move(cost, order) == (3.0, 0, 1, 2)
-        assert reference_best_3opt_move(cost, order) == (3.0, 0, 1, 2)
+        tour = lk_tour(cost_graph(cost), budget=0)
+        assert tour.cost == held_karp(cost_graph(cost)).cost == 7.0
 
     def test_seeded_tie_matrices(self):
-        # ties between middle cuts, where a later cut may hold a smaller first cut
         for seed in range(300):
             rng = np.random.default_rng(seed)
-            cost = tie_costs(rng, 4 + seed % 9)
-            order = [int(p) for p in rng.permutation(cost.shape[0])]
-            order.append(order[0])
-            assert routing._best_3opt_move(cost, order) == reference_best_3opt_move(cost, order)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_lk_tour_equal_with_per_first_cut_scan(self, seed):
-        for g in seeded_graphs(seed):
-            got = lk_tour(g, seed=seed, budget=6)
-            with mock.patch.object(routing, "_best_3opt_move", reference_best_3opt_move):
-                want = lk_tour(g, seed=seed, budget=6)
-            assert got == want
+            g = cost_graph(tie_costs(rng, 3 + seed % 9))
+            assert_no_improving_swap(g.cost, lk_tour(g, seed=seed, budget=seed % 5).order)
 
     def test_planner_schedules(self):
-        instance = generate_instance(60, seed=3, area=2000.0)
-        got = plan_schedule(instance, seed=3)[0]
-        with mock.patch.object(routing, "_best_3opt_move", reference_best_3opt_move):
-            want = plan_schedule(instance, seed=3)[0]
-        assert got == want
+        # ten nodes 2 km apart each get a position: 11 tour points, full lists
+        instance = generate_instance(10, seed=3, area=2000.0)
+        tours = []
+
+        def lk_spy(g, seed, budget):
+            tours.append((g.cost, lk_tour(g, seed, budget)))
+            return tours[-1][1]
+
+        with mock.patch.object(pipeline, "lk_tour", lk_spy):
+            got = plan_schedule(instance, seed=3)[0]
+        assert got == plan_schedule(instance, seed=3)[0]
+        ((cost, tour),) = tours
+        assert len(cost) == 11
+        assert_no_improving_swap(cost, tour.order)
