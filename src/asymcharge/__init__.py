@@ -23,7 +23,6 @@ from .model import (
 )
 from .positions import (
     ChargingPositionSet,
-    Cluster,
     kmeans,
     min_enclosing_circle,
     select_charging_positions,

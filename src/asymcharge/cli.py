@@ -22,6 +22,7 @@ from decimal import ROUND_DOWN, Context, Decimal
 
 import numpy as np
 
+from . import routing
 from .errors import SchedulingError, ValidationError
 from .model import (
     AsymmetryField,
@@ -375,11 +376,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         for repeat in range(cfg.repeats)
     ]
     detail = _pmap(_experiment_job, jobs, cfg.workers)
-    numeric = tuple(f for f in METRIC_FIELDS if f != "feasible") + ("feasible",)
     detail_for_summary = [
         {**row, "feasible": 1.0 if row.get("feasible") else 0.0} for row in detail
     ]
-    summary = summarize(detail_for_summary, ("algorithm", "n"), numeric)
+    summary = summarize(detail_for_summary, ("algorithm", "n"), METRIC_FIELDS)
     return summary, detail
 
 
@@ -399,6 +399,8 @@ def _bench_job(args):
 
     rows = []
     for solver in solvers:
+        if solver == "held_karp" and n > routing._HELD_KARP_MAX:
+            continue
         row = {"solver": solver, "n": n, "repeat": repeat, "seed": run_seed, "status": "ok"}
         try:
             t0 = time.perf_counter()

@@ -3,6 +3,8 @@
 At each charging position, the continuum of possible sector directions is
 reduced to a finite representative set: one direction per maximal coverage
 subset, found by sweeping the sector boundary events around the circle.
+The sweep also yields the nodes each direction covers, and the coefficient
+matrix fills each row from that set, with one reach test per position.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .model import (
     TWO_PI,
     NetworkInstance,
@@ -80,69 +81,66 @@ def nodes_in_range(pos: Point, instance: NetworkInstance) -> tuple[list[int], li
     return ids, thetas, dists
 
 
+def _maximal_sectors(
+    ids: list[int], thetas: list[float], dists: list[float], phi: float
+) -> list[tuple[float, frozenset[int]]]:
+    """``(psi, covered)`` for each maximal coverage subset, sorted by psi.
+
+    Takes the lists ``nodes_in_range`` returns.  Sweeps the event angles
+    where some node enters or leaves the sector, samples the coverage subset
+    at the midpoint of every arc between events, and keeps one direction per
+    coverage subset that is maximal under set inclusion (the smallest
+    qualifying midpoint when several arcs tie).  A node at the apex is
+    covered by every direction; with no other node in range, psi is 0.
+    """
+    half = phi / 2.0
+    events = sorted(
+        {normalize_angle(th + s * half) for th, d in zip(thetas, dists) if d > 0.0 for s in (-1.0, 1.0)}
+    )
+    if not events:
+        return [(0.0, frozenset(ids))] if ids else []
+    m = len(events)
+    candidates: dict[frozenset[int], float] = {}
+    for i, e in enumerate(events):
+        nxt = events[i + 1] if i + 1 < m else events[0] + TWO_PI
+        mid = normalize_angle((e + nxt) / 2.0)
+        covered = frozenset(
+            j for j, th, d in zip(ids, thetas, dists) if d == 0.0 or angular_distance(th, mid) <= half
+        )
+        if covered and (covered not in candidates or mid < candidates[covered]):
+            candidates[covered] = mid
+    maximal = [(mid, c) for c, mid in candidates.items() if not any(c < t for t in candidates)]
+    return sorted(maximal, key=lambda pair: pair[0])
+
+
 def representative_directions(pos: Point, instance: NetworkInstance) -> list[float]:
     """Minimum direction set functionally equivalent to the whole circle.
 
-    Sweeps the event angles where some node enters or leaves the sector,
-    samples the coverage subset at the midpoint of every arc between events,
-    and keeps one direction per coverage subset that is maximal under set
-    inclusion (the smallest qualifying midpoint when several arcs tie).
-    Returned angles are sorted ascending.
+    One direction per maximal coverage subset of the nodes in range, sorted
+    ascending.
     """
-    ids, thetas, dists = nodes_in_range(pos, instance)
-    if not ids:
-        return []
-    phi = instance.dmc.phi
-    half = phi / 2.0
-    apex = frozenset(i for i, d in zip(ids, dists) if d == 0.0)
-    regular = [(i, th) for i, th, d in zip(ids, thetas, dists) if d > 0.0]
-    if not regular:
-        return [0.0]
-
-    events = sorted({normalize_angle(th + s * half) for _, th in regular for s in (-1.0, 1.0)})
-    m = len(events)
-    mids = []
-    for i, e in enumerate(events):
-        nxt = events[i + 1] if i + 1 < m else events[0] + TWO_PI
-        mids.append(normalize_angle((e + nxt) / 2.0))
-
-    candidates: dict[frozenset[int], float] = {}
-    for mid in mids:
-        covered = apex | frozenset(i for i, th in regular if angular_distance(th, mid) <= half)
-        if covered and (covered not in candidates or mid < candidates[covered]):
-            candidates[covered] = mid
-
-    subsets = list(candidates.keys())
-    keep = []
-    for s in subsets:
-        if not any(s < t for t in subsets):
-            keep.append(candidates[s])
-    return sorted(keep)
+    return [psi for psi, _ in _maximal_sectors(*nodes_in_range(pos, instance), instance.dmc.phi)]
 
 
 def build_coefficient_matrix(
     positions: ChargingPositionSet, instance: NetworkInstance
 ) -> CoefficientMatrix:
-    """Assemble the full (position, direction) -> node coefficient matrix."""
+    """Assemble the full (position, direction) -> node coefficient matrix.
+
+    A row is positive exactly on the nodes its direction covers: ``DmcParams``
+    keeps every coefficient within ``d_max`` positive.
+    """
     rows: list[PosDirPair] = []
     entries: list[np.ndarray] = []
     dmc = instance.dmc
     for pi, pos in enumerate(positions.positions):
         ids, thetas, dists = nodes_in_range(pos, instance)
-        for psi in representative_directions(pos, instance):
+        reach = dict(zip(ids, zip(thetas, dists)))
+        for psi, covered in _maximal_sectors(ids, thetas, dists, dmc.phi):
             row = np.zeros(instance.n)
-            for j, th, d in zip(ids, thetas, dists):
-                row[j] = transfer_coefficient(psi, dmc.phi, th, d, dmc)
-            covered = frozenset(int(j) for j in np.flatnonzero(row > 0.0))
-            if not covered:
-                raise AssertionError("direction sweep produced an empty-coverage row")
+            for j in covered:
+                row[j] = transfer_coefficient(psi, dmc.phi, *reach[j], dmc)
             rows.append(PosDirPair(pi, psi, covered))
             entries.append(row)
-
     matrix = np.array(entries) if entries else np.zeros((0, instance.n))
-    for u in instance.nodes:
-        if u.e_d > 0 and (matrix.shape[0] == 0 or not np.any(matrix[:, u.id] > 0.0)):
-            raise ValidationError(
-                f"node {u.id} demands energy but no position/direction covers it"
-            )
     return CoefficientMatrix(tuple(rows), matrix)

@@ -100,6 +100,14 @@ class DmcParams:
                 raise ValidationError(f"dmc parameter {name} must be positive and finite")
         if not self.phi < TWO_PI:
             raise ValidationError("sector angle must be below a full turn")
+        # the coefficient falls with d, so its values at 0 and d_max bound it
+        try:
+            ends = (self.apex_coefficient, self.delta / (self.alpha + self.d_max) ** self.beta)
+            bounded = all(math.isfinite(c) and c > 0.0 for c in ends)
+        except (OverflowError, ZeroDivisionError):
+            bounded = False
+        if not bounded:
+            raise ValidationError("transfer coefficient must be positive and finite up to d_max")
 
     @property
     def apex_coefficient(self) -> float:

@@ -3,7 +3,8 @@
 The number of clusters starts at a proven lower bound and grows until every
 cluster lies within the charge distance of its minimum enclosing circle's
 center, rounded to the 9 digits a schedule file stores; those rounded
-centers become the charging positions.
+centers become the charging positions.  Each k is clustered once, and its
+clusters are enclosed in order until one does not fit.
 """
 
 from __future__ import annotations
@@ -18,13 +19,6 @@ from .errors import ValidationError
 from .model import NetworkInstance, Point, snap9_point
 
 _KMEANS_MAX_ITER = 100
-
-
-@dataclass(frozen=True)
-class Cluster:
-    member_ids: tuple[int, ...]
-    center: Point  # minimum enclosing circle center
-    radius: float  # minimum enclosing circle radius
 
 
 @dataclass(frozen=True)
@@ -123,28 +117,19 @@ def _cross(x0, y0, x1, y1, x2, y2):
     return (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
 
 
-def kmeans(points: list[Point], k: int, seed: int) -> list[Cluster]:
-    """Lloyd iteration from k-means++ seeding; clusters carry their enclosing circle.
+def kmeans(points: list[Point], k: int, seed: int) -> list[tuple[int, ...]]:
+    """Member ids of each nonempty cluster after k-means++ seeding and Lloyd iteration.
 
     Stops when assignments stabilize or after 100 iterations.  A cluster that
     loses all members is re-seeded from the point currently farthest from its
     assigned center.  Empty clusters remaining at convergence (possible with
-    duplicate points) are dropped.
+    duplicate points) are dropped.  Clusters come in cluster order, each
+    member tuple in id order.
     """
     n = len(points)
     if not 1 <= k <= n:
         raise ValidationError(f"cluster count must be in 1..{n}, got {k}")
     pts = np.asarray(points, dtype=float)
-    clusters = []
-    for ids in _members(_lloyd(pts, k, seed), k):
-        center, radius = min_enclosing_circle([tuple(pts[i]) for i in ids])
-        clusters.append(Cluster(tuple(int(i) for i in ids), center, radius))
-    return clusters
-
-
-def _lloyd(pts: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Cluster index of every point after k-means++ seeding and Lloyd iteration."""
-    n = len(pts)
     rng = np.random.default_rng(seed)
 
     centers = np.empty((k, 2))
@@ -190,18 +175,12 @@ def _lloyd(pts: np.ndarray, k: int, seed: int) -> np.ndarray:
         for axis, coord in enumerate((xs, ys)):
             sums = np.bincount(assign, weights=coord, minlength=k)
             centers[filled, axis] = sums[filled] / counts[filled]
-    return assign
 
-
-def _members(assign: np.ndarray, k: int) -> list[np.ndarray]:
-    """Point indices of each nonempty cluster, in cluster order.
-
-    A stable sort keeps each cluster's members in index order, and the
-    cumulative cluster sizes cut the sorted indices into one slice per cluster.
-    """
-    order = np.argsort(assign, kind="stable")
+    # a stable sort keeps each cluster's members in id order, and the
+    # cumulative cluster sizes cut the sorted ids into one slice per cluster
+    order = np.argsort(assign, kind="stable").tolist()
     ends = np.cumsum(np.bincount(assign, minlength=k)).tolist()
-    return [order[a:b] for a, b in zip([0] + ends, ends) if b > a]
+    return [tuple(order[a:b]) for a, b in zip([0] + ends, ends) if b > a]
 
 
 def _separated_count(pts: np.ndarray, d_max: float) -> int:
@@ -223,42 +202,44 @@ def _separated_count(pts: np.ndarray, d_max: float) -> int:
     return count
 
 
-def _snapped_fit(members: list[Point], d_max: float) -> bool:
-    """Every member within ``d_max`` of the 9-digit enclosing-circle center."""
-    cx, cy = snap9_point(min_enclosing_circle(members)[0])
-    return all(math.hypot(x - cx, y - cy) <= d_max for x, y in members)
+def _fitted_cover(
+    points: list[Point], clusters: list[tuple[int, ...]], d_max: float
+) -> ChargingPositionSet | None:
+    """The clusters' 9-digit enclosing-circle centers, if each reaches its members.
+
+    Encloses the clusters in order and gives up at the first one with a
+    member farther than ``d_max`` from its rounded center, so a losing k
+    costs no more circles than it needs.
+    """
+    centers = []
+    assignment = [0] * len(points)
+    for ci, ids in enumerate(clusters):
+        members = [points[i] for i in ids]
+        cx, cy = snap9_point(min_enclosing_circle(members)[0])
+        if not all(math.hypot(x - cx, y - cy) <= d_max for x, y in members):
+            return None
+        centers.append((cx, cy))
+        for i in ids:
+            assignment[i] = ci
+    return ChargingPositionSet(positions=tuple(centers), assignment=tuple(assignment))
 
 
 def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
     """Smallest cluster count whose clusters all fit the charge range.
 
-    Tries k = L, L + 1, ... in order, where L is ``_separated_count``'s
-    lower bound; the first k where every cluster lies within the charge
-    distance of its enclosing circle's center rounded to 9 digits wins, and
-    those rounded centers of ``kmeans``'s clusters for that k become the
-    charging positions.  The LP, the tour and the replay therefore all see
-    the points a schedule file stores.  Seeding comes from the instance's
-    asymmetry seed, so the result is a pure function of the instance.
-
-    Each k runs only the Lloyd step and encloses its clusters in order until
-    one does not fit, so a losing k costs no more circles than it needs.
+    Clusters each k = L, L + 1, ... once with ``kmeans``, where L is
+    ``_separated_count``'s lower bound; the first k where every cluster lies
+    within the charge distance of its enclosing circle's center rounded to 9
+    digits wins, and those rounded centers become the charging positions.
+    The LP, the tour and the replay therefore all see the points a schedule
+    file stores.  Seeding comes from the instance's asymmetry seed, so the
+    result is a pure function of the instance.
     """
     points = [u.pos for u in instance.nodes]
-    pts = np.asarray(points, dtype=float)
     d_max = instance.dmc.d_max
-    seed = instance.asym.seed
-    for k in range(_separated_count(pts, d_max), instance.n + 1):
-        assign = _lloyd(pts, k, seed)
-        if all(
-            _snapped_fit([tuple(pts[i]) for i in ids], d_max) for ids in _members(assign, k)
-        ):
-            clusters = kmeans(points, k, seed)
-            assignment = [0] * instance.n
-            for ci, cluster in enumerate(clusters):
-                for nid in cluster.member_ids:
-                    assignment[nid] = ci
-            return ChargingPositionSet(
-                positions=tuple(snap9_point(c.center) for c in clusters),
-                assignment=tuple(assignment),
-            )
+    bound = _separated_count(np.asarray(points, dtype=float), d_max)
+    for k in range(bound, instance.n + 1):
+        cover = _fitted_cover(points, kmeans(points, k, instance.asym.seed), d_max)
+        if cover is not None:
+            return cover
     raise AssertionError("unreachable: singleton clusters always fit at distance 0")

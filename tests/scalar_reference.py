@@ -30,7 +30,7 @@ from asymcharge import model, positions, routing, timing
 from asymcharge.model import AsymmetryField, DmcParams, NetworkInstance, Point
 from asymcharge.errors import MalformedScheduleError, ValidationError
 from asymcharge.pipeline import MOVE, TRANSMIT, OperationSchedule, ScheduleMetrics
-from asymcharge.positions import ChargingPositionSet, Cluster
+from asymcharge.positions import ChargingPositionSet
 from asymcharge.routing import DirectedCostGraph, Tour
 from asymcharge.timing import LpProblem, LpSolution
 
@@ -271,8 +271,8 @@ def _reference_drive_out_artificials(tab: np.ndarray, basis: list[int], n_real: 
         basis[row] = col
 
 
-def reference_kmeans(points: list[Point], k: int, seed: int) -> list[Cluster]:
-    """Lloyd iteration from k-means++ seeding; clusters carry their enclosing circle.
+def reference_kmeans(points: list[Point], k: int, seed: int) -> list[tuple[int, ...]]:
+    """Member ids of each nonempty cluster after k-means++ seeding and Lloyd iteration.
 
     Stops when assignments stabilize or after 100 iterations.  A cluster that
     loses all members is re-seeded from the point currently farthest from its
@@ -325,10 +325,8 @@ def reference_kmeans(points: list[Point], k: int, seed: int) -> list[Cluster]:
     clusters = []
     for c in range(k):
         ids = np.flatnonzero(assign == c)
-        if ids.size == 0:
-            continue
-        center, radius = positions.min_enclosing_circle([tuple(pts[i]) for i in ids])
-        clusters.append(Cluster(tuple(int(i) for i in ids), center, radius))
+        if ids.size:
+            clusters.append(tuple(int(i) for i in ids))
     return clusters
 
 
@@ -345,15 +343,18 @@ def reference_select_charging_positions(instance: NetworkInstance) -> ChargingPo
     d_max = instance.dmc.d_max
     for k in range(1, instance.n + 1):
         clusters = reference_kmeans(node_points, k, seed=instance.asym.seed)
-        centers = [model.snap9_point(cl.center) for cl in clusters]
+        centers = [
+            model.snap9_point(positions.min_enclosing_circle([node_points[i] for i in ids])[0])
+            for ids in clusters
+        ]
         if all(
             math.hypot(node_points[i][0] - c[0], node_points[i][1] - c[1]) <= d_max
-            for cl, c in zip(clusters, centers)
-            for i in cl.member_ids
+            for ids, c in zip(clusters, centers)
+            for i in ids
         ):
             assignment = [0] * instance.n
-            for ci, cl in enumerate(clusters):
-                for nid in cl.member_ids:
+            for ci, ids in enumerate(clusters):
+                for nid in ids:
                     assignment[nid] = ci
             return ChargingPositionSet(positions=tuple(centers), assignment=tuple(assignment))
     raise AssertionError("unreachable: singleton clusters always fit at distance 0")

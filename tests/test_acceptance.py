@@ -29,6 +29,7 @@ from asymcharge import (
     kmeans,
     lk_tour,
     metric_closure,
+    min_enclosing_circle,
     nodes_in_range,
     one_to_one_schedule,
     plan_schedule,
@@ -133,8 +134,11 @@ def test_criterion_2_coverage_validity_and_minimality():
                 assert math.dist(u.pos, p) <= d_max + 1e-9
             k = len(cover.positions)
             if k > 1:
-                smaller = kmeans([u.pos for u in instance.nodes], k - 1, seed=instance.asym.seed)
-                assert any(c.radius > d_max for c in smaller)
+                points = [u.pos for u in instance.nodes]
+                smaller = kmeans(points, k - 1, seed=instance.asym.seed)
+                assert any(
+                    min_enclosing_circle([points[i] for i in ids])[1] > d_max for ids in smaller
+                )
 
 
 # -- criterion 3 -------------------------------------------------------------

@@ -166,6 +166,15 @@ class TestAtspBench:
             assert by_key[("lk", repeat)]["tour_energy"] <= by_key[("greedy", repeat)]["tour_energy"] + 1e-9
             assert by_key[("held_karp", repeat)]["held_karp_gap"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_exact_solver_only_within_its_limit(self):
+        cfg = ExperimentConfig(n_values=[6, 16], repeats=2, seed=8, workers=1)
+        rows = run_atsp_bench(cfg)
+        solvers = {n: [r["solver"] for r in rows if r["n"] == n] for n in (6, 16)}
+        assert solvers[6].count("held_karp") == 2
+        assert "held_karp" not in solvers[16]
+        assert len(solvers[16]) == 2 * (len(cfg.atsp_solvers) - 1)
+        assert all(r["status"] == "ok" for r in rows)
+
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(n_values=[5], atsp_solvers=("nope",))
@@ -236,6 +245,26 @@ class TestCommandLine:
         text = instance_to_text(generate_instance(5, seed=2))
         inst = tmp_path / "inst.json"
         inst.write_text(re.sub(r'"x": [^,\n]+', '"x": 1e17', text, count=1))
+        capsys.readouterr()
+        code = main([
+            "schedule", "--instance", str(inst), "--algorithm", algorithm,
+            "--out", str(tmp_path / "s.json"),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:validation:")
+
+    @pytest.mark.parametrize("algorithm", ["ra_dmcs", "o2o_greedy"])
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("beta", "1000"), ("alpha", "1e200"), ("alpha", "1e-200"), ("delta", "1e-320")],
+    )
+    def test_transfer_model_out_of_range_exit_code(self, tmp_path, capsys, algorithm, field, bad):
+        # the coefficient would overflow, divide by an underflowed power or
+        # underflow to zero within reach
+        text = instance_to_text(generate_instance(5, seed=2))
+        inst = tmp_path / "inst.json"
+        inst.write_text(re.sub(rf'"{field}": [^,\n]+', f'"{field}": {bad}', text, count=1))
         capsys.readouterr()
         code = main([
             "schedule", "--instance", str(inst), "--algorithm", algorithm,

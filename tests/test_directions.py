@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from asymcharge import (
     ChargingPositionSet,
     DmcParams,
     build_coefficient_matrix,
+    directions,
     nodes_in_range,
     representative_directions,
+    select_charging_positions,
 )
 from asymcharge.model import angular_distance
 
@@ -161,8 +164,6 @@ class TestCoefficientMatrix:
         instance = make_instance(
             [node_at((float(x), float(y))) for x, y in pts], bs=(30.0, 30.0)
         )
-        from asymcharge import select_charging_positions
-
         cover = select_charging_positions(instance)
         m1 = build_coefficient_matrix(cover, instance)
         m2 = build_coefficient_matrix(cover, instance)
@@ -177,9 +178,18 @@ class TestCoefficientMatrix:
         instance = make_instance(
             [node_at((float(x), float(y))) for x, y in pts], bs=(30.0, 30.0)
         )
-        from asymcharge import select_charging_positions
-
         matrix = build_coefficient_matrix(select_charging_positions(instance), instance)
         apex = instance.dmc.apex_coefficient
         assert np.all(matrix.entries >= 0.0)
         assert np.all(matrix.entries <= apex + 1e-12)
+
+    def test_one_reach_test_per_position(self):
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(0, 80, size=(30, 2))
+        instance = make_instance(
+            [node_at((float(x), float(y))) for x, y in pts], bs=(40.0, 40.0)
+        )
+        cover = select_charging_positions(instance)
+        with mock.patch.object(directions, "nodes_in_range", wraps=directions.nodes_in_range) as reach:
+            build_coefficient_matrix(cover, instance)
+        assert reach.call_count == len(cover.positions) > 1

@@ -52,6 +52,10 @@ def brute_force_circle(points):
     return best
 
 
+def radius_of(points, ids):
+    return min_enclosing_circle([points[i] for i in ids])[1]
+
+
 class TestMinEnclosingCircle:
     def test_single_point(self):
         center, radius = min_enclosing_circle([(3.0, 4.0)])
@@ -101,13 +105,13 @@ class TestKmeans:
     def test_each_point_its_own_cluster(self):
         points = [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0)]
         clusters = kmeans(points, k=3, seed=1)
-        assert sorted(c.member_ids for c in clusters) == [(0,), (1,), (2,)]
-        assert all(c.radius == 0.0 for c in clusters)
+        assert sorted(clusters) == [(0,), (1,), (2,)]
+        assert all(radius_of(points, ids) == 0.0 for ids in clusters)
 
     def test_single_cluster(self):
         points = [(0.0, 0.0), (5.0, 0.0), (0.0, 5.0)]
         (cluster,) = kmeans(points, k=1, seed=1)
-        assert cluster.member_ids == (0, 1, 2)
+        assert cluster == (0, 1, 2)
 
     def test_recovers_separated_blobs(self):
         rng = np.random.default_rng(3)
@@ -115,7 +119,7 @@ class TestKmeans:
         blob_b = [(x, y) for x, y in rng.normal((90, 90), 1.0, size=(5, 2))]
         points = blob_a + blob_b
         clusters = kmeans(points, k=2, seed=11)
-        got = sorted(c.member_ids for c in clusters)
+        got = sorted(clusters)
         assert got == [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
         # the blob split is also the SSE-optimal 2-partition
         best = None
@@ -131,15 +135,16 @@ class TestKmeans:
         rng = np.random.default_rng(5)
         points = [tuple(p) for p in rng.uniform(0, 50, size=(20, 2))]
         clusters = kmeans(points, k=4, seed=2)
-        seen = sorted(i for c in clusters for i in c.member_ids)
+        seen = sorted(i for ids in clusters for i in ids)
         assert seen == list(range(20))
+        assert all(list(ids) == sorted(ids) for ids in clusters)
 
     def test_duplicate_points_handled(self):
         points = [(1.0, 1.0)] * 5 + [(9.0, 9.0)] * 5
         clusters = kmeans(points, k=4, seed=0)
-        seen = sorted(i for c in clusters for i in c.member_ids)
+        seen = sorted(i for ids in clusters for i in ids)
         assert seen == list(range(10))
-        assert all(c.radius == 0.0 for c in clusters)
+        assert all(radius_of(points, ids) == 0.0 for ids in clusters)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -150,12 +155,12 @@ class TestKmeans:
     def test_radius_matches_members(self):
         rng = np.random.default_rng(8)
         points = [tuple(p) for p in rng.uniform(0, 100, size=(30, 2))]
-        for cluster in kmeans(points, k=5, seed=4):
+        for ids in kmeans(points, k=5, seed=4):
+            center, radius = min_enclosing_circle([points[i] for i in ids])
             far = max(
-                math.hypot(points[i][0] - cluster.center[0], points[i][1] - cluster.center[1])
-                for i in cluster.member_ids
+                math.hypot(points[i][0] - center[0], points[i][1] - center[1]) for i in ids
             )
-            assert far == pytest.approx(cluster.radius, abs=1e-9)
+            assert far == pytest.approx(radius, abs=1e-9)
 
 
 class TestSelectChargingPositions:
@@ -192,8 +197,9 @@ class TestSelectChargingPositions:
                 assert math.hypot(u.pos[0] - p[0], u.pos[1] - p[1]) <= d_max + 1e-9
             k = len(cover.positions)
             if k > 1:
-                smaller = kmeans([u.pos for u in instance.nodes], k - 1, seed=instance.asym.seed)
-                assert any(c.radius > d_max for c in smaller)
+                points = [u.pos for u in instance.nodes]
+                smaller = kmeans(points, k - 1, seed=instance.asym.seed)
+                assert any(radius_of(points, ids) > d_max for ids in smaller)
 
     def test_fit_judged_at_the_stored_center(self):
         # one circle would center at 21.0000000001, stored as 21.0, which is

@@ -211,15 +211,13 @@ class TestCover:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(cover_instances(), spread_instances()))
     def test_no_k_below_the_bound_fits(self, instance):
-        pts = np.asarray([u.pos for u in instance.nodes], dtype=float)
+        points = [u.pos for u in instance.nodes]
         d_max = instance.dmc.d_max
-        bound = positions._separated_count(pts, d_max)
+        bound = positions._separated_count(np.asarray(points, dtype=float), d_max)
         assert 1 <= bound <= len(select_charging_positions(instance).positions)
         for k in range(1, bound):
-            clusters = positions._members(positions._lloyd(pts, k, instance.asym.seed), k)
-            assert not all(
-                positions._snapped_fit([tuple(pts[i]) for i in ids], d_max) for ids in clusters
-            )
+            clusters = kmeans(points, k, instance.asym.seed)
+            assert positions._fitted_cover(points, clusters, d_max) is None
 
     def test_bound_on_tight_pairs_and_duplicates(self):
         d_max = 20.0
@@ -274,6 +272,31 @@ class TestCover:
             assert select_charging_positions(instance) == reference_select_charging_positions(
                 instance
             )
+
+    def test_separated_nodes_cluster_once(self):
+        # the bound already equals n, so one k is tried and each node is
+        # enclosed once
+        d_max = DmcParams().d_max
+        specs = [((3.0 * d_max * x, d_max * (x % 2)), 0.0, 1.0, 10.0) for x in range(6)]
+        instance = make_instance(specs)
+        with mock.patch.object(positions, "kmeans", wraps=positions.kmeans) as km, \
+                mock.patch.object(
+                    positions, "min_enclosing_circle", wraps=positions.min_enclosing_circle
+                ) as welzl:
+            cover = select_charging_positions(instance)
+        assert len(cover.positions) == instance.n
+        assert km.call_count == 1
+        assert welzl.call_count == instance.n
+
+    def test_k_rises_by_one_from_the_bound(self):
+        instance = generate_instance(120, seed=3, area=200.0)
+        with mock.patch.object(positions, "kmeans", wraps=positions.kmeans) as km:
+            cover = select_charging_positions(instance)
+        points = np.asarray([u.pos for u in instance.nodes], dtype=float)
+        bound = positions._separated_count(points, instance.dmc.d_max)
+        ks = [call.args[1] for call in km.call_args_list]
+        assert len(ks) > 1
+        assert ks == list(range(bound, len(cover.positions) + 1))
 
 
 def tie_costs(rng, n):

@@ -74,15 +74,16 @@ class TestBuildTimeLp:
         assert solution.objective == pytest.approx(16.0 / (4.0 * c), rel=1e-9)
 
     def test_uncoverable_demanding_node_named(self):
+        # the only position is 30 m from node 1, beyond the 20 m charge
+        # distance: the matrix leaves its column empty and the LP names it
         instance = make_instance(
-            [((0.0, 0.0), 10.0, 16.0, 60.0), ((10.0, 0.0), 10.0, 5.0, 60.0)],
+            [((0.0, 0.0), 10.0, 16.0, 60.0), ((30.0, 0.0), 10.0, 5.0, 60.0)],
             bs=(5.0, 30.0),
         )
         cover = ChargingPositionSet(positions=((0.0, 0.0),), assignment=(0, 0))
         matrix = build_coefficient_matrix(cover, instance)
-        # node 1 demands but the only position's sectors never reach it:
-        # fake that by zeroing its column
-        matrix.entries[:, 1] = 0.0
+        assert matrix.entries.shape == (1, 2)
+        assert not matrix.entries[:, 1].any()
         with pytest.raises(InfeasibleError, match="node 1"):
             build_time_lp(matrix, instance)
 
