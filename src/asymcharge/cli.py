@@ -113,13 +113,25 @@ def generate_instance(
     Capacities are drawn from [60, 90] J, initial energies from [6, 36] J,
     demands from [18, 75] J clamped to the remaining headroom.  With
     ``avoid_bs_disc`` nodes are re-drawn until none lies within charge
-    distance of the base station.
+    distance of the base station; a square that disc covers raises
+    ``ValidationError`` before any draw.
     """
     if n < 1:
         raise ValidationError("need at least one node")
+    if not (math.isfinite(area) and area >= 0.0):
+        raise ValidationError(f"area must be finite and nonnegative, got {area}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     dmc = dmc or DmcParams()
-    rng = np.random.default_rng(seed)
     bs = (snap9(area / 2.0), snap9(area / 2.0))
+    if avoid_bs_disc and all(
+        math.hypot(x - bs[0], y - bs[1]) <= dmc.d_max for x in (0.0, area) for y in (0.0, area)
+    ):
+        # the disc holds every corner, so it holds the whole square
+        raise ValidationError(
+            f"no point of the {area} m square lies farther than {dmc.d_max} m from the base station"
+        )
+    rng = np.random.default_rng(seed)
     positions: list[tuple[float, float]] = []
     while len(positions) < n:
         x, y = rng.uniform(0.0, area, size=2)
@@ -314,6 +326,8 @@ class ExperimentConfig:
             raise ValidationError("node counts must be positive")
         if self.repeats < 1:
             raise ValidationError("repeats must be at least 1")
+        if not (math.isfinite(self.area) and self.area >= 0.0):
+            raise ValidationError(f"area must be finite and nonnegative, got {self.area}")
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ValidationError(f"unknown algorithm {a!r}")

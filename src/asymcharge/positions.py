@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,52 @@ def _cross(x0, y0, x1, y1, x2, y2):
     return (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
 
 
+class _Seeding:
+    """One k-means++ draw sequence: its generator, running ``d2`` and centers so far."""
+
+    __slots__ = ("key", "pts", "rng", "d2", "centers")
+
+    def __init__(self, pts: np.ndarray, seed: int):
+        self.key = (pts.tobytes(), seed)
+        self.pts = pts
+        self.rng = np.random.default_rng(seed)
+        first = int(self.rng.integers(len(pts)))
+        self.centers = [first]
+        self.d2 = ((pts - pts[first]) ** 2).sum(axis=1)
+
+    def extend(self, k: int) -> list[int]:
+        """Point ids of the first k centers, drawing only the ones not drawn yet."""
+        pts = self.pts
+        n = len(pts)
+        while len(self.centers) < k:
+            total = self.d2.sum()
+            if total > 0:
+                idx = int(self.rng.choice(n, p=self.d2 / total))
+            else:
+                idx = int(self.rng.integers(n))
+            self.centers.append(idx)
+            self.d2 = np.minimum(self.d2, ((pts - pts[idx]) ** 2).sum(axis=1))
+        return self.centers[:k]
+
+
+# The last points and seed seeded.  Lloyd draws nothing, so the centers
+# k-means++ draws for k are the first k it draws for k + 1, and the cover's
+# k = L, L + 1, ... share one draw sequence.  The lock keeps threads that
+# plan at once from drawing from one generator in turn.
+_last_seeding: _Seeding | None = None
+_seeding_lock = threading.Lock()
+
+
+def _kmeanspp_centers(pts: np.ndarray, k: int, seed: int) -> list[int]:
+    """Point ids of the first k k-means++ centers for these points and seed."""
+    global _last_seeding
+    key = (pts.tobytes(), seed)
+    with _seeding_lock:
+        if _last_seeding is None or _last_seeding.key != key:
+            _last_seeding = _Seeding(pts, seed)
+        return _last_seeding.extend(k)
+
+
 def kmeans(points: list[Point], k: int, seed: int) -> list[tuple[int, ...]]:
     """Member ids of each nonempty cluster after k-means++ seeding and Lloyd iteration.
 
@@ -130,28 +177,26 @@ def kmeans(points: list[Point], k: int, seed: int) -> list[tuple[int, ...]]:
     if not 1 <= k <= n:
         raise ValidationError(f"cluster count must be in 1..{n}, got {k}")
     pts = np.asarray(points, dtype=float)
-    rng = np.random.default_rng(seed)
+    seeds = _kmeanspp_centers(pts, k, seed)
 
-    centers = np.empty((k, 2))
-    centers[0] = pts[rng.integers(n)]
-    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
-    for c in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = int(rng.integers(n))
-        centers[c] = pts[idx]
-        d2 = np.minimum(d2, ((pts - centers[c]) ** 2).sum(axis=1))
-
-    xs = pts[:, 0]
-    ys = pts[:, 1]
-    assign = np.full(n, -1, dtype=int)
+    xs = np.ascontiguousarray(pts[:, 0])
+    ys = np.ascontiguousarray(pts[:, 1])
+    cx = xs[seeds]
+    cy = ys[seeds]
+    col_x = xs[:, None]
+    col_y = ys[:, None]
+    dist2 = np.empty((n, k))
+    dy2 = np.empty((n, k))
+    assign = np.full(n, -1, dtype=np.intp)
+    new_assign = np.empty(n, dtype=np.intp)
     for _ in range(_KMEANS_MAX_ITER):
-        dx = xs[:, None] - centers[:, 0]
-        dy = ys[:, None] - centers[:, 1]
-        dist2 = dx * dx + dy * dy
-        new_assign = dist2.argmin(axis=1)
+        # dx * dx + dy * dy, one operation at a time in the same buffers
+        np.subtract(col_x, cx, out=dist2)
+        dist2 *= dist2
+        np.subtract(col_y, cy, out=dy2)
+        dy2 *= dy2
+        dist2 += dy2
+        dist2.argmin(axis=1, out=new_assign)
         # re-seed empty clusters from the farthest point, one at a time
         for _ in range(k):
             counts = np.bincount(new_assign, minlength=k)
@@ -162,24 +207,34 @@ def kmeans(points: list[Point], k: int, seed: int) -> list[tuple[int, ...]]:
             far = int(own.argmax())
             if own[far] <= 0.0:
                 break  # all points coincide with their centers; leave empty
-            centers[empty[0]] = pts[far]
-            dist2[:, empty[0]] = ((pts - centers[empty[0]]) ** 2).sum(axis=1)
-            new_assign = dist2.argmin(axis=1)
+            e = empty[0]
+            cx[e] = xs[far]
+            cy[e] = ys[far]
+            dist2[:, e] = (xs - cx[e]) ** 2 + (ys - cy[e]) ** 2
+            dist2.argmin(axis=1, out=new_assign)
+        else:
+            counts = np.bincount(new_assign, minlength=k)
+            empty = np.flatnonzero(counts == 0)
         if np.array_equal(new_assign, assign):
             break
-        assign = new_assign
+        assign, new_assign = new_assign, assign
         # bincount adds each cluster's members in index order, as a masked
         # mean(axis=0) does, so the centroids are the same to the bit
-        counts = np.bincount(assign, minlength=k)
-        filled = counts > 0
-        for axis, coord in enumerate((xs, ys)):
-            sums = np.bincount(assign, weights=coord, minlength=k)
-            centers[filled, axis] = sums[filled] / counts[filled]
+        sums_x = np.bincount(assign, weights=xs, minlength=k)
+        sums_y = np.bincount(assign, weights=ys, minlength=k)
+        if empty.size == 0:
+            cx = sums_x / counts
+            cy = sums_y / counts
+        else:
+            filled = counts > 0
+            cx[filled] = sums_x[filled] / counts[filled]
+            cy[filled] = sums_y[filled] / counts[filled]
 
-    # a stable sort keeps each cluster's members in id order, and the
-    # cumulative cluster sizes cut the sorted ids into one slice per cluster
+    # counts belongs to the final assignment; a stable sort keeps each
+    # cluster's members in id order, and the cumulative cluster sizes cut the
+    # sorted ids into one slice per cluster
     order = np.argsort(assign, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(assign, minlength=k)).tolist()
+    ends = np.cumsum(counts).tolist()
     return [tuple(order[a:b]) for a, b in zip([0] + ends, ends) if b > a]
 
 

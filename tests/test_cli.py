@@ -227,6 +227,45 @@ class TestCommandLine:
         code = main(["schedule", "--instance", str(bad), "--out", str(tmp_path / "s.json")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, bad",
+        [("--area", "nan"), ("--area", "inf"), ("--area", "-inf"), ("--area", "-5"),
+         ("--seed", "-1")],
+    )
+    def test_bad_generate_input_exit_code(self, tmp_path, capsys, flag, bad):
+        out = tmp_path / "inst.json"
+        capsys.readouterr()
+        code = main(["generate", "--nodes", "5", f"{flag}={bad}", "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:validation:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-5"])
+    def test_bad_experiment_area_exit_code(self, tmp_path, capsys, bad):
+        out = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        code = main([
+            "experiment", "--nodes", "5", "--repeats", "1", "--area", bad, "--out", str(out),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:validation:")
+        assert not out.exists()
+
+    def test_square_inside_the_base_station_disc_exit_code(self, tmp_path):
+        # every point of a 10 m square lies within d_max of its center, so
+        # re-drawing until one lies outside would never end; a child process
+        # keeps a hang from stalling the suite
+        proc = subprocess.run(
+            [sys.executable, "-m", "asymcharge.cli", "generate", "--nodes", "3", "--seed", "1",
+             "--area", "10", "--avoid-bs-disc", "--out", str(tmp_path / "x.json")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:validation:")
+
     @pytest.mark.parametrize("field", ["x", "e_b", "d", "grid"])
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_instance_exit_code(self, tmp_path, capsys, field, bad):

@@ -11,6 +11,8 @@ point, with costs whose sums are all exact.
 """
 
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -198,6 +200,35 @@ def spread_instances(draw):
     return make_instance(specs, dmc=DmcParams(d_max=d_max), asym=field)
 
 
+@st.composite
+def scattered_cells(draw):
+    """Integer cells anywhere in a 61 x 61 grid, and any cluster count."""
+    cells = draw(
+        st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=1, max_size=30)
+    )
+    return cells, draw(st.integers(1, len(cells)))
+
+
+@st.composite
+def duplicated_cells(draw):
+    """A few distinct cells, each repeated, and more clusters than distinct cells.
+
+    k-means++ draws every distinct cell before any copy, so the later centers
+    coincide with earlier ones and their clusters stay empty: every example
+    runs the re-seed loop to its "leave empty" break and the masked centroid
+    update.
+    """
+    distinct = draw(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=4,
+                 unique=True)
+    )
+    cells = draw(st.permutations(
+        distinct + draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=26))
+    ))
+    k = draw(st.integers(max(len(distinct) + 1, len(cells) - 3), len(cells)))
+    return cells, k
+
+
 class TestCover:
     @settings(max_examples=250, deadline=None)
     @given(st.one_of(cover_instances(), spread_instances()))
@@ -236,22 +267,97 @@ class TestCover:
                 instance
             )
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=1, max_size=30
-        ),
-        st.data(),
-    )
-    def test_kmeans_equal_to_eager_kmeans(self, cells, data):
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(scattered_cells(), duplicated_cells()), st.data())
+    def test_kmeans_equal_to_eager_kmeans(self, cells_and_k, data):
+        cells, k = cells_and_k
         scale = data.draw(st.sampled_from([0.001, 0.7, 1.0, 1e4]))
         points = [(x * scale, y * scale) for x, y in cells]
-        k = data.draw(st.integers(1, len(points)))
         seed = data.draw(st.integers(0, 2**32 - 1))
         got = kmeans(points, k, seed)
         want = reference_kmeans(points, k, seed)
         assert got == want
         assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize(
+        "points, k, seed",
+        [
+            ([(-4.0, -4.0), (-5.0, 16.0), (-12.0, -9.0), (15.0, 14.0), (-5.0, 18.0)], 3,
+             2318828449),
+            ([(-19.0, 12.0), (-15.0, -10.0), (3.0, 10.0), (-6.0, -10.0), (9.0, 19.0)], 3,
+             336664610),
+        ],
+    )
+    def test_kmeans_reseeds_an_emptied_cluster(self, points, k, seed):
+        # found by search: a Lloyd step leaves a cluster without members
+        # while a point lies off its center, so that cluster is re-seeded
+        # from the farthest point
+        got = kmeans(points, k, seed)
+        want = reference_kmeans(points, k, seed)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=1, max_size=12
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True),
+        st.data(),
+    )
+    def test_kmeans_call_order_does_not_matter(self, cell_sets, seeds, data):
+        # the k-means++ draws are shared between calls on the same points and
+        # seed; every k of both point sets under both seeds, in any order, must
+        # still give what a fresh eager run gives
+        point_sets = [[(x * 0.7, y * 0.7) for x, y in cells] for cells in cell_sets]
+        calls = [
+            (s, seed, k)
+            for s, points in enumerate(point_sets)
+            for seed in seeds
+            for k in range(1, len(points) + 1)
+        ]
+        for s, seed, k in data.draw(st.permutations(calls)):
+            got = kmeans(point_sets[s], k, seed)
+            want = reference_kmeans(point_sets[s], k, seed)
+            assert got == want
+            assert repr(got) == repr(want)
+
+    def test_kmeans_threads_share_the_draws(self):
+        # threads that cluster one point set under the same two seeds at once
+        # share and extend the same draw sequences; each call must still give
+        # what a fresh eager run gives
+        rng = np.random.default_rng(5)
+        points = [tuple(p) for p in rng.uniform(0.0, 100.0, (40, 2)).tolist()]
+        ks = range(1, 16)
+        want = {(seed, k): reference_kmeans(points, k, seed) for seed in (1, 2) for k in ks}
+        failures = []
+
+        def work(first):
+            try:
+                for rep in range(20):
+                    seed = 1 + (first + rep) % 2
+                    for k in ks:
+                        if kmeans(points, k, seed) != want[seed, k]:
+                            failures.append((seed, k))
+            except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
 
     @pytest.mark.parametrize("d_max", [20.0, 0.3])
     def test_boundary_pairs_and_triples(self, d_max):
