@@ -101,6 +101,12 @@ def derive_seed(master: int, *parts: int) -> int:
 # instance generation
 
 
+# Draws per node before ``avoid_bs_disc`` gives up.  Each node needs one draw
+# without it; with it, a square whose outside share is 1% needs 100 on
+# average, and one that runs out has an outside sliver far below that.
+_AVOID_DRAWS = 10_000
+
+
 def generate_instance(
     n: int,
     seed: int,
@@ -114,7 +120,8 @@ def generate_instance(
     demands from [18, 75] J clamped to the remaining headroom.  With
     ``avoid_bs_disc`` nodes are re-drawn until none lies within charge
     distance of the base station; a square that disc covers raises
-    ``ValidationError`` before any draw.
+    ``ValidationError`` before any draw, and one where ``_AVOID_DRAWS``
+    draws per node place too few nodes outside it raises after them.
     """
     if n < 1:
         raise ValidationError("need at least one node")
@@ -133,7 +140,14 @@ def generate_instance(
         )
     rng = np.random.default_rng(seed)
     positions: list[tuple[float, float]] = []
+    draws = 0
     while len(positions) < n:
+        if draws == _AVOID_DRAWS * n:
+            raise ValidationError(
+                f"{_AVOID_DRAWS * n} draws placed only {len(positions)} of {n} nodes farther "
+                f"than {dmc.d_max} m from the base station in the {area} m square"
+            )
+        draws += 1
         x, y = rng.uniform(0.0, area, size=2)
         if avoid_bs_disc and math.hypot(x - bs[0], y - bs[1]) <= dmc.d_max:
             continue

@@ -143,6 +143,10 @@ class AsymmetryField:
                 raise ValidationError("coefficient range must satisfy lo <= hi")
         if self.grid <= 0:
             raise ValidationError("quantization grid must be positive")
+        # a lower bound on every coefficient is what lets a tour skip arcs
+        for hit in (self.overrides or {}).values():
+            if not all(math.isfinite(c) and c >= 0.0 for c in hit):
+                raise ValidationError("coefficient overrides must be finite and nonnegative")
 
     def quantize(self, p: Point) -> tuple[int, int]:
         """Grid cell of a point; hash keys pack it as two signed 64-bit ints."""
@@ -246,54 +250,128 @@ class RoutingMatrices:
         return self.dist * self.egy_rate
 
 
+# np.hypot can exceed math.hypot by an ulp: the shrink takes it below by
+# several ulps, and the offset takes a subnormal one below too
+_HYPOT_SHRINK = 1.0 - 2.0**-49
+_HYPOT_OFFSET = 1e-300
+
+
+class TravelArcs:
+    """Directed travel over an ordered point list, computed one origin row on demand.
+
+    Index 0 is the base station by convention.  ``row`` is the one hashing
+    kernel behind both ``build_routing_matrices`` and the nearest-neighbor
+    tour of ``one_to_one_schedule``: that tour asks ``lower_bounds`` for a
+    cheap numpy bound on every arc out of a point and ``arc_costs`` for the
+    exact movement energy of the few arcs that bound cannot rule out.
+    """
+
+    def __init__(self, positions: list[Point], asym: AsymmetryField, dmc: DmcParams):
+        self.positions = tuple(positions)
+        self.asym = asym
+        self.w0 = dmc.w0
+        self._cells = [asym.quantize(p) for p in self.positions]
+        self._tails = [_key_tail(q) for q in self._cells]
+        ids: dict[tuple[int, int], int] = {}
+        self._cell_ids = np.array([ids.setdefault(q, len(ids)) for q in self._cells])
+        self._xs = np.array([p[0] for p in self.positions], dtype=float)
+        self._ys = np.array([p[1] for p in self.positions], dtype=float)
+        # _scale adds a nonnegative term to lo, same-cell pairs are 1 and
+        # overrides are what they say, so no coefficient falls below these
+        k_dis = [asym.k_dis_range[0], 1.0]
+        k_egy = [asym.k_egy_range[0], 1.0]
+        for hit in (asym.overrides or {}).values():
+            k_dis.append(hit[0])
+            k_egy.append(hit[1])
+        self._bound_scale = (min(k_dis), min(k_egy) * dmc.w0)
+        self.dist: dict[tuple[int, int], float] = {}  # every arc arc_costs computed
+
+    @property
+    def n(self) -> int:
+        return len(self.positions)
+
+    def row(self, i: int, js=None) -> tuple[np.ndarray, np.ndarray]:
+        """Distances and energy rates of the arcs from point i to each point of js.
+
+        ``js=None`` means every point, in order.  Every entry is
+        bit-identical to ``ra_coefficients`` times ``euclidean`` for its
+        pair: the row hashes the shared ``seed || origin`` prefix of the
+        scalar key once and copies that state for each destination's packed
+        cell, and decodes the digests in one numpy call.  Same-cell pairs
+        (the arc from i to itself among them, at distance 0) and
+        ``overrides`` hits keep their scalar values.
+        """
+        if js is None:
+            pick, targets = slice(None), range(self.n)
+        else:
+            pick = np.asarray(js, dtype=np.intp)
+            targets = pick.tolist()
+        qi = self._cells[i]
+        # hashing the head once and copying the state is the same blake2b
+        # as hashing head + tail, at half the cost per pair
+        head = hashlib.blake2b(_key_head(self.asym, qi), digest_size=16)
+        tails = self._tails
+        digests = []
+        for j in targets:
+            h = head.copy()
+            h.update(tails[j])
+            digests.append(h.digest())
+        words = np.frombuffer(b"".join(digests), "<u8").reshape(len(targets), 2)
+        k_dis = _scale(words[:, 0], self.asym.k_dis_range)
+        k_egy = _scale(words[:, 1], self.asym.k_egy_range)
+        same = self._cell_ids[pick] == self._cell_ids[i]
+        if same.any():
+            k_dis[same] = 1.0
+            k_egy[same] = 1.0
+        if self.asym.overrides is not None:
+            for at, j in enumerate(targets):
+                hit = self.asym.overrides.get((qi, self._cells[j])) if not same[at] else None
+                if hit is not None:
+                    k_dis[at], k_egy[at] = hit
+        a = self.positions[i]
+        # math.hypot, not np.hypot: the two differ in the last bit on some pairs
+        span = map(math.hypot, (a[0] - self._xs[pick]).tolist(), (a[1] - self._ys[pick]).tolist())
+        dist = k_dis * np.fromiter(span, dtype=float, count=len(targets))
+        return dist, k_egy * self.w0
+
+    def lower_bounds(self, i: int) -> np.ndarray:
+        """A lower bound on the movement energy of every arc out of point i.
+
+        The product of the lowest coefficients and a distance no larger than
+        ``math.hypot``'s: IEEE rounding is monotone, so it never exceeds the
+        exact ``dist * rate`` of ``arc_costs``.  It may be negative at a
+        distance below the offset, which still bounds a nonnegative cost.
+        """
+        span = np.hypot(self._xs[i] - self._xs, self._ys[i] - self._ys)
+        k_dis, rate = self._bound_scale
+        return k_dis * (span * _HYPOT_SHRINK - _HYPOT_OFFSET) * rate
+
+    def arc_costs(self, i: int, js) -> np.ndarray:
+        """Movement energy of the arcs from point i to each point of js.
+
+        Records each arc's distance in ``dist``.
+        """
+        js = np.asarray(js, dtype=np.intp)
+        dist, rate = self.row(i, js)
+        self.dist.update(zip(((i, j) for j in js.tolist()), dist.tolist()))
+        return dist * rate
+
+
 def build_routing_matrices(
     positions: list[Point], asym: AsymmetryField, dmc: DmcParams
 ) -> RoutingMatrices:
-    """Directed travel matrices, built one origin row at a time.
+    """Directed travel matrices, built one origin row at a time by ``TravelArcs.row``.
 
-    Every entry is bit-identical to ``ra_coefficients`` times ``euclidean``
-    for its pair: each point is quantized and packed once, each row hashes
-    the shared ``seed || origin`` prefix of the scalar key followed by every
-    destination's packed cell, and the row's digests are decoded in one numpy
-    call.  Same-cell pairs and ``overrides`` hits keep their scalar values.
+    The diagonal is 0: no travel, at no rate.
     """
-    n = len(positions)
+    arcs = TravelArcs(positions, asym, dmc)
+    n = arcs.n
     dist = np.zeros((n, n))
     rate = np.zeros((n, n))
-    cells = [asym.quantize(p) for p in positions]
-    tails = [_key_tail(q) for q in cells]
-    by_cell: dict[tuple[int, int], list[int]] = {}
-    for j, q in enumerate(cells):
-        by_cell.setdefault(q, []).append(j)
-    xs = np.array([p[0] for p in positions], dtype=float)
-    ys = np.array([p[1] for p in positions], dtype=float)
-    for i, a in enumerate(positions):
-        # hashing the head once and copying the state is the same blake2b
-        # as hashing head + tail, at half the cost per pair
-        head = hashlib.blake2b(_key_head(asym, cells[i]), digest_size=16)
-        digests = []
-        for tail in tails:
-            h = head.copy()
-            h.update(tail)
-            digests.append(h.digest())
-        words = np.frombuffer(b"".join(digests), "<u8").reshape(n, 2)
-        k_dis = _scale(words[:, 0], asym.k_dis_range)
-        k_egy = _scale(words[:, 1], asym.k_egy_range)
-        same = by_cell[cells[i]]
-        k_dis[same] = 1.0
-        k_egy[same] = 1.0
-        if asym.overrides is not None:
-            for j, q in enumerate(cells):
-                hit = asym.overrides.get((cells[i], q)) if q != cells[i] else None
-                if hit is not None:
-                    k_dis[j], k_egy[j] = hit
-        # math.hypot, not np.hypot: the two differ in the last bit on some pairs
-        span = map(math.hypot, (a[0] - xs).tolist(), (a[1] - ys).tolist())
-        dist[i] = k_dis * np.fromiter(span, dtype=float, count=n)
-        rate[i] = k_egy * dmc.w0
-        dist[i, i] = 0.0
-        rate[i, i] = 0.0
-    return RoutingMatrices(tuple(positions), dist, rate)
+    for i in range(n):
+        dist[i], rate[i] = arcs.row(i)
+    np.fill_diagonal(rate, 0.0)
+    return RoutingMatrices(arcs.positions, dist, rate)
 
 
 def transfer_coefficient(psi: float, phi: float, theta: float, d: float, dmc: DmcParams) -> float:

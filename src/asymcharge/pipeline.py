@@ -135,9 +135,13 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
 
 
 def _movement_items(
-    tour_order: list[int], mats: model.RoutingMatrices, v_bar: float
+    tour_order: list[int], mats: model.RoutingMatrices | model.TravelArcs, v_bar: float
 ) -> list[tuple[int, ScheduleItem]]:
-    """(destination index, movement item) per tour arc, skipping zero hops."""
+    """(destination index, movement item) per tour arc, skipping zero hops.
+
+    ``mats.dist[a, b]`` is a matrix entry, or the distance ``TravelArcs``
+    recorded for an arc the tour computed.
+    """
     out = []
     for a, b in zip(tour_order, tour_order[1:]):
         if a == b:
@@ -199,17 +203,19 @@ def one_to_one_schedule(instance: NetworkInstance) -> tuple[OperationSchedule, S
 
     Transmission time per node is exactly demand / (p0 * apex coefficient);
     the visiting order is nearest-neighbor on directed movement energy, with
-    no shortest-path closure.
+    no shortest-path closure.  The tour hashes only the arcs whose lower
+    bound a step cannot rule out, and each move takes the distance of the
+    arc the tour computed.
     """
     started = _time.perf_counter()
     targets = [u for u in instance.nodes if u.e_d > 0]
     items: list[ScheduleItem] = []
     if targets:
         points = [model.snap9_point(instance.bs_pos)] + [u.pos for u in targets]
-        mats = model.build_routing_matrices(points, instance.asym, instance.dmc)
-        tour = greedy_tour(cost_graph(mats.move_cost()))
+        arcs = model.TravelArcs(points, instance.asym, instance.dmc)
+        tour = greedy_tour(arcs)
         apex = instance.dmc.apex_coefficient
-        for dest, move_item in _movement_items(list(tour.order), mats, instance.dmc.v_bar):
+        for dest, move_item in _movement_items(list(tour.order), arcs, instance.dmc.v_bar):
             items.append(move_item)
             if dest != 0:
                 u = targets[dest - 1]

@@ -4,7 +4,8 @@ The number of clusters starts at a proven lower bound and grows until every
 cluster lies within the charge distance of its minimum enclosing circle's
 center, rounded to the 9 digits a schedule file stores; those rounded
 centers become the charging positions.  Each k is clustered once, and its
-clusters are enclosed in order until one does not fit.
+clusters are enclosed in order until one does not fit; a cluster that an
+earlier k already enclosed keeps its center.
 """
 
 from __future__ import annotations
@@ -258,19 +259,26 @@ def _separated_count(pts: np.ndarray, d_max: float) -> int:
 
 
 def _fitted_cover(
-    points: list[Point], clusters: list[tuple[int, ...]], d_max: float
+    points: list[Point],
+    clusters: list[tuple[int, ...]],
+    d_max: float,
+    enclosed: dict[tuple[int, ...], Point],
 ) -> ChargingPositionSet | None:
     """The clusters' 9-digit enclosing-circle centers, if each reaches its members.
 
     Encloses the clusters in order and gives up at the first one with a
     member farther than ``d_max`` from its rounded center, so a losing k
-    costs no more circles than it needs.
+    costs no more circles than it needs.  ``enclosed`` maps the member ids
+    of every cluster enclosed so far to its rounded center; Welzl's shuffle
+    is seeded, so a cluster met again for another k reuses its center.
     """
     centers = []
     assignment = [0] * len(points)
     for ci, ids in enumerate(clusters):
         members = [points[i] for i in ids]
-        cx, cy = snap9_point(min_enclosing_circle(members)[0])
+        if ids not in enclosed:
+            enclosed[ids] = snap9_point(min_enclosing_circle(members)[0])
+        cx, cy = enclosed[ids]
         if not all(math.hypot(x - cx, y - cy) <= d_max for x, y in members):
             return None
         centers.append((cx, cy))
@@ -293,8 +301,9 @@ def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
     points = [u.pos for u in instance.nodes]
     d_max = instance.dmc.d_max
     bound = _separated_count(np.asarray(points, dtype=float), d_max)
+    enclosed: dict[tuple[int, ...], Point] = {}
     for k in range(bound, instance.n + 1):
-        cover = _fitted_cover(points, kmeans(points, k, instance.asym.seed), d_max)
+        cover = _fitted_cover(points, kmeans(points, k, instance.asym.seed), d_max, enclosed)
         if cover is not None:
             return cover
     raise AssertionError("unreachable: singleton clusters always fit at distance 0")

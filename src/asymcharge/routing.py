@@ -15,10 +15,12 @@ confine each descent to the points whose arcs a move or a restart changed.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -37,6 +39,27 @@ class DirectedCostGraph:
     @property
     def n(self) -> int:
         return self.cost.shape[0]
+
+    def lower_bounds(self, i: int) -> np.ndarray:
+        """A full matrix is its own bound: the costs out of point i."""
+        return self.cost[i]
+
+    def arc_costs(self, i: int, js) -> np.ndarray:
+        return self.cost[i].take(js)
+
+
+class NearestNeighborCosts(Protocol):
+    """Outgoing arc costs as ``greedy_tour`` reads them.
+
+    ``lower_bounds(i)`` never exceeds ``arc_costs(i, [j])`` for any j.
+    """
+
+    @property
+    def n(self) -> int: ...
+
+    def lower_bounds(self, i: int) -> np.ndarray: ...
+
+    def arc_costs(self, i: int, js) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -101,20 +124,45 @@ def expand_tour(tour: Tour, closed: DirectedCostGraph) -> Tour:
     return Tour(tuple(order), tour_cost(order, closed.cost))
 
 
-def greedy_tour(g: DirectedCostGraph) -> Tour:
-    """Nearest-neighbor cycle from index 0 on outgoing costs, lowest index on ties."""
+def greedy_tour(g: NearestNeighborCosts) -> Tour:
+    """Nearest-neighbor cycle from index 0 on outgoing costs, lowest index on ties.
+
+    A step computes the exact cost of the unvisited point of lowest bound,
+    then, unless that bound was exact, of every other unvisited point whose
+    bound does not exceed that cost; no point left out can win or tie.  A
+    full matrix is its own bound, and a lazy ``g`` computes only the arcs a
+    step cannot rule out.  The closing arc to 0 is computed once.
+    """
     n = g.n
     if n == 1:
         return Tour((0, 0), 0.0)
     blocked = np.zeros(n)  # inf at visited points; costs are finite
     blocked[0] = np.inf
     order = [0]
+    total = 0.0
     for _ in range(n - 1):
-        nxt = int(np.argmin(g.cost[order[-1]] + blocked))
+        here = order[-1]
+        bound = g.lower_bounds(here) + blocked
+        nxt = int(bound.argmin())
+        best = float(g.arc_costs(here, [nxt])[0])
+        if not math.isfinite(best):
+            raise ValidationError("directed costs must be finite")
+        # an exact lowest bound wins outright: no other cost is lower, and
+        # an equal bound belongs to a higher index
+        if best > bound[nxt]:
+            rivals = np.flatnonzero(bound <= best)
+            rivals = rivals[rivals != nxt]
+            if rivals.size:
+                costs = g.arc_costs(here, rivals)
+                k = int(costs.argmin())  # rivals ascend: the lowest index of the cheapest
+                if costs[k] < best or (costs[k] == best and rivals[k] < nxt):
+                    nxt, best = int(rivals[k]), float(costs[k])
         order.append(nxt)
+        total += best
         blocked[nxt] = np.inf
+    total += float(g.arc_costs(order[-1], [0])[0])
     order.append(0)
-    return Tour(tuple(order), tour_cost(order, g.cost))
+    return Tour(tuple(order), total)
 
 
 def _candidates(cost: np.ndarray) -> list[list[int]]:

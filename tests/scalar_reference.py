@@ -4,9 +4,11 @@ The straightforward one-pair-at-a-time and one-node-at-a-time loops behind
 ``model.ra_coefficients``, ``model.build_routing_matrices``,
 ``directions.nodes_in_range`` and ``pipeline.execute_schedule``; the cover
 that encloses every cluster of every k from k = 1, behind
-``positions.select_charging_positions``; and the nearest-neighbor tour that
+``positions.select_charging_positions``; the nearest-neighbor tour that
 takes a Python ``min`` over the unvisited set, behind
-``routing.greedy_tour``.  These must agree bit for bit.
+``routing.greedy_tour``; and the one-to-one baseline that hashes every
+ordered pair into full routing matrices before that tour, behind
+``pipeline.one_to_one_schedule``.  These must agree bit for bit.
 
 The two-phase primal simplex behind ``timing.solve_lp`` is the objective
 oracle for the dual simplex there: both reach an optimal vertex, but not
@@ -29,7 +31,7 @@ import numpy as np
 from asymcharge import model, positions, routing, timing
 from asymcharge.model import AsymmetryField, DmcParams, NetworkInstance, Point
 from asymcharge.errors import MalformedScheduleError, ValidationError
-from asymcharge.pipeline import MOVE, TRANSMIT, OperationSchedule, ScheduleMetrics
+from asymcharge.pipeline import MOVE, TRANSMIT, OperationSchedule, ScheduleItem, ScheduleMetrics
 from asymcharge.positions import ChargingPositionSet
 from asymcharge.routing import DirectedCostGraph, Tour
 from asymcharge.timing import LpProblem, LpSolution
@@ -408,3 +410,23 @@ def reference_greedy_tour(g: DirectedCostGraph) -> Tour:
         unvisited.remove(nxt)
     order.append(0)
     return Tour(tuple(order), routing.tour_cost(order, g.cost))
+
+
+def reference_one_to_one_schedule(instance: NetworkInstance) -> OperationSchedule:
+    """The baseline schedule from full routing matrices and the set-scan tour."""
+    dmc = instance.dmc
+    targets = [u for u in instance.nodes if u.e_d > 0]
+    items = []
+    if targets:
+        points = [model.snap9_point(instance.bs_pos)] + [u.pos for u in targets]
+        mats = model.build_routing_matrices(points, instance.asym, dmc)
+        tour = reference_greedy_tour(routing.cost_graph(mats.move_cost()))
+        for a, b in zip(tour.order, tour.order[1:]):
+            if a == b:
+                continue
+            items.append(ScheduleItem(MOVE, points[b], 0.0, float(mats.dist[a, b]) / dmc.v_bar))
+            if b != 0:
+                u = targets[b - 1]
+                t = u.e_d / (dmc.p0 * dmc.apex_coefficient)
+                items.append(ScheduleItem(TRANSMIT, u.pos, 0.0, t))
+    return OperationSchedule(tuple(items))

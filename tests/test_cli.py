@@ -266,6 +266,19 @@ class TestCommandLine:
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error:validation:")
 
+    def test_sliver_outside_the_base_station_disc_exit_code(self, tmp_path):
+        # one corner lies 20.00002 m from the center, so the square pokes out
+        # of the 20 m disc by a sliver that rejection sampling hardly ever hits
+        proc = subprocess.run(
+            [sys.executable, "-m", "asymcharge.cli", "generate", "--nodes", "3", "--seed", "1",
+             "--area", "28.2843", "--avoid-bs-disc", "--out", str(tmp_path / "x.json")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:validation:")
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("field", ["x", "e_b", "d", "grid"])
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_instance_exit_code(self, tmp_path, capsys, field, bad):

@@ -70,6 +70,11 @@ class TestAsymmetryField:
         with pytest.raises(ValidationError):
             AsymmetryField(seed=0, k_dis_range=(0.0, 1.0))
 
+    @pytest.mark.parametrize("hit", [(-0.5, 1.0), (1.0, -1e-300), (math.nan, 1.0), (1.0, math.inf)])
+    def test_bad_overrides_rejected(self, hit):
+        with pytest.raises(ValidationError):
+            AsymmetryField(seed=0, overrides={((0, 0), (1, 0)): hit})
+
     @pytest.mark.parametrize("p", [(1e17, 0.0), (0.0, -1e17), (9.3e16, 5.0), (1e308, 1e308)])
     def test_cell_outside_int64_rejected(self, p):
         # the hash key packs each cell as two signed 64-bit ints

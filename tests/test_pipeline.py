@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from asymcharge import model
 from asymcharge import (
     MOVE,
     TRANSMIT,
@@ -339,3 +340,25 @@ class TestOneToOne:
         transmit = [i for i in schedule.items if i.state == TRANSMIT]
         assert len(transmit) == 15
         assert metrics.feasible
+
+    def test_tour_hashes_few_pairs(self, monkeypatch):
+        from asymcharge.cli import generate_instance
+
+        # the nearest-neighbor tour reads few arcs of each row; all of them
+        # pass through the one hashing kernel, and no full matrix is built
+        instance = generate_instance(450, seed=1)
+        hashed = []
+        row = model.TravelArcs.row
+
+        def counting_row(arcs, i, js):
+            hashed.append(len(js))
+            return row(arcs, i, js)
+
+        def no_matrices(*args):
+            raise AssertionError("the one-to-one tour built full routing matrices")
+
+        monkeypatch.setattr(model.TravelArcs, "row", counting_row)
+        monkeypatch.setattr(model, "build_routing_matrices", no_matrices)
+        one_to_one_schedule(instance)
+        points = instance.n + 1
+        assert 0 < sum(hashed) < 0.05 * points * (points - 1)

@@ -1,5 +1,6 @@
-"""The row-wise matrix build, the prefiltered reach test, the replay and the
-masked nearest-neighbor tour against scalar loops.
+"""The row-wise matrix build, the prefiltered reach test, the replay, the
+masked nearest-neighbor tour and the bounded one-to-one tour against scalar
+loops and full matrices.
 
 Every comparison is exact: matrices by their bytes, metrics with ``==``.
 """
@@ -15,6 +16,7 @@ from asymcharge import (
     TRANSMIT,
     AsymmetryField,
     DmcParams,
+    NetworkInstance,
     OperationSchedule,
     ScheduleItem,
     build_routing_matrices,
@@ -25,7 +27,8 @@ from asymcharge import (
     one_to_one_schedule,
     plan_schedule,
 )
-from asymcharge.cli import demo_instance, generate_instance
+from asymcharge import model
+from asymcharge.cli import demo_instance, generate_instance, schedule_to_text
 from asymcharge.model import ra_coefficients
 
 from conftest import make_instance
@@ -34,6 +37,7 @@ from scalar_reference import (
     reference_execute_schedule,
     reference_greedy_tour,
     reference_nodes_in_range,
+    reference_one_to_one_schedule,
     reference_routing_matrices,
 )
 from support import ra_distance
@@ -210,3 +214,84 @@ class TestGreedyTour:
         # costs 0..top: with top = 0 every step is a tie over all unvisited points
         g = cost_graph(np.random.default_rng(s).integers(0, top + 1, (n, n)).astype(float))
         assert greedy_tour(g) == reference_greedy_tour(g)
+
+
+@st.composite
+def one_to_one_instances(draw):
+    """Generated nodes under drawn coefficient ranges, grid, w0 and overrides.
+
+    Areas run down to 0, where every point shares one grid cell, and through
+    a few cells, where near points share cells and others do not; ranges
+    reach below and above 1, the same-cell coefficient; overrides reach
+    below the ranges' lower ends.
+    """
+    n = draw(st.integers(1, 60))
+    g = draw(grid)
+    area = draw(st.one_of(
+        st.floats(0.0, 0.05), st.floats(0.0, 30.0).map(lambda cells: cells * g),
+        st.floats(0.05, 3000.0),
+    ))
+    base = generate_instance(n, seed=draw(st.integers(0, 2**32 - 1)), area=area)
+    asym = AsymmetryField(
+        seed=draw(seed),
+        k_dis_range=draw(coefficient_range()),
+        k_egy_range=draw(coefficient_range()),
+        grid=g,
+    )
+    if draw(st.booleans()):
+        cells = [asym.quantize(p) for p in [base.bs_pos] + [u.pos for u in base.nodes]]
+        pairs = draw(st.lists(st.tuples(st.sampled_from(cells), st.sampled_from(cells)), max_size=8))
+        hit = st.floats(0.01, 5.0)
+        overrides = {pair: (draw(hit), draw(hit)) for pair in pairs}
+        asym = AsymmetryField(asym.seed, asym.k_dis_range, asym.k_egy_range, g, overrides)
+    dmc = DmcParams(w0=draw(st.floats(min_value=0.5, max_value=9.0)))
+    return NetworkInstance(base.nodes, base.bs_pos, dmc, asym)
+
+
+class TestOneToOneTour:
+    @settings(max_examples=120, deadline=None)
+    @given(one_to_one_instances())
+    def test_lower_bounds_never_exceed_costs(self, instance):
+        points = [instance.bs_pos] + [u.pos for u in instance.nodes]
+        arcs = model.TravelArcs(points, instance.asym, instance.dmc)
+        every = np.arange(arcs.n)
+        for i in range(arcs.n):
+            assert np.all(arcs.lower_bounds(i) <= arcs.arc_costs(i, every))
+
+    @settings(max_examples=120, deadline=None)
+    @given(one_to_one_instances())
+    def test_equal_to_full_matrix_tour(self, instance):
+        schedule, _ = one_to_one_schedule(instance)
+        want = reference_one_to_one_schedule(instance)
+        assert schedule_to_text(schedule) == schedule_to_text(want)
+
+    def test_lower_index_wins_an_equal_cost_tie(self):
+        # node 1 has the lower bound (5 m at k_dis >= 0.5), but both first
+        # arcs cost exactly 10 m of travel, so node 0 must come first
+        near, far = (5.0, 0.0), (10.0, 0.0)
+        asym = AsymmetryField(seed=1, k_dis_range=(0.5, 1.5), k_egy_range=(1.0, 1.0))
+        bs = asym.quantize((0.0, 0.0))
+        overrides = {(bs, asym.quantize(far)): (1.0, 1.0), (bs, asym.quantize(near)): (2.0, 1.0)}
+        asym = AsymmetryField(1, (0.5, 1.5), (1.0, 1.0), asym.grid, overrides)
+        instance = make_instance(
+            [(far, 10.0, 20.0, 60.0), (near, 10.0, 20.0, 60.0)], bs=(0.0, 0.0), asym=asym
+        )
+        schedule, _ = one_to_one_schedule(instance)
+        assert schedule.items[0].pos == far and schedule.items[0].t == 10.0
+        assert schedule == reference_one_to_one_schedule(instance)
+
+    def test_a_rival_beats_the_lowest_bound(self):
+        # the 0.49 override is the lowest coefficient, so node 0 has the
+        # lowest bound (4.9 m) and costs 5 m; node 1's bound of 4.949 m lies
+        # within 2% of that cost, and node 1 costs exactly its 4.949 m
+        first, rival = (10.0, 0.0), (0.0, 10.1)
+        asym = AsymmetryField(seed=1, k_dis_range=(0.5, 1.5), k_egy_range=(1.0, 1.0))
+        bs = asym.quantize((0.0, 0.0))
+        overrides = {(bs, asym.quantize(first)): (0.5, 1.0), (bs, asym.quantize(rival)): (0.49, 1.0)}
+        asym = AsymmetryField(1, (0.5, 1.5), (1.0, 1.0), asym.grid, overrides)
+        instance = make_instance(
+            [(first, 10.0, 20.0, 60.0), (rival, 10.0, 20.0, 60.0)], bs=(0.0, 0.0), asym=asym
+        )
+        schedule, _ = one_to_one_schedule(instance)
+        assert schedule.items[0].pos == rival
+        assert schedule == reference_one_to_one_schedule(instance)

@@ -248,7 +248,7 @@ class TestCover:
         assert 1 <= bound <= len(select_charging_positions(instance).positions)
         for k in range(1, bound):
             clusters = kmeans(points, k, instance.asym.seed)
-            assert positions._fitted_cover(points, clusters, d_max) is None
+            assert positions._fitted_cover(points, clusters, d_max, {}) is None
 
     def test_bound_on_tight_pairs_and_duplicates(self):
         d_max = 20.0
@@ -393,6 +393,17 @@ class TestCover:
         assert len(cover.positions) == instance.n
         assert km.call_count == 1
         assert welzl.call_count == instance.n
+
+    def test_each_cluster_is_enclosed_once(self):
+        # successive k often repeat a cluster; its center is kept, not recomputed
+        instance = generate_instance(150, seed=1, area=200.0)
+        with mock.patch.object(
+            positions, "min_enclosing_circle", wraps=positions.min_enclosing_circle
+        ) as welzl:
+            cover = select_charging_positions(instance)
+        enclosed = [tuple(call.args[0]) for call in welzl.call_args_list]
+        assert len(enclosed) == len(set(enclosed)) >= len(cover.positions)
+        assert cover == reference_select_charging_positions(instance)
 
     def test_k_rises_by_one_from_the_bound(self):
         instance = generate_instance(120, seed=3, area=200.0)
