@@ -31,8 +31,6 @@ from .directions import (
     CoefficientMatrix,
     PosDirPair,
     build_coefficient_matrix,
-    nodes_in_range,
-    representative_directions,
 )
 from .timing import LpProblem, LpSolution, build_time_lp, solve_lp
 from .routing import (

@@ -1,10 +1,13 @@
 """Charging direction selection and the transfer coefficient matrix.
 
-At each charging position, the continuum of possible sector directions is
-reduced to a finite representative set: one direction per maximal coverage
-subset, found by sweeping the sector boundary events around the circle.
-The sweep also yields the nodes each direction covers, and the coefficient
-matrix fills each row from that set, with one reach test per position.
+``reach_pairs`` is the one coverage kernel: for a list of points it finds
+every node within charge distance of each, with its bearing, distance and
+transfer coefficient.  The coefficient matrix and the schedule replay both
+read it.  At each charging position, the continuum of possible sector
+directions is reduced to a finite representative set: one direction per
+maximal coverage subset, found from a table of which in-range nodes the
+sector covers at the midpoint of every arc between the angles where some
+node enters or leaves it.
 """
 
 from __future__ import annotations
@@ -12,20 +15,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import compress, repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .model import (
-    TWO_PI,
-    NetworkInstance,
-    Point,
-    angular_distance,
-    normalize_angle,
-    transfer_coefficient,
-)
+from .model import TWO_PI, NetworkInstance, Point
 from .positions import ChargingPositionSet
 
 _SMALLEST_NORMAL = sys.float_info.min
+_BLOCK = 32  # points per prefilter block, which bounds the (points, nodes) arrays
 
 
 @dataclass(frozen=True)
@@ -48,78 +47,96 @@ class CoefficientMatrix:
     entries: np.ndarray  # (K, N)
 
 
-def nodes_in_range(pos: Point, instance: NetworkInstance) -> tuple[list[int], list[float], list[float]]:
-    """Nodes within charge distance of ``pos`` with their bearings and distances.
+class Reach(NamedTuple):
+    """Every in-range (point, node) pair, ordered by point, then node id."""
 
-    Bearings are measured counterclockwise from the positive x axis; a node
-    exactly at ``pos`` gets bearing 0 (it is covered regardless of direction).
-    One numpy test first drops the nodes whose squared distance exceeds
-    ``(d_max * (1 + 1e-9))**2``, which no node within ``d_max`` does; the
-    exact scalar checks run on the rest in node-id order (``math.hypot``, not
-    ``np.hypot``: the two differ in the last bit on some pairs).
+    point: np.ndarray  # index into the points searched
+    node: np.ndarray  # node id
+    theta: np.ndarray  # bearing in [0, 2*pi), counterclockwise from +x; 0 at the apex
+    dist: np.ndarray
+    coef: np.ndarray  # delta / (alpha + dist) ** beta
+
+
+def normalize_angles(a: np.ndarray) -> np.ndarray:
+    """``model.normalize_angle`` elementwise, bit for bit."""
+    a = np.fmod(a, TWO_PI)
+    a[a < 0.0] += TWO_PI
+    a[a >= TWO_PI] = 0.0
+    return a
+
+
+def off_axis(theta: np.ndarray, psi) -> np.ndarray:
+    """``model.angular_distance`` of normalized angles, elementwise and bit for bit."""
+    d = np.abs(theta - psi)
+    return np.minimum(d, TWO_PI - d)
+
+
+def reach_pairs(points: Sequence[Point], instance: NetworkInstance) -> Reach:
+    """Every node within charge distance of each point, with what covers it.
+
+    One numpy test per block of at most ``_BLOCK`` points first drops the
+    pairs whose squared distance exceeds ``(d_max * (1 + 1e-9))**2``, which
+    no pair within ``d_max`` does.  The survivors get the exact scalar
+    ``math.hypot`` distance and ``math.atan2`` bearing (numpy's differ in the
+    last bit on some pairs), and the coefficient from one scalar power each,
+    so every value is the one a per-node loop computes.
     """
-    nodes = instance.nodes
-    d_max = instance.dmc.d_max
-    x, y = pos
+    dmc = instance.dmc
+    d_max = dmc.d_max
     xs, ys = instance.node_xy
-    dxs = xs - x
-    dys = ys - y
+    px = np.array([p[0] for p in points], dtype=float)
+    py = np.array([p[1] for p in points], dtype=float)
     # never below the smallest normal float, so underflowed squares pass too
-    near = dxs * dxs + dys * dys <= max((d_max * (1.0 + 1e-9)) ** 2, _SMALLEST_NORMAL)
-    ids: list[int] = []
-    thetas: list[float] = []
-    dists: list[float] = []
-    for i in near.nonzero()[0].tolist():
-        u = nodes[i].pos
-        dx = u[0] - x
-        dy = u[1] - y
-        d = math.hypot(dx, dy)
-        if d <= d_max:
-            ids.append(i)
-            thetas.append(normalize_angle(math.atan2(dy, dx)) if d > 0.0 else 0.0)
-            dists.append(d)
-    return ids, thetas, dists
+    limit = max((d_max * (1.0 + 1e-9)) ** 2, _SMALLEST_NORMAL)
+    parts = []
+    for lo in range(0, len(points), _BLOCK):
+        dx = xs - px[lo : lo + _BLOCK, None]
+        dy = ys - py[lo : lo + _BLOCK, None]
+        at, node = np.nonzero(dx * dx + dy * dy <= limit)
+        dx, dy = dx[at, node].tolist(), dy[at, node].tolist()
+        dist = np.fromiter(map(math.hypot, dx, dy), dtype=float, count=len(dx))
+        theta = np.fromiter(map(math.atan2, dy, dx), dtype=float, count=len(dx))
+        keep = dist <= d_max
+        dist = dist[keep]
+        # numpy adds and divides as a scalar loop does; only the power differs
+        powers = map(pow, (dmc.alpha + dist).tolist(), repeat(dmc.beta))
+        coef = dmc.delta / np.fromiter(powers, dtype=float, count=dist.size)
+        parts.append((at[keep] + lo, node[keep], theta[keep], dist, coef))
+    if not parts:
+        empty = np.zeros(0)
+        return Reach(np.zeros(0, np.intp), np.zeros(0, np.intp), empty, empty, empty)
+    at, node, theta, dist, coef = (np.concatenate(column) for column in zip(*parts))
+    theta = normalize_angles(theta)
+    theta[dist == 0.0] = 0.0
+    return Reach(at, node, theta, dist, coef)
 
 
-def _maximal_sectors(
-    ids: list[int], thetas: list[float], dists: list[float], phi: float
-) -> list[tuple[float, frozenset[int]]]:
-    """``(psi, covered)`` for each maximal coverage subset, sorted by psi.
+def _maximal_sectors(theta: np.ndarray, dist: np.ndarray, half: float) -> tuple[np.ndarray, np.ndarray]:
+    """Directions and coverage rows of the maximal coverage subsets at one position.
 
-    Takes the lists ``nodes_in_range`` returns.  Sweeps the event angles
-    where some node enters or leaves the sector, samples the coverage subset
-    at the midpoint of every arc between events, and keeps one direction per
-    coverage subset that is maximal under set inclusion (the smallest
-    qualifying midpoint when several arcs tie).  A node at the apex is
-    covered by every direction; with no other node in range, psi is 0.
+    Takes one position's in-range nodes.  The sector covers a node at the
+    apex for every direction and any other node whose bearing lies within
+    ``half`` of the direction.  The coverage subset is sampled at the
+    midpoint of every arc between the event angles, where some node enters
+    or leaves the sector; each subset keeps its smallest midpoint, and a
+    subset strictly inside another is dropped.  Returns psi ascending and a
+    (directions, nodes) boolean table.  With no node off the apex, psi is 0.
     """
-    half = phi / 2.0
-    events = sorted(
-        {normalize_angle(th + s * half) for th, d in zip(thetas, dists) if d > 0.0 for s in (-1.0, 1.0)}
-    )
-    if not events:
-        return [(0.0, frozenset(ids))] if ids else []
-    m = len(events)
-    candidates: dict[frozenset[int], float] = {}
-    for i, e in enumerate(events):
-        nxt = events[i + 1] if i + 1 < m else events[0] + TWO_PI
-        mid = normalize_angle((e + nxt) / 2.0)
-        covered = frozenset(
-            j for j, th, d in zip(ids, thetas, dists) if d == 0.0 or angular_distance(th, mid) <= half
-        )
-        if covered and (covered not in candidates or mid < candidates[covered]):
-            candidates[covered] = mid
-    maximal = [(mid, c) for c, mid in candidates.items() if not any(c < t for t in candidates)]
-    return sorted(maximal, key=lambda pair: pair[0])
-
-
-def representative_directions(pos: Point, instance: NetworkInstance) -> list[float]:
-    """Minimum direction set functionally equivalent to the whole circle.
-
-    One direction per maximal coverage subset of the nodes in range, sorted
-    ascending.
-    """
-    return [psi for psi, _ in _maximal_sectors(*nodes_in_range(pos, instance), instance.dmc.phi)]
+    off = dist > 0.0
+    events = np.sort(normalize_angles(np.concatenate((theta[off] - half, theta[off] + half))))
+    if not events.size:
+        return np.zeros(1), np.ones((1, theta.size), dtype=bool)
+    events = events[np.concatenate(([True], events[1:] != events[:-1]))]
+    mids = np.sort(normalize_angles((events + np.append(events[1:], events[0] + TWO_PI)) / 2.0))
+    table = ~off | (off_axis(theta, mids[:, None]) <= half)
+    ones = table.astype(float)
+    shared = ones @ ones.T  # exact counts; shared[i, j] == size[i]: row i lies inside row j
+    size = shared.diagonal()
+    # a row goes when it lies strictly inside another or equals one of smaller psi
+    rank = np.arange(len(mids))
+    wider = (size > size[:, None]) | ((size == size[:, None]) & (rank < rank[:, None]))
+    keep = (size > 0) & ~((shared == size[:, None]) & wider).any(axis=1)
+    return mids[keep], table[keep]
 
 
 def build_coefficient_matrix(
@@ -127,20 +144,28 @@ def build_coefficient_matrix(
 ) -> CoefficientMatrix:
     """Assemble the full (position, direction) -> node coefficient matrix.
 
-    A row is positive exactly on the nodes its direction covers: ``DmcParams``
+    One ``reach_pairs`` call covers every position.  A row is a direction's
+    coverage row times the coefficients of the position's in-range nodes, so
+    it is positive exactly on the nodes its direction covers: ``DmcParams``
     keeps every coefficient within ``d_max`` positive.
     """
+    reach = reach_pairs(positions.positions, instance)
+    half = instance.dmc.phi / 2.0
+    bounds = np.searchsorted(reach.point, np.arange(len(positions.positions) + 1))
     rows: list[PosDirPair] = []
-    entries: list[np.ndarray] = []
-    dmc = instance.dmc
-    for pi, pos in enumerate(positions.positions):
-        ids, thetas, dists = nodes_in_range(pos, instance)
-        reach = dict(zip(ids, zip(thetas, dists)))
-        for psi, covered in _maximal_sectors(ids, thetas, dists, dmc.phi):
-            row = np.zeros(instance.n)
-            for j in covered:
-                row[j] = transfer_coefficient(psi, dmc.phi, *reach[j], dmc)
-            rows.append(PosDirPair(pi, psi, covered))
-            entries.append(row)
-    matrix = np.array(entries) if entries else np.zeros((0, instance.n))
-    return CoefficientMatrix(tuple(rows), matrix)
+    blocks = []
+    for pi, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        if lo == hi:
+            continue
+        psis, table = _maximal_sectors(reach.theta[lo:hi], reach.dist[lo:hi], half)
+        ids = reach.node[lo:hi]
+        id_list = ids.tolist()
+        for psi, covered in zip(psis.tolist(), table.tolist()):
+            rows.append(PosDirPair(pi, psi, frozenset(compress(id_list, covered))))
+        blocks.append((ids, table * reach.coef[lo:hi]))
+    entries = np.zeros((len(rows), instance.n))
+    start = 0
+    for ids, block in blocks:
+        entries[start : start + len(block), ids] = block
+        start += len(block)
+    return CoefficientMatrix(tuple(rows), entries)

@@ -262,8 +262,9 @@ class TravelArcs:
     Index 0 is the base station by convention.  ``row`` is the one hashing
     kernel behind both ``build_routing_matrices`` and the nearest-neighbor
     tour of ``one_to_one_schedule``: that tour asks ``lower_bounds`` for a
-    cheap numpy bound on every arc out of a point and ``arc_costs`` for the
-    exact movement energy of the few arcs that bound cannot rule out.
+    cheap numpy bound on the arcs from a point to the points not yet
+    visited and ``arc_costs`` for the exact movement energy of the few arcs
+    that bound cannot rule out.
     """
 
     def __init__(self, positions: list[Point], asym: AsymmetryField, dmc: DmcParams):
@@ -334,15 +335,16 @@ class TravelArcs:
         dist = k_dis * np.fromiter(span, dtype=float, count=len(targets))
         return dist, k_egy * self.w0
 
-    def lower_bounds(self, i: int) -> np.ndarray:
-        """A lower bound on the movement energy of every arc out of point i.
+    def lower_bounds(self, i: int, js) -> np.ndarray:
+        """Lower bounds on the movement energy of the arcs from point i to the points js.
 
         The product of the lowest coefficients and a distance no larger than
         ``math.hypot``'s: IEEE rounding is monotone, so it never exceeds the
         exact ``dist * rate`` of ``arc_costs``.  It may be negative at a
         distance below the offset, which still bounds a nonnegative cost.
         """
-        span = np.hypot(self._xs[i] - self._xs, self._ys[i] - self._ys)
+        js = np.asarray(js, dtype=np.intp)
+        span = np.hypot(self._xs[i] - self._xs[js], self._ys[i] - self._ys[js])
         k_dis, rate = self._bound_scale
         return k_dis * (span * _HYPOT_SHRINK - _HYPOT_OFFSET) * rate
 

@@ -4,7 +4,9 @@
 allocation, and asymmetric tour construction into an operation schedule.
 ``one_to_one_schedule`` is the baseline that drives to every node and charges
 it point-blank.  ``execute_schedule`` replays any schedule against the energy
-models and produces the metrics.
+models and produces the metrics: it checks the items one by one, then
+credits all transmissions from one call of ``directions.reach_pairs``, the
+coverage kernel the coefficient matrix is built from.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .errors import MalformedScheduleError
 from . import model
 from .model import NetworkInstance, Point
-from .directions import build_coefficient_matrix, nodes_in_range
+from .directions import build_coefficient_matrix, normalize_angles, off_axis, reach_pairs
 from .positions import select_charging_positions
 from .routing import cost_graph, expand_tour, greedy_tour, lk_tour, metric_closure
 from .timing import build_time_lp, solve_lp
@@ -61,6 +63,31 @@ def _rounding(x: float) -> float:
     return 0.5 * 10.0 ** (math.floor(math.log10(abs(x))) - 8) if x else 0.0
 
 
+def _received(
+    instance: NetworkInstance, stops: list[Point], sends: list[tuple[int, float, float]]
+) -> np.ndarray:
+    """Energy each node receives from the transmissions, before capacity clipping.
+
+    One ``reach_pairs`` call covers the distinct stops.  Each transmission
+    credits ``p0 * coef * t`` to every in-range node its sector covers, and
+    ``bincount`` adds each node's credits in transmission order, the order
+    a running ``+=`` per transmission takes.
+    """
+    dmc = instance.dmc
+    reach = reach_pairs(stops, instance)
+    bounds = np.searchsorted(reach.point, np.arange(len(stops) + 1))
+    stop, psi, t = (np.array(column) for column in zip(*sends))
+    lo = bounds[stop]
+    count = bounds[stop + 1] - lo
+    # the pairs of each transmission's stop, transmission after transmission
+    pair = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+    psi = np.repeat(normalize_angles(psi.astype(float)), count)
+    covered = (reach.dist[pair] == 0.0) | (off_axis(reach.theta[pair], psi) <= dmc.phi / 2.0)
+    pair = pair[covered]
+    credit = dmc.p0 * reach.coef[pair] * np.repeat(t.astype(float), count)[covered]
+    return np.bincount(reach.node[pair], weights=credit, minlength=instance.n)
+
+
 def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> ScheduleMetrics:
     """Replay a schedule item by item and account for every joule.
 
@@ -69,19 +96,20 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
     file format's 9-significant-digit rounding of the duration and of the
     move's two ends can change, and transmissions must happen where the
     charger is.  The charger starts at the 9-digit base station, the point an
-    instance file holds.  Each transmission credits the nodes that
-    ``nodes_in_range`` finds, in node-id order.  Received energy accumulates
-    linearly and is capacity-clipped once at the end.  The schedule is
-    feasible when every demand is met and the charger's battery does not run
-    out.
+    instance file holds.  The items are checked in order, and then
+    ``_received`` credits every transmission at once.  Received energy
+    accumulates linearly and is capacity-clipped once at the end.  The
+    schedule is feasible when every demand is met and the charger's battery
+    does not run out.
     """
     dmc = instance.dmc
     here = model.snap9_point(instance.bs_pos)
-    received_raw = np.zeros(instance.n)
     move_energy = 0.0
     move_time = 0.0
     tran_time = 0.0
     distance = 0.0
+    stops: dict[Point, int] = {}  # distinct transmit positions, first seen first
+    sends: list[tuple[int, float, float]] = []  # (stop, psi, duration) per transmission
     for idx, item in enumerate(schedule.items):
         if not all(map(math.isfinite, (item.pos[0], item.pos[1], item.psi, item.t))):
             raise MalformedScheduleError(f"item {idx}: non-finite position, direction or duration")
@@ -108,12 +136,11 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
                     f"item {idx}: transmits from {item.pos} but the charger is at {here}"
                 )
             tran_time += item.t
-            for k, theta, d in zip(*nodes_in_range(item.pos, instance)):
-                c = model.transfer_coefficient(item.psi, dmc.phi, theta, d, dmc)
-                received_raw[k] += dmc.p0 * c * item.t
+            sends.append((stops.setdefault(tuple(item.pos), len(stops)), item.psi, item.t))
         else:
             raise MalformedScheduleError(f"item {idx}: unknown state {item.state}")
 
+    received_raw = _received(instance, list(stops), sends) if sends else np.zeros(instance.n)
     ledger = model.energy_accounting(
         instance.e_b_vector(), instance.e_c_vector(), received_raw, tran_time, move_energy, dmc
     )

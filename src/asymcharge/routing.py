@@ -40,9 +40,9 @@ class DirectedCostGraph:
     def n(self) -> int:
         return self.cost.shape[0]
 
-    def lower_bounds(self, i: int) -> np.ndarray:
-        """A full matrix is its own bound: the costs out of point i."""
-        return self.cost[i]
+    def lower_bounds(self, i: int, js) -> np.ndarray:
+        """A full matrix is its own bound: the costs from point i to each point of js."""
+        return self.cost[i].take(js)
 
     def arc_costs(self, i: int, js) -> np.ndarray:
         return self.cost[i].take(js)
@@ -51,13 +51,13 @@ class DirectedCostGraph:
 class NearestNeighborCosts(Protocol):
     """Outgoing arc costs as ``greedy_tour`` reads them.
 
-    ``lower_bounds(i)`` never exceeds ``arc_costs(i, [j])`` for any j.
+    ``lower_bounds(i, js)`` never exceeds ``arc_costs(i, js)`` elementwise.
     """
 
     @property
     def n(self) -> int: ...
 
-    def lower_bounds(self, i: int) -> np.ndarray: ...
+    def lower_bounds(self, i: int, js) -> np.ndarray: ...
 
     def arc_costs(self, i: int, js) -> np.ndarray: ...
 
@@ -127,31 +127,32 @@ def expand_tour(tour: Tour, closed: DirectedCostGraph) -> Tour:
 def greedy_tour(g: NearestNeighborCosts) -> Tour:
     """Nearest-neighbor cycle from index 0 on outgoing costs, lowest index on ties.
 
-    A step computes the exact cost of the unvisited point of lowest bound,
-    then, unless that bound was exact, of every other unvisited point whose
-    bound does not exceed that cost; no point left out can win or tie.  A
-    full matrix is its own bound, and a lazy ``g`` computes only the arcs a
-    step cannot rule out.  The closing arc to 0 is computed once.
+    A step bounds the arcs to the unvisited points only, computes the exact
+    cost of the one of lowest bound, then, unless that bound was exact, of
+    every other unvisited point whose bound does not exceed that cost; no
+    point left out can win or tie.  A full matrix is its own bound, and a
+    lazy ``g`` computes only the arcs a step cannot rule out.  The closing
+    arc to 0 is computed once.
     """
     n = g.n
     if n == 1:
         return Tour((0, 0), 0.0)
-    blocked = np.zeros(n)  # inf at visited points; costs are finite
-    blocked[0] = np.inf
+    unvisited = np.arange(1, n)  # ascending, so argmin ties go to the lowest index
     order = [0]
     total = 0.0
     for _ in range(n - 1):
         here = order[-1]
-        bound = g.lower_bounds(here) + blocked
-        nxt = int(bound.argmin())
+        bound = g.lower_bounds(here, unvisited)
+        at = int(bound.argmin())
+        nxt = int(unvisited[at])
         best = float(g.arc_costs(here, [nxt])[0])
         if not math.isfinite(best):
             raise ValidationError("directed costs must be finite")
         # an exact lowest bound wins outright: no other cost is lower, and
         # an equal bound belongs to a higher index
-        if best > bound[nxt]:
+        if best > bound[at]:
             rivals = np.flatnonzero(bound <= best)
-            rivals = rivals[rivals != nxt]
+            rivals = unvisited[rivals[rivals != at]]
             if rivals.size:
                 costs = g.arc_costs(here, rivals)
                 k = int(costs.argmin())  # rivals ascend: the lowest index of the cheapest
@@ -159,7 +160,7 @@ def greedy_tour(g: NearestNeighborCosts) -> Tour:
                     nxt, best = int(rivals[k]), float(costs[k])
         order.append(nxt)
         total += best
-        blocked[nxt] = np.inf
+        unvisited = unvisited[unvisited != nxt]
     total += float(g.arc_costs(order[-1], [0])[0])
     order.append(0)
     return Tour(tuple(order), total)

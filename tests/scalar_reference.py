@@ -2,7 +2,9 @@
 
 The straightforward one-pair-at-a-time and one-node-at-a-time loops behind
 ``model.ra_coefficients``, ``model.build_routing_matrices``,
-``directions.nodes_in_range`` and ``pipeline.execute_schedule``; the cover
+``directions.reach_pairs``, ``directions.build_coefficient_matrix`` (the
+event sweep that tests every node at every arc midpoint) and
+``pipeline.execute_schedule``; the cover
 that encloses every cluster of every k from k = 1, behind
 ``positions.select_charging_positions``; the nearest-neighbor tour that
 takes a Python ``min`` over the unvisited set, behind
@@ -87,6 +89,64 @@ def reference_nodes_in_range(
             thetas.append(model.normalize_angle(math.atan2(dy, dx)) if d > 0.0 else 0.0)
             dists.append(d)
     return ids, thetas, dists
+
+
+def reference_maximal_sectors(
+    ids: list[int], thetas: list[float], dists: list[float], phi: float
+) -> list[tuple[float, frozenset[int]]]:
+    """``(psi, covered)`` for each maximal coverage subset, sorted by psi.
+
+    Takes the lists ``reference_nodes_in_range`` returns.  Sweeps the event
+    angles where some node enters or leaves the sector, samples the coverage
+    subset at the midpoint of every arc between events, and keeps one
+    direction per coverage subset that is maximal under set inclusion (the
+    smallest qualifying midpoint when several arcs tie).  A node at the apex
+    is covered by every direction; with no other node in range, psi is 0.
+    """
+    half = phi / 2.0
+    events = sorted(
+        {model.normalize_angle(th + s * half) for th, d in zip(thetas, dists) if d > 0.0 for s in (-1.0, 1.0)}
+    )
+    if not events:
+        return [(0.0, frozenset(ids))] if ids else []
+    m = len(events)
+    candidates: dict[frozenset[int], float] = {}
+    for i, e in enumerate(events):
+        nxt = events[i + 1] if i + 1 < m else events[0] + model.TWO_PI
+        mid = model.normalize_angle((e + nxt) / 2.0)
+        covered = frozenset(
+            j for j, th, d in zip(ids, thetas, dists) if d == 0.0 or model.angular_distance(th, mid) <= half
+        )
+        if covered and (covered not in candidates or mid < candidates[covered]):
+            candidates[covered] = mid
+    maximal = [(mid, c) for c, mid in candidates.items() if not any(c < t for t in candidates)]
+    return sorted(maximal, key=lambda pair: pair[0])
+
+
+def reference_representative_directions(pos: Point, instance: NetworkInstance) -> list[float]:
+    """One direction per maximal coverage subset of the nodes in range, ascending."""
+    return [
+        psi
+        for psi, _ in reference_maximal_sectors(*reference_nodes_in_range(pos, instance), instance.dmc.phi)
+    ]
+
+
+def reference_coefficient_matrix(
+    cover: ChargingPositionSet, instance: NetworkInstance
+) -> tuple[list[tuple[int, float, frozenset[int]]], np.ndarray]:
+    """(position, psi, covered) per row and the entries, one node at a time."""
+    dmc = instance.dmc
+    rows, entries = [], []
+    for pi, pos in enumerate(cover.positions):
+        ids, thetas, dists = reference_nodes_in_range(pos, instance)
+        reach = dict(zip(ids, zip(thetas, dists)))
+        for psi, covered in reference_maximal_sectors(ids, thetas, dists, dmc.phi):
+            row = np.zeros(instance.n)
+            for j in covered:
+                row[j] = model.transfer_coefficient(psi, dmc.phi, *reach[j], dmc)
+            rows.append((pi, psi, covered))
+            entries.append(row)
+    return rows, np.array(entries) if entries else np.zeros((0, instance.n))
 
 
 def reference_execute_schedule(

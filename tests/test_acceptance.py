@@ -16,12 +16,14 @@ import pytest
 
 from asymcharge import (
     AsymmetryField,
+    ChargingPositionSet,
     DmcParams,
     LpProblem,
     MOVE,
     TRANSMIT,
     OperationSchedule,
     ScheduleItem,
+    build_coefficient_matrix,
     build_routing_matrices,
     cost_graph,
     execute_schedule,
@@ -30,10 +32,8 @@ from asymcharge import (
     lk_tour,
     metric_closure,
     min_enclosing_circle,
-    nodes_in_range,
     one_to_one_schedule,
     plan_schedule,
-    representative_directions,
     select_charging_positions,
     solve_lp,
     to_symmetric,
@@ -42,6 +42,7 @@ from asymcharge.cli import generate_instance
 from asymcharge.model import angular_distance, normalize_angle, snap9_point, transfer_coefficient
 
 from conftest import subprocess_env
+from scalar_reference import reference_nodes_in_range
 from support import brute_force_tour, ra_distance, segment_move_energy_time
 
 
@@ -145,7 +146,7 @@ def test_criterion_2_coverage_validity_and_minimality():
 
 
 def _sweep_events(pos, instance):
-    ids, thetas, dists = nodes_in_range(pos, instance)
+    ids, thetas, dists = reference_nodes_in_range(pos, instance)
     half = instance.dmc.phi / 2.0
     events = sorted(
         {normalize_angle(th + s * half) for th, d in zip(thetas, dists) if d > 0 for s in (-1.0, 1.0)}
@@ -178,7 +179,7 @@ def test_criterion_3_direction_set_equivalence():
             if not ids:
                 continue
 
-            _, thetas, dists = nodes_in_range(pos, instance)
+            _, thetas, dists = reference_nodes_in_range(pos, instance)
             half = instance.dmc.phi / 2.0
 
             def coverage(psi):
@@ -188,7 +189,10 @@ def test_criterion_3_direction_set_equivalence():
                     if d == 0.0 or angular_distance(th, psi) <= half
                 )
 
-            rep_family = {coverage(psi) for psi in representative_directions(pos, instance)}
+            # the library's directions: the rows of a one-position matrix
+            cover = ChargingPositionSet(positions=(pos,), assignment=(0,) * instance.n)
+            directions = [row.psi for row in build_coefficient_matrix(cover, instance).rows]
+            rep_family = {coverage(psi) for psi in directions}
             grid_subsets = {s for s in (coverage(psi) for psi in grid) if s}
             # domination holds unconditionally, resolvable arcs or not
             assert all(any(s <= r for r in rep_family) for s in grid_subsets)

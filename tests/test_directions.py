@@ -5,24 +5,29 @@ import numpy as np
 import pytest
 
 from asymcharge import (
+    MOVE,
+    TRANSMIT,
     ChargingPositionSet,
     DmcParams,
+    OperationSchedule,
+    ScheduleItem,
     build_coefficient_matrix,
     directions,
-    nodes_in_range,
-    representative_directions,
+    execute_schedule,
+    pipeline,
     select_charging_positions,
 )
 from asymcharge.model import angular_distance
 
 from conftest import make_instance
+from scalar_reference import reference_nodes_in_range
 
 GRID_STEP = 0.001
 
 
 def grid_sweep_subsets(pos, instance, step=GRID_STEP):
     """Coverage subsets sampled on a fine direction grid (oracle)."""
-    ids, thetas, dists = nodes_in_range(pos, instance)
+    ids, thetas, dists = reference_nodes_in_range(pos, instance)
     half = instance.dmc.phi / 2.0
     subsets = set()
     for psi in np.arange(0.0, 2 * math.pi, step):
@@ -44,6 +49,18 @@ def node_at(pos, e_d=20.0):
     return (pos, 10.0, e_d, 60.0)
 
 
+def nodes_in_range(pos, instance):
+    """Ids, bearings and distances of the nodes the kernel finds around one point."""
+    reach = directions.reach_pairs([pos], instance)
+    return reach.node.tolist(), reach.theta.tolist(), reach.dist.tolist()
+
+
+def representative_directions(pos, instance):
+    """The directions the coefficient matrix keeps at a one-position cover."""
+    cover = ChargingPositionSet(positions=(pos,), assignment=(0,) * instance.n)
+    return [row.psi for row in build_coefficient_matrix(cover, instance).rows]
+
+
 class TestNodesInRange:
     def test_empty_when_far(self):
         instance = make_instance([node_at((100.0, 100.0))], bs=(0.0, 0.0))
@@ -56,6 +73,12 @@ class TestNodesInRange:
         assert ids == [0]
         assert thetas[0] == 0.0
         assert dists[0] == 5.0
+
+    def test_apex_bearing_zero(self):
+        # atan2(-0.0, -0.0) is -pi: the apex gets bearing 0 whatever the signs
+        instance = make_instance([node_at((-0.0, -0.0))])
+        ids, thetas, dists = nodes_in_range((0.0, 0.0), instance)
+        assert (ids, thetas, dists) == ([0], [0.0], [0.0])
 
     def test_diagonal_bearing(self):
         instance = make_instance([node_at((1.0, 1.0))])
@@ -109,7 +132,7 @@ class TestRepresentativeDirections:
         assert dirs == sorted(dirs)
 
     def _coverage(self, psi, pos, instance):
-        ids, thetas, dists = nodes_in_range(pos, instance)
+        ids, thetas, dists = reference_nodes_in_range(pos, instance)
         half = instance.dmc.phi / 2.0
         return frozenset(
             i for i, th, d in zip(ids, thetas, dists) if d == 0.0 or angular_distance(th, psi) <= half
@@ -131,7 +154,7 @@ class TestRepresentativeDirections:
             for i, s in enumerate(rep_subsets):
                 assert not any(s < t for j, t in enumerate(rep_subsets) if j != i)
             # union over directions covers everything in range
-            ids, _, _ = nodes_in_range(pos, instance)
+            ids, _, _ = reference_nodes_in_range(pos, instance)
             union = frozenset().union(*rep_subsets) if rep_subsets else frozenset()
             assert union == frozenset(ids)
 
@@ -183,13 +206,26 @@ class TestCoefficientMatrix:
         assert np.all(matrix.entries >= 0.0)
         assert np.all(matrix.entries <= apex + 1e-12)
 
-    def test_one_reach_test_per_position(self):
+    def test_one_kernel_call_per_matrix_and_replay(self):
         rng = np.random.default_rng(12)
         pts = rng.uniform(0, 80, size=(30, 2))
         instance = make_instance(
             [node_at((float(x), float(y))) for x, y in pts], bs=(40.0, 40.0)
         )
         cover = select_charging_positions(instance)
-        with mock.patch.object(directions, "nodes_in_range", wraps=directions.nodes_in_range) as reach:
+        assert len(cover.positions) > 1
+        with mock.patch.object(directions, "reach_pairs", wraps=directions.reach_pairs) as reach:
             build_coefficient_matrix(cover, instance)
-        assert reach.call_count == len(cover.positions) > 1
+        assert reach.call_count == 1
+        assert reach.call_args.args[0] == cover.positions
+        # the stops repeat: the replay searches each distinct one once
+        stop = pts[0].tolist()
+        items = [ScheduleItem(TRANSMIT, instance.bs_pos, psi, 1.0) for psi in (0.0, 2.0)]
+        items.append(ScheduleItem(MOVE, tuple(stop), 0.0, math.dist(instance.bs_pos, stop)))
+        items += [ScheduleItem(TRANSMIT, tuple(stop), psi, 1.0) for psi in (0.0, 2.0, -1.0)]
+        with mock.patch.object(pipeline, "reach_pairs", wraps=pipeline.reach_pairs) as reach:
+            execute_schedule(instance, OperationSchedule(tuple(items)))
+            assert reach.call_count == 1
+            assert reach.call_args.args[0] == [instance.bs_pos, tuple(stop)]
+            execute_schedule(instance, OperationSchedule(tuple(items[2:3])))
+        assert reach.call_count == 1  # a schedule without transmissions searches nothing

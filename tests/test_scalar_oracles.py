@@ -1,6 +1,6 @@
-"""The row-wise matrix build, the prefiltered reach test, the replay, the
-masked nearest-neighbor tour and the bounded one-to-one tour against scalar
-loops and full matrices.
+"""The row-wise matrix build, the coverage kernel, the direction sweep, the
+batched replay, the masked nearest-neighbor tour and the bounded one-to-one
+tour against scalar loops and full matrices.
 
 Every comparison is exact: matrices by their bytes, metrics with ``==``.
 """
@@ -8,6 +8,8 @@ Every comparison is exact: matrices by their bytes, metrics with ``==``.
 import math
 
 import numpy as np
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,20 +21,23 @@ from asymcharge import (
     NetworkInstance,
     OperationSchedule,
     ScheduleItem,
+    ChargingPositionSet,
+    build_coefficient_matrix,
     build_routing_matrices,
     cost_graph,
     execute_schedule,
     greedy_tour,
-    nodes_in_range,
     one_to_one_schedule,
     plan_schedule,
+    select_charging_positions,
 )
-from asymcharge import model
+from asymcharge import directions, model
 from asymcharge.cli import demo_instance, generate_instance, schedule_to_text
 from asymcharge.model import ra_coefficients
 
 from conftest import make_instance
 from scalar_reference import (
+    reference_coefficient_matrix,
     reference_coefficients,
     reference_execute_schedule,
     reference_greedy_tour,
@@ -159,7 +164,9 @@ class TestReplay:
         offsets = boundary_offsets(d_max, 0.0, 1.0) + [tuple(o) for o in spread.tolist()]
         specs = [((pos[0] + dx, pos[1] + dy), 5.0, 20.0, 60.0) for dx, dy in offsets]
         instance = make_instance(specs, dmc=DmcParams(d_max=d_max))
-        assert nodes_in_range(pos, instance) == reference_nodes_in_range(pos, instance)
+        reach = directions.reach_pairs([pos], instance)
+        got = (reach.node.tolist(), reach.theta.tolist(), reach.dist.tolist())
+        assert got == reference_nodes_in_range(pos, instance)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -189,6 +196,54 @@ class TestReplay:
         schedule = OperationSchedule(tuple(items))
         assert execute_schedule(instance, schedule) == reference_execute_schedule(instance, schedule)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+        st.floats(min_value=0.5, max_value=40.0),
+        st.floats(min_value=0.05, max_value=6.0),
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(min_value=-20.0, max_value=20.0),
+                    st.sampled_from([0.0, -1e-300, -math.pi, 2 * math.pi, 4 * math.pi, -2 * math.pi]),
+                ),
+                st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from([4.0, 3.7, 0.3]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_repeated_stop_many_directions(self, stop, d_max, phi, sends, p0, s):
+        # one stop charged in many directions, before and after a visit to
+        # the base station, so each node sums credits from several stops;
+        # a p0 other than a power of two makes the product order show
+        stop = (float(stop[0]), float(stop[1]))
+        dmc = DmcParams(d_max=d_max, phi=phi, p0=p0)
+        specs = [
+            ((stop[0] + dx, stop[1] + dy), 5.0, 20.0, 60.0)
+            for psi, _ in sends[:2]
+            for dx, dy in boundary_offsets(d_max, psi, phi)
+        ]
+        spread = np.random.default_rng(s).uniform(-1.1 * d_max, 1.1 * d_max, size=(20, 2))
+        specs += [((stop[0] + dx, stop[1] + dy), 5.0, 20.0, 60.0) for dx, dy in spread.tolist()]
+        specs.append(((0.0, 0.0), 5.0, 20.0, 60.0))  # at the base station's apex
+        instance = make_instance(specs, bs=(0.0, 0.0), dmc=dmc, asym=AsymmetryField(seed=s))
+        bs = instance.bs_pos
+        there = ra_distance(bs, stop, instance.asym) / dmc.v_bar
+        back = ra_distance(stop, bs, instance.asym) / dmc.v_bar
+        items = [ScheduleItem(TRANSMIT, stop, psi, t) for psi, t in sends]
+        items = (
+            [ScheduleItem(TRANSMIT, bs, sends[0][0], 1.0), ScheduleItem(MOVE, stop, 0.0, there)]
+            + items
+            + [ScheduleItem(MOVE, bs, 0.0, back), ScheduleItem(TRANSMIT, bs, -sends[-1][0], 2.0)]
+            + [ScheduleItem(MOVE, stop, 0.0, there)]
+            + items[::-1]
+        )
+        schedule = OperationSchedule(tuple(items))
+        assert execute_schedule(instance, schedule) == reference_execute_schedule(instance, schedule)
+
     def test_schedulers_replay_equal(self):
         for seed in (3, 11):
             instance = generate_instance(60, seed=seed)
@@ -205,6 +260,63 @@ class TestReplay:
             if item.state == MOVE:
                 assert item.t == ra_distance(here, item.pos, instance.asym) / instance.dmc.v_bar
                 here = item.pos
+
+
+@st.composite
+def matrix_cases(draw):
+    """A generated instance under a drawn charger, and the positions of its cover.
+
+    Some node positions join the cover, so some nodes sit at a sector apex.
+    """
+    n = draw(st.integers(1, 80))
+    area = draw(st.sampled_from([50.0, 200.0, 2000.0]))
+    dmc = DmcParams(
+        d_max=draw(st.floats(min_value=2.0, max_value=40.0)),
+        phi=draw(st.floats(min_value=0.05, max_value=6.0)),
+        delta=draw(st.sampled_from([4000.0, 1.0, 37.5])),
+        alpha=draw(st.sampled_from([100.0, 0.5, 3.0])),
+        beta=draw(st.sampled_from([2.0, 1.7, 2.5, 3.0])),
+    )
+    instance = generate_instance(n, seed=draw(st.integers(0, 2**32 - 1)), area=area, dmc=dmc)
+    cover = select_charging_positions(instance)
+    apexes = draw(st.lists(st.sampled_from(instance.nodes), max_size=4))
+    points = cover.positions + tuple(u.pos for u in apexes)
+    return instance, ChargingPositionSet(points, cover.assignment)
+
+
+class TestCoefficientMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_cases())
+    def test_equal_to_per_node_sweep(self, case):
+        instance, cover = case
+        matrix = build_coefficient_matrix(cover, instance)
+        rows, entries = reference_coefficient_matrix(cover, instance)
+        assert [(r.pos_index, r.psi, r.covered) for r in matrix.rows] == rows
+        assert_bitwise_equal(matrix.entries, entries)
+
+    def test_shared_bearings_share_events(self):
+        # nodes on common rays from a position give equal event angles,
+        # which the sweep must merge before it samples the arcs between them
+        rays = ((1, 0), (1, 1), (-3, 4))
+        specs = [((r * dx, r * dy), 5.0, 20.0, 60.0) for dx, dy in rays for r in (1, 2, 3)]
+        instance = make_instance(specs + [((0.0, 0.0), 5.0, 20.0, 60.0)])
+        for pos in ((0.0, 0.0), (2.0, 2.0), (-6.0, 8.0)):
+            cover = ChargingPositionSet((pos,), (0,) * instance.n)
+            matrix = build_coefficient_matrix(cover, instance)
+            rows, entries = reference_coefficient_matrix(cover, instance)
+            assert [(r.pos_index, r.psi, r.covered) for r in matrix.rows] == rows
+            assert_bitwise_equal(matrix.entries, entries)
+
+    @settings(max_examples=40, deadline=None)
+    @given(matrix_cases())
+    def test_kernel_blocks_do_not_change_the_pairs(self, case):
+        instance, cover = case
+        points = list(cover.positions) + [u.pos for u in instance.nodes[:40]]
+        runs = []
+        for block in (1, 7, directions._BLOCK):
+            with mock.patch.object(directions, "_BLOCK", block):
+                runs.append([a.tobytes() for a in directions.reach_pairs(points, instance)])
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestGreedyTour:
@@ -256,7 +368,7 @@ class TestOneToOneTour:
         arcs = model.TravelArcs(points, instance.asym, instance.dmc)
         every = np.arange(arcs.n)
         for i in range(arcs.n):
-            assert np.all(arcs.lower_bounds(i) <= arcs.arc_costs(i, every))
+            assert np.all(arcs.lower_bounds(i, every) <= arcs.arc_costs(i, every))
 
     @settings(max_examples=120, deadline=None)
     @given(one_to_one_instances())
