@@ -18,8 +18,6 @@ from .model import (
     build_routing_matrices,
     energy_accounting,
     final_node_energy,
-    ra_coefficients,
-    transfer_coefficient,
 )
 from .positions import (
     ChargingPositionSet,

@@ -58,7 +58,8 @@ class Reach(NamedTuple):
 
 
 def normalize_angles(a: np.ndarray) -> np.ndarray:
-    """``model.normalize_angle`` elementwise, bit for bit."""
+    """Angles mapped to [0, 2*pi): ``fmod`` by a turn, one turn added to a
+    negative remainder, and 0 where that sum rounds up to 2*pi."""
     a = np.fmod(a, TWO_PI)
     a[a < 0.0] += TWO_PI
     a[a >= TWO_PI] = 0.0
@@ -66,7 +67,7 @@ def normalize_angles(a: np.ndarray) -> np.ndarray:
 
 
 def off_axis(theta: np.ndarray, psi) -> np.ndarray:
-    """``model.angular_distance`` of normalized angles, elementwise and bit for bit."""
+    """Circular distance in [0, pi] between angles already in [0, 2*pi)."""
     d = np.abs(theta - psi)
     return np.minimum(d, TWO_PI - d)
 

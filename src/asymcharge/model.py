@@ -24,24 +24,6 @@ _CELL_LIMIT = 2.0**63  # grid cells must fit a signed 64-bit int
 Point = tuple[float, float]
 
 
-def normalize_angle(a: float) -> float:
-    """Map an angle to [0, 2*pi)."""
-    a = math.fmod(a, TWO_PI)
-    if a < 0.0:
-        a += TWO_PI
-    return 0.0 if a >= TWO_PI else a
-
-
-def angular_distance(a: float, b: float) -> float:
-    """Circular distance between two angles, in [0, pi]."""
-    d = abs(normalize_angle(a) - normalize_angle(b))
-    return min(d, TWO_PI - d)
-
-
-def euclidean(a: Point, b: Point) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
 def snap9(x: float) -> float:
     """Round to the 9-significant-digit value the file formats store.
 
@@ -157,42 +139,6 @@ class AsymmetryField:
         return (round(x), round(y))
 
 
-def _key_head(asym: AsymmetryField, q: tuple[int, int]) -> bytes:
-    """First half of a pair's hash key: the seed and the origin cell."""
-    return struct.pack("<Q2q", asym.seed & 0xFFFFFFFFFFFFFFFF, q[0], q[1])
-
-
-def _key_tail(q: tuple[int, int]) -> bytes:
-    """Second half of a pair's hash key: the destination cell."""
-    return struct.pack("<2q", q[0], q[1])
-
-
-def _scale(word, bounds: tuple[float, float]):
-    """Map a 64-bit hash word (an int, or a uint64 array) into [lo, hi]."""
-    lo, hi = bounds
-    return lo + word / 2.0**64 * (hi - lo)
-
-
-def ra_coefficients(asym: AsymmetryField, a: Point, b: Point) -> tuple[float, float]:
-    """Distance and energy-rate coefficients for travel from ``a`` to ``b``.
-
-    A self-pair (after quantization) is neutral: (1, 1).
-    """
-    qa = asym.quantize(a)
-    qb = asym.quantize(b)
-    if qa == qb:
-        return (1.0, 1.0)
-    if asym.overrides is not None:
-        hit = asym.overrides.get((qa, qb))
-        if hit is not None:
-            return hit
-    digest = hashlib.blake2b(_key_head(asym, qa) + _key_tail(qb), digest_size=16).digest()
-    return (
-        _scale(int.from_bytes(digest[:8], "little"), asym.k_dis_range),
-        _scale(int.from_bytes(digest[8:], "little"), asym.k_egy_range),
-    )
-
-
 @dataclass(frozen=True)
 class NetworkInstance:
     """A complete problem input: nodes, base station, charger, asymmetry."""
@@ -260,11 +206,12 @@ class TravelArcs:
     """Directed travel over an ordered point list, computed one origin row on demand.
 
     Index 0 is the base station by convention.  ``row`` is the one hashing
-    kernel behind both ``build_routing_matrices`` and the nearest-neighbor
-    tour of ``one_to_one_schedule``: that tour asks ``lower_bounds`` for a
-    cheap numpy bound on the arcs from a point to the points not yet
-    visited and ``arc_costs`` for the exact movement energy of the few arcs
-    that bound cannot rule out.
+    kernel behind ``build_routing_matrices``, the nearest-neighbor tour of
+    ``one_to_one_schedule`` and the replay's check of every move: that tour
+    asks ``lower_bounds`` for a cheap numpy bound on the arcs from a point
+    to the points not yet visited and ``arc_costs`` for the exact movement
+    energy of the few arcs that bound cannot rule out, and the replay asks
+    ``row`` once for all its moves, one origin per move.
     """
 
     def __init__(self, positions: list[Point], asym: AsymmetryField, dmc: DmcParams):
@@ -272,15 +219,22 @@ class TravelArcs:
         self.asym = asym
         self.w0 = dmc.w0
         self._cells = [asym.quantize(p) for p in self.positions]
-        self._tails = [_key_tail(q) for q in self._cells]
+        # a pair's hash key packs the seed's low 64 bits, the origin cell (the
+        # head) and the target cell (the tail), each cell as two signed 64-bit ints
+        self._seed = asym.seed & 0xFFFFFFFFFFFFFFFF
+        self._tails = [struct.pack("<2q", q[0], q[1]) for q in self._cells]
         ids: dict[tuple[int, int], int] = {}
         self._cell_ids = np.array([ids.setdefault(q, len(ids)) for q in self._cells])
         self._xs = np.array([p[0] for p in self.positions], dtype=float)
         self._ys = np.array([p[1] for p in self.positions], dtype=float)
-        # _scale adds a nonnegative term to lo, same-cell pairs are 1 and
+        # a hash word w scales to lo + w / 2**64 * (hi - lo) in its range
+        (d_lo, d_hi), (e_lo, e_hi) = asym.k_dis_range, asym.k_egy_range
+        self._lows = np.array([d_lo, e_lo])
+        self._widths = np.array([d_hi - d_lo, e_hi - e_lo])
+        # that adds a nonnegative term to lo, same-cell pairs are 1 and
         # overrides are what they say, so no coefficient falls below these
-        k_dis = [asym.k_dis_range[0], 1.0]
-        k_egy = [asym.k_egy_range[0], 1.0]
+        k_dis = [d_lo, 1.0]
+        k_egy = [e_lo, 1.0]
         for hit in (asym.overrides or {}).values():
             k_dis.append(hit[0])
             k_egy.append(hit[1])
@@ -291,49 +245,67 @@ class TravelArcs:
     def n(self) -> int:
         return len(self.positions)
 
-    def row(self, i: int, js=None) -> tuple[np.ndarray, np.ndarray]:
-        """Distances and energy rates of the arcs from point i to each point of js.
+    def row(self, i, js=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(k_dis, span, k_egy)`` of the arcs from origin i to each point of js.
 
-        ``js=None`` means every point, in order.  Every entry is
-        bit-identical to ``ra_coefficients`` times ``euclidean`` for its
-        pair: the row hashes the shared ``seed || origin`` prefix of the
-        scalar key once and copies that state for each destination's packed
-        cell, and decodes the digests in one numpy call.  Same-cell pairs
-        (the arc from i to itself among them, at distance 0) and
-        ``overrides`` hits keep their scalar values.
+        ``i`` is one origin index, or an integer array of one origin index
+        per point of ``js``; ``js=None`` means every point, in order, from
+        the one origin ``i``.  This is the one code that turns a pair of
+        points into travel coefficients.  A pair's coefficients come from one
+        keyed blake2b of the seed and both grid cells, scaled into the
+        field's ranges; a same-cell pair (the arc from a point to itself
+        among them) is (1, 1), and an ``overrides`` hit is what it says.
+        Each run of equal origins hashes the ``seed || origin`` key head once
+        and copies that state for each target's packed cell, and all digests
+        decode in one numpy pass.  ``span`` is the ``math.hypot`` distance;
+        an arc's travel distance is ``k_dis * span`` and its energy rate
+        ``k_egy * w0``.
         """
         if js is None:
             pick, targets = slice(None), range(self.n)
         else:
             pick = np.asarray(js, dtype=np.intp)
             targets = pick.tolist()
-        qi = self._cells[i]
-        # hashing the head once and copying the state is the same blake2b
-        # as hashing head + tail, at half the cost per pair
-        head = hashlib.blake2b(_key_head(self.asym, qi), digest_size=16)
-        tails = self._tails
+        if isinstance(i, np.ndarray):
+            first = np.ones(len(targets), dtype=bool)  # where a run of equal origins starts
+            first[1:] = i[1:] != i[:-1]
+            starts = np.flatnonzero(first).tolist()
+            bounds = zip(starts, starts[1:] + [len(targets)])
+            runs = list(zip(i[starts].tolist(), (targets[lo:hi] for lo, hi in bounds)))
+            x, y = self._xs[i], self._ys[i]
+        else:
+            runs = [(i, targets)]
+            x, y = self.positions[i]
+        cells, tails = self._cells, self._tails
         digests = []
-        for j in targets:
-            h = head.copy()
-            h.update(tails[j])
-            digests.append(h.digest())
+        for origin, run in runs:
+            # hashing the head once and copying the state is the same blake2b
+            # as hashing head + tail, at half the cost per pair
+            q = cells[origin]
+            head = hashlib.blake2b(struct.pack("<Q2q", self._seed, q[0], q[1]), digest_size=16)
+            for j in run:
+                h = head.copy()
+                h.update(tails[j])
+                digests.append(h.digest())
         words = np.frombuffer(b"".join(digests), "<u8").reshape(len(targets), 2)
-        k_dis = _scale(words[:, 0], self.asym.k_dis_range)
-        k_egy = _scale(words[:, 1], self.asym.k_egy_range)
+        k = words / 2.0**64 * self._widths + self._lows
+        k_dis, k_egy = k[:, 0], k[:, 1]
         same = self._cell_ids[pick] == self._cell_ids[i]
         if same.any():
             k_dis[same] = 1.0
             k_egy[same] = 1.0
-        if self.asym.overrides is not None:
-            for at, j in enumerate(targets):
-                hit = self.asym.overrides.get((qi, self._cells[j])) if not same[at] else None
+        overrides = self.asym.overrides
+        if overrides is not None:
+            pairs = ((origin, j) for origin, run in runs for j in run)
+            for at, (origin, j) in enumerate(pairs):
+                hit = None if same[at] else overrides.get((cells[origin], cells[j]))
                 if hit is not None:
                     k_dis[at], k_egy[at] = hit
-        a = self.positions[i]
         # math.hypot, not np.hypot: the two differ in the last bit on some pairs
-        span = map(math.hypot, (a[0] - self._xs[pick]).tolist(), (a[1] - self._ys[pick]).tolist())
-        dist = k_dis * np.fromiter(span, dtype=float, count=len(targets))
-        return dist, k_egy * self.w0
+        dx = (x - self._xs[pick]).tolist()
+        dy = (y - self._ys[pick]).tolist()
+        span = np.fromiter(map(math.hypot, dx, dy), dtype=float, count=len(targets))
+        return k_dis, span, k_egy
 
     def lower_bounds(self, i: int, js) -> np.ndarray:
         """Lower bounds on the movement energy of the arcs from point i to the points js.
@@ -354,9 +326,10 @@ class TravelArcs:
         Records each arc's distance in ``dist``.
         """
         js = np.asarray(js, dtype=np.intp)
-        dist, rate = self.row(i, js)
+        k_dis, span, k_egy = self.row(i, js)
+        dist = k_dis * span
         self.dist.update(zip(((i, j) for j in js.tolist()), dist.tolist()))
-        return dist * rate
+        return dist * (k_egy * self.w0)
 
 
 def build_routing_matrices(
@@ -371,25 +344,11 @@ def build_routing_matrices(
     dist = np.zeros((n, n))
     rate = np.zeros((n, n))
     for i in range(n):
-        dist[i], rate[i] = arcs.row(i)
+        k_dis, span, k_egy = arcs.row(i)
+        dist[i] = k_dis * span
+        rate[i] = k_egy * dmc.w0
     np.fill_diagonal(rate, 0.0)
     return RoutingMatrices(arcs.positions, dist, rate)
-
-
-def transfer_coefficient(psi: float, phi: float, theta: float, d: float, dmc: DmcParams) -> float:
-    """Energy transfer coefficient from a charger sector to a node.
-
-    Nonzero only when the node is within charge distance and its direction
-    lies inside the closed sector [psi - phi/2, psi + phi/2].  A node at the
-    sector apex (d = 0) counts as covered for every direction.
-    """
-    if d < 0:
-        raise ValidationError("distance must be nonnegative")
-    if d > dmc.d_max:
-        return 0.0
-    if d > 0.0 and angular_distance(theta, psi) > phi / 2.0:
-        return 0.0
-    return dmc.delta / (dmc.alpha + d) ** dmc.beta
 
 
 def final_node_energy(e_b: np.ndarray, e_r: np.ndarray, e_c: np.ndarray) -> np.ndarray:

@@ -5,19 +5,22 @@ allocation, and asymmetric tour construction into an operation schedule.
 ``one_to_one_schedule`` is the baseline that drives to every node and charges
 it point-blank.  ``execute_schedule`` replays any schedule against the energy
 models and produces the metrics: it checks the items one by one, then
-credits all transmissions from one call of ``directions.reach_pairs``, the
-coverage kernel the coefficient matrix is built from.
+prices every move from one call of ``model.TravelArcs.row``, the hashing
+kernel the tours read, and credits all transmissions from one call of
+``directions.reach_pairs``, the coverage kernel the coefficient matrix is
+built from.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time as _time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MalformedScheduleError
+from .errors import MalformedScheduleError, ValidationError
 from . import model
 from .model import NetworkInstance, Point
 from .directions import build_coefficient_matrix, normalize_angles, off_axis, reach_pairs
@@ -91,54 +94,79 @@ def _received(
 def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> ScheduleMetrics:
     """Replay a schedule item by item and account for every joule.
 
-    Every number in an item must be finite.  Movement durations must match
-    the directed travel time implied by the asymmetry field up to what the
-    file format's 9-significant-digit rounding of the duration and of the
-    move's two ends can change, and transmissions must happen where the
-    charger is.  The charger starts at the 9-digit base station, the point an
-    instance file holds.  The items are checked in order, and then
-    ``_received`` credits every transmission at once.  Received energy
-    accumulates linearly and is capacity-clipped once at the end.  The
-    schedule is feasible when every demand is met and the charger's battery
-    does not run out.
+    Every number in an item must be finite, and transmissions must happen
+    where the charger is.  The charger starts at the 9-digit base station,
+    the point an instance file holds.  The items are checked in order up to
+    the first fault.  Then one ``TravelArcs.row`` call prices every move
+    before it, and each move's duration must match its directed travel time
+    up to what the file format's 9-significant-digit rounding of the
+    duration and of the move's two ends can change.  Only then is that
+    first fault raised, so the lowest-index fault wins.  ``_received``
+    credits every transmission at once.  Received energy accumulates
+    linearly and is capacity-clipped once at the end.  The schedule is
+    feasible when every demand is met and the charger's battery does not
+    run out.
     """
     dmc = instance.dmc
-    here = model.snap9_point(instance.bs_pos)
-    move_energy = 0.0
-    move_time = 0.0
+    ends = [model.snap9_point(instance.bs_pos)]  # the charger's start, then each move's end
+    moves: list[tuple[int, float]] = []  # (item index, duration) per move
     tran_time = 0.0
-    distance = 0.0
     stops: dict[Point, int] = {}  # distinct transmit positions, first seen first
     sends: list[tuple[int, float, float]] = []  # (stop, psi, duration) per transmission
-    for idx, item in enumerate(schedule.items):
-        if not all(map(math.isfinite, (item.pos[0], item.pos[1], item.psi, item.t))):
-            raise MalformedScheduleError(f"item {idx}: non-finite position, direction or duration")
-        if item.t < 0:
-            raise MalformedScheduleError(f"item {idx}: negative duration")
-        if item.state == MOVE:
-            k_dis, k_egy = model.ra_coefficients(instance.asym, here, item.pos)
-            d = k_dis * model.euclidean(here, item.pos)
-            t = d / dmc.v_bar
-            # files keep 9 significant digits of the duration and of both ends;
+    fault = None
+    try:
+        for idx, item in enumerate(schedule.items):
+            if not all(map(math.isfinite, (item.pos[0], item.pos[1], item.psi, item.t))):
+                raise MalformedScheduleError(f"item {idx}: non-finite position, direction or duration")
+            if item.t < 0:
+                raise MalformedScheduleError(f"item {idx}: negative duration")
+            if item.state == MOVE:
+                moves.append((idx, item.t))
+                ends.append(item.pos)
+            elif item.state == TRANSMIT:
+                if tuple(item.pos) != tuple(ends[-1]):
+                    raise MalformedScheduleError(
+                        f"item {idx}: transmits from {item.pos} but the charger is at {ends[-1]}"
+                    )
+                tran_time += item.t
+                sends.append((stops.setdefault(tuple(item.pos), len(stops)), item.psi, item.t))
+            else:
+                raise MalformedScheduleError(f"item {idx}: unknown state {item.state}")
+    except MalformedScheduleError as exc:
+        fault = exc
+
+    move_energy = move_time = distance = 0.0
+    if moves:
+        try:
+            arcs = model.TravelArcs(ends, instance.asym, dmc)
+        except ValidationError as exc:
+            # quantize stops the loop at ends[cut], the first end off the hash
+            # grid: the move into it faults, after the moves before it
+            fault = exc
+            with contextlib.suppress(ValidationError):
+                for cut, p in enumerate(ends):
+                    instance.asym.quantize(p)
+            del ends[cut:], moves[max(cut - 1, 0) :]
+            arcs = model.TravelArcs(ends, instance.asym, dmc)
+        m = len(moves)
+        k_dis, span, k_egy = arcs.row(np.arange(m), np.arange(1, m + 1))
+        d = k_dis * span
+        energy = d * k_egy * dmc.w0
+        for (idx, stated), a, b, k, dk, ek in zip(
+            moves, ends, ends[1:], k_dis.tolist(), d.tolist(), energy.tolist()
+        ):
+            t = dk / dmc.v_bar
             # math.ulp covers the binary error of the stored decimal
-            shift = sum(map(_rounding, (here[0], here[1], item.pos[0], item.pos[1])))
-            if abs(t - item.t) > _rounding(t) + k_dis * shift / dmc.v_bar + math.ulp(t):
+            shift = sum(map(_rounding, (a[0], a[1], b[0], b[1])))
+            if abs(t - stated) > _rounding(t) + k * shift / dmc.v_bar + math.ulp(t):
                 raise MalformedScheduleError(
-                    f"item {idx}: duration {item.t:.9g} s does not match travel time {t:.9g} s"
+                    f"item {idx}: duration {stated:.9g} s does not match travel time {t:.9g} s"
                 )
-            move_energy += d * k_egy * dmc.w0
-            move_time += item.t
-            distance += d
-            here = item.pos
-        elif item.state == TRANSMIT:
-            if tuple(item.pos) != tuple(here):
-                raise MalformedScheduleError(
-                    f"item {idx}: transmits from {item.pos} but the charger is at {here}"
-                )
-            tran_time += item.t
-            sends.append((stops.setdefault(tuple(item.pos), len(stops)), item.psi, item.t))
-        else:
-            raise MalformedScheduleError(f"item {idx}: unknown state {item.state}")
+            move_energy += ek
+            move_time += stated
+            distance += dk
+    if fault is not None:
+        raise fault
 
     received_raw = _received(instance, list(stops), sends) if sends else np.zeros(instance.n)
     ledger = model.energy_accounting(

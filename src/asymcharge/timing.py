@@ -32,12 +32,8 @@ _STALL_LIMIT = 60  # pivots without dual progress before switching to Bland's ru
 class LpProblem:
     """min 1't  s.t.  a @ t >= b, t >= 0."""
 
-    a: np.ndarray  # (n_constraints, n_vars), nonnegative
+    a: np.ndarray  # (n_constraints, n_variables), nonnegative
     b: np.ndarray  # (n_constraints,), nonnegative
-
-    @property
-    def n_vars(self) -> int:
-        return self.a.shape[1]
 
 
 @dataclass(frozen=True)

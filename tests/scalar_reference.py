@@ -1,10 +1,14 @@
 """Reference versions that the faster library code must reproduce.
 
-The straightforward one-pair-at-a-time and one-node-at-a-time loops behind
-``model.ra_coefficients``, ``model.build_routing_matrices``,
-``directions.reach_pairs``, ``directions.build_coefficient_matrix`` (the
-event sweep that tests every node at every arc midpoint) and
-``pipeline.execute_schedule``; the cover
+The paper's transfer model for one sector and one node, with its scalar
+angle helpers (``normalize_angle``, ``angular_distance``,
+``transfer_coefficient``), behind ``directions.normalize_angles``,
+``directions.off_axis`` and ``directions.reach_pairs``.  The
+straightforward one-pair-at-a-time and one-node-at-a-time loops behind
+``model.TravelArcs.row`` (one blake2b of the whole key per pair),
+``model.build_routing_matrices``, ``directions.reach_pairs``,
+``directions.build_coefficient_matrix`` (the event sweep that tests every
+node at every arc midpoint) and ``pipeline.execute_schedule``; the cover
 that encloses every cluster of every k from k = 1, behind
 ``positions.select_charging_positions``; the nearest-neighbor tour that
 takes a Python ``min`` over the unvisited set, behind
@@ -37,6 +41,36 @@ from asymcharge.pipeline import MOVE, TRANSMIT, OperationSchedule, ScheduleItem,
 from asymcharge.positions import ChargingPositionSet
 from asymcharge.routing import DirectedCostGraph, Tour
 from asymcharge.timing import LpProblem, LpSolution
+
+
+def normalize_angle(a: float) -> float:
+    """Map an angle to [0, 2*pi)."""
+    a = math.fmod(a, model.TWO_PI)
+    if a < 0.0:
+        a += model.TWO_PI
+    return 0.0 if a >= model.TWO_PI else a
+
+
+def angular_distance(a: float, b: float) -> float:
+    """Circular distance between two angles, in [0, pi]."""
+    d = abs(normalize_angle(a) - normalize_angle(b))
+    return min(d, model.TWO_PI - d)
+
+
+def transfer_coefficient(psi: float, phi: float, theta: float, d: float, dmc: DmcParams) -> float:
+    """Energy transfer coefficient from a charger sector to a node.
+
+    Nonzero only when the node is within charge distance and its direction
+    lies inside the closed sector [psi - phi/2, psi + phi/2].  A node at the
+    sector apex (d = 0) counts as covered for every direction.
+    """
+    if d < 0:
+        raise ValidationError("distance must be nonnegative")
+    if d > dmc.d_max:
+        return 0.0
+    if d > 0.0 and angular_distance(theta, psi) > phi / 2.0:
+        return 0.0
+    return dmc.delta / (dmc.alpha + d) ** dmc.beta
 
 
 def reference_coefficients(asym: AsymmetryField, a: Point, b: Point) -> tuple[float, float]:
@@ -86,7 +120,7 @@ def reference_nodes_in_range(
         d = math.hypot(dx, dy)
         if d <= instance.dmc.d_max:
             ids.append(u.id)
-            thetas.append(model.normalize_angle(math.atan2(dy, dx)) if d > 0.0 else 0.0)
+            thetas.append(normalize_angle(math.atan2(dy, dx)) if d > 0.0 else 0.0)
             dists.append(d)
     return ids, thetas, dists
 
@@ -105,7 +139,7 @@ def reference_maximal_sectors(
     """
     half = phi / 2.0
     events = sorted(
-        {model.normalize_angle(th + s * half) for th, d in zip(thetas, dists) if d > 0.0 for s in (-1.0, 1.0)}
+        {normalize_angle(th + s * half) for th, d in zip(thetas, dists) if d > 0.0 for s in (-1.0, 1.0)}
     )
     if not events:
         return [(0.0, frozenset(ids))] if ids else []
@@ -113,9 +147,9 @@ def reference_maximal_sectors(
     candidates: dict[frozenset[int], float] = {}
     for i, e in enumerate(events):
         nxt = events[i + 1] if i + 1 < m else events[0] + model.TWO_PI
-        mid = model.normalize_angle((e + nxt) / 2.0)
+        mid = normalize_angle((e + nxt) / 2.0)
         covered = frozenset(
-            j for j, th, d in zip(ids, thetas, dists) if d == 0.0 or model.angular_distance(th, mid) <= half
+            j for j, th, d in zip(ids, thetas, dists) if d == 0.0 or angular_distance(th, mid) <= half
         )
         if covered and (covered not in candidates or mid < candidates[covered]):
             candidates[covered] = mid
@@ -143,7 +177,7 @@ def reference_coefficient_matrix(
         for psi, covered in reference_maximal_sectors(ids, thetas, dists, dmc.phi):
             row = np.zeros(instance.n)
             for j in covered:
-                row[j] = model.transfer_coefficient(psi, dmc.phi, *reach[j], dmc)
+                row[j] = transfer_coefficient(psi, dmc.phi, *reach[j], dmc)
             rows.append((pi, psi, covered))
             entries.append(row)
     return rows, np.array(entries) if entries else np.zeros((0, instance.n))
@@ -178,8 +212,8 @@ def reference_execute_schedule(
                 d = math.hypot(dx, dy)
                 if d > dmc.d_max:
                     continue
-                theta = model.normalize_angle(math.atan2(dy, dx)) if d > 0 else 0.0
-                c = model.transfer_coefficient(item.psi, dmc.phi, theta, d, dmc)
+                theta = normalize_angle(math.atan2(dy, dx)) if d > 0 else 0.0
+                c = transfer_coefficient(item.psi, dmc.phi, theta, d, dmc)
                 received_raw[u.id] += dmc.p0 * c * item.t
         else:
             raise MalformedScheduleError(f"item {idx}: unknown state {item.state}")

@@ -2,10 +2,13 @@
 
 Directed segment distance, energy and time, movement totals along a tour,
 received energy from pair rows, the factorial tour oracle and the plain-text
-cost-matrix format: no scheduler or CLI command calls any of them.
+cost-matrix format: no scheduler or CLI command calls any of them.  The
+coefficients of one pair come from ``TravelArcs.row``, the library's one
+hashing kernel, so the tests built on them test the library.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -15,10 +18,19 @@ from asymcharge.model import (
     DmcParams,
     Point,
     RoutingMatrices,
-    euclidean,
-    ra_coefficients,
+    TravelArcs,
 )
 from asymcharge.routing import DirectedCostGraph, Tour, cost_graph, tour_cost
+
+
+def ra_coefficients(asym: AsymmetryField, a: Point, b: Point) -> tuple[float, float]:
+    """Distance and energy-rate coefficients for travel from ``a`` to ``b``."""
+    k_dis, _, k_egy = TravelArcs([a, b], asym, DmcParams()).row(0, [1])
+    return (float(k_dis[0]), float(k_egy[0]))
+
+
+def euclidean(a: Point, b: Point) -> float:
+    return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
 def ra_distance(a: Point, b: Point, asym: AsymmetryField) -> float:

@@ -39,10 +39,15 @@ from asymcharge import (
     to_symmetric,
 )
 from asymcharge.cli import generate_instance
-from asymcharge.model import angular_distance, normalize_angle, snap9_point, transfer_coefficient
+from asymcharge.model import snap9_point
 
 from conftest import subprocess_env
-from scalar_reference import reference_nodes_in_range
+from scalar_reference import (
+    angular_distance,
+    normalize_angle,
+    reference_nodes_in_range,
+    transfer_coefficient,
+)
 from support import brute_force_tour, ra_distance, segment_move_energy_time
 
 

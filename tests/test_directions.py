@@ -17,10 +17,9 @@ from asymcharge import (
     pipeline,
     select_charging_positions,
 )
-from asymcharge.model import angular_distance
 
 from conftest import make_instance
-from scalar_reference import reference_nodes_in_range
+from scalar_reference import angular_distance, reference_nodes_in_range
 
 GRID_STEP = 0.001
 

@@ -13,14 +13,13 @@ from asymcharge import (
     build_routing_matrices,
     energy_accounting,
     final_node_energy,
-    ra_coefficients,
-    transfer_coefficient,
 )
 from asymcharge.errors import MalformedTourError
-from asymcharge.model import angular_distance, normalize_angle
 
 from conftest import neutral_field
+from scalar_reference import angular_distance, normalize_angle, transfer_coefficient
 from support import (
+    ra_coefficients,
     ra_distance,
     received_energy,
     segment_move_energy_time,

@@ -182,6 +182,56 @@ class TestExecuteSchedule:
         with pytest.raises(MalformedScheduleError):
             execute_schedule(instance, OperationSchedule(items))
 
+    def test_one_kernel_call_prices_every_move(self, monkeypatch):
+        from asymcharge.cli import generate_instance
+
+        instance = generate_instance(40, seed=3)
+        schedule, _ = one_to_one_schedule(instance)
+        calls = []
+        row = model.TravelArcs.row
+
+        def counting_row(arcs, i, js=None):
+            calls.append(len(js))
+            return row(arcs, i, js)
+
+        monkeypatch.setattr(model.TravelArcs, "row", counting_row)
+        execute_schedule(instance, schedule)
+        assert calls == [sum(item.state == MOVE for item in schedule.items)]
+
+    def test_lowest_index_fault_wins(self):
+        # the 10 m move out takes 10 s and the move back 10 s
+        instance = make_instance([node_at((10.0, 0.0))])
+        out = ScheduleItem(MOVE, (10.0, 0.0), 0.0, 10.0)
+        back = ScheduleItem(MOVE, (0.0, 0.0), 0.0, 10.0)
+        late = ScheduleItem(MOVE, (0.0, 0.0), 0.0, 9.0)
+        nan = ScheduleItem(TRANSMIT, (10.0, 0.0), math.nan, 1.0)
+        for items, first in (
+            ((out, late, nan), r"item 1: duration 9 s does not match travel time 10 s"),
+            ((out, nan, late), r"item 1: non-finite position, direction or duration"),
+            ((out, back, out, nan, late), r"item 3: non-finite"),
+        ):
+            with pytest.raises(MalformedScheduleError, match=f"^{first}"):
+                execute_schedule(instance, OperationSchedule(items))
+
+    def test_point_off_the_hash_grid_faults_its_move(self):
+        # a cell beyond 64 bits is a validation fault at the move into it,
+        # behind any fault before that move and ahead of any after it
+        from asymcharge.errors import ValidationError
+
+        instance = make_instance([node_at((10.0, 0.0))])
+        out = ScheduleItem(MOVE, (10.0, 0.0), 0.0, 10.0)
+        late = ScheduleItem(MOVE, (0.0, 0.0), 0.0, 9.0)
+        far = ScheduleItem(MOVE, (1e17, 0.0), 0.0, 1e17)
+        nan = ScheduleItem(TRANSMIT, (10.0, 0.0), math.nan, 1.0)
+        for items, error, first in (
+            ((out, far, nan), ValidationError, r"point \(1e\+17, 0.0\) lies outside"),
+            ((far, late), ValidationError, r"point \(1e\+17, 0.0\) lies outside"),
+            ((out, late, far), MalformedScheduleError, r"item 1: duration"),
+            ((out, nan, far), MalformedScheduleError, r"item 1: non-finite"),
+        ):
+            with pytest.raises(error, match=f"^{first}"):
+                execute_schedule(instance, OperationSchedule(items))
+
 
 class TestPlanSchedule:
     def test_zero_demand_stays_home(self):
@@ -264,8 +314,7 @@ class TestPlanSchedule:
         tran_time = 0.0
         here = instance.bs_pos
         raw = np.zeros(instance.n)
-        from asymcharge import transfer_coefficient
-        from asymcharge.model import normalize_angle
+        from scalar_reference import normalize_angle, transfer_coefficient
 
         for item in schedule.items:
             if item.state == MOVE:

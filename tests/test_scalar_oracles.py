@@ -33,7 +33,6 @@ from asymcharge import (
 )
 from asymcharge import directions, model
 from asymcharge.cli import demo_instance, generate_instance, schedule_to_text
-from asymcharge.model import ra_coefficients
 
 from conftest import make_instance
 from scalar_reference import (
@@ -45,7 +44,7 @@ from scalar_reference import (
     reference_one_to_one_schedule,
     reference_routing_matrices,
 )
-from support import ra_distance
+from support import ra_coefficients, ra_distance
 
 coordinate = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
 point = st.tuples(coordinate, coordinate)
@@ -122,6 +121,23 @@ class TestRoutingMatrices:
         for a in points[:6]:
             for b in points:
                 assert ra_coefficients(asym, a, b) == reference_coefficients(asym, a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fields_and_points(), st.data())
+    def test_origin_array_equal_to_pairwise(self, field_points, data):
+        # one origin per target, in runs of equal origins or in any order
+        asym, points = field_points
+        index = st.integers(0, len(points) - 1)
+        pairs = data.draw(st.lists(st.tuples(index, index), max_size=30))
+        if data.draw(st.booleans()):
+            pairs.sort()
+        arcs = model.TravelArcs(points, asym, DmcParams())
+        origins = np.array([a for a, _ in pairs], dtype=np.intp)
+        k_dis, span, k_egy = arcs.row(origins, [b for _, b in pairs])
+        for at, (a, b) in enumerate(pairs):
+            (xa, ya), (xb, yb) = points[a], points[b]
+            assert (k_dis[at], k_egy[at]) == reference_coefficients(asym, points[a], points[b])
+            assert span[at] == math.hypot(xa - xb, ya - yb)
 
     def test_demo_table_overrides(self):
         instance = demo_instance()
@@ -213,14 +229,17 @@ class TestReplay:
             max_size=12,
         ),
         st.sampled_from([4.0, 3.7, 0.3]),
+        st.sampled_from([4.0, 3.7]),
+        coefficient_range(),
         st.integers(0, 2**32 - 1),
     )
-    def test_repeated_stop_many_directions(self, stop, d_max, phi, sends, p0, s):
+    def test_repeated_stop_many_directions(self, stop, d_max, phi, sends, p0, w0, k_egy, s):
         # one stop charged in many directions, before and after a visit to
         # the base station, so each node sums credits from several stops;
-        # a p0 other than a power of two makes the product order show
+        # a p0 or w0 other than a power of two, and energy coefficients
+        # other than 1, make the product order show
         stop = (float(stop[0]), float(stop[1]))
-        dmc = DmcParams(d_max=d_max, phi=phi, p0=p0)
+        dmc = DmcParams(d_max=d_max, phi=phi, p0=p0, w0=w0)
         specs = [
             ((stop[0] + dx, stop[1] + dy), 5.0, 20.0, 60.0)
             for psi, _ in sends[:2]
@@ -229,7 +248,8 @@ class TestReplay:
         spread = np.random.default_rng(s).uniform(-1.1 * d_max, 1.1 * d_max, size=(20, 2))
         specs += [((stop[0] + dx, stop[1] + dy), 5.0, 20.0, 60.0) for dx, dy in spread.tolist()]
         specs.append(((0.0, 0.0), 5.0, 20.0, 60.0))  # at the base station's apex
-        instance = make_instance(specs, bs=(0.0, 0.0), dmc=dmc, asym=AsymmetryField(seed=s))
+        asym = AsymmetryField(seed=s, k_egy_range=k_egy)
+        instance = make_instance(specs, bs=(0.0, 0.0), dmc=dmc, asym=asym)
         bs = instance.bs_pos
         there = ra_distance(bs, stop, instance.asym) / dmc.v_bar
         back = ra_distance(stop, bs, instance.asym) / dmc.v_bar
