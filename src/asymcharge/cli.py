@@ -1,7 +1,9 @@
 """Instance generation, file formats, experiment sweeps, and the command line.
 
 Files are JSON with floats written at 9 significant digits; serialize ->
-parse -> serialize is byte-identical.  Experiment runs derive their seeds
+parse -> serialize is byte-identical.  The readers convert every number in
+file order, so the first bad value raises, and snap them to 9 digits in one
+``snap9_array`` pass.  Experiment runs derive their seeds
 from (master seed, node count, repeat index), so results do not depend on
 worker scheduling.
 """
@@ -31,6 +33,7 @@ from .model import (
     Node,
     build_routing_matrices,
     snap9,
+    snap9_array,
 )
 from .pipeline import (
     MOVE,
@@ -217,15 +220,25 @@ def instance_to_text(instance: NetworkInstance) -> str:
     return _render_json(doc) + "\n"
 
 
+# what reading a file's JSON and converting its values can raise; a number
+# too large for a float (an integer of 309 digits, or int() of Infinity)
+# raises OverflowError
+_BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def instance_from_text(text: str) -> NetworkInstance:
     try:
         doc = json.loads(text)
-        # the format carries 9 significant digits; snap so hand-edited files
-        # with extra digits behave identically to their re-serialized form
-        nodes = tuple(
-            Node(i, (snap9(u["x"]), snap9(u["y"])), snap9(u["e_b"]), snap9(u["e_d"]), snap9(u["e_c"]))
-            for i, u in enumerate(doc["nodes"])
-        )
+        values: list[float] = []  # x, y, e_b, e_d, e_c of each node in turn
+        try:
+            for u in doc["nodes"]:
+                values += (
+                    float(u["x"]), float(u["y"]), float(u["e_b"]), float(u["e_d"]), float(u["e_c"])
+                )
+        except _BAD_VALUE:
+            _snapped_nodes(values)  # an invalid node before the bad value raises first
+            raise
+        nodes = _snapped_nodes(values)
         bs = (snap9(doc["bs"]["x"]), snap9(doc["bs"]["y"]))
         d = doc["dmc"]
         dmc = DmcParams(
@@ -246,9 +259,22 @@ def instance_from_text(text: str) -> NetworkInstance:
             k_egy_range=(float(a["k_egy_lo"]), float(a["k_egy_hi"])),
             grid=float(a["grid"]),
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except _BAD_VALUE as exc:
         raise ValidationError(f"bad instance file: {exc}") from exc
     return NetworkInstance(nodes, bs, dmc, asym)
+
+
+def _snapped_nodes(values: list[float]) -> tuple[Node, ...]:
+    """Nodes from five values each (x, y, e_b, e_d, e_c), snapped in one pass.
+
+    The format carries 9 significant digits; snapping makes a hand-edited
+    file with extra digits behave as its re-serialized form.
+    """
+    it = iter(snap9_array(np.array(values, dtype=float)).tolist())
+    return tuple(
+        Node(i, (x, y), e_b, e_d, e_c)
+        for i, (x, y, e_b, e_d, e_c) in enumerate(zip(it, it, it, it, it))
+    )
 
 
 def schedule_to_text(schedule: OperationSchedule) -> str:
@@ -264,12 +290,17 @@ def schedule_to_text(schedule: OperationSchedule) -> str:
 def schedule_from_text(text: str) -> OperationSchedule:
     try:
         doc = json.loads(text)
-        items = tuple(
-            ScheduleItem(int(i["state"]), (snap9(i["x"]), snap9(i["y"])), snap9(i["psi"]), snap9(i["t"]))
-            for i in doc["items"]
-        )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        states: list[int] = []
+        values: list[float] = []  # x, y, psi, t of each item in turn
+        for i in doc["items"]:
+            states.append(int(i["state"]))
+            values += (float(i["x"]), float(i["y"]), float(i["psi"]), float(i["t"]))
+    except _BAD_VALUE as exc:
         raise ValidationError(f"bad schedule file: {exc}") from exc
+    it = iter(snap9_array(np.array(values, dtype=float)).tolist())
+    items = tuple(
+        ScheduleItem(state, (x, y), psi, t) for state, x, y, psi, t in zip(states, it, it, it, it)
+    )
     for item in items:
         if item.state not in (MOVE, TRANSMIT):
             raise ValidationError(f"bad schedule file: unknown state {item.state}")

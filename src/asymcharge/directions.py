@@ -2,12 +2,14 @@
 
 ``reach_pairs`` is the one coverage kernel: for a list of points it finds
 every node within charge distance of each, with its bearing, distance and
-transfer coefficient.  The coefficient matrix and the schedule replay both
-read it.  At each charging position, the continuum of possible sector
-directions is reduced to a finite representative set: one direction per
-maximal coverage subset, found from a table of which in-range nodes the
-sector covers at the midpoint of every arc between the angles where some
-node enters or leaves it.
+transfer coefficient.  It has two stages, ``near_pairs``, a numpy distance
+test, and ``coverage_math``, the exact per-pair math.  The coefficient
+matrix runs the exact stage on every near pair; the schedule replay runs it
+only on the pairs a transmission's sector may cover.  At each charging
+position, the continuum of possible sector directions is reduced to a
+finite representative set: one direction per maximal coverage subset, found
+from a table of which in-range nodes the sector covers at the midpoint of
+every arc between the angles where some node enters or leaves it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .model import TWO_PI, NetworkInstance, Point
+from .model import TWO_PI, DmcParams, NetworkInstance, Point
 from .positions import ChargingPositionSet
 
 _SMALLEST_NORMAL = sys.float_info.min
@@ -72,44 +74,76 @@ def off_axis(theta: np.ndarray, psi) -> np.ndarray:
     return np.minimum(d, TWO_PI - d)
 
 
-def reach_pairs(points: Sequence[Point], instance: NetworkInstance) -> Reach:
-    """Every node within charge distance of each point, with what covers it.
+class Near(NamedTuple):
+    """The (point, node) pairs that pass the squared-distance test, ordered by
+    point, then node id, with the offsets ``node - point`` they were tested on."""
 
-    One numpy test per block of at most ``_BLOCK`` points first drops the
-    pairs whose squared distance exceeds ``(d_max * (1 + 1e-9))**2``, which
-    no pair within ``d_max`` does.  The survivors get the exact scalar
-    ``math.hypot`` distance and ``math.atan2`` bearing (numpy's differ in the
-    last bit on some pairs), and the coefficient from one scalar power each,
-    so every value is the one a per-node loop computes.
+    point: np.ndarray  # index into the points searched
+    node: np.ndarray  # node id
+    dx: np.ndarray
+    dy: np.ndarray
+
+
+def near_pairs(points: Sequence[Point], instance: NetworkInstance) -> Near:
+    """The numpy stage of the coverage kernel: the pairs that may lie in range.
+
+    One test per block of at most ``_BLOCK`` points drops the pairs whose
+    squared distance exceeds ``(d_max * (1 + 1e-9))**2``, which no pair
+    within ``d_max`` does.
     """
-    dmc = instance.dmc
-    d_max = dmc.d_max
     xs, ys = instance.node_xy
     px = np.array([p[0] for p in points], dtype=float)
     py = np.array([p[1] for p in points], dtype=float)
     # never below the smallest normal float, so underflowed squares pass too
-    limit = max((d_max * (1.0 + 1e-9)) ** 2, _SMALLEST_NORMAL)
+    limit = max((instance.dmc.d_max * (1.0 + 1e-9)) ** 2, _SMALLEST_NORMAL)
     parts = []
-    for lo in range(0, len(points), _BLOCK):
-        dx = xs - px[lo : lo + _BLOCK, None]
-        dy = ys - py[lo : lo + _BLOCK, None]
-        at, node = np.nonzero(dx * dx + dy * dy <= limit)
-        dx, dy = dx[at, node].tolist(), dy[at, node].tolist()
-        dist = np.fromiter(map(math.hypot, dx, dy), dtype=float, count=len(dx))
-        theta = np.fromiter(map(math.atan2, dy, dx), dtype=float, count=len(dx))
-        keep = dist <= d_max
-        dist = dist[keep]
-        # numpy adds and divides as a scalar loop does; only the power differs
-        powers = map(pow, (dmc.alpha + dist).tolist(), repeat(dmc.beta))
-        coef = dmc.delta / np.fromiter(powers, dtype=float, count=dist.size)
-        parts.append((at[keep] + lo, node[keep], theta[keep], dist, coef))
+    with np.errstate(over="ignore"):  # an offset or square that overflows is out of range
+        for lo in range(0, len(points), _BLOCK):
+            dx = xs - px[lo : lo + _BLOCK, None]
+            dy = ys - py[lo : lo + _BLOCK, None]
+            square = dx * dx
+            square += dy * dy
+            flat = np.flatnonzero(square <= limit)  # row-major: by point, then node id
+            at, node = np.divmod(flat, len(xs))
+            parts.append((at + lo, node, dx.take(flat), dy.take(flat)))
     if not parts:
-        empty = np.zeros(0)
-        return Reach(np.zeros(0, np.intp), np.zeros(0, np.intp), empty, empty, empty)
-    at, node, theta, dist, coef = (np.concatenate(column) for column in zip(*parts))
-    theta = normalize_angles(theta)
+        return Near(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0), np.zeros(0))
+    return Near(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def coverage_math(
+    dx: np.ndarray, dy: np.ndarray, dmc: DmcParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The exact stage of the coverage kernel, for the pairs at offsets (dx, dy).
+
+    Returns ``(keep, theta, dist, coef)``: which pairs lie within ``d_max``,
+    and for those the bearing, distance and coefficient.  Each pair gets the
+    scalar ``math.hypot`` distance and ``math.atan2`` bearing (numpy's
+    differ in the last bit on some pairs) and one scalar power, so every
+    value is the one a per-node loop computes.
+    """
+    dx, dy = dx.tolist(), dy.tolist()
+    dist = np.fromiter(map(math.hypot, dx, dy), dtype=float, count=len(dx))
+    theta = np.fromiter(map(math.atan2, dy, dx), dtype=float, count=len(dx))
+    keep = dist <= dmc.d_max
+    dist = dist[keep]
+    # numpy adds and divides as a scalar loop does; only the power differs
+    powers = map(pow, (dmc.alpha + dist).tolist(), repeat(dmc.beta))
+    coef = dmc.delta / np.fromiter(powers, dtype=float, count=dist.size)
+    theta = normalize_angles(theta[keep])
     theta[dist == 0.0] = 0.0
-    return Reach(at, node, theta, dist, coef)
+    return keep, theta, dist, coef
+
+
+def reach_pairs(points: Sequence[Point], instance: NetworkInstance) -> Reach:
+    """Every node within charge distance of each point, with what covers it.
+
+    ``near_pairs`` finds the pairs that may lie in range and
+    ``coverage_math`` computes every one of them exactly.
+    """
+    near = near_pairs(points, instance)
+    keep, theta, dist, coef = coverage_math(near.dx, near.dy, instance.dmc)
+    return Reach(near.point[keep], near.node[keep], theta, dist, coef)
 
 
 def _maximal_sectors(theta: np.ndarray, dist: np.ndarray, half: float) -> tuple[np.ndarray, np.ndarray]:

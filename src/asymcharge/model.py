@@ -37,6 +37,37 @@ def snap9_point(p: Point) -> Point:
     return (snap9(p[0]), snap9(p[1]))
 
 
+# 10**k for k = 0..22, each an exact double
+_POW10 = np.array([float(10**k) for k in range(23)])
+
+
+def snap9_array(x: np.ndarray) -> np.ndarray:
+    """``snap9`` of every value, bit for bit, with numpy proving most of them.
+
+    A nonzero finite x with e = floor(log10|x|) and p = 8 - e, |p| <= 22,
+    is already snapped when r = rint(x * 10**p) has |r| < 10**9 and
+    r / 10**p gives x back (or x / 10**-p and r * 10**-p for p < 0).
+    Both operands are exact and IEEE rounds the quotient or product
+    correctly, so x is then the double of a decimal of at most 9 digits,
+    the decimal ``format(x, ".9g")`` prints.  Zeros stay as they are;
+    every other value goes through ``snap9``.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        mag = np.abs(x)
+        p = 8.0 - np.floor(np.log10(mag))
+        unsure = ~(np.abs(p) <= 22.0)  # also non-finite x and zero
+        scale = _POW10[np.where(unsure, 0.0, np.abs(p)).astype(np.intp)]
+        up = p >= 0.0
+        r = np.rint(np.where(up, x * scale, x / scale))
+        back = np.where(up, r / scale, r * scale)
+    unsure |= ~(np.abs(r) < 1e9) | (back != x)
+    unsure &= x != 0.0
+    out = x.copy()
+    out[unsure] = [snap9(v) for v in x[unsure].tolist()]
+    return out
+
+
 @dataclass(frozen=True)
 class Node:
     """A rechargeable node: position plus its energy state and demand."""
@@ -169,14 +200,25 @@ class NetworkInstance:
             np.array([u.pos[1] for u in self.nodes], dtype=float),
         )
 
+    @cached_property
+    def _energies(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Node e_b, e_d and e_c as read-only float arrays, built once per instance."""
+        columns = tuple(
+            np.array(column, dtype=float)
+            for column in zip(*((u.e_b, u.e_d, u.e_c) for u in self.nodes))
+        )
+        for column in columns:
+            column.setflags(write=False)
+        return columns
+
     def e_b_vector(self) -> np.ndarray:
-        return np.array([u.e_b for u in self.nodes], dtype=float)
+        return self._energies[0]
 
     def e_d_vector(self) -> np.ndarray:
-        return np.array([u.e_d for u in self.nodes], dtype=float)
+        return self._energies[1]
 
     def e_c_vector(self) -> np.ndarray:
-        return np.array([u.e_c for u in self.nodes], dtype=float)
+        return self._energies[2]
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ allocation, and asymmetric tour construction into an operation schedule.
 it point-blank.  ``execute_schedule`` replays any schedule against the energy
 models and produces the metrics: it checks the items one by one, then
 prices every move from one call of ``model.TravelArcs.row``, the hashing
-kernel the tours read, and credits all transmissions from one call of
-``directions.reach_pairs``, the coverage kernel the coefficient matrix is
-built from.
+kernel the tours read, and credits all transmissions through the two stages
+of the coverage kernel the coefficient matrix is built from, running the
+exact stage only on the pairs some transmission's sector may cover.
 """
 
 from __future__ import annotations
@@ -16,14 +16,20 @@ from __future__ import annotations
 import contextlib
 import math
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from .errors import MalformedScheduleError, ValidationError
 from . import model
 from .model import NetworkInstance, Point
-from .directions import build_coefficient_matrix, normalize_angles, off_axis, reach_pairs
+from .directions import (
+    build_coefficient_matrix,
+    coverage_math,
+    near_pairs,
+    normalize_angles,
+    off_axis,
+)
 from .positions import select_charging_positions
 from .routing import cost_graph, expand_tour, greedy_tour, lk_tour, metric_closure
 from .timing import build_time_lp, solve_lp
@@ -67,28 +73,54 @@ def _rounding(x: float) -> float:
 
 
 def _received(
-    instance: NetworkInstance, stops: list[Point], sends: list[tuple[int, float, float]]
-) -> np.ndarray:
+    instance: NetworkInstance, stops: list[Point], sends: list[tuple[int, int, float, float]]
+) -> tuple[np.ndarray, int | None]:
     """Energy each node receives from the transmissions, before capacity clipping.
 
-    One ``reach_pairs`` call covers the distinct stops.  Each transmission
-    credits ``p0 * coef * t`` to every in-range node its sector covers, and
-    ``bincount`` adds each node's credits in transmission order, the order
-    a running ``+=`` per transmission takes.
+    One ``near_pairs`` call searches the distinct stops.  A pair whose numpy
+    bearing lies more than ``phi / 2 + 1e-9`` off a transmission's
+    direction is dropped for that transmission: ``np.arctan2`` stays within
+    an ulp of ``math.atan2``, so the exact test would drop it too.  The
+    exact ``coverage_math`` then runs once on each pair some transmission
+    may cover.  Each transmission credits ``p0 * coef * t`` to every
+    in-range node its sector covers, and ``bincount`` adds each node's
+    credits in transmission order, the order a running ``+=`` per
+    transmission takes.  Also returns the position in ``sends`` of the
+    first transmission with a credit that is not finite, or None.
     """
     dmc = instance.dmc
-    reach = reach_pairs(stops, instance)
-    bounds = np.searchsorted(reach.point, np.arange(len(stops) + 1))
-    stop, psi, t = (np.array(column) for column in zip(*sends))
+    half = dmc.phi / 2.0
+    near = near_pairs(stops, instance)
+    bounds = np.searchsorted(near.point, np.arange(len(stops) + 1))
+    _, stop, psi, t = (np.array(column) for column in zip(*sends))
     lo = bounds[stop]
     count = bounds[stop + 1] - lo
     # the pairs of each transmission's stop, transmission after transmission
     pair = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-    psi = np.repeat(normalize_angles(psi.astype(float)), count)
-    covered = (reach.dist[pair] == 0.0) | (off_axis(reach.theta[pair], psi) <= dmc.phi / 2.0)
-    pair = pair[covered]
-    credit = dmc.p0 * reach.coef[pair] * np.repeat(t.astype(float), count)[covered]
-    return np.bincount(reach.node[pair], weights=credit, minlength=instance.n)
+    send = np.repeat(np.arange(len(sends)), count)
+    psi = normalize_angles(psi.astype(float))
+    apex = (near.dx == 0.0) & (near.dy == 0.0)
+    bearing = normalize_angles(np.arctan2(near.dy, near.dx))
+    maybe = apex[pair] | (off_axis(bearing[pair], psi[send]) <= half + 1e-9)
+    pair, send = pair[maybe], send[maybe]
+    wanted = np.zeros(len(apex), dtype=bool)
+    wanted[pair] = True
+    exact = np.flatnonzero(wanted)
+    keep, theta, dist, coef = coverage_math(near.dx[exact], near.dy[exact], dmc)
+    # where each near pair's exact values sit, -1 for pairs out of range or not computed
+    slot = np.full(len(apex), -1)
+    slot[exact[keep]] = np.arange(dist.size)
+    at = slot[pair]
+    inside = at >= 0
+    at, send = at[inside], send[inside]
+    covered = (dist[at] == 0.0) | (off_axis(theta[at], psi[send]) <= half)
+    at, send = at[covered], send[covered]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as the first bad send
+        credit = dmc.p0 * coef[at] * t.astype(float)[send]
+    finite = np.isfinite(credit)
+    bad = None if finite.all() else int(send[np.argmin(finite)])
+    received = np.bincount(near.node[exact[keep]][at], weights=credit, minlength=instance.n)
+    return received, bad
 
 
 def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> ScheduleMetrics:
@@ -98,22 +130,22 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
     where the charger is.  The charger starts at the 9-digit base station,
     the point an instance file holds.  The items are checked in order up to
     the first fault.  Then one ``TravelArcs.row`` call prices every move
-    before it, and each move's duration must match its directed travel time
-    up to what the file format's 9-significant-digit rounding of the
-    duration and of the move's two ends can change.  Only then is that
-    first fault raised, so the lowest-index fault wins.  ``_received``
-    credits every transmission at once.  Received energy accumulates
-    linearly and is capacity-clipped once at the end.  The schedule is
-    feasible when every demand is met and the charger's battery does not
-    run out.
+    before it: each move's travel time and energy must be finite, and its
+    duration must match its directed travel time up to what the file
+    format's 9-significant-digit rounding of the duration and of the move's
+    two ends can change.  ``_received`` credits every transmission at once,
+    and every credit must be finite.  Only then is the fault of the lowest
+    item index raised.  Received energy accumulates linearly and is
+    capacity-clipped once at the end.  The schedule is feasible when every
+    demand is met and the charger's battery does not run out.
     """
     dmc = instance.dmc
     ends = [model.snap9_point(instance.bs_pos)]  # the charger's start, then each move's end
     moves: list[tuple[int, float]] = []  # (item index, duration) per move
     tran_time = 0.0
     stops: dict[Point, int] = {}  # distinct transmit positions, first seen first
-    sends: list[tuple[int, float, float]] = []  # (stop, psi, duration) per transmission
-    fault = None
+    sends: list[tuple[int, int, float, float]] = []  # (item index, stop, psi, duration)
+    faults: list[tuple[int, ValidationError]] = []  # (item index, fault)
     try:
         for idx, item in enumerate(schedule.items):
             if not all(map(math.isfinite, (item.pos[0], item.pos[1], item.psi, item.t))):
@@ -129,11 +161,11 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
                         f"item {idx}: transmits from {item.pos} but the charger is at {ends[-1]}"
                     )
                 tran_time += item.t
-                sends.append((stops.setdefault(tuple(item.pos), len(stops)), item.psi, item.t))
+                sends.append((idx, stops.setdefault(tuple(item.pos), len(stops)), item.psi, item.t))
             else:
                 raise MalformedScheduleError(f"item {idx}: unknown state {item.state}")
     except MalformedScheduleError as exc:
-        fault = exc
+        faults.append((idx, exc))
 
     move_energy = move_time = distance = 0.0
     if moves:
@@ -142,40 +174,54 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
         except ValidationError as exc:
             # quantize stops the loop at ends[cut], the first end off the hash
             # grid: the move into it faults, after the moves before it
-            fault = exc
             with contextlib.suppress(ValidationError):
                 for cut, p in enumerate(ends):
                     instance.asym.quantize(p)
+            faults.append((moves[max(cut - 1, 0)][0], exc))
             del ends[cut:], moves[max(cut - 1, 0) :]
             arcs = model.TravelArcs(ends, instance.asym, dmc)
         m = len(moves)
-        k_dis, span, k_egy = arcs.row(np.arange(m), np.arange(1, m + 1))
-        d = k_dis * span
-        energy = d * k_egy * dmc.w0
-        for (idx, stated), a, b, k, dk, ek in zip(
-            moves, ends, ends[1:], k_dis.tolist(), d.tolist(), energy.tolist()
+        with np.errstate(over="ignore", invalid="ignore"):  # faults its move below
+            k_dis, span, k_egy = arcs.row(np.arange(m), np.arange(1, m + 1))
+            d = k_dis * span
+            energy = d * k_egy * dmc.w0
+        # half a unit in the 9th digit of each end's coordinates, once per end
+        shifts = [(_rounding(x), _rounding(y)) for x, y in ends]
+        for (idx, stated), (a0, a1), (b0, b1), k, dk, ek in zip(
+            moves, shifts, shifts[1:], k_dis.tolist(), d.tolist(), energy.tolist()
         ):
             t = dk / dmc.v_bar
+            if not math.isfinite(t):
+                problem = "travel time is not finite"
+            elif not math.isfinite(ek):
+                problem = "move energy is not finite"
             # math.ulp covers the binary error of the stored decimal
-            shift = sum(map(_rounding, (a[0], a[1], b[0], b[1])))
-            if abs(t - stated) > _rounding(t) + k * shift / dmc.v_bar + math.ulp(t):
-                raise MalformedScheduleError(
-                    f"item {idx}: duration {stated:.9g} s does not match travel time {t:.9g} s"
-                )
-            move_energy += ek
-            move_time += stated
-            distance += dk
-    if fault is not None:
-        raise fault
+            elif abs(t - stated) > _rounding(t) + k * (a0 + a1 + b0 + b1) / dmc.v_bar + math.ulp(t):
+                problem = f"duration {stated:.9g} s does not match travel time {t:.9g} s"
+            else:
+                move_energy += ek
+                move_time += stated
+                distance += dk
+                continue
+            faults.append((idx, MalformedScheduleError(f"item {idx}: {problem}")))
+            break
 
-    received_raw = _received(instance, list(stops), sends) if sends else np.zeros(instance.n)
+    received_raw = np.zeros(instance.n)
+    if sends:
+        received_raw, bad = _received(instance, list(stops), sends)
+        if bad is not None:
+            idx = sends[bad][0]
+            faults.append((idx, MalformedScheduleError(f"item {idx}: credited energy is not finite")))
+    if faults:
+        raise min(faults, key=lambda fault: fault[0])[1]
+
     ledger = model.energy_accounting(
         instance.e_b_vector(), instance.e_c_vector(), received_raw, tran_time, move_energy, dmc
     )
     demand_met = bool(
         np.all(ledger.e_f >= instance.e_b_vector() + instance.e_d_vector() - 1e-6)
     )
-    return ScheduleMetrics(
+    metrics = ScheduleMetrics(
         total_energy_loss=ledger.e_total_loss,
         charging_energy_loss=ledger.e_wpt_loss,
         movement_energy=ledger.e_mc_move,
@@ -187,6 +233,10 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
         received_total=ledger.e_nodes_rcv,
         feasible=demand_met and ledger.dmc_energy_ok,
     )
+    # every item's values are finite, but their sums can still overflow
+    if not all(map(math.isfinite, astuple(metrics))):
+        raise MalformedScheduleError("the schedule's energy or time totals are not finite")
+    return metrics
 
 
 def _movement_items(

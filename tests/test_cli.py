@@ -1,7 +1,9 @@
+import json
 import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from asymcharge.cli import (
     write_csv,
 )
 from asymcharge.errors import InfeasibleError
-from asymcharge.pipeline import plan_schedule
+from asymcharge.pipeline import one_to_one_schedule, plan_schedule
 
 from conftest import subprocess_env
 
@@ -85,6 +87,42 @@ class TestSerialization:
     def test_bad_schedule_rejected(self):
         with pytest.raises(ValidationError):
             schedule_from_text('{"items": [{"state": 9, "x": 0, "y": 0, "psi": 0, "t": 1}]}')
+
+    def test_first_bad_item_value_raises_first(self):
+        schedule, _ = one_to_one_schedule(generate_instance(6, seed=3))
+        doc = json.loads(schedule_to_text(schedule))
+        doc["items"][0]["t"] = "soon"
+        doc["items"][5]["x"] = None
+        with pytest.raises(
+            ValidationError, match=r"^bad schedule file: could not convert string to float: 'soon'$"
+        ):
+            schedule_from_text(json.dumps(doc))
+
+    def test_invalid_node_raises_before_a_later_missing_key(self):
+        doc = json.loads(instance_to_text(generate_instance(6, seed=3)))
+        doc["nodes"][2]["e_b"] = 80.0
+        del doc["nodes"][4]["e_c"]
+        with pytest.raises(
+            ValidationError,
+            match=r"^node 2: initial energy \+ demand exceeds capacity "
+            r"\(80\.0 \+ 18\.0849348 > 80\.8864799\)$",
+        ):
+            instance_from_text(json.dumps(doc))
+        # a missing key before the invalid node raises first
+        del doc["nodes"][1]["y"]
+        with pytest.raises(ValidationError, match=r"^bad instance file: 'y'$"):
+            instance_from_text(json.dumps(doc))
+
+    def test_number_beyond_a_float_rejected(self):
+        # int() of Infinity, or float() of an integer of 401 digits, overflows
+        text = instance_to_text(generate_instance(3, seed=1))
+        text = re.sub(r'"seed": [^,\n]+', '"seed": Infinity', text, count=1)
+        with pytest.raises(ValidationError, match=r"^bad instance file: cannot convert float infinity"):
+            instance_from_text(text)
+        for state, x in (("Infinity", "0"), ("0", "1" + "0" * 400)):
+            text = f'{{"items": [{{"state": {state}, "x": {x}, "y": 0, "psi": 0, "t": 1}}]}}'
+            with pytest.raises(ValidationError, match=r"^bad schedule file: "):
+                schedule_from_text(text)
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
@@ -325,6 +363,34 @@ class TestCommandLine:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:validation:")
+
+    @pytest.mark.parametrize(
+        "field, bad, first",
+        [
+            ("k_dis_hi", "1e308", "travel time"),
+            ("v", "1e-320", "travel time"),
+            ("w0", "1e308", "move energy"),
+            ("p0", "1e308", "credited energy"),
+        ],
+    )
+    def test_evaluate_overflow_exit_code(self, tmp_path, capsys, field, bad, first):
+        # the planner's schedule, replayed on an instance whose travel or
+        # transfer values overflow, names its first overflowing item
+        inst = tmp_path / "inst.json"
+        sched = tmp_path / "s.json"
+        assert main(["generate", "--nodes", "6", "--seed", "3", "--out", str(inst)]) == 0
+        assert main([
+            "schedule", "--instance", str(inst), "--algorithm", "o2o_greedy", "--out", str(sched),
+        ]) == 0
+        inst.write_text(re.sub(rf'"{field}": [^,\n]+', f'"{field}": {bad}', inst.read_text(), count=1))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning fails the test
+            code = main(["evaluate", "--instance", str(inst), "--schedule", str(sched)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert re.fullmatch(rf"error:malformed-schedule: item \d+: {first} is not finite", err[0])
 
     def test_pivot_limit_exit_code(self, tmp_path, capsys, monkeypatch):
         from asymcharge import timing

@@ -222,9 +222,13 @@ class TestCoefficientMatrix:
         items = [ScheduleItem(TRANSMIT, instance.bs_pos, psi, 1.0) for psi in (0.0, 2.0)]
         items.append(ScheduleItem(MOVE, tuple(stop), 0.0, math.dist(instance.bs_pos, stop)))
         items += [ScheduleItem(TRANSMIT, tuple(stop), psi, 1.0) for psi in (0.0, 2.0, -1.0)]
-        with mock.patch.object(pipeline, "reach_pairs", wraps=pipeline.reach_pairs) as reach:
+        # and runs the exact stage once, on the pairs some sector may cover
+        with (
+            mock.patch.object(pipeline, "near_pairs", wraps=pipeline.near_pairs) as near,
+            mock.patch.object(pipeline, "coverage_math", wraps=pipeline.coverage_math) as exact,
+        ):
             execute_schedule(instance, OperationSchedule(tuple(items)))
-            assert reach.call_count == 1
-            assert reach.call_args.args[0] == [instance.bs_pos, tuple(stop)]
+            assert near.call_count == exact.call_count == 1
+            assert near.call_args.args[0] == [instance.bs_pos, tuple(stop)]
             execute_schedule(instance, OperationSchedule(tuple(items[2:3])))
-        assert reach.call_count == 1  # a schedule without transmissions searches nothing
+        assert near.call_count == exact.call_count == 1  # no transmissions, no search

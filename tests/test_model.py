@@ -14,6 +14,7 @@ from asymcharge import (
     energy_accounting,
     final_node_energy,
 )
+from asymcharge import model
 from asymcharge.errors import MalformedTourError
 
 from conftest import neutral_field
@@ -326,3 +327,56 @@ class TestNonFiniteParameters:
         node = Node(0, (1.0, 1.0), 10.0, 20.0, 60.0)
         with pytest.raises(ValidationError):
             NetworkInstance((node,), (math.nan, 0.0), DmcParams(), AsymmetryField(seed=0))
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+# values at, and one ulp either side of, the powers of ten, and the 9-digit
+# decimals just below and above them, from the subnormals to the largest double
+_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+for _k in range(-330, 309):
+    for _m in ("1", "0.999999999", "1.00000001", "9.99999999", "1.23456789"):
+        _x = float(f"{_m}e{_k}")
+        _EDGES += [_x, -_x, math.nextafter(_x, 0.0), math.nextafter(_x, math.inf)]
+
+
+class TestSnap9Array:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from(_EDGES),
+                st.builds(
+                    lambda m, e: float(f"{m}e{e}"),
+                    st.integers(-999_999_999, 999_999_999),
+                    st.integers(-340, 300),
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    def test_equal_to_snap9_bit_for_bit(self, values):
+        assert _bits(model.snap9_array(np.array(values))) == _bits([model.snap9(v) for v in values])
+
+    def test_edges_equal_to_snap9_bit_for_bit(self):
+        assert _bits(model.snap9_array(np.array(_EDGES))) == _bits([model.snap9(v) for v in _EDGES])
+
+
+class TestLedgerVectors:
+    def test_built_once_and_read_only(self):
+        from asymcharge import NetworkInstance
+
+        nodes = tuple(Node(i, (float(i), 0.0), 1.0 + i, 2.0, 60.0) for i in range(3))
+        instance = NetworkInstance(nodes, (0.0, 0.0), DmcParams(), AsymmetryField(seed=0))
+        for vector, want in (
+            (instance.e_b_vector, [1.0, 2.0, 3.0]),
+            (instance.e_d_vector, [2.0, 2.0, 2.0]),
+            (instance.e_c_vector, [60.0, 60.0, 60.0]),
+        ):
+            assert vector() is vector()
+            assert vector().tolist() == want
+            with pytest.raises(ValueError):
+                vector()[0] = 0.0

@@ -1,10 +1,14 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from asymcharge import model
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from asymcharge import model, pipeline
 from asymcharge import (
     MOVE,
     TRANSMIT,
@@ -18,9 +22,17 @@ from asymcharge.errors import MalformedScheduleError
 from asymcharge import energy_accounting
 
 from conftest import make_instance
-from support import segment_move_energy_time
+from support import ra_coefficients, ra_distance, segment_move_energy_time
 
 APEX = 4000.0 / 100.0**2
+
+# a power of ten, or the double one ulp either side of it, of either sign
+near_ten = st.builds(
+    lambda k, step, sign: sign * math.nextafter(10.0**k, step) if step else sign * 10.0**k,
+    st.integers(-3, 4),
+    st.sampled_from([0.0, -math.inf, math.inf]),
+    st.sampled_from([1.0, -1.0]),
+)
 
 
 def node_at(pos, e_b=10.0, e_d=20.0, e_c=60.0):
@@ -232,6 +244,74 @@ class TestExecuteSchedule:
             with pytest.raises(error, match=f"^{first}"):
                 execute_schedule(instance, OperationSchedule(items))
 
+    def test_lowest_index_non_finite_value_wins(self):
+        # a transmission whose credit overflows faults ahead of a later move
+        # whose energy does, although the moves are checked first
+        from asymcharge import DmcParams
+
+        instance = make_instance([node_at((10.0, 0.0))], dmc=DmcParams(p0=1e308, w0=1e308))
+        # the node 10 m off takes a coefficient of 4000 / 110**2, about 0.33
+        tiny = ScheduleItem(TRANSMIT, (0.0, 0.0), 0.0, 1e-300)
+        one = ScheduleItem(TRANSMIT, (0.0, 0.0), 0.0, 1.0)
+        ten = ScheduleItem(TRANSMIT, (0.0, 0.0), 0.0, 10.0)
+        out = ScheduleItem(MOVE, (10.0, 0.0), 0.0, 10.0)
+        there = ScheduleItem(TRANSMIT, (10.0, 0.0), 0.0, 25.0)
+        for items, first in (
+            ((tiny, ten, out), r"item 1: credited energy is not finite"),
+            ((tiny, out, there), r"item 1: move energy is not finite"),
+            # each credit is finite, but the energy the two transmit is not
+            ((one, one), r"the schedule's energy or time totals are not finite"),
+        ):
+            with pytest.raises(MalformedScheduleError, match=f"^{first}$"):
+                execute_schedule(instance, OperationSchedule(items))
+
+    def test_offset_beyond_a_float_is_out_of_range(self):
+        # 2e308 m apart: the offset overflows, quietly, and credits nothing
+        instance = make_instance([node_at((1e308, 0.0))], bs=(-1e308, 0.0))
+        items = (ScheduleItem(TRANSMIT, (-1e308, 0.0), 0.0, 1.0),)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert execute_schedule(instance, OperationSchedule(items)).received_total == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(near_ten, near_ten), min_size=2, max_size=5),
+        st.integers(0, 3),
+        st.sampled_from([-1.0, 1.0]),
+        st.integers(-2, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_move_tolerance_equal_to_four_roundings_per_move(self, ends, which, sign, steps, s):
+        # the replay rounds each end once; a duration off by the tolerance of
+        # four roundings per move, or a few ulps either side of it, must be
+        # accepted or rejected as that formula says
+        from asymcharge import AsymmetryField, DmcParams
+
+        dmc = DmcParams(v_bar=0.7)
+        asym = AsymmetryField(seed=s)
+        instance = make_instance([node_at((1.0, 1.0))], bs=ends[0], dmc=dmc, asym=asym)
+        ends[0] = model.snap9_point(ends[0])  # where the replay starts the charger
+        which %= len(ends) - 1
+        items = []
+        for j, (a, b) in enumerate(zip(ends, ends[1:])):
+            t = ra_distance(a, b, asym) / dmc.v_bar
+            stated = t
+            if j == which:
+                shift = sum(map(pipeline._rounding, (a[0], a[1], b[0], b[1])))
+                k = ra_coefficients(asym, a, b)[0]
+                tolerance = pipeline._rounding(t) + k * shift / dmc.v_bar + math.ulp(t)
+                stated = t + sign * tolerance
+                for _ in range(abs(steps)):
+                    stated = math.nextafter(stated, math.copysign(math.inf, steps))
+                ok = stated >= 0 and abs(t - stated) <= tolerance
+            items.append(ScheduleItem(MOVE, b, 0.0, stated))
+        schedule = OperationSchedule(tuple(items))
+        if ok:
+            execute_schedule(instance, schedule)
+        else:
+            with pytest.raises(MalformedScheduleError, match=f"^item {which}: "):
+                execute_schedule(instance, schedule)
+
 
 class TestPlanSchedule:
     def test_zero_demand_stays_home(self):
@@ -411,3 +491,26 @@ class TestOneToOne:
         one_to_one_schedule(instance)
         points = instance.n + 1
         assert 0 < sum(hashed) < 0.05 * points * (points - 1)
+
+    def test_replay_computes_few_pairs_exactly(self, monkeypatch):
+        from asymcharge import directions
+        from asymcharge.cli import generate_instance
+
+        # a point-blank transmission's 45 degree sector covers few of the
+        # nodes in range of its stop: the bearing prefilter drops the rest
+        # before the exact stage
+        instance = generate_instance(450, seed=1)
+        schedule, _ = one_to_one_schedule(instance)
+        stops = list(dict.fromkeys(item.pos for item in schedule.items if item.state == TRANSMIT))
+        in_range = len(directions.reach_pairs(stops, instance).node)
+        exact = []
+        coverage_math = pipeline.coverage_math
+
+        def counting(dx, dy, dmc):
+            exact.append(len(dx))
+            return coverage_math(dx, dy, dmc)
+
+        monkeypatch.setattr(pipeline, "coverage_math", counting)
+        execute_schedule(instance, schedule)
+        assert len(exact) == 1
+        assert 0 < exact[0] < in_range / 3
