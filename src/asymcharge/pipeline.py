@@ -79,8 +79,9 @@ def _received(
 
     One ``near_pairs`` call searches the distinct stops.  A pair whose numpy
     bearing lies more than ``phi / 2 + 1e-9`` off a transmission's
-    direction is dropped for that transmission: ``np.arctan2`` stays within
-    an ulp of ``math.atan2``, so the exact test would drop it too.  The
+    direction is dropped for that transmission: ``np.arctan2`` differs from
+    ``math.atan2`` by an ulp or so, about 1e-15 rad, far inside the margin,
+    so the exact test would drop it too.  The
     exact ``coverage_math`` then runs once on each pair some transmission
     may cover.  Each transmission credits ``p0 * coef * t`` to every
     in-range node its sector covers, and ``bincount`` adds each node's

@@ -333,13 +333,19 @@ def _bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
-# values at, and one ulp either side of, the powers of ten, and the 9-digit
-# decimals just below and above them, from the subnormals to the largest double
-_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
-for _k in range(-330, 309):
-    for _m in ("1", "0.999999999", "1.00000001", "9.99999999", "1.23456789"):
-        _x = float(f"{_m}e{_k}")
-        _EDGES += [_x, -_x, math.nextafter(_x, 0.0), math.nextafter(_x, math.inf)]
+def _edge_values() -> list[float]:
+    """Powers of ten and 9-digit decimals next to them, each with the doubles
+    one ulp either side, from the subnormals to the largest double."""
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308]
+    values.append(1.7976931348623157e308)
+    for k in range(-330, 309):
+        for digits in ("1", "0.999999999", "1.00000001", "9.99999999", "1.23456789"):
+            x = float(f"{digits}e{k}")
+            values += [x, -x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    return values
+
+
+_EDGES = _edge_values()
 
 
 class TestSnap9Array:
