@@ -234,8 +234,12 @@ class RoutingMatrices:
     egy_rate: np.ndarray  # (n, n) directed energy rates (J/m)
 
     def move_cost(self) -> np.ndarray:
-        """Directed movement energy matrix (J), elementwise dist * rate."""
-        return self.dist * self.egy_rate
+        """Directed movement energy matrix (J), elementwise dist * rate.
+
+        A product beyond a float is inf, without a warning; callers reject it.
+        """
+        with np.errstate(over="ignore"):
+            return self.dist * self.egy_rate
 
 
 # np.hypot can exceed math.hypot by an ulp: the shrink takes it below by
@@ -379,16 +383,18 @@ def build_routing_matrices(
 ) -> RoutingMatrices:
     """Directed travel matrices, built one origin row at a time by ``TravelArcs.row``.
 
-    The diagonal is 0: no travel, at no rate.
+    The diagonal is 0: no travel, at no rate.  A value beyond a float is
+    inf, without a warning; the cost graph rejects it.
     """
     arcs = TravelArcs(positions, asym, dmc)
     n = arcs.n
     dist = np.zeros((n, n))
     rate = np.zeros((n, n))
-    for i in range(n):
-        k_dis, span, k_egy = arcs.row(i)
-        dist[i] = k_dis * span
-        rate[i] = k_egy * dmc.w0
+    with np.errstate(over="ignore"):
+        for i in range(n):
+            k_dis, span, k_egy = arcs.row(i)
+            dist[i] = k_dis * span
+            rate[i] = k_egy * dmc.w0
     np.fill_diagonal(rate, 0.0)
     return RoutingMatrices(arcs.positions, dist, rate)
 

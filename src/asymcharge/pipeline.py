@@ -319,7 +319,11 @@ def one_to_one_schedule(instance: NetworkInstance) -> tuple[OperationSchedule, S
     if targets:
         points = [model.snap9_point(instance.bs_pos)] + [u.pos for u in targets]
         arcs = model.TravelArcs(points, instance.asym, instance.dmc)
-        tour = greedy_tour(arcs)
+        # lazy bounds and costs overflow to inf silently: an inf bound rules
+        # nothing out and the tour rejects an inf cost; one errstate per
+        # tour, since one per arcs call costs a few percent of a plan
+        with np.errstate(over="ignore"):
+            tour = greedy_tour(arcs)
         apex = instance.dmc.apex_coefficient
         for dest, move_item in _movement_items(list(tour.order), arcs, instance.dmc.v_bar):
             items.append(move_item)

@@ -3,13 +3,16 @@
 The number of clusters starts at a proven lower bound and grows until every
 cluster lies within the charge distance of its minimum enclosing circle's
 center, rounded to the 9 digits a schedule file stores; those rounded
-centers become the charging positions.  Each k is clustered once, and its
-clusters are enclosed in order until one does not fit; a cluster that an
-earlier k already enclosed keeps its center.
+centers become the charging positions.  Each k is clustered once, on one
+point array per plan.  A k with a cluster wider than the separation reach
+in x or y is rejected by one numpy pass before any circle is built;
+otherwise its clusters are enclosed in order until one does not fit, and a
+cluster that an earlier k already enclosed keeps its center.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import threading
@@ -126,7 +129,7 @@ class _Seeding:
 
     def __init__(self, pts: np.ndarray, seed: int):
         self.key = (pts.tobytes(), seed)
-        self.pts = pts
+        self.pts = pts.copy()  # a caller's array may change after the call
         self.rng = np.random.default_rng(seed)
         first = int(self.rng.integers(len(pts)))
         self.centers = [first]
@@ -165,14 +168,16 @@ def _kmeanspp_centers(pts: np.ndarray, k: int, seed: int) -> list[int]:
         return _last_seeding.extend(k)
 
 
-def kmeans(points: list[Point], k: int, seed: int) -> list[tuple[int, ...]]:
+def kmeans(points: list[Point] | np.ndarray, k: int, seed: int) -> list[tuple[int, ...]]:
     """Member ids of each nonempty cluster after k-means++ seeding and Lloyd iteration.
 
-    Stops when assignments stabilize or after 100 iterations.  A cluster that
-    loses all members is re-seeded from the point currently farthest from its
-    assigned center.  Empty clusters remaining at convergence (possible with
-    duplicate points) are dropped.  Clusters come in cluster order, each
-    member tuple in id order.
+    ``points`` is a sequence of (x, y) pairs or an (n, 2) float array; both
+    give the same clusters and share one k-means++ draw sequence.  Stops
+    when assignments stabilize or after 100 iterations.  A cluster that
+    loses all members is re-seeded from the point currently farthest from
+    its assigned center.  Empty clusters remaining at convergence (possible
+    with duplicate points) are dropped.  Clusters come in cluster order,
+    each member tuple in id order.
     """
     n = len(points)
     if not 1 <= k <= n:
@@ -184,17 +189,22 @@ def kmeans(points: list[Point], k: int, seed: int) -> list[tuple[int, ...]]:
     ys = np.ascontiguousarray(pts[:, 1])
     cx = xs[seeds]
     cy = ys[seeds]
-    col_x = xs[:, None]
-    col_y = ys[:, None]
+    # every row of grid_x holds its point's x, so x - cx is one subtract of
+    # two contiguous (n, k) arrays; numpy runs a stride-0 column operand as
+    # n short loops, several times slower for the same IEEE operations
+    grid_x = np.repeat(xs, k).reshape(n, k)
+    grid_y = np.repeat(ys, k).reshape(n, k)
     dist2 = np.empty((n, k))
     dy2 = np.empty((n, k))
     assign = np.full(n, -1, dtype=np.intp)
     new_assign = np.empty(n, dtype=np.intp)
     for _ in range(_KMEANS_MAX_ITER):
         # dx * dx + dy * dy, one operation at a time in the same buffers
-        np.subtract(col_x, cx, out=dist2)
+        np.copyto(dist2, cx)
+        np.subtract(grid_x, dist2, out=dist2)
         dist2 *= dist2
-        np.subtract(col_y, cy, out=dy2)
+        np.copyto(dy2, cy)
+        np.subtract(grid_y, dy2, out=dy2)
         dy2 *= dy2
         dist2 += dy2
         dist2.argmin(axis=1, out=new_assign)
@@ -239,14 +249,22 @@ def kmeans(points: list[Point], k: int, seed: int) -> list[tuple[int, ...]]:
     return [tuple(order[a:b]) for a, b in zip([0] + ends, ends) if b > a]
 
 
+def _separation_reach(d_max: float) -> float:
+    """2 d_max with a 1e-6 margin that keeps rounding on the failing side.
+
+    Two nodes farther apart than this, in distance or along one axis, have
+    no center within ``d_max`` of both, even as rounded coordinates measure it.
+    """
+    return 2.0 * d_max * (1.0 + 1e-6)
+
+
 def _separated_count(pts: np.ndarray, d_max: float) -> int:
-    """Size of a greedy set of nodes, in id order, pairwise farther apart than 2 d_max.
+    """Size of a greedy set of nodes, in id order, pairwise farther apart than the reach.
 
     No cluster count below it can fit: fewer clusters put two of these nodes
-    in one cluster, and no center lies within ``d_max`` of both.  The 1e-6
-    margin keeps the distances' rounding on the failing side.
+    in one cluster, and no center lies within ``d_max`` of both.
     """
-    reach = 2.0 * d_max * (1.0 + 1e-6)
+    reach = _separation_reach(d_max)
     xs = pts[:, 0]
     ys = pts[:, 1]
     free = np.ones(len(pts), dtype=bool)
@@ -258,24 +276,42 @@ def _separated_count(pts: np.ndarray, d_max: float) -> int:
     return count
 
 
+def _wider_than(pts: np.ndarray, clusters: list[tuple[int, ...]], reach: float) -> bool:
+    """Whether some cluster's x or y extent exceeds ``reach``, in one numpy pass."""
+    sizes = [len(ids) for ids in clusters]
+    members = pts[np.fromiter(itertools.chain.from_iterable(clusters), np.intp, sum(sizes))]
+    starts = np.cumsum(sizes) - sizes
+    extent = np.maximum.reduceat(members, starts) - np.minimum.reduceat(members, starts)
+    return bool((extent > reach).any())
+
+
 def _fitted_cover(
-    points: list[Point],
+    pts: list[Point] | np.ndarray,
     clusters: list[tuple[int, ...]],
     d_max: float,
     enclosed: dict[tuple[int, ...], Point],
 ) -> ChargingPositionSet | None:
     """The clusters' 9-digit enclosing-circle centers, if each reaches its members.
 
-    Encloses the clusters in order and gives up at the first one with a
-    member farther than ``d_max`` from its rounded center, so a losing k
-    costs no more circles than it needs.  ``enclosed`` maps the member ids
-    of every cluster enclosed so far to its rounded center; Welzl's shuffle
-    is seeded, so a cluster met again for another k reuses its center.
+    ``pts`` are the node positions, an (n, 2) float array or (x, y) pairs.
+    A cluster wider than ``_separation_reach`` in x or y has no center
+    within ``d_max`` of both its extreme members, and one that fits is at
+    most 2 d_max wide, so such a k is rejected before any circle is built.
+    Otherwise the clusters are enclosed in order, giving up at the first one
+    with a member farther than ``d_max`` from its rounded center, so a
+    losing k costs no more circles than it needs.  ``enclosed`` maps the
+    member ids of every cluster enclosed so far to its rounded center;
+    Welzl's shuffle is seeded, so a cluster met again for another k reuses
+    its center.
     """
+    pts = np.asarray(pts, dtype=float)
+    if _wider_than(pts, clusters, _separation_reach(d_max)):
+        return None
+    rows = pts.tolist()
     centers = []
-    assignment = [0] * len(points)
+    assignment = [0] * len(rows)
     for ci, ids in enumerate(clusters):
-        members = [points[i] for i in ids]
+        members = [tuple(rows[i]) for i in ids]
         if ids not in enclosed:
             enclosed[ids] = snap9_point(min_enclosing_circle(members)[0])
         cx, cy = enclosed[ids]
@@ -296,14 +332,15 @@ def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
     digits wins, and those rounded centers become the charging positions.
     The LP, the tour and the replay therefore all see the points a schedule
     file stores.  Seeding comes from the instance's asymmetry seed, so the
-    result is a pure function of the instance.
+    result is a pure function of the instance.  The node positions become
+    one float array, which every ``kmeans`` and ``_fitted_cover`` call reads.
     """
-    points = [u.pos for u in instance.nodes]
+    pts = np.array([u.pos for u in instance.nodes], dtype=float)
     d_max = instance.dmc.d_max
-    bound = _separated_count(np.asarray(points, dtype=float), d_max)
+    bound = _separated_count(pts, d_max)
     enclosed: dict[tuple[int, ...], Point] = {}
     for k in range(bound, instance.n + 1):
-        cover = _fitted_cover(points, kmeans(points, k, instance.asym.seed), d_max, enclosed)
+        cover = _fitted_cover(pts, kmeans(pts, k, instance.asym.seed), d_max, enclosed)
         if cover is not None:
             return cover
     raise AssertionError("unreachable: singleton clusters always fit at distance 0")

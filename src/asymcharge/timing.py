@@ -44,12 +44,17 @@ class LpSolution:
 
 
 def build_time_lp(matrix: CoefficientMatrix, instance: NetworkInstance) -> LpProblem:
-    """One covering constraint per node: received energy must meet its demand."""
+    """One covering constraint per node: received energy must meet its demand.
+
+    A node with a demand and no positive coefficient makes the program
+    infeasible; the lowest such node id is named.
+    """
     demand = instance.e_d_vector()
     a = instance.dmc.p0 * matrix.entries.T  # (N, K)
-    for u in instance.nodes:
-        if u.e_d > 0 and not np.any(a[u.id] > 0.0):
-            raise InfeasibleError(f"node {u.id} demands {u.e_d} J but is covered by no pair")
+    uncovered = np.flatnonzero((demand > 0) & ~(a > 0.0).any(axis=1))
+    if uncovered.size:
+        u = instance.nodes[uncovered[0]]
+        raise InfeasibleError(f"node {u.id} demands {u.e_d} J but is covered by no pair")
     return LpProblem(a=a, b=demand)
 
 

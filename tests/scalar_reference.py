@@ -426,6 +426,30 @@ def reference_kmeans(points: list[Point], k: int, seed: int) -> list[tuple[int, 
     return clusters
 
 
+def reference_fitted_cover(
+    points: list[Point], clusters: list[tuple[int, ...]], d_max: float
+) -> ChargingPositionSet | None:
+    """The clusters' 9-digit Welzl centers, if every member lies within ``d_max`` of its own.
+
+    Encloses every cluster, with no width test and no early exit.
+    """
+    centers = [
+        model.snap9_point(positions.min_enclosing_circle([points[i] for i in ids])[0])
+        for ids in clusters
+    ]
+    if not all(
+        math.hypot(points[i][0] - c[0], points[i][1] - c[1]) <= d_max
+        for ids, c in zip(clusters, centers)
+        for i in ids
+    ):
+        return None
+    assignment = [0] * len(points)
+    for ci, ids in enumerate(clusters):
+        for nid in ids:
+            assignment[nid] = ci
+    return ChargingPositionSet(positions=tuple(centers), assignment=tuple(assignment))
+
+
 def reference_select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
     """Smallest cluster count whose clusters all fit the charge range.
 
@@ -436,23 +460,11 @@ def reference_select_charging_positions(instance: NetworkInstance) -> ChargingPo
     instance.
     """
     node_points = [u.pos for u in instance.nodes]
-    d_max = instance.dmc.d_max
     for k in range(1, instance.n + 1):
         clusters = reference_kmeans(node_points, k, seed=instance.asym.seed)
-        centers = [
-            model.snap9_point(positions.min_enclosing_circle([node_points[i] for i in ids])[0])
-            for ids in clusters
-        ]
-        if all(
-            math.hypot(node_points[i][0] - c[0], node_points[i][1] - c[1]) <= d_max
-            for ids, c in zip(clusters, centers)
-            for i in ids
-        ):
-            assignment = [0] * instance.n
-            for ci, ids in enumerate(clusters):
-                for nid in ids:
-                    assignment[nid] = ci
-            return ChargingPositionSet(positions=tuple(centers), assignment=tuple(assignment))
+        cover = reference_fitted_cover(node_points, clusters, instance.dmc.d_max)
+        if cover is not None:
+            return cover
     raise AssertionError("unreachable: singleton clusters always fit at distance 0")
 
 

@@ -364,6 +364,23 @@ class TestCommandLine:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:validation:")
 
+    @pytest.mark.parametrize("algorithm", ["ra_dmcs", "o2o_greedy"])
+    @pytest.mark.parametrize("field", ["w0", "k_dis_hi"])
+    def test_travel_overflow_exit_code(self, tmp_path, algorithm, field):
+        # travel costs beyond a float are rejected; a child process shows
+        # what a user sees, so a numpy RuntimeWarning would be an extra line
+        text = instance_to_text(generate_instance(6, seed=1))
+        inst = tmp_path / "inst.json"
+        inst.write_text(re.sub(rf'"{field}": [^,\n]+', f'"{field}": 1e308', text, count=1))
+        proc = subprocess.run(
+            [sys.executable, "-m", "asymcharge.cli", "schedule", "--instance", str(inst),
+             "--algorithm", algorithm, "--out", str(tmp_path / "s.json")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert err == ["error:validation: directed costs must be finite"]
+
     @pytest.mark.parametrize(
         "field, bad, first",
         [

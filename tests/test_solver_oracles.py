@@ -47,6 +47,7 @@ from asymcharge.cli import generate_instance
 from conftest import make_instance, neutral_field
 from scalar_reference import (
     reference_best_3opt_move,
+    reference_fitted_cover,
     reference_kmeans,
     reference_select_charging_positions,
     reference_solve_lp,
@@ -143,29 +144,6 @@ def diameter_specs(d_max: float) -> list[float]:
     return out
 
 
-@st.composite
-def cover_instances(draw):
-    """Random nodes plus pairs and triples whose diameter sits on the fit boundary."""
-    d_max = draw(st.sampled_from([20.0, 7.5, 1.0, 0.3]))
-    area = draw(st.sampled_from([1.0, 20.0, 50.0, 200.0, 2000.0]))
-    coord = st.floats(min_value=0.0, max_value=area, allow_nan=False)
-    points = draw(st.lists(st.tuples(coord, coord), max_size=18))
-    for _ in range(draw(st.integers(0, 3))):
-        span = draw(st.sampled_from(diameter_specs(d_max)))
-        y = float(draw(st.integers(-40, 40)))
-        # both halves are exact, so the two members are exactly ``span`` apart
-        pair = [(-span / 2.0, y), (span / 2.0, y)]
-        if draw(st.booleans()):
-            pair.append((0.0, y + draw(st.sampled_from([0.0, span / 4.0, span / 2.0]))))
-        points += pair
-    if not points:
-        points = [(0.0, 0.0)]
-    points = draw(st.permutations(points))
-    specs = [(p, 0.0, 1.0, 10.0) for p in points]
-    field = neutral_field(draw(st.integers(0, 2**32 - 1)))  # the seed drives k-means
-    return make_instance(specs, dmc=DmcParams(d_max=d_max), asym=field)
-
-
 def separation_specs(d_max: float) -> list[float]:
     """Member distances a few ulps either side of the separation reach 2 d_max (1 + 1e-6)."""
     out = []
@@ -176,6 +154,35 @@ def separation_specs(d_max: float) -> list[float]:
         out.append(x)
         x = math.nextafter(x, math.inf)
     return out
+
+
+@st.composite
+def cover_instances(draw):
+    """Random nodes plus pairs and triples whose diameter sits on the fit boundary.
+
+    Some pairs sit on the separation reach instead, so the width test sees
+    extents a few ulps either side of it.
+    """
+    d_max = draw(st.sampled_from([20.0, 7.5, 1.0, 0.3]))
+    area = draw(st.sampled_from([1.0, 20.0, 50.0, 200.0, 2000.0]))
+    coord = st.floats(min_value=0.0, max_value=area, allow_nan=False)
+    points = draw(st.lists(st.tuples(coord, coord), max_size=18))
+    for _ in range(draw(st.integers(0, 3))):
+        span = draw(st.sampled_from(diameter_specs(d_max) + separation_specs(d_max)))
+        y = float(draw(st.integers(-40, 40)))
+        # both halves are exact, so the two members are exactly ``span`` apart
+        pair = [(-span / 2.0, y), (span / 2.0, y)]
+        if draw(st.booleans()):
+            pair.append((0.0, y + draw(st.sampled_from([0.0, span / 4.0, span / 2.0]))))
+        if draw(st.booleans()):
+            pair = [(b, a) for a, b in pair]  # along y instead
+        points += pair
+    if not points:
+        points = [(0.0, 0.0)]
+    points = draw(st.permutations(points))
+    specs = [(p, 0.0, 1.0, 10.0) for p in points]
+    field = neutral_field(draw(st.integers(0, 2**32 - 1)))  # the seed drives k-means
+    return make_instance(specs, dmc=DmcParams(d_max=d_max), asym=field)
 
 
 @st.composite
@@ -249,6 +256,48 @@ class TestCover:
         for k in range(1, bound):
             clusters = kmeans(points, k, instance.asym.seed)
             assert positions._fitted_cover(points, clusters, d_max, {}) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(cover_instances(), spread_instances()))
+    def test_fit_equal_to_welzl_only_fit(self, instance):
+        # the width test rejects a k only where enclosing every cluster
+        # rejects it too, and never a k that fits
+        points = [u.pos for u in instance.nodes]
+        pts = np.asarray(points, dtype=float)
+        d_max = instance.dmc.d_max
+        enclosed = {}
+        for k in range(1, instance.n + 1):
+            clusters = kmeans(pts, k, instance.asym.seed)
+            got = positions._fitted_cover(pts, clusters, d_max, enclosed)
+            want = reference_fitted_cover(points, clusters, d_max)
+            assert got == want
+            assert repr(got) == repr(want)
+
+    def test_no_circle_for_a_k_the_width_test_rejects(self):
+        instance = generate_instance(150, seed=1, area=200.0)
+        points = [u.pos for u in instance.nodes]
+        d_max = instance.dmc.d_max
+        reach = 2.0 * d_max * (1.0 + 1e-6)
+        fits = len(select_charging_positions(instance).positions)
+        rejected = 0
+        for k in range(1, fits + 1):
+            clusters = kmeans(points, k, instance.asym.seed)
+            wide = any(
+                max(points[i][axis] for i in ids) - min(points[i][axis] for i in ids) > reach
+                for ids in clusters
+                for axis in (0, 1)
+            )
+            with mock.patch.object(
+                positions, "min_enclosing_circle", wraps=positions.min_enclosing_circle
+            ) as welzl:
+                cover = positions._fitted_cover(points, clusters, d_max, {})
+            if wide:
+                rejected += 1
+                assert cover is None
+                assert welzl.call_count == 0
+            else:
+                assert welzl.call_count > 0
+        assert 0 < rejected < fits
 
     def test_bound_on_tight_pairs_and_duplicates(self):
         d_max = 20.0
@@ -325,6 +374,24 @@ class TestCover:
             want = reference_kmeans(point_sets[s], k, seed)
             assert got == want
             assert repr(got) == repr(want)
+
+    def test_kmeans_takes_an_array(self):
+        # a float array gives what the pairs give and extends their draw
+        # sequence, which keeps its own copy of the points it started from
+        rng = np.random.default_rng(7)
+        points = [tuple(p) for p in rng.uniform(0.0, 100.0, (40, 2)).tolist()]
+        pts = np.asarray(points)
+        changed = pts.copy()
+        with mock.patch.object(positions, "_last_seeding", None), \
+                mock.patch.object(positions, "_Seeding", wraps=positions._Seeding) as seeding:
+            assert kmeans(changed, 3, 11) == reference_kmeans(points, 3, 11)
+            changed[:] = 0.0
+            for k in (9, 5, 14, 3, 30):
+                want = reference_kmeans(points, k, 11)
+                for got in (kmeans(pts, k, 11), kmeans(points, k, 11)):
+                    assert got == want
+                    assert repr(got) == repr(want)
+        assert seeding.call_count == 1
 
     def test_kmeans_threads_share_the_draws(self):
         # threads that cluster one point set under the same two seeds at once

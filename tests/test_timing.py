@@ -87,6 +87,20 @@ class TestBuildTimeLp:
         with pytest.raises(InfeasibleError, match="node 1"):
             build_time_lp(matrix, instance)
 
+    def test_lowest_uncovered_demanding_node_named(self):
+        # nodes 1 and 3 demand energy out of reach, node 2 is out of reach
+        # with no demand: the error names node 1
+        instance = make_instance(
+            [((0.0, 0.0), 10.0, 16.0, 60.0), ((30.0, 0.0), 10.0, 5.0, 60.0),
+             ((0.0, 30.0), 10.0, 0.0, 60.0), ((40.0, 0.0), 10.0, 5.0, 60.0)],
+            bs=(5.0, 30.0),
+        )
+        cover = ChargingPositionSet(positions=((0.0, 0.0),), assignment=(0, 0, 0, 0))
+        matrix = build_coefficient_matrix(cover, instance)
+        assert not matrix.entries[:, 1:].any()
+        with pytest.raises(InfeasibleError, match=r"^node 1 demands 5\.0 J but is covered by no pair$"):
+            build_time_lp(matrix, instance)
+
     def test_preference_for_stronger_coefficient(self):
         # two pairs cover one node; all optimal mass goes on the better pair
         a = 4.0 * np.array([[0.4], [0.2]]).T  # (1 node, 2 pairs)
