@@ -39,7 +39,6 @@ from .pipeline import (
     MOVE,
     TRANSMIT,
     OperationSchedule,
-    ScheduleItem,
     ScheduleMetrics,
     execute_schedule,
     one_to_one_schedule,
@@ -278,10 +277,11 @@ def _snapped_nodes(values: list[float]) -> tuple[Node, ...]:
 
 
 def schedule_to_text(schedule: OperationSchedule) -> str:
+    columns = (schedule.state, schedule.x, schedule.y, schedule.psi, schedule.t)
     doc = {
         "items": [
-            {"state": item.state, "x": item.pos[0], "y": item.pos[1], "psi": item.psi, "t": item.t}
-            for item in schedule.items
+            {"state": state, "x": x, "y": y, "psi": psi, "t": t}
+            for state, x, y, psi, t in zip(*(column.tolist() for column in columns))
         ]
     }
     return _render_json(doc) + "\n"
@@ -297,14 +297,11 @@ def schedule_from_text(text: str) -> OperationSchedule:
             values += (float(i["x"]), float(i["y"]), float(i["psi"]), float(i["t"]))
     except _BAD_VALUE as exc:
         raise ValidationError(f"bad schedule file: {exc}") from exc
-    it = iter(snap9_array(np.array(values, dtype=float)).tolist())
-    items = tuple(
-        ScheduleItem(state, (x, y), psi, t) for state, x, y, psi, t in zip(states, it, it, it, it)
-    )
-    for item in items:
-        if item.state not in (MOVE, TRANSMIT):
-            raise ValidationError(f"bad schedule file: unknown state {item.state}")
-    return OperationSchedule(items)
+    if not set(states) <= {MOVE, TRANSMIT}:
+        state = next(s for s in states if s not in (MOVE, TRANSMIT))
+        raise ValidationError(f"bad schedule file: unknown state {state}")
+    x, y, psi, t = snap9_array(np.array(values, dtype=float)).reshape(-1, 4).T.copy()
+    return OperationSchedule.from_columns(np.array(states, dtype=np.int64), x, y, psi, t)
 
 
 def metrics_to_row(metrics: ScheduleMetrics) -> dict:
@@ -329,24 +326,6 @@ def write_csv(path, rows: list[dict], fieldnames: list[str]) -> None:
                     v = format(v, ".9g")
                 out[k] = v
             writer.writerow(out)
-
-
-def load_metrics_csv(path, check_identities: bool = True) -> list[dict]:
-    """Read a per-run metrics CSV back, re-checking the metric identities."""
-    with open(path, newline="", encoding="ascii") as f:
-        rows = list(csv.DictReader(f))
-    if check_identities:
-        for row in rows:
-            if row.get("status", "ok") != "ok":
-                continue
-            total = float(row["total_energy_loss"])
-            parts = float(row["charging_energy_loss"]) + float(row["movement_energy"])
-            span = float(row["time_span"])
-            tparts = float(row["charging_time"]) + float(row["moving_time"])
-            scale = 1.0 + abs(total) + abs(span)
-            if abs(total - parts) > 1e-6 * scale or abs(span - tparts) > 1e-6 * scale:
-                raise ValidationError(f"metrics identities violated in row {row}")
-    return rows
 
 
 # ---------------------------------------------------------------------------

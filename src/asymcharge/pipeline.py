@@ -3,20 +3,26 @@
 ``plan_schedule`` chains position selection, direction reduction, time
 allocation, and asymmetric tour construction into an operation schedule.
 ``one_to_one_schedule`` is the baseline that drives to every node and charges
-it point-blank.  ``execute_schedule`` replays any schedule against the energy
-models and produces the metrics: it checks the items one by one, then
-prices every move from one call of ``model.TravelArcs.row``, the hashing
-kernel the tours read, and credits all transmissions through the two stages
-of the coverage kernel the coefficient matrix is built from, running the
-exact stage only on the pairs some transmission's sector may cover.
+it point-blank.  A schedule is five numpy columns (state, x, y, psi, t), which
+both schedulers and both file readers fill directly.  ``execute_schedule``
+replays any schedule against the energy models and produces the metrics: it
+checks the items with one array pass per check, prices every move from one
+call of ``model.TravelArcs.row``, the hashing kernel the tours read, with
+the 9-digit tolerance of every move in array passes too, and credits all
+transmissions through the two stages of the coverage kernel the coefficient
+matrix is built from, running the exact stage only on the pairs some
+transmission's sector may cover.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import time as _time
-from dataclasses import astuple, dataclass, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,17 +46,68 @@ TRANSMIT = 1
 _TIME_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class ScheduleItem:
+class ScheduleItem(NamedTuple):
+    """One item of a schedule, a row of ``OperationSchedule``."""
+
     state: int  # MOVE or TRANSMIT
     pos: Point  # movement target, or transmission position
     psi: float  # transmission direction; unused for movement items
     t: float  # duration (s)
 
 
-@dataclass(frozen=True)
+_COLUMNS = ("state", "x", "y", "psi", "t")
+
+
 class OperationSchedule:
-    items: tuple[ScheduleItem, ...]
+    """A schedule as five numpy columns with one entry per item.
+
+    ``state`` holds MOVE or TRANSMIT, ``x`` and ``y`` the movement target
+    or transmission position, ``psi`` the transmission direction (unused
+    for movement items) and ``t`` the duration in seconds; the columns are
+    read-only.  ``OperationSchedule(items)`` builds them from
+    ``ScheduleItem`` rows, and ``from_columns`` takes them as they are.
+    ``items`` is the tuple of rows, built once when first read.  Two
+    schedules are equal when their columns are.
+    """
+
+    __slots__ = (*_COLUMNS, "_items")
+
+    def __init__(self, items: Iterable[ScheduleItem] = ()):
+        items = tuple(items)
+        state, pos, psi, t = zip(*items) if items else ((),) * 4
+        x, y = zip(*pos) if items else ((), ())
+        self._fill(np.array(state), x, y, psi, t)
+        self._items = items
+
+    @classmethod
+    def from_columns(cls, state, x, y, psi, t) -> OperationSchedule:
+        schedule = cls.__new__(cls)
+        schedule._fill(np.asarray(state), x, y, psi, t)
+        schedule._items = None
+        return schedule
+
+    def _fill(self, state: np.ndarray, *values) -> None:
+        for name, column in zip(_COLUMNS, (state, *(np.asarray(v, dtype=float) for v in values))):
+            column.setflags(write=False)
+            setattr(self, name, column)
+
+    @property
+    def items(self) -> tuple[ScheduleItem, ...]:
+        if self._items is None:
+            pos = zip(self.x.tolist(), self.y.tolist())
+            rows = zip(self.state.tolist(), pos, self.psi.tolist(), self.t.tolist())
+            # tuple.__new__ fills each row in C, without the per-row Python
+            # __new__ that calling ScheduleItem runs
+            self._items = tuple(map(tuple.__new__, itertools.repeat(ScheduleItem), rows))
+        return self._items
+
+    def __eq__(self, other):
+        if not isinstance(other, OperationSchedule):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS)
+
+    def __repr__(self) -> str:
+        return f"OperationSchedule({self.items!r})"
 
 
 @dataclass(frozen=True)
@@ -72,34 +129,72 @@ def _rounding(x: float) -> float:
     return 0.5 * 10.0 ** (math.floor(math.log10(abs(x))) - 8) if x else 0.0
 
 
+# 10.0 ** k for k = -315 ... 308, each the double ``_rounding`` computes
+_POWERS_FROM = -315
+_POWERS = np.array([10.0**k for k in range(_POWERS_FROM, 309)])
+
+
+def _rounding_array(x: np.ndarray) -> np.ndarray:
+    """``_rounding`` of every finite value, bit for bit; 0.0 for the others.
+
+    Take e = floor(log10|x|) from numpy.  Where |x| lies more than a
+    relative 1e-12 inside [10**e, 10**(e + 1)), for e in -307..307, the
+    exact logarithm is more than 4e-13 from an integer, many ulps more
+    than ``math.log10`` or ``np.log10`` can be off, so ``math.floor``
+    gives e as well, and the result is ``0.5 * 10.0 ** (e - 8)`` from a
+    table of the doubles Python computes.  Zeros give 0.0; every other
+    finite value, near a power of ten or below 1e-307, goes through
+    ``_rounding``.
+    """
+    mag = np.abs(x)
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(mag))
+    sure = (e >= -307.0) & (e <= 307.0)  # also false for zero and non-finite values
+    k = np.where(sure, e, 0.0).astype(np.intp) - _POWERS_FROM
+    sure &= (mag > _POWERS[k] * (1.0 + 1e-12)) & (mag < _POWERS[k + 1] * (1.0 - 1e-12))
+    out = np.where(sure, 0.5 * _POWERS[k - 8], 0.0)
+    unsure = ~sure & np.isfinite(x) & (x != 0.0)
+    out[unsure] = [_rounding(v) for v in x[unsure].tolist()]
+    return out
+
+
+def _in_order_sum(values: np.ndarray) -> float:
+    """0.0 + values[0] + values[1] + ..., added left to right as a running ``+=`` adds them.
+
+    ``cumsum`` adds in that order from values[0]; the sums differ only where
+    all of them are -0.0, which adding 0.0 last turns into the running 0.0.
+    """
+    return float(np.cumsum(values)[-1]) + 0.0 if values.size else 0.0
+
+
 def _received(
-    instance: NetworkInstance, stops: list[Point], sends: list[tuple[int, int, float, float]]
+    instance: NetworkInstance, stops: list[Point], stop: np.ndarray, psi: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, int | None]:
     """Energy each node receives from the transmissions, before capacity clipping.
 
-    One ``near_pairs`` call searches the distinct stops.  A pair whose numpy
-    bearing lies more than ``phi / 2 + 1e-9`` off a transmission's
-    direction is dropped for that transmission: ``np.arctan2`` differs from
-    ``math.atan2`` by an ulp or so, about 1e-15 rad, far inside the margin,
-    so the exact test would drop it too.  The
-    exact ``coverage_math`` then runs once on each pair some transmission
-    may cover.  Each transmission credits ``p0 * coef * t`` to every
-    in-range node its sector covers, and ``bincount`` adds each node's
-    credits in transmission order, the order a running ``+=`` per
-    transmission takes.  Also returns the position in ``sends`` of the
-    first transmission with a credit that is not finite, or None.
+    Transmission i sends from ``stops[stop[i]]`` in direction ``psi[i]``
+    for ``t[i]`` seconds.  One ``near_pairs`` call searches the distinct
+    stops.  A pair whose numpy bearing lies more than ``phi / 2 + 1e-9``
+    off a transmission's direction is dropped for that transmission:
+    ``np.arctan2`` differs from ``math.atan2`` by an ulp or so, about
+    1e-15 rad, far inside the margin, so the exact test would drop it too.
+    The exact ``coverage_math`` then runs once on each pair some
+    transmission may cover.  Each transmission credits ``p0 * coef * t`` to
+    every in-range node its sector covers, and ``bincount`` adds each
+    node's credits in transmission order, the order a running ``+=`` per
+    transmission takes.  Also returns the index of the first transmission
+    with a credit that is not finite, or None.
     """
     dmc = instance.dmc
     half = dmc.phi / 2.0
     near = near_pairs(stops, instance)
     bounds = np.searchsorted(near.point, np.arange(len(stops) + 1))
-    _, stop, psi, t = (np.array(column) for column in zip(*sends))
     lo = bounds[stop]
     count = bounds[stop + 1] - lo
     # the pairs of each transmission's stop, transmission after transmission
     pair = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
-    send = np.repeat(np.arange(len(sends)), count)
-    psi = normalize_angles(psi.astype(float))
+    send = np.repeat(np.arange(len(stop)), count)
+    psi = normalize_angles(psi)
     apex = (near.dx == 0.0) & (near.dy == 0.0)
     bearing = normalize_angles(np.arctan2(near.dy, near.dx))
     maybe = apex[pair] | (off_axis(bearing[pair], psi[send]) <= half + 1e-9)
@@ -117,104 +212,129 @@ def _received(
     covered = (dist[at] == 0.0) | (off_axis(theta[at], psi[send]) <= half)
     at, send = at[covered], send[covered]
     with np.errstate(over="ignore", invalid="ignore"):  # reported as the first bad send
-        credit = dmc.p0 * coef[at] * t.astype(float)[send]
+        credit = dmc.p0 * coef[at] * t[send]
     finite = np.isfinite(credit)
     bad = None if finite.all() else int(send[np.argmin(finite)])
     received = np.bincount(near.node[exact[keep]][at], weights=credit, minlength=instance.n)
     return received, bad
 
 
-def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> ScheduleMetrics:
-    """Replay a schedule item by item and account for every joule.
+def _item_fault(schedule: OperationSchedule, idx: int, start: Point) -> MalformedScheduleError:
+    """The fault of item ``idx``, the first item whose checks fail, as the replay reports it."""
+    items = schedule.items
+    item = items[idx]
+    if not all(map(math.isfinite, (item.pos[0], item.pos[1], item.psi, item.t))):
+        problem = "non-finite position, direction or duration"
+    elif item.t < 0:
+        problem = "negative duration"
+    elif item.state == TRANSMIT:
+        here = next((i.pos for i in reversed(items[:idx]) if i.state == MOVE), start)
+        problem = f"transmits from {item.pos} but the charger is at {here}"
+    else:
+        problem = f"unknown state {item.state}"
+    return MalformedScheduleError(f"item {idx}: {problem}")
 
-    Every number in an item must be finite, and transmissions must happen
-    where the charger is.  The charger starts at the 9-digit base station,
-    the point an instance file holds.  The items are checked in order up to
-    the first fault.  Then one ``TravelArcs.row`` call prices every move
-    before it: each move's travel time and energy must be finite, and its
-    duration must match its directed travel time up to what the file
-    format's 9-significant-digit rounding of the duration and of the move's
-    two ends can change.  ``_received`` credits every transmission at once,
-    and every credit must be finite.  Only then is the fault of the lowest
-    item index raised.  Received energy accumulates linearly and is
+
+def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> ScheduleMetrics:
+    """Replay a schedule and account for every joule.
+
+    Every number in an item must be finite, its duration nonnegative and its
+    state known, and transmissions must happen where the charger is.  The
+    charger starts at the 9-digit base station, the point an instance file
+    holds.  One array pass per check finds the first item that fails one.
+    Then one ``TravelArcs.row`` call prices every move before it: each
+    move's travel time and energy must be finite, and its duration must
+    match its directed travel time up to what the file format's
+    9-significant-digit rounding of the duration and of the move's two ends
+    can change.  ``_received`` credits every transmission before it at
+    once, and every credit must be finite.  Only then is the fault of the
+    lowest item index raised.  Running totals add in item order, as a
+    running ``+=`` does.  Received energy accumulates linearly and is
     capacity-clipped once at the end.  The schedule is feasible when every
     demand is met and the charger's battery does not run out.
     """
     dmc = instance.dmc
-    ends = [model.snap9_point(instance.bs_pos)]  # the charger's start, then each move's end
-    moves: list[tuple[int, float]] = []  # (item index, duration) per move
-    tran_time = 0.0
-    stops: dict[Point, int] = {}  # distinct transmit positions, first seen first
-    sends: list[tuple[int, int, float, float]] = []  # (item index, stop, psi, duration)
+    start = model.snap9_point(instance.bs_pos)
+    state, x, y, psi, t = schedule.state, schedule.x, schedule.y, schedule.psi, schedule.t
+    is_move = state == MOVE
+    is_send = state == TRANSMIT
+    # the charger's start, then each move's end
+    end_x = np.append(start[0], x[is_move])
+    end_y = np.append(start[1], y[is_move])
+    before = np.cumsum(is_move) - is_move  # the moves before each item
+    fault = ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(psi) & np.isfinite(t))
+    fault |= (t < 0.0) | ~(is_move | is_send)
+    fault |= is_send & ((x != end_x[before]) | (y != end_y[before]))
     faults: list[tuple[int, ValidationError]] = []  # (item index, fault)
-    try:
-        for idx, item in enumerate(schedule.items):
-            if not all(map(math.isfinite, (item.pos[0], item.pos[1], item.psi, item.t))):
-                raise MalformedScheduleError(f"item {idx}: non-finite position, direction or duration")
-            if item.t < 0:
-                raise MalformedScheduleError(f"item {idx}: negative duration")
-            if item.state == MOVE:
-                moves.append((idx, item.t))
-                ends.append(item.pos)
-            elif item.state == TRANSMIT:
-                if tuple(item.pos) != tuple(ends[-1]):
-                    raise MalformedScheduleError(
-                        f"item {idx}: transmits from {item.pos} but the charger is at {ends[-1]}"
-                    )
-                tran_time += item.t
-                sends.append((idx, stops.setdefault(tuple(item.pos), len(stops)), item.psi, item.t))
-            else:
-                raise MalformedScheduleError(f"item {idx}: unknown state {item.state}")
-    except MalformedScheduleError as exc:
-        faults.append((idx, exc))
+    cut = len(t)  # the first faulty item: neither it nor any item after it is priced
+    if fault.any():
+        cut = int(fault.argmax())
+        faults.append((cut, _item_fault(schedule, cut, start)))
+    moves = np.flatnonzero(is_move[:cut])
+    sends = np.flatnonzero(is_send[:cut])
 
     move_energy = move_time = distance = 0.0
-    if moves:
+    if moves.size:
+        ends = list(zip(end_x[: moves.size + 1].tolist(), end_y[: moves.size + 1].tolist()))
         try:
             arcs = model.TravelArcs(ends, instance.asym, dmc)
         except ValidationError as exc:
-            # quantize stops the loop at ends[cut], the first end off the hash
+            # quantize stops the loop at ends[off], the first end off the hash
             # grid: the move into it faults, after the moves before it
             with contextlib.suppress(ValidationError):
-                for cut, p in enumerate(ends):
+                for off, p in enumerate(ends):
                     instance.asym.quantize(p)
-            faults.append((moves[max(cut - 1, 0)][0], exc))
-            del ends[cut:], moves[max(cut - 1, 0) :]
+            faults.append((int(moves[max(off - 1, 0)]), exc))
+            del ends[off:]
+            moves = moves[: max(off - 1, 0)]
             arcs = model.TravelArcs(ends, instance.asym, dmc)
-        m = len(moves)
+        m = moves.size
+        stated = t[moves]
         with np.errstate(over="ignore", invalid="ignore"):  # faults its move below
             k_dis, span, k_egy = arcs.row(np.arange(m), np.arange(1, m + 1))
             d = k_dis * span
             energy = d * k_egy * dmc.w0
-        # half a unit in the 9th digit of each end's coordinates, once per end
-        shifts = [(_rounding(x), _rounding(y)) for x, y in ends]
-        for (idx, stated), (a0, a1), (b0, b1), k, dk, ek in zip(
-            moves, shifts, shifts[1:], k_dis.tolist(), d.tolist(), energy.tolist()
-        ):
-            t = dk / dmc.v_bar
-            if not math.isfinite(t):
+            travel = d / dmc.v_bar
+            # half a unit in the 9th digit of each end's coordinates, once
+            # per end, and of each travel time, in one pass
+            half = _rounding_array(np.concatenate((end_x[: m + 1], end_y[: m + 1], travel)))
+            ex, ey = half[: m + 1], half[m + 1 : 2 * m + 2]
+            shift = ex[:-1] + ey[:-1] + ex[1:] + ey[1:]
+            # math.ulp covers the binary error of the stored decimal; it is
+            # np.spacing of the magnitude, which is 2**971 from 2**1023 up
+            ulp = np.spacing(np.minimum(np.abs(travel), 2.0**1023))
+            tolerance = half[2 * m + 2 :] + k_dis * shift / dmc.v_bar + ulp
+            wrong = np.abs(travel - stated) > tolerance
+            wrong |= ~(np.isfinite(travel) & np.isfinite(energy))
+        priced = int(wrong.argmax()) if wrong.any() else m  # the moves before the first wrong one
+        if priced < m:
+            idx = int(moves[priced])
+            said, took = float(stated[priced]), float(travel[priced])
+            if not math.isfinite(took):
                 problem = "travel time is not finite"
-            elif not math.isfinite(ek):
+            elif not math.isfinite(energy[priced]):
                 problem = "move energy is not finite"
-            # math.ulp covers the binary error of the stored decimal
-            elif abs(t - stated) > _rounding(t) + k * (a0 + a1 + b0 + b1) / dmc.v_bar + math.ulp(t):
-                problem = f"duration {stated:.9g} s does not match travel time {t:.9g} s"
             else:
-                move_energy += ek
-                move_time += stated
-                distance += dk
-                continue
+                problem = f"duration {said:.9g} s does not match travel time {took:.9g} s"
             faults.append((idx, MalformedScheduleError(f"item {idx}: {problem}")))
-            break
+        move_energy = _in_order_sum(energy[:priced])
+        move_time = _in_order_sum(stated[:priced])
+        distance = _in_order_sum(d[:priced])
 
     received_raw = np.zeros(instance.n)
-    if sends:
-        received_raw, bad = _received(instance, list(stops), sends)
+    if sends.size:
+        points = list(zip(x[sends].tolist(), y[sends].tolist()))
+        # distinct stops, first seen first, keyed as a dict keys them: -0.0
+        # and 0.0 are one key, and its first point keeps the sign atan2 reads
+        stops = dict(zip(dict.fromkeys(points), itertools.count()))
+        stop = np.fromiter(map(stops.__getitem__, points), np.intp, len(points))
+        received_raw, bad = _received(instance, list(stops), stop, psi[sends], t[sends])
         if bad is not None:
-            idx = sends[bad][0]
+            idx = int(sends[bad])
             faults.append((idx, MalformedScheduleError(f"item {idx}: credited energy is not finite")))
     if faults:
         raise min(faults, key=lambda fault: fault[0])[1]
+    tran_time = _in_order_sum(t[sends])
 
     ledger = model.energy_accounting(
         instance.e_b_vector(), instance.e_c_vector(), received_raw, tran_time, move_energy, dmc
@@ -235,26 +355,27 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
         feasible=demand_met and ledger.dmc_energy_ok,
     )
     # every item's values are finite, but their sums can still overflow
-    if not all(map(math.isfinite, astuple(metrics))):
+    if not all(map(math.isfinite, vars(metrics).values())):
         raise MalformedScheduleError("the schedule's energy or time totals are not finite")
     return metrics
 
 
 def _movement_items(
     tour_order: list[int], mats: model.RoutingMatrices | model.TravelArcs, v_bar: float
-) -> list[tuple[int, ScheduleItem]]:
-    """(destination index, movement item) per tour arc, skipping zero hops.
+) -> list[tuple[int, float]]:
+    """(destination index, duration) per tour arc, skipping zero hops.
 
     ``mats.dist[a, b]`` is a matrix entry, or the distance ``TravelArcs``
     recorded for an arc the tour computed.
     """
-    out = []
-    for a, b in zip(tour_order, tour_order[1:]):
-        if a == b:
-            continue
-        t = float(mats.dist[a, b]) / v_bar
-        out.append((b, ScheduleItem(MOVE, mats.positions[b], 0.0, t)))
-    return out
+    arcs = zip(tour_order, tour_order[1:])
+    return [(b, float(mats.dist[a, b]) / v_bar) for a, b in arcs if a != b]
+
+
+def _from_values(values: list[float]) -> OperationSchedule:
+    """The schedule whose items' state, x, y, psi and t follow one another in ``values``."""
+    state, x, y, psi, t = np.array(values, dtype=float).reshape(-1, 5).T.copy()
+    return OperationSchedule.from_columns(state.astype(np.int64), x, y, psi, t)
 
 
 def plan_schedule(
@@ -280,7 +401,7 @@ def plan_schedule(
         if t > _TIME_EPS:
             per_position.setdefault(row.pos_index, []).append((row.psi, float(t)))
 
-    items: list[ScheduleItem] = []
+    values: list[float] = []  # state, x, y, psi and t of each item in turn
     if per_position:
         kept = sorted(per_position)
         points = [model.snap9_point(instance.bs_pos)] + [positions.positions[pi] for pi in kept]
@@ -290,15 +411,15 @@ def plan_schedule(
 
         transmitted: set[int] = set()
         path = list(tour.order)
-        for dest, move_item in _movement_items(path, mats, instance.dmc.v_bar):
-            items.append(move_item)
+        for dest, t_move in _movement_items(path, mats, instance.dmc.v_bar):
+            x, y = points[dest]
+            values += (MOVE, x, y, 0.0, t_move)
             if dest != 0 and dest not in transmitted:
                 transmitted.add(dest)
-                pos_index = kept[dest - 1]
-                for psi, t in sorted(per_position[pos_index]):
-                    items.append(ScheduleItem(TRANSMIT, points[dest], psi, t))
+                for psi, t in sorted(per_position[kept[dest - 1]]):
+                    values += (TRANSMIT, x, y, psi, t)
 
-    schedule = OperationSchedule(tuple(items))
+    schedule = _from_values(values)
     metrics = execute_schedule(instance, schedule)
     runtime = _time.perf_counter() - started
     return schedule, replace(metrics, algorithm_runtime=runtime)
@@ -315,7 +436,7 @@ def one_to_one_schedule(instance: NetworkInstance) -> tuple[OperationSchedule, S
     """
     started = _time.perf_counter()
     targets = [u for u in instance.nodes if u.e_d > 0]
-    items: list[ScheduleItem] = []
+    values: list[float] = []  # state, x, y, psi and t of each item in turn
     if targets:
         points = [model.snap9_point(instance.bs_pos)] + [u.pos for u in targets]
         arcs = model.TravelArcs(points, instance.asym, instance.dmc)
@@ -324,15 +445,13 @@ def one_to_one_schedule(instance: NetworkInstance) -> tuple[OperationSchedule, S
         # tour, since one per arcs call costs a few percent of a plan
         with np.errstate(over="ignore"):
             tour = greedy_tour(arcs)
-        apex = instance.dmc.apex_coefficient
-        for dest, move_item in _movement_items(list(tour.order), arcs, instance.dmc.v_bar):
-            items.append(move_item)
+        rate = instance.dmc.p0 * instance.dmc.apex_coefficient
+        for dest, t_move in _movement_items(list(tour.order), arcs, instance.dmc.v_bar):
+            x, y = points[dest]
+            values += (MOVE, x, y, 0.0, t_move)
             if dest != 0:
-                u = targets[dest - 1]
-                items.append(
-                    ScheduleItem(TRANSMIT, u.pos, 0.0, u.e_d / (instance.dmc.p0 * apex))
-                )
-    schedule = OperationSchedule(tuple(items))
+                values += (TRANSMIT, x, y, 0.0, targets[dest - 1].e_d / rate)
+    schedule = _from_values(values)
     metrics = execute_schedule(instance, schedule)
     runtime = _time.perf_counter() - started
     return schedule, replace(metrics, algorithm_runtime=runtime)

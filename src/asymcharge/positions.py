@@ -334,8 +334,16 @@ def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
     file stores.  Seeding comes from the instance's asymmetry seed, so the
     result is a pure function of the instance.  The node positions become
     one float array, which every ``kmeans`` and ``_fitted_cover`` call reads.
+    Nodes so far apart that n times their widest squared offset overflows
+    raise ``ValidationError`` before any clustering.
     """
     pts = np.array([u.pos for u in instance.nodes], dtype=float)
+    # a k-means++ draw weighs each node by its squared offset from a center,
+    # out of the sum of all n of them
+    with np.errstate(over="ignore"):
+        dx, dy = (pts.max(axis=0) - pts.min(axis=0)).tolist()
+    if not math.isfinite(instance.n * (dx * dx + dy * dy)):
+        raise ValidationError("nodes lie too far apart: their squared offsets overflow a float")
     d_max = instance.dmc.d_max
     bound = _separated_count(pts, d_max)
     enclosed: dict[tuple[int, ...], Point] = {}

@@ -8,7 +8,8 @@ straightforward one-pair-at-a-time and one-node-at-a-time loops behind
 ``model.TravelArcs.row`` (one blake2b of the whole key per pair),
 ``model.build_routing_matrices``, ``directions.reach_pairs``,
 ``directions.build_coefficient_matrix`` (the event sweep that tests every
-node at every arc midpoint) and ``pipeline.execute_schedule``; the cover
+node at every arc midpoint) and ``pipeline.execute_schedule``, whose
+item checks and move pricing have a per-item loop version here too; the cover
 that encloses every cluster of every k from k = 1, behind
 ``positions.select_charging_positions``; the nearest-neighbor tour that
 takes a Python ``min`` over the unvisited set, behind
@@ -28,13 +29,15 @@ arcs per point: once the lists hold every other point, no swap may improve
 a tour it returns.
 """
 
+import contextlib
+import dataclasses
 import hashlib
 import math
 import struct
 
 import numpy as np
 
-from asymcharge import model, positions, routing, timing
+from asymcharge import model, pipeline, positions, routing, timing
 from asymcharge.model import AsymmetryField, DmcParams, NetworkInstance, Point
 from asymcharge.errors import MalformedScheduleError, ValidationError
 from asymcharge.pipeline import MOVE, TRANSMIT, OperationSchedule, ScheduleItem, ScheduleMetrics
@@ -236,6 +239,114 @@ def reference_execute_schedule(
         received_total=ledger.e_nodes_rcv,
         feasible=demand_met and ledger.dmc_energy_ok,
     )
+
+
+def loop_execute_schedule(
+    instance: NetworkInstance, schedule: OperationSchedule
+) -> ScheduleMetrics:
+    """The replay with its item checks and move pricing as per-item loops.
+
+    The items are checked one by one up to the first fault; a running
+    ``+=`` adds the moves before the first wrong one, each with a scalar
+    ``_rounding`` tolerance; the credits come from ``pipeline._received``.
+    Faults, messages and metrics are those ``execute_schedule`` must give.
+    """
+    dmc = instance.dmc
+    ends = [model.snap9_point(instance.bs_pos)]  # the charger's start, then each move's end
+    moves: list[tuple[int, float]] = []  # (item index, duration) per move
+    tran_time = 0.0
+    stops: dict[Point, int] = {}  # distinct transmit positions, first seen first
+    sends: list[tuple[int, int, float, float]] = []  # (item index, stop, psi, duration)
+    faults: list[tuple[int, ValidationError]] = []  # (item index, fault)
+    try:
+        for idx, item in enumerate(schedule.items):
+            if not all(map(math.isfinite, (item.pos[0], item.pos[1], item.psi, item.t))):
+                raise MalformedScheduleError(f"item {idx}: non-finite position, direction or duration")
+            if item.t < 0:
+                raise MalformedScheduleError(f"item {idx}: negative duration")
+            if item.state == MOVE:
+                moves.append((idx, item.t))
+                ends.append(item.pos)
+            elif item.state == TRANSMIT:
+                if tuple(item.pos) != tuple(ends[-1]):
+                    raise MalformedScheduleError(
+                        f"item {idx}: transmits from {item.pos} but the charger is at {ends[-1]}"
+                    )
+                tran_time += item.t
+                sends.append((idx, stops.setdefault(tuple(item.pos), len(stops)), item.psi, item.t))
+            else:
+                raise MalformedScheduleError(f"item {idx}: unknown state {item.state}")
+    except MalformedScheduleError as exc:
+        faults.append((idx, exc))
+
+    move_energy = move_time = distance = 0.0
+    if moves:
+        try:
+            arcs = model.TravelArcs(ends, instance.asym, dmc)
+        except ValidationError as exc:
+            with contextlib.suppress(ValidationError):
+                for cut, p in enumerate(ends):
+                    instance.asym.quantize(p)
+            faults.append((moves[max(cut - 1, 0)][0], exc))
+            del ends[cut:], moves[max(cut - 1, 0) :]
+            arcs = model.TravelArcs(ends, instance.asym, dmc)
+        m = len(moves)
+        with np.errstate(over="ignore", invalid="ignore"):
+            k_dis, span, k_egy = arcs.row(np.arange(m), np.arange(1, m + 1))
+            d = k_dis * span
+            energy = d * k_egy * dmc.w0
+        shifts = [(pipeline._rounding(x), pipeline._rounding(y)) for x, y in ends]
+        for (idx, stated), (a0, a1), (b0, b1), k, dk, ek in zip(
+            moves, shifts, shifts[1:], k_dis.tolist(), d.tolist(), energy.tolist()
+        ):
+            t = dk / dmc.v_bar
+            if not math.isfinite(t):
+                problem = "travel time is not finite"
+            elif not math.isfinite(ek):
+                problem = "move energy is not finite"
+            elif abs(t - stated) > pipeline._rounding(t) + k * (a0 + a1 + b0 + b1) / dmc.v_bar + math.ulp(t):
+                problem = f"duration {stated:.9g} s does not match travel time {t:.9g} s"
+            else:
+                move_energy += ek
+                move_time += stated
+                distance += dk
+                continue
+            faults.append((idx, MalformedScheduleError(f"item {idx}: {problem}")))
+            break
+
+    received_raw = np.zeros(instance.n)
+    if sends:
+        _, stop, psi, t = (np.array(column) for column in zip(*sends))
+        received_raw, bad = pipeline._received(
+            instance, list(stops), stop, psi.astype(float), t.astype(float)
+        )
+        if bad is not None:
+            idx = sends[bad][0]
+            faults.append((idx, MalformedScheduleError(f"item {idx}: credited energy is not finite")))
+    if faults:
+        raise min(faults, key=lambda fault: fault[0])[1]
+
+    ledger = model.energy_accounting(
+        instance.e_b_vector(), instance.e_c_vector(), received_raw, tran_time, move_energy, dmc
+    )
+    demand_met = bool(
+        np.all(ledger.e_f >= instance.e_b_vector() + instance.e_d_vector() - 1e-6)
+    )
+    metrics = ScheduleMetrics(
+        total_energy_loss=ledger.e_total_loss,
+        charging_energy_loss=ledger.e_wpt_loss,
+        movement_energy=ledger.e_mc_move,
+        tour_distance=distance,
+        time_span=move_time + tran_time,
+        charging_time=tran_time,
+        moving_time=move_time,
+        algorithm_runtime=0.0,
+        received_total=ledger.e_nodes_rcv,
+        feasible=demand_met and ledger.dmc_energy_ok,
+    )
+    if not all(map(math.isfinite, dataclasses.astuple(metrics))):
+        raise MalformedScheduleError("the schedule's energy or time totals are not finite")
+    return metrics
 
 
 _FEAS_TOL = 1e-7  # phase-1 objective above which the program is infeasible

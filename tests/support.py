@@ -1,12 +1,14 @@
 """Library code that only the tests use, kept here unchanged.
 
 Directed segment distance, energy and time, movement totals along a tour,
-received energy from pair rows, the factorial tour oracle and the plain-text
-cost-matrix format: no scheduler or CLI command calls any of them.  The
+received energy from pair rows, the factorial tour oracle, the plain-text
+cost-matrix format and the metrics-CSV reader with its identity check: no
+scheduler or CLI command calls any of them.  The
 coefficients of one pair come from ``TravelArcs.row``, the library's one
 hashing kernel, so the tests built on them test the library.
 """
 
+import csv
 import itertools
 import math
 
@@ -107,3 +109,21 @@ def read_cost_matrix(path) -> DirectedCostGraph:
     if len(values) != n * n:
         raise ValidationError(f"expected {n * n} costs, found {len(values)}")
     return cost_graph(np.array(values).reshape(n, n))
+
+
+def load_metrics_csv(path, check_identities: bool = True) -> list[dict]:
+    """Read a per-run metrics CSV back, re-checking the metric identities."""
+    with open(path, newline="", encoding="ascii") as f:
+        rows = list(csv.DictReader(f))
+    if check_identities:
+        for row in rows:
+            if row.get("status", "ok") != "ok":
+                continue
+            total = float(row["total_energy_loss"])
+            parts = float(row["charging_energy_loss"]) + float(row["movement_energy"])
+            span = float(row["time_span"])
+            tparts = float(row["charging_time"]) + float(row["moving_time"])
+            scale = 1.0 + abs(total) + abs(span)
+            if abs(total - parts) > 1e-6 * scale or abs(span - tparts) > 1e-6 * scale:
+                raise ValidationError(f"metrics identities violated in row {row}")
+    return rows

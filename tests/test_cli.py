@@ -17,7 +17,6 @@ from asymcharge.cli import (
     generate_instance,
     instance_from_text,
     instance_to_text,
-    load_metrics_csv,
     main,
     run_atsp_bench,
     run_experiment,
@@ -30,6 +29,7 @@ from asymcharge.errors import InfeasibleError
 from asymcharge.pipeline import one_to_one_schedule, plan_schedule
 
 from conftest import subprocess_env
+from support import load_metrics_csv
 
 
 class TestGenerateInstance:
@@ -380,6 +380,24 @@ class TestCommandLine:
         assert proc.returncode == 2
         err = proc.stderr.splitlines()
         assert err == ["error:validation: directed costs must be finite"]
+
+    def test_node_offsets_beyond_a_float_exit_code(self, tmp_path):
+        # two nodes 3.4e308 m apart on a grid that still quantizes them: the
+        # cover's squared offsets overflow, which once made the k-means++
+        # draw print numpy warnings and die on NaN probabilities
+        doc = json.loads(instance_to_text(generate_instance(6, seed=1)))
+        doc["asym"]["grid"] = 1e300
+        doc["nodes"][0]["x"], doc["nodes"][1]["x"] = 1.7e308, -1.7e308
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "asymcharge.cli", "schedule", "--instance", str(inst),
+             "--algorithm", "ra_dmcs", "--out", str(tmp_path / "s.json")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:validation:")
 
     @pytest.mark.parametrize(
         "field, bad, first",

@@ -313,6 +313,39 @@ class TestExecuteSchedule:
                 execute_schedule(instance, schedule)
 
 
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _rounding_edges() -> list[float]:
+    """Powers of ten with the doubles one ulp either side, 9-digit neighbours of
+    them, subnormals, the ends of the normal range and both zeros."""
+    values = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
+    for k in range(-323, 309):
+        for digits in ("1", "9.99999999", "1.00000001"):
+            x = float(f"{digits}e{k}")
+            values += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    values += [math.nextafter(v, math.inf) for v in values[:3]]
+    return [v for v in values + [-v for v in values] if math.isfinite(v)]
+
+
+class TestRoundingArray:
+    def test_edges_equal_to_rounding_bit_for_bit(self):
+        edges = _rounding_edges()
+        got = pipeline._rounding_array(np.array(edges))
+        assert _bits(got) == _bits([pipeline._rounding(v) for v in edges])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_equal_to_rounding_bit_for_bit(self, values):
+        got = pipeline._rounding_array(np.array(values, dtype=float))
+        assert _bits(got) == _bits([pipeline._rounding(v) for v in values])
+
+    def test_non_finite_values_give_zero(self):
+        got = pipeline._rounding_array(np.array([math.nan, math.inf, -math.inf]))
+        assert got.tolist() == [0.0, 0.0, 0.0]
+
+
 class TestPlanSchedule:
     def test_zero_demand_stays_home(self):
         instance = make_instance(

@@ -2,7 +2,8 @@
 
 The gate over n, field size and seed that every schedule a scheduler returns
 passes ``evaluate`` after the text round trip, feasible and with the
-in-memory metrics.
+in-memory metrics; and a literal instance file and schedule file that must
+read and write back byte for byte, which pins the file layout.
 """
 
 import dataclasses
@@ -44,3 +45,93 @@ def test_schedules_survive_file_round_trip(n, area, seed):
         for name in MATCHED:
             a, b = getattr(metrics, name), getattr(replayed, name)
             assert math.isclose(a, b, rel_tol=1e-6, abs_tol=1e-6), (name, a, b)
+
+
+# Written by the readers' and writers' layout as it stands: two-space
+# indents, keys in this order, integral values without a decimal point and
+# every other float at 9 significant digits.
+INSTANCE_TEXT = """{
+  "nodes": [
+    {
+      "x": 47.1528053,
+      "y": 25.5663776,
+      "e_b": 17.2945975,
+      "e_d": 60.9260775,
+      "e_c": 78.220675
+    },
+    {
+      "x": 48.8121853,
+      "y": 4.04180119,
+      "e_b": 32.1490582,
+      "e_d": 33.0867762,
+      "e_c": 65.2358345
+    }
+  ],
+  "bs": {
+    "x": 25,
+    "y": 25
+  },
+  "dmc": {
+    "p0": 4,
+    "e_b0": 500000,
+    "d": 20,
+    "phi": 0.785398163,
+    "v": 1,
+    "w0": 4,
+    "delta": 4000,
+    "alpha": 100,
+    "beta": 2
+  },
+  "asym": {
+    "seed": 4,
+    "k_dis_lo": 0.5,
+    "k_dis_hi": 1.5,
+    "k_egy_lo": 1,
+    "k_egy_hi": 1,
+    "grid": 0.01
+  }
+}
+"""
+
+SCHEDULE_TEXT = """{
+  "items": [
+    {
+      "state": 0,
+      "x": 47.9824953,
+      "y": 14.8040894,
+      "psi": 0,
+      "t": 29.5737708
+    },
+    {
+      "state": 1,
+      "x": 47.9824953,
+      "y": 14.8040894,
+      "psi": 1.64773649,
+      "t": 46.7430947
+    },
+    {
+      "state": 1,
+      "x": 47.9824953,
+      "y": 14.8040894,
+      "psi": 4.78932914,
+      "t": 25.3845049
+    },
+    {
+      "state": 0,
+      "x": 25,
+      "y": 25,
+      "psi": 0,
+      "t": 15.077032
+    }
+  ]
+}
+"""
+
+
+def test_file_layout_is_pinned():
+    assert instance_to_text(instance_from_text(INSTANCE_TEXT)) == INSTANCE_TEXT
+    assert schedule_to_text(schedule_from_text(SCHEDULE_TEXT)) == SCHEDULE_TEXT
+    empty = '{\n  "items": []\n}\n'
+    assert schedule_to_text(schedule_from_text(empty)) == empty
+    replayed = execute_schedule(instance_from_text(INSTANCE_TEXT), schedule_from_text(SCHEDULE_TEXT))
+    assert replayed.feasible

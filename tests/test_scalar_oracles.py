@@ -1,5 +1,6 @@
 """The row-wise matrix build, the coverage kernel, the direction sweep, the
-batched replay, the masked nearest-neighbor tour and the bounded one-to-one
+batched replay (its array checks and move pricing also on mutated
+schedules), the masked nearest-neighbor tour and the bounded one-to-one
 tour against scalar loops and full matrices.
 
 Every comparison is exact: matrices by their bytes, metrics with ``==``.
@@ -31,11 +32,13 @@ from asymcharge import (
     plan_schedule,
     select_charging_positions,
 )
-from asymcharge import directions, model
+from asymcharge import directions, model, pipeline
+from asymcharge.errors import MalformedScheduleError, ValidationError
 from asymcharge.cli import demo_instance, generate_instance, schedule_to_text
 
 from conftest import make_instance
 from scalar_reference import (
+    loop_execute_schedule,
     reference_coefficient_matrix,
     reference_coefficients,
     reference_execute_schedule,
@@ -45,6 +48,7 @@ from scalar_reference import (
     reference_routing_matrices,
 )
 from support import ra_coefficients, ra_distance
+from test_acceptance import random_schedule
 
 coordinate = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
 point = st.tuples(coordinate, coordinate)
@@ -165,6 +169,75 @@ def boundary_offsets(d_max: float, psi: float, phi: float) -> list[tuple[float, 
     return offsets
 
 
+MUTATIONS = ("non_finite", "negative", "state", "stray", "tolerance", "zero_pair", "far")
+
+
+def charger_at(items, i, instance):
+    """Where the charger is before item i: the 9-digit base station or the last move's end."""
+    ends = [item.pos for item in items[:i] if item.state == MOVE]
+    return ends[-1] if ends else model.snap9_point(instance.bs_pos)
+
+
+def travel_time(a, b, instance):
+    """The directed travel time from a to b, or None when either point is not on the hash grid."""
+    try:
+        return ra_distance(a, b, instance.asym) / instance.dmc.v_bar
+    except ValidationError:
+        return None
+
+
+def mutate(items, kind, at, rng, instance):
+    """Break, or nearly break, the schedule in place with one kind of fault."""
+    i = at % (len(items) + 1)  # an insertion point, or an item when below len(items)
+    dmc, asym = instance.dmc, instance.asym
+    if kind == "stray":
+        stop = model.snap9_point(tuple(rng.uniform(0, 200, 2)))
+        items.insert(i, ScheduleItem(TRANSMIT, stop, 0.0, 1.0))
+    elif kind == "zero_pair":
+        # -0.0 and 0.0 are one stop, kept with the sign of whichever comes first
+        y = float(rng.uniform(0, 200))
+        t = travel_time(charger_at(items, i, instance), (0.0, y), instance)
+        signs = [-0.0, 0.0][:: int(rng.choice([-1, 1]))]
+        sends = [ScheduleItem(TRANSMIT, (x, y), float(rng.uniform(0, 7)), 2.0) for x in signs]
+        items[i:i] = [ScheduleItem(MOVE, (0.0, y), 0.0, 1.0 if t is None else t), *sends]
+    elif i < len(items):
+        item = items[i]
+        if kind == "non_finite":
+            bad = float(rng.choice([math.nan, math.inf, -math.inf]))
+            values = [*item.pos, item.psi, item.t]
+            values[int(rng.integers(4))] = bad
+            items[i] = item._replace(pos=tuple(values[:2]), psi=values[2], t=values[3])
+        elif kind == "negative":
+            items[i] = item._replace(t=float(rng.choice([-1.0, -5e-324, -0.0])))
+        elif kind == "state":
+            items[i] = item._replace(state=int(rng.choice([2, 7, -1])))
+        elif kind == "far" and item.state == MOVE:
+            items[i] = item._replace(pos=(1e17, 0.0))
+        elif kind == "tolerance" and item.state == MOVE:
+            # the duration the tolerance allows at most, or a step either side of it
+            a, b = charger_at(items, i, instance), item.pos
+            t = travel_time(a, b, instance)
+            if t is None:
+                return
+            shift = sum(map(pipeline._rounding, (a[0], a[1], b[0], b[1])))
+            k = ra_coefficients(asym, a, b)[0]
+            stated = t + float(rng.choice([-1.0, 1.0])) * (
+                pipeline._rounding(t) + k * shift / dmc.v_bar + math.ulp(t)
+            )
+            step = int(rng.integers(-1, 2))
+            if step:
+                stated = math.nextafter(stated, math.copysign(math.inf, step))
+            items[i] = item._replace(t=stated)
+
+
+def replay_outcome(replay, instance, schedule):
+    """The metrics' repr, which tells -0.0 from 0.0, or the fault's class and message."""
+    try:
+        return repr(replay(instance, schedule))
+    except (MalformedScheduleError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
 class TestReplay:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -263,6 +336,24 @@ class TestReplay:
         )
         schedule = OperationSchedule(tuple(items))
         assert execute_schedule(instance, schedule) == reference_execute_schedule(instance, schedule)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 2**16)), min_size=1, max_size=3),
+    )
+    def test_mutated_schedules_equal_to_loop_replay(self, s, mutations):
+        # the array checks and the array move pricing against the per-item
+        # loops: the same metrics to the bit, or the same fault
+        rng = np.random.default_rng(s)
+        instance = generate_instance(int(rng.integers(1, 9)), seed=int(rng.integers(2**31)))
+        items = list(random_schedule(rng, instance).items)
+        for kind, at in mutations:
+            mutate(items, kind, at, rng, instance)
+        schedule = OperationSchedule(tuple(items))
+        assert replay_outcome(execute_schedule, instance, schedule) == replay_outcome(
+            loop_execute_schedule, instance, schedule
+        )
 
     def test_schedulers_replay_equal(self):
         for seed in (3, 11):
