@@ -21,7 +21,6 @@ from .model import (
 )
 from .positions import (
     ChargingPositionSet,
-    kmeans,
     min_enclosing_circle,
     select_charging_positions,
 )

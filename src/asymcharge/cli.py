@@ -341,7 +341,6 @@ class ExperimentConfig:
     algorithms: tuple[str, ...] = ALGORITHMS
     atsp_solvers: tuple[str, ...] = ATSP_SOLVERS
     workers: int = 1
-    restart_budget: int = 20
 
     def __post_init__(self):
         if not self.n_values:
@@ -361,13 +360,13 @@ class ExperimentConfig:
 
 
 def _experiment_job(args):
-    algorithm, n, repeat, master_seed, area, budget = args
+    algorithm, n, repeat, master_seed, area = args
     run_seed = derive_seed(master_seed, n, repeat)
     row = {"algorithm": algorithm, "n": n, "repeat": repeat, "seed": run_seed, "status": "ok"}
     try:
         instance = generate_instance(n, run_seed, area=area)
         if algorithm == "ra_dmcs":
-            _, metrics = plan_schedule(instance, seed=run_seed, restart_budget=budget)
+            _, metrics = plan_schedule(instance, seed=run_seed)
         else:
             _, metrics = one_to_one_schedule(instance)
         row.update(metrics_to_row(metrics))
@@ -408,7 +407,7 @@ def summarize(detail_rows: list[dict], group_keys: tuple[str, ...], value_keys: 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     """Schedule both algorithms over seeded random instances; emit summary + detail."""
     jobs = [
-        (algorithm, n, repeat, cfg.seed, cfg.area, cfg.restart_budget)
+        (algorithm, n, repeat, cfg.seed, cfg.area)
         for algorithm in cfg.algorithms
         for n in cfg.n_values
         for repeat in range(cfg.repeats)
@@ -422,7 +421,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
 
 
 def _bench_job(args):
-    n, repeat, master_seed, area, solvers, budget = args
+    n, repeat, master_seed, area, solvers = args
     run_seed = derive_seed(master_seed, n, repeat)
     rng = np.random.default_rng(run_seed)
     points = [(float(x), float(y)) for x, y in rng.uniform(0.0, area, size=(n, 2))]
@@ -445,14 +444,14 @@ def _bench_job(args):
             if solver == "greedy":
                 tour = greedy_tour(closed)
             elif solver == "lk":
-                tour = lk_tour(closed, seed=run_seed, budget=budget)
+                tour = lk_tour(closed, seed=run_seed)
             elif solver == "held_karp":
                 tour = held_karp(closed)
             elif solver in ("transform_lk", "transform_greedy"):
                 sym = to_symmetric(closed)
                 sym_graph = cost_graph(sym.cost)
                 if solver == "transform_lk":
-                    doubled = lk_tour(sym_graph, seed=run_seed, budget=budget)
+                    doubled = lk_tour(sym_graph, seed=run_seed)
                 else:
                     doubled = greedy_tour(sym_graph)
                 tour = sym.decode(doubled.order, closed.cost)
@@ -475,7 +474,7 @@ def _bench_job(args):
 def run_atsp_bench(cfg: ExperimentConfig) -> list[dict]:
     """Tour solver comparison on seeded asymmetric instances."""
     jobs = [
-        (n, repeat, cfg.seed, cfg.area, tuple(cfg.atsp_solvers), cfg.restart_budget)
+        (n, repeat, cfg.seed, cfg.area, tuple(cfg.atsp_solvers))
         for n in cfg.n_values
         for repeat in range(cfg.repeats)
     ]

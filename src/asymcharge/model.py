@@ -121,6 +121,8 @@ class DmcParams:
             bounded = False
         if not bounded:
             raise ValidationError("transfer coefficient must be positive and finite up to d_max")
+        if not self.p0 * ends[1] > 0.0:
+            raise ValidationError("p0 times the transfer coefficient must be positive up to d_max")
 
     @property
     def apex_coefficient(self) -> float:

@@ -44,6 +44,7 @@ MOVE = 0
 TRANSMIT = 1
 
 _TIME_EPS = 1e-12
+_RESTART_BUDGET = 20  # tour-search restarts per plan
 
 
 class ScheduleItem(NamedTuple):
@@ -379,7 +380,7 @@ def _from_values(values: list[float]) -> OperationSchedule:
 
 
 def plan_schedule(
-    instance: NetworkInstance, seed: int = 0, restart_budget: int = 20
+    instance: NetworkInstance, seed: int = 0
 ) -> tuple[OperationSchedule, ScheduleMetrics]:
     """Sector-charging schedule: shared positions, few directions, one loop tour.
 
@@ -407,7 +408,7 @@ def plan_schedule(
         points = [model.snap9_point(instance.bs_pos)] + [positions.positions[pi] for pi in kept]
         mats = model.build_routing_matrices(points, instance.asym, instance.dmc)
         closed = metric_closure(cost_graph(mats.move_cost()))
-        tour = expand_tour(lk_tour(closed, seed=seed, budget=restart_budget), closed)
+        tour = expand_tour(lk_tour(closed, seed=seed, budget=_RESTART_BUDGET), closed)
 
         transmitted: set[int] = set()
         path = list(tour.order)

@@ -4,10 +4,11 @@ The number of clusters starts at a proven lower bound and grows until every
 cluster lies within the charge distance of its minimum enclosing circle's
 center, rounded to the 9 digits a schedule file stores; those rounded
 centers become the charging positions.  Each k is clustered once, on one
-point array per plan.  A k with a cluster wider than the separation reach
-in x or y is rejected by one numpy pass before any circle is built;
-otherwise its clusters are enclosed in order until one does not fit, and a
-cluster that an earlier k already enclosed keeps its center.
+point array per plan, seeded from the head of one k-means++ draw sequence
+that the plan owns and extends.  A k with a cluster wider than the
+separation reach in x or y is rejected by one numpy pass before any circle
+is built; otherwise its clusters are enclosed in order until one does not
+fit, and a cluster that an earlier k already enclosed keeps its center.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,13 +123,16 @@ def _cross(x0, y0, x1, y1, x2, y2):
 
 
 class _Seeding:
-    """One k-means++ draw sequence: its generator, running ``d2`` and centers so far."""
+    """One plan's k-means++ draws: its points, generator, running ``d2`` and centers.
 
-    __slots__ = ("key", "pts", "rng", "d2", "centers")
+    Lloyd draws nothing, so the centers k-means++ draws for k are the first k
+    it draws for k + 1, and the cover's k = L, L + 1, ... share one sequence.
+    """
+
+    __slots__ = ("pts", "rng", "d2", "centers")
 
     def __init__(self, pts: np.ndarray, seed: int):
-        self.key = (pts.tobytes(), seed)
-        self.pts = pts.copy()  # a caller's array may change after the call
+        self.pts = pts
         self.rng = np.random.default_rng(seed)
         first = int(self.rng.integers(len(pts)))
         self.centers = [first]
@@ -150,40 +153,22 @@ class _Seeding:
         return self.centers[:k]
 
 
-# The last points and seed seeded.  Lloyd draws nothing, so the centers
-# k-means++ draws for k are the first k it draws for k + 1, and the cover's
-# k = L, L + 1, ... share one draw sequence.  The lock keeps threads that
-# plan at once from drawing from one generator in turn.
-_last_seeding: _Seeding | None = None
-_seeding_lock = threading.Lock()
-
-
-def _kmeanspp_centers(pts: np.ndarray, k: int, seed: int) -> list[int]:
-    """Point ids of the first k k-means++ centers for these points and seed."""
-    global _last_seeding
-    key = (pts.tobytes(), seed)
-    with _seeding_lock:
-        if _last_seeding is None or _last_seeding.key != key:
-            _last_seeding = _Seeding(pts, seed)
-        return _last_seeding.extend(k)
-
-
-def kmeans(points: list[Point] | np.ndarray, k: int, seed: int) -> list[tuple[int, ...]]:
+def kmeans(draws: _Seeding, k: int) -> list[tuple[int, ...]]:
     """Member ids of each nonempty cluster after k-means++ seeding and Lloyd iteration.
 
-    ``points`` is a sequence of (x, y) pairs or an (n, 2) float array; both
-    give the same clusters and share one k-means++ draw sequence.  Stops
-    when assignments stabilize or after 100 iterations.  A cluster that
-    loses all members is re-seeded from the point currently farthest from
-    its assigned center.  Empty clusters remaining at convergence (possible
-    with duplicate points) are dropped.  Clusters come in cluster order,
-    each member tuple in id order.
+    Clusters the (n, 2) float array ``draws.pts``, seeded with the first k
+    centers ``draws`` holds, drawing any it lacks, so every k of one plan
+    reads one draw sequence.  Stops when assignments stabilize or after 100
+    iterations.  A cluster that loses all members is re-seeded from the
+    point currently farthest from its assigned center.  Empty clusters
+    remaining at convergence (possible with duplicate points) are dropped.
+    Clusters come in cluster order, each member tuple in id order.
     """
-    n = len(points)
+    pts = draws.pts
+    n = len(pts)
     if not 1 <= k <= n:
         raise ValidationError(f"cluster count must be in 1..{n}, got {k}")
-    pts = np.asarray(points, dtype=float)
-    seeds = _kmeanspp_centers(pts, k, seed)
+    seeds = draws.extend(k)
 
     xs = np.ascontiguousarray(pts[:, 0])
     ys = np.ascontiguousarray(pts[:, 1])
@@ -331,11 +316,12 @@ def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
     within the charge distance of its enclosing circle's center rounded to 9
     digits wins, and those rounded centers become the charging positions.
     The LP, the tour and the replay therefore all see the points a schedule
-    file stores.  Seeding comes from the instance's asymmetry seed, so the
-    result is a pure function of the instance.  The node positions become
-    one float array, which every ``kmeans`` and ``_fitted_cover`` call reads.
-    Nodes so far apart that n times their widest squared offset overflows
-    raise ``ValidationError`` before any clustering.
+    file stores.  The node positions become one float array and one
+    k-means++ draw sequence, seeded by the low 64 bits of the instance's
+    asymmetry seed, which every ``kmeans`` call of the plan extends; the
+    result is a pure function of the instance.  Nodes so far apart that n
+    times their widest squared offset overflows raise ``ValidationError``
+    before any clustering.
     """
     pts = np.array([u.pos for u in instance.nodes], dtype=float)
     # a k-means++ draw weighs each node by its squared offset from a center,
@@ -346,9 +332,11 @@ def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
         raise ValidationError("nodes lie too far apart: their squared offsets overflow a float")
     d_max = instance.dmc.d_max
     bound = _separated_count(pts, d_max)
+    # the seed's low 64 bits, the word every coefficient hash key packs
+    draws = _Seeding(pts, instance.asym.seed & 0xFFFF_FFFF_FFFF_FFFF)
     enclosed: dict[tuple[int, ...], Point] = {}
     for k in range(bound, instance.n + 1):
-        cover = _fitted_cover(pts, kmeans(pts, k, instance.asym.seed), d_max, enclosed)
+        cover = _fitted_cover(pts, kmeans(draws, k), d_max, enclosed)
         if cover is not None:
             return cover
     raise AssertionError("unreachable: singleton clusters always fit at distance 0")

@@ -567,12 +567,13 @@ def reference_select_charging_positions(instance: NetworkInstance) -> ChargingPo
     Tries k = 1, 2, ... in order; the first k where every cluster lies within
     the charge distance of its circle center rounded to 9 digits wins, and
     those rounded centers become the charging positions.  Seeding comes from
-    the instance's asymmetry seed, so the result is a pure function of the
-    instance.
+    the low 64 bits of the instance's asymmetry seed, so the result is a pure
+    function of the instance.
     """
     node_points = [u.pos for u in instance.nodes]
+    seed = instance.asym.seed & 0xFFFF_FFFF_FFFF_FFFF
     for k in range(1, instance.n + 1):
-        clusters = reference_kmeans(node_points, k, seed=instance.asym.seed)
+        clusters = reference_kmeans(node_points, k, seed)
         cover = reference_fitted_cover(node_points, clusters, instance.dmc.d_max)
         if cover is not None:
             return cover

@@ -2,10 +2,10 @@
 
 Directed segment distance, energy and time, movement totals along a tour,
 received energy from pair rows, the factorial tour oracle, the plain-text
-cost-matrix format and the metrics-CSV reader with its identity check: no
-scheduler or CLI command calls any of them.  The
-coefficients of one pair come from ``TravelArcs.row``, the library's one
-hashing kernel, so the tests built on them test the library.
+cost-matrix format, the metrics-CSV reader with its identity check and
+k-means on a fresh draw sequence: no scheduler or CLI command calls any of
+them.  The coefficients of one pair come from ``TravelArcs.row``, the
+library's one hashing kernel, so the tests built on them test the library.
 """
 
 import csv
@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from asymcharge import positions
 from asymcharge.errors import MalformedTourError, ValidationError
 from asymcharge.model import (
     AsymmetryField,
@@ -23,6 +24,11 @@ from asymcharge.model import (
     TravelArcs,
 )
 from asymcharge.routing import DirectedCostGraph, Tour, cost_graph, tour_cost
+
+
+def kmeans(points, k: int, seed: int) -> list[tuple[int, ...]]:
+    """``positions.kmeans`` of (x, y) pairs or an (n, 2) array on a fresh draw sequence."""
+    return positions.kmeans(positions._Seeding(np.asarray(points, dtype=float), seed), k)
 
 
 def ra_coefficients(asym: AsymmetryField, a: Point, b: Point) -> tuple[float, float]:

@@ -28,7 +28,6 @@ from asymcharge import (
     cost_graph,
     execute_schedule,
     held_karp,
-    kmeans,
     lk_tour,
     metric_closure,
     min_enclosing_circle,
@@ -48,7 +47,7 @@ from scalar_reference import (
     reference_nodes_in_range,
     transfer_coefficient,
 )
-from support import brute_force_tour, ra_distance, segment_move_energy_time
+from support import brute_force_tour, kmeans, ra_distance, segment_move_energy_time
 
 
 @contextmanager

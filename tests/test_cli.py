@@ -399,6 +399,42 @@ class TestCommandLine:
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error:validation:")
 
+    def test_negative_field_seed_plans(self, tmp_path):
+        # the cover seeds its draws with the low 64 bits of the field seed,
+        # the word every coefficient hash packs, so a negative seed plans
+        doc = json.loads(instance_to_text(generate_instance(6, seed=3)))
+        doc["asym"]["seed"] = -1
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+        for algorithm in ("ra_dmcs", "o2o_greedy"):
+            sched = tmp_path / f"{algorithm}.json"
+            for args in (
+                ["schedule", "--instance", str(inst), "--algorithm", algorithm, "--out", str(sched)],
+                ["evaluate", "--instance", str(inst), "--schedule", str(sched)],
+            ):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "asymcharge.cli", *args],
+                    capture_output=True, text=True, env=subprocess_env(), timeout=60,
+                )
+                assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.parametrize("algorithm", ["ra_dmcs", "o2o_greedy"])
+    def test_received_power_underflow_exit_code(self, tmp_path, algorithm):
+        # p0 times every coefficient rounds to 0: no pair delivers anything,
+        # which once divided by zero in the one-to-one planner
+        doc = json.loads(instance_to_text(generate_instance(6, seed=3)))
+        doc["dmc"]["p0"] = 5e-324
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "asymcharge.cli", "schedule", "--instance", str(inst),
+             "--algorithm", algorithm, "--out", str(tmp_path / "s.json")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:validation:")
+
     @pytest.mark.parametrize(
         "field, bad, first",
         [

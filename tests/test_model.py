@@ -312,6 +312,14 @@ class TestNonFiniteParameters:
         with pytest.raises(ValidationError):
             DmcParams(**{name: bad})
 
+    @pytest.mark.parametrize("params", [{"p0": 5e-324}, {"p0": 1e-200, "delta": 1e-120}])
+    def test_dmc_rejects_received_power_that_underflows(self, params):
+        # p0 times the coefficient at d_max rounds to 0, so no transmission
+        # time is long enough; a smaller p0 that stays positive is kept
+        with pytest.raises(ValidationError, match="p0 times the transfer coefficient"):
+            DmcParams(**params)
+        assert DmcParams(p0=1e-300).p0 == 1e-300
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_field_rejects(self, bad):
         with pytest.raises(ValidationError):

@@ -8,13 +8,13 @@ from asymcharge import (
     TRANSMIT,
     DmcParams,
     ValidationError,
-    kmeans,
     min_enclosing_circle,
     plan_schedule,
     select_charging_positions,
 )
 
 from conftest import make_instance
+from support import kmeans
 
 
 def brute_force_circle(points):

@@ -29,7 +29,6 @@ from asymcharge import (
     build_time_lp,
     cost_graph,
     held_karp,
-    kmeans,
     lk_tour,
     metric_closure,
     pipeline,
@@ -52,6 +51,7 @@ from scalar_reference import (
     reference_select_charging_positions,
     reference_solve_lp,
 )
+from support import kmeans
 
 
 @st.composite
@@ -359,9 +359,8 @@ class TestCover:
         st.data(),
     )
     def test_kmeans_call_order_does_not_matter(self, cell_sets, seeds, data):
-        # the k-means++ draws are shared between calls on the same points and
-        # seed; every k of both point sets under both seeds, in any order, must
-        # still give what a fresh eager run gives
+        # every k of both point sets under both seeds, in any order, must give
+        # what a fresh eager run gives: no call leaves state another one reads
         point_sets = [[(x * 0.7, y * 0.7) for x, y in cells] for cells in cell_sets]
         calls = [
             (s, seed, k)
@@ -375,48 +374,39 @@ class TestCover:
             assert got == want
             assert repr(got) == repr(want)
 
-    def test_kmeans_takes_an_array(self):
-        # a float array gives what the pairs give and extends their draw
-        # sequence, which keeps its own copy of the points it started from
-        rng = np.random.default_rng(7)
-        points = [tuple(p) for p in rng.uniform(0.0, 100.0, (40, 2)).tolist()]
-        pts = np.asarray(points)
-        changed = pts.copy()
-        with mock.patch.object(positions, "_last_seeding", None), \
-                mock.patch.object(positions, "_Seeding", wraps=positions._Seeding) as seeding:
-            assert kmeans(changed, 3, 11) == reference_kmeans(points, 3, 11)
-            changed[:] = 0.0
-            for k in (9, 5, 14, 3, 30):
-                want = reference_kmeans(points, k, 11)
-                for got in (kmeans(pts, k, 11), kmeans(points, k, 11)):
-                    assert got == want
-                    assert repr(got) == repr(want)
+    def test_one_draw_sequence_per_plan(self):
+        # the plan builds one draw sequence and every k it tries extends it
+        instance = generate_instance(150, seed=1, area=200.0)
+        with mock.patch.object(positions, "_Seeding", wraps=positions._Seeding) as seeding, \
+                mock.patch.object(positions, "kmeans", wraps=positions.kmeans) as km:
+            cover = select_charging_positions(instance)
         assert seeding.call_count == 1
+        assert km.call_count >= 1
+        assert all(call.args[0] is km.call_args.args[0] for call in km.call_args_list)
+        want = reference_select_charging_positions(instance)
+        assert cover == want
+        assert repr(cover) == repr(want)
 
-    def test_kmeans_threads_share_the_draws(self):
-        # threads that cluster one point set under the same two seeds at once
-        # share and extend the same draw sequences; each call must still give
-        # what a fresh eager run gives
-        rng = np.random.default_rng(5)
-        points = [tuple(p) for p in rng.uniform(0.0, 100.0, (40, 2)).tolist()]
-        ks = range(1, 16)
-        want = {(seed, k): reference_kmeans(points, k, seed) for seed in (1, 2) for k in ks}
+    def test_plans_in_threads_at_once(self):
+        # threads that plan one instance at once each own their draws; every
+        # cover must still equal the eager reference
+        instance = generate_instance(60, seed=1, area=200.0)
+        want = reference_select_charging_positions(instance)
         failures = []
 
-        def work(first):
+        def work():
             try:
-                for rep in range(20):
-                    seed = 1 + (first + rep) % 2
-                    for k in ks:
-                        if kmeans(points, k, seed) != want[seed, k]:
-                            failures.append((seed, k))
+                for rep in range(8):
+                    got = select_charging_positions(instance)
+                    if got != want or repr(got) != repr(want):
+                        failures.append(rep)
             except Exception as exc:  # noqa: BLE001 - reported by the assertion below
                 failures.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            threads = [threading.Thread(target=work) for _ in range(6)]
             for t in threads:
                 t.start()
             for t in threads:
