@@ -6,6 +6,12 @@ file order, so the first bad value raises, and snap them to 9 digits in one
 ``snap9_array`` pass.  Experiment runs derive their seeds
 from (master seed, node count, repeat index), so results do not depend on
 worker scheduling.
+
+Two tables make the command line's choices: ``_SCHEDULERS`` maps each
+algorithm name to the function that plans an instance with it, and
+``_TOUR_SOLVERS`` maps each ``atsp-bench`` solver name to the function that
+finds a tour of a closed cost graph.  ``_text`` prints every value that goes
+to a file or to stdout, and ``_run_row`` builds every run row.
 """
 
 from __future__ import annotations
@@ -55,8 +61,29 @@ from .routing import (
     tour_cost,
 )
 
-ALGORITHMS = ("ra_dmcs", "o2o_greedy")
-ATSP_SOLVERS = ("greedy", "lk", "held_karp", "transform_lk", "transform_greedy")
+# each algorithm, called with (instance, seed), returns (schedule, metrics)
+_SCHEDULERS = {
+    "ra_dmcs": lambda instance, seed: plan_schedule(instance, seed=seed),
+    "o2o_greedy": lambda instance, seed: one_to_one_schedule(instance),
+}
+ALGORITHMS = tuple(_SCHEDULERS)
+
+
+def _on_symmetric(solve, closed, seed):
+    """``solve``'s tour of the symmetric transform of ``closed``, decoded back."""
+    sym = to_symmetric(closed)
+    return sym.decode(solve(cost_graph(sym.cost), seed).order, closed.cost)
+
+
+# each tour solver, called with (closed cost graph, seed), returns a tour
+_TOUR_SOLVERS = {
+    "greedy": lambda closed, seed: greedy_tour(closed),
+    "lk": lambda closed, seed: lk_tour(closed, seed=seed),
+    "held_karp": lambda closed, seed: held_karp(closed),
+    "transform_lk": lambda closed, seed: _on_symmetric(_TOUR_SOLVERS["lk"], closed, seed),
+    "transform_greedy": lambda closed, seed: _on_symmetric(_TOUR_SOLVERS["greedy"], closed, seed),
+}
+ATSP_SOLVERS = tuple(_TOUR_SOLVERS)
 METRIC_FIELDS = (
     "total_energy_loss",
     "charging_energy_loss",
@@ -68,6 +95,11 @@ METRIC_FIELDS = (
     "algorithm_runtime",
     "received_total",
     "feasible",
+)
+DETAIL_FIELDS = ("algorithm", "n", "repeat", "seed", "status", *METRIC_FIELDS)
+SUMMARY_FIELDS = (
+    "algorithm", "n", "runs",
+    *(f"{name}_{stat}" for name in METRIC_FIELDS for stat in ("mean", "ci95")),
 )
 _HELD_KARP_BENCH_MAX = 12
 
@@ -180,13 +212,16 @@ def _render_json(value, indent: int = 0) -> str:
             return "[]"
         body = ",\n".join(f"{pad}  {_render_json(v, indent + 1)}" for v in value)
         return "[\n" + body + "\n" + pad + "]"
+    return _text(value)
+
+
+def _text(value) -> str:
+    """How a value prints in a file or on stdout: bools as true or false, floats at 9 digits."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".9g")
-    return json.dumps(value)
+    return str(value)
 
 
 def instance_to_text(instance: NetworkInstance) -> str:
@@ -221,8 +256,19 @@ def instance_to_text(instance: NetworkInstance) -> str:
 
 # what reading a file's JSON and converting its values can raise; a number
 # too large for a float (an integer of 309 digits, or int() of Infinity)
-# raises OverflowError
-_BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
+# raises OverflowError, and JSON nested deeper than the recursion limit
+# raises RecursionError
+_BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
+
+def _read(path: str, kind: str) -> str:
+    """The text of an input file; a byte outside ASCII raises ``ValidationError``."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"bad {kind} file: {exc}") from exc
 
 
 def instance_from_text(text: str) -> NetworkInstance:
@@ -312,20 +358,21 @@ def metrics_to_row(metrics: ScheduleMetrics) -> dict:
     return row
 
 
-def write_csv(path, rows: list[dict], fieldnames: list[str]) -> None:
+def _run_row(algorithm: str, n: int, repeat: int, seed: int, status: str,
+             metrics: ScheduleMetrics | None = None) -> dict:
+    """One row of ``DETAIL_FIELDS``; a failed run has no metric cells."""
+    row = {"algorithm": algorithm, "n": n, "repeat": repeat, "seed": seed, "status": status}
+    if metrics is not None:
+        row.update(metrics_to_row(metrics))
+    return row
+
+
+def write_csv(path, rows: list[dict], fieldnames: list[str] | tuple[str, ...]) -> None:
     with open(path, "w", newline="", encoding="ascii") as f:
         writer = csv.DictWriter(f, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:
-            out = {}
-            for k in fieldnames:
-                v = row.get(k, "")
-                if isinstance(v, bool):
-                    v = "true" if v else "false"
-                elif isinstance(v, float):
-                    v = format(v, ".9g")
-                out[k] = v
-            writer.writerow(out)
+            writer.writerow({k: _text(row.get(k, "")) for k in fieldnames})
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +409,16 @@ class ExperimentConfig:
 def _experiment_job(args):
     algorithm, n, repeat, master_seed, area = args
     run_seed = derive_seed(master_seed, n, repeat)
-    row = {"algorithm": algorithm, "n": n, "repeat": repeat, "seed": run_seed, "status": "ok"}
     try:
-        instance = generate_instance(n, run_seed, area=area)
-        if algorithm == "ra_dmcs":
-            _, metrics = plan_schedule(instance, seed=run_seed)
-        else:
-            _, metrics = one_to_one_schedule(instance)
-        row.update(metrics_to_row(metrics))
+        _, metrics = _SCHEDULERS[algorithm](generate_instance(n, run_seed, area=area), run_seed)
+        return _run_row(algorithm, n, repeat, run_seed, "ok", metrics)
     except Exception as exc:  # noqa: BLE001 - a failed run must not kill the sweep
-        row["status"] = f"error: {exc}"
-    return row
+        return _run_row(algorithm, n, repeat, run_seed, f"error: {exc}")
 
 
-def _pmap(fn, jobs, workers: int):
+def _pmap(fn, jobs: list, workers: int):
+    # the pool forks all of its workers at once, so it gets no more than there are jobs
+    workers = min(workers, len(jobs))
     if workers <= 1:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -413,11 +456,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
         for repeat in range(cfg.repeats)
     ]
     detail = _pmap(_experiment_job, jobs, cfg.workers)
-    detail_for_summary = [
-        {**row, "feasible": 1.0 if row.get("feasible") else 0.0} for row in detail
-    ]
-    summary = summarize(detail_for_summary, ("algorithm", "n"), METRIC_FIELDS)
-    return summary, detail
+    return summarize(detail, ("algorithm", "n"), METRIC_FIELDS), detail
 
 
 def _bench_job(args):
@@ -441,22 +480,7 @@ def _bench_job(args):
         row = {"solver": solver, "n": n, "repeat": repeat, "seed": run_seed, "status": "ok"}
         try:
             t0 = time.perf_counter()
-            if solver == "greedy":
-                tour = greedy_tour(closed)
-            elif solver == "lk":
-                tour = lk_tour(closed, seed=run_seed)
-            elif solver == "held_karp":
-                tour = held_karp(closed)
-            elif solver in ("transform_lk", "transform_greedy"):
-                sym = to_symmetric(closed)
-                sym_graph = cost_graph(sym.cost)
-                if solver == "transform_lk":
-                    doubled = lk_tour(sym_graph, seed=run_seed)
-                else:
-                    doubled = greedy_tour(sym_graph)
-                tour = sym.decode(doubled.order, closed.cost)
-            else:
-                raise ValidationError(f"unknown solver {solver!r}")
+            tour = _TOUR_SOLVERS[solver](closed, run_seed)
             runtime = time.perf_counter() - t0
             expanded = expand_tour(tour, closed)
             distance = tour_cost(expanded.order, mats.dist)
@@ -542,14 +566,9 @@ def demo_report() -> tuple[str, list[dict]]:
     instance = demo_instance()
     rows = []
     results = {}
-    for algorithm in ALGORITHMS:
-        if algorithm == "ra_dmcs":
-            _, metrics = plan_schedule(instance, seed=7)
-        else:
-            _, metrics = one_to_one_schedule(instance)
-        results[algorithm] = metrics
-        rows.append({"algorithm": algorithm, "n": instance.n, "repeat": 0, "seed": 7,
-                     "status": "ok", **metrics_to_row(metrics)})
+    for algorithm, schedule in _SCHEDULERS.items():
+        _, results[algorithm] = schedule(instance, 7)
+        rows.append(_run_row(algorithm, instance.n, 0, 7, "ok", results[algorithm]))
 
     labels = [
         ("Energy loss (J)", "total_energy_loss"),
@@ -579,17 +598,9 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValidationError(f"bad integer list {text!r}") from exc
 
 
-def _resolve_repeats(args) -> int:
-    if args.repeats is not None:
-        return args.repeats
-    return 200 if args.paper_scale else 50
-
-
 def _print_metrics(metrics: ScheduleMetrics) -> None:
-    for name in METRIC_FIELDS:
-        value = getattr(metrics, name)
-        rendered = ("true" if value else "false") if name == "feasible" else format(value, ".9g")
-        print(f"{name} = {rendered}")
+    for name, value in metrics_to_row(metrics).items():
+        print(f"{name} = {_text(value)}")
 
 
 def _cmd_generate(args) -> int:
@@ -603,76 +614,48 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    with open(args.instance, encoding="ascii") as f:
-        instance = instance_from_text(f.read())
-    if args.algorithm == "ra_dmcs":
-        schedule, metrics = plan_schedule(instance, seed=args.seed)
-    else:
-        schedule, metrics = one_to_one_schedule(instance)
+    instance = instance_from_text(_read(args.instance, "instance"))
+    schedule, metrics = _SCHEDULERS[args.algorithm](instance, args.seed)
     if args.out:
         with open(args.out, "w", encoding="ascii") as f:
             f.write(schedule_to_text(schedule))
     if args.metrics_out:
-        row = {"algorithm": args.algorithm, "n": instance.n, "repeat": 0,
-               "seed": args.seed, "status": "ok", **metrics_to_row(metrics)}
-        write_csv(args.metrics_out, [row], _detail_fields())
+        row = _run_row(args.algorithm, instance.n, 0, args.seed, "ok", metrics)
+        write_csv(args.metrics_out, [row], DETAIL_FIELDS)
     _print_metrics(metrics)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    with open(args.instance, encoding="ascii") as f:
-        instance = instance_from_text(f.read())
-    with open(args.schedule, encoding="ascii") as f:
-        schedule = schedule_from_text(f.read())
+    instance = instance_from_text(_read(args.instance, "instance"))
+    schedule = schedule_from_text(_read(args.schedule, "schedule"))
     metrics = execute_schedule(instance, schedule)
     if args.out:
-        row = {"algorithm": "evaluate", "n": instance.n, "repeat": 0,
-               "seed": 0, "status": "ok", **metrics_to_row(metrics)}
-        write_csv(args.out, [row], _detail_fields())
+        write_csv(args.out, [_run_row("evaluate", instance.n, 0, 0, "ok", metrics)], DETAIL_FIELDS)
     _print_metrics(metrics)
     return 0
 
 
-def _detail_fields() -> list[str]:
-    return ["algorithm", "n", "repeat", "seed", "status", *METRIC_FIELDS]
-
-
-def _summary_fields() -> list[str]:
-    fields = ["algorithm", "n", "runs"]
-    for name in METRIC_FIELDS:
-        fields += [f"{name}_mean", f"{name}_ci95"]
-    return fields
+def _sweep(args, **choice) -> ExperimentConfig:
+    """The config of a sweep command; ``choice`` names the algorithms or solvers."""
+    return ExperimentConfig(
+        n_values=_parse_int_list(args.nodes), repeats=args.repeats, area=args.area,
+        seed=args.seed, workers=args.workers, **choice,
+    )
 
 
 def _cmd_experiment(args) -> int:
-    cfg = ExperimentConfig(
-        n_values=_parse_int_list(args.nodes),
-        repeats=_resolve_repeats(args),
-        area=args.area,
-        seed=args.seed,
-        algorithms=tuple(args.algorithms.split(",")),
-        workers=args.workers,
-    )
-    summary, detail = run_experiment(cfg)
-    write_csv(args.out, summary, _summary_fields())
+    summary, detail = run_experiment(_sweep(args, algorithms=tuple(args.algorithms.split(","))))
+    write_csv(args.out, summary, SUMMARY_FIELDS)
     detail_path = _sibling(args.out, "_runs")
-    write_csv(detail_path, detail, _detail_fields())
+    write_csv(detail_path, detail, DETAIL_FIELDS)
     failed = sum(1 for row in detail if row["status"] != "ok")
     print(f"wrote {args.out} and {detail_path} ({len(detail)} runs, {failed} failed)")
     return 0
 
 
 def _cmd_atsp_bench(args) -> int:
-    cfg = ExperimentConfig(
-        n_values=_parse_int_list(args.nodes),
-        repeats=_resolve_repeats(args),
-        area=args.area,
-        seed=args.seed,
-        atsp_solvers=tuple(args.solvers.split(",")),
-        workers=args.workers,
-    )
-    rows = run_atsp_bench(cfg)
+    rows = run_atsp_bench(_sweep(args, atsp_solvers=tuple(args.solvers.split(","))))
     fields = ["solver", "n", "repeat", "seed", "status",
               "tour_energy", "moving_time", "runtime", "held_karp_gap"]
     write_csv(args.out, rows, fields)
@@ -685,7 +668,7 @@ def _cmd_demo_toy(args) -> int:
     report, rows = demo_report()
     print(report, end="")
     if args.out:
-        write_csv(args.out, rows, _detail_fields())
+        write_csv(args.out, rows, DETAIL_FIELDS)
         print(f"wrote {args.out}")
     return 0
 
@@ -729,8 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="sweep node counts over seeded instances")
     p.add_argument("--nodes", default="50,100,150,200,250,300,350,400,450",
                    help="comma-separated node counts")
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--paper-scale", action="store_true", help="200 repeats instead of 50")
+    p.add_argument("--repeats", type=int, default=50, help="runs per node count (paper: 200)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--area", type=float, default=200.0)
     p.add_argument("--algorithms", default=",".join(ALGORITHMS))
@@ -740,8 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("atsp-bench", help="compare tour solvers on random instances")
     p.add_argument("--nodes", default="6,8,10,14,20", help="comma-separated point counts")
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--paper-scale", action="store_true")
+    p.add_argument("--repeats", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--area", type=float, default=200.0)
     p.add_argument("--solvers", default=",".join(ATSP_SOLVERS))

@@ -8,8 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from asymcharge import ValidationError
+from asymcharge import ValidationError, cli
 from asymcharge.cli import (
+    ALGORITHMS,
     ExperimentConfig,
     demo_instance,
     demo_report,
@@ -475,6 +476,60 @@ class TestCommandLine:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:pivot-limit:")
 
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("schedule", "non-ASCII"),
+            ("evaluate", "non-ASCII"),
+            ("schedule", "nested"),
+            ("evaluate", "nested"),
+        ],
+    )
+    def test_unreadable_input_exit_code(self, tmp_path, capsys, command, bad):
+        # a byte outside ASCII, or JSON nested deeper than the recursion
+        # limit, once ended in a UnicodeDecodeError or RecursionError traceback
+        inst, sched = tmp_path / "inst.json", tmp_path / "s.json"
+        assert main(["generate", "--nodes", "6", "--seed", "1", "--out", str(inst)]) == 0
+        assert main(["schedule", "--instance", str(inst), "--out", str(sched)]) == 0
+        target = inst if command == "schedule" else sched
+        if bad == "non-ASCII":
+            target.write_bytes('{"nodes": [], "x": "\u00e9"}'.encode("utf-8"))
+        else:
+            prefix = b'{"nodes":' if command == "schedule" else b""
+            target.write_bytes(prefix + b"[" * 200_000)
+        capsys.readouterr()
+        if command == "schedule":
+            code = main(["schedule", "--instance", str(inst)])
+        else:
+            code = main(["evaluate", "--instance", str(inst), "--schedule", str(sched)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:validation:")
+
+    def test_workers_capped_at_job_count(self, monkeypatch):
+        # the pool forks every worker it is given, so two jobs get two
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        summary, detail = run_experiment(
+            ExperimentConfig(n_values=[5], repeats=1, seed=3, algorithms=ALGORITHMS, workers=5000)
+        )
+        assert seen == [2]
+        assert [row["status"] for row in detail] == ["ok", "ok"]
+
     def test_infeasible_exit_code_mapping(self):
         assert InfeasibleError("x").exit_code == 3
 
@@ -506,3 +561,91 @@ class TestCommandLine:
             )
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def masked_csv(path) -> list[str]:
+    """A CSV file's lines, each ending in CRLF, with runtime cells set to ``*``."""
+    lines = path.read_bytes().decode("ascii").split("\r\n")
+    assert lines.pop() == ""  # every line, the last too, ends in CRLF
+    cols = [i for i, name in enumerate(lines[0].split(",")) if "runtime" in name]
+    rows = [line.split(",") for line in lines]
+    for cells in rows[1:]:
+        for i in cols:
+            cells[i] = "*"
+    return [",".join(cells) for cells in rows]
+
+
+class TestPrintedForms:
+    """The literal text each command prints and writes, wall-clock cells masked."""
+
+    METRICS_HEADER = (
+        "algorithm,n,repeat,seed,status,total_energy_loss,charging_energy_loss,movement_energy,"
+        "tour_distance,time_span,charging_time,moving_time,algorithm_runtime,received_total,feasible"
+    )
+
+    def test_schedule_metrics_and_evaluate_stdout(self, tmp_path, capsys):
+        inst, sched, metrics_csv = tmp_path / "inst.json", tmp_path / "s.json", tmp_path / "m.csv"
+        assert main(["generate", "--nodes", "6", "--seed", "1", "--out", str(inst)]) == 0
+        assert capsys.readouterr().out == f"wrote {inst} (6 nodes)\n"
+        assert main([
+            "schedule", "--instance", str(inst), "--algorithm", "ra_dmcs", "--seed", "1",
+            "--out", str(sched), "--metrics-out", str(metrics_csv),
+        ]) == 0
+        planned = capsys.readouterr().out
+        assert main(["evaluate", "--instance", str(inst), "--schedule", str(sched)]) == 0
+        replayed = capsys.readouterr().out
+        assert replayed == (
+            "total_energy_loss = 2184.73848\n"
+            "charging_energy_loss = 508.216158\n"
+            "movement_energy = 1676.52232\n"
+            "tour_distance = 419.130581\n"
+            "time_span = 616.856481\n"
+            "charging_time = 197.7259\n"
+            "moving_time = 419.130581\n"
+            "algorithm_runtime = 0\n"
+            "received_total = 282.687442\n"
+            "feasible = true\n"
+        )
+        wall_clock = re.compile(r"^algorithm_runtime = .*$", re.M)
+        assert wall_clock.sub("", planned) == wall_clock.sub("", replayed)
+        assert masked_csv(metrics_csv) == [
+            self.METRICS_HEADER,
+            "ra_dmcs,6,0,1,ok,2184.73848,508.216158,1676.52232,419.130581,616.856481,197.7259,"
+            "419.130581,*,282.687442,true",
+        ]
+
+    def test_experiment_summary(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        runs = tmp_path / "sweep_runs.csv"
+        argv = ["experiment", "--nodes", "5", "--repeats", "2", "--seed", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"wrote {out} and {runs} (4 runs, 0 failed)\n"
+        assert masked_csv(out) == [
+            "algorithm,n,runs,total_energy_loss_mean,total_energy_loss_ci95,charging_energy_loss_mean,"
+            "charging_energy_loss_ci95,movement_energy_mean,movement_energy_ci95,tour_distance_mean,"
+            "tour_distance_ci95,time_span_mean,time_span_ci95,charging_time_mean,charging_time_ci95,"
+            "moving_time_mean,moving_time_ci95,algorithm_runtime_mean,algorithm_runtime_ci95,"
+            "received_total_mean,received_total_ci95,feasible_mean,feasible_ci95",
+            "o2o_greedy,5,2,1585.58749,271.096825,346.242045,2.40575623,1239.34545,273.502581,"
+            "309.836362,68.3756453,457.61978,60.4820842,147.783418,7.89356116,309.836362,68.3756453,"
+            "*,*,244.891627,29.1684884,1,0",
+            "ra_dmcs,5,2,1329.73625,16.2030295,362.88099,184.175472,966.855262,200.378502,"
+            "241.713815,50.0946254,392.178351,8.44478622,150.464535,41.6498392,241.713815,50.0946254,"
+            "*,*,238.977151,17.5761154,1,0",
+        ]
+        assert masked_csv(runs)[0] == self.METRICS_HEADER
+
+    def test_atsp_bench_rows(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        argv = ["atsp-bench", "--nodes", "6", "--repeats", "1", "--seed", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"wrote {out} (5 rows, 0 failed)\n"
+        seed = 7869264077265352632  # derive_seed(1, 6, 0)
+        assert masked_csv(out) == [
+            "solver,n,repeat,seed,status,tour_energy,moving_time,runtime,held_karp_gap",
+            f"greedy,6,0,{seed},ok,1323.4774,330.86935,*,0.0572340438",
+            f"lk,6,0,{seed},ok,1251.8301,312.957525,*,0",
+            f"held_karp,6,0,{seed},ok,1251.8301,312.957525,*,0",
+            f"transform_lk,6,0,{seed},ok,1251.8301,312.957525,*,0",
+            f"transform_greedy,6,0,{seed},ok,1323.4774,330.86935,*,0.0572340438",
+        ]
