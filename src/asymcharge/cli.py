@@ -367,12 +367,20 @@ def _run_row(algorithm: str, n: int, repeat: int, seed: int, status: str,
     return row
 
 
+def _csv_file(path):
+    return open(path, "w", newline="", encoding="ascii")
+
+
+def _write_rows(f, rows: list[dict], fieldnames: list[str] | tuple[str, ...]) -> None:
+    writer = csv.DictWriter(f, fieldnames=fieldnames)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: _text(row.get(k, "")) for k in fieldnames})
+
+
 def write_csv(path, rows: list[dict], fieldnames: list[str] | tuple[str, ...]) -> None:
-    with open(path, "w", newline="", encoding="ascii") as f:
-        writer = csv.DictWriter(f, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _text(row.get(k, "")) for k in fieldnames})
+    with _csv_file(path) as f:
+        _write_rows(f, rows, fieldnames)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +412,13 @@ class ExperimentConfig:
         for s in self.atsp_solvers:
             if s not in ATSP_SOLVERS:
                 raise ValidationError(f"unknown solver {s!r}")
+        # a repeated name would plan the same seeded runs twice and count
+        # them as independent
+        for what, names in (("node count", self.n_values), ("algorithm", self.algorithms),
+                            ("solver", self.atsp_solvers)):
+            repeated = [x for at, x in enumerate(names) if x in names[:at]]
+            if repeated:
+                raise ValidationError(f"{what} {repeated[0]!r} given more than once")
 
 
 def _experiment_job(args):
@@ -645,20 +660,25 @@ def _sweep(args, **choice) -> ExperimentConfig:
 
 
 def _cmd_experiment(args) -> int:
-    summary, detail = run_experiment(_sweep(args, algorithms=tuple(args.algorithms.split(","))))
-    write_csv(args.out, summary, SUMMARY_FIELDS)
+    cfg = _sweep(args, algorithms=tuple(args.algorithms.split(",")))
     detail_path = _sibling(args.out, "_runs")
-    write_csv(detail_path, detail, DETAIL_FIELDS)
+    # both files open before the sweep, so an unwritable path costs no planning
+    with _csv_file(args.out) as out, _csv_file(detail_path) as runs:
+        summary, detail = run_experiment(cfg)
+        _write_rows(out, summary, SUMMARY_FIELDS)
+        _write_rows(runs, detail, DETAIL_FIELDS)
     failed = sum(1 for row in detail if row["status"] != "ok")
     print(f"wrote {args.out} and {detail_path} ({len(detail)} runs, {failed} failed)")
     return 0
 
 
 def _cmd_atsp_bench(args) -> int:
-    rows = run_atsp_bench(_sweep(args, atsp_solvers=tuple(args.solvers.split(","))))
+    cfg = _sweep(args, atsp_solvers=tuple(args.solvers.split(",")))
     fields = ["solver", "n", "repeat", "seed", "status",
               "tour_energy", "moving_time", "runtime", "held_karp_gap"]
-    write_csv(args.out, rows, fields)
+    with _csv_file(args.out) as out:
+        rows = run_atsp_bench(cfg)
+        _write_rows(out, rows, fields)
     failed = sum(1 for row in rows if row["status"] != "ok")
     print(f"wrote {args.out} ({len(rows)} rows, {failed} failed)")
     return 0

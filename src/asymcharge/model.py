@@ -9,6 +9,7 @@ exist after an algorithm has chosen them.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -248,6 +249,10 @@ class RoutingMatrices:
 # several ulps, and the offset takes a subnormal one below too
 _HYPOT_SHRINK = 1.0 - 2.0**-49
 _HYPOT_OFFSET = 1e-300
+# a squared distance is correct to a few ulps away from under- and overflow:
+# the shrink takes its root below math.hypot of every farther point
+_WINDOW_SHRINK = 1.0 - 1e-12
+_WINDOW_BLOCK = 64  # rows of squared distances per block in TravelArcs.window
 
 
 class TravelArcs:
@@ -255,26 +260,44 @@ class TravelArcs:
 
     Index 0 is the base station by convention.  ``row`` is the one hashing
     kernel behind ``build_routing_matrices``, the nearest-neighbor tour of
-    ``one_to_one_schedule`` and the replay's check of every move: that tour
-    asks ``lower_bounds`` for a cheap numpy bound on the arcs from a point
-    to the points not yet visited and ``arc_costs`` for the exact movement
-    energy of the few arcs that bound cannot rule out, and the replay asks
-    ``row`` once for all its moves, one origin per move.
+    ``one_to_one_schedule`` and the replay's check of every move.  That
+    tour first asks ``window`` for each point's nearest targets, hashed in
+    one ``row`` call, and a floor under every arc a window leaves out; a
+    step the window cannot settle asks ``lower_bounds`` for a cheap numpy
+    bound on the arcs to the points not yet visited and ``arc_costs`` for
+    the exact movement energy of the few arcs that bound cannot rule out.
+    The schedule and the replay each ask ``row`` once for all their moves,
+    one origin per move.  The points are quantized, packed and numbered in
+    one numpy pass.
     """
 
     def __init__(self, positions: list[Point], asym: AsymmetryField, dmc: DmcParams):
         self.positions = tuple(positions)
         self.asym = asym
         self.w0 = dmc.w0
-        self._cells = [asym.quantize(p) for p in self.positions]
+        coords = itertools.chain.from_iterable(self.positions)
+        xy = np.fromiter(coords, dtype=float, count=2 * len(self.positions)).reshape(-1, 2)
+        # the quotients quantize takes, so the same cells; within 2**62 grid
+        # steps (a power of two, so an exact limit) a quotient cannot leave int64
+        if np.abs(xy).max(initial=0.0) <= asym.grid * 2.0**62:  # NaN fails
+            q = xy / asym.grid
+        else:
+            with np.errstate(over="ignore"):  # an inf quotient fails the range test
+                q = xy / asym.grid
+            inside = ((q >= -_CELL_LIMIT) & (q < _CELL_LIMIT)).all(axis=1)
+            if not inside.all():
+                asym.quantize(self.positions[int(inside.argmin())])  # raises its message
+        # rint rounds half to even, as round does
+        cells = np.rint(q).astype("<i8")
         # a pair's hash key packs the seed's low 64 bits, the origin cell (the
         # head) and the target cell (the tail), each cell as two signed 64-bit ints
-        self._seed = asym.seed & 0xFFFFFFFFFFFFFFFF
-        self._tails = [struct.pack("<2q", q[0], q[1]) for q in self._cells]
-        ids: dict[tuple[int, int], int] = {}
-        self._cell_ids = np.array([ids.setdefault(q, len(ids)) for q in self._cells])
-        self._xs = np.array([p[0] for p in self.positions], dtype=float)
-        self._ys = np.array([p[1] for p in self.positions], dtype=float)
+        self._seed = struct.pack("<Q", asym.seed & 0xFFFFFFFFFFFFFFFF)
+        self._tails = np.frombuffer(cells.tobytes(), "V16").tolist()  # one bytes object per cell
+        ids: dict[bytes, int] = {}
+        self._cell_ids = np.array([ids.setdefault(tail, len(ids)) for tail in self._tails])
+        self._cells = None if asym.overrides is None else list(map(tuple, cells.tolist()))
+        self._xs = xy[:, 0].copy()
+        self._ys = xy[:, 1].copy()
         # a hash word w scales to lo + w / 2**64 * (hi - lo) in its range
         (d_lo, d_hi), (e_lo, e_hi) = asym.k_dis_range, asym.k_egy_range
         self._lows = np.array([d_lo, e_lo])
@@ -287,7 +310,6 @@ class TravelArcs:
             k_dis.append(hit[0])
             k_egy.append(hit[1])
         self._bound_scale = (min(k_dis), min(k_egy) * dmc.w0)
-        self.dist: dict[tuple[int, int], float] = {}  # every arc arc_costs computed
 
     @property
     def n(self) -> int:
@@ -324,13 +346,12 @@ class TravelArcs:
         else:
             runs = [(i, targets)]
             x, y = self.positions[i]
-        cells, tails = self._cells, self._tails
+        seed, tails = self._seed, self._tails
         digests = []
         for origin, run in runs:
             # hashing the head once and copying the state is the same blake2b
             # as hashing head + tail, at half the cost per pair
-            q = cells[origin]
-            head = hashlib.blake2b(struct.pack("<Q2q", self._seed, q[0], q[1]), digest_size=16)
+            head = hashlib.blake2b(seed + tails[origin], digest_size=16)
             for j in run:
                 h = head.copy()
                 h.update(tails[j])
@@ -344,6 +365,7 @@ class TravelArcs:
             k_egy[same] = 1.0
         overrides = self.asym.overrides
         if overrides is not None:
+            cells = self._cells
             pairs = ((origin, j) for origin, run in runs for j in run)
             for at, (origin, j) in enumerate(pairs):
                 hit = None if same[at] else overrides.get((cells[origin], cells[j]))
@@ -369,15 +391,53 @@ class TravelArcs:
         return k_dis * (span * _HYPOT_SHRINK - _HYPOT_OFFSET) * rate
 
     def arc_costs(self, i: int, js) -> np.ndarray:
-        """Movement energy of the arcs from point i to each point of js.
-
-        Records each arc's distance in ``dist``.
-        """
-        js = np.asarray(js, dtype=np.intp)
+        """Movement energy of the arcs from point i to each point of js."""
         k_dis, span, k_egy = self.row(i, js)
-        dist = k_dis * span
-        self.dist.update(zip(((i, j) for j in js.tolist()), dist.tolist()))
-        return dist * (k_egy * self.w0)
+        return k_dis * span * (k_egy * self.w0)
+
+    def window(self, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each point's w nearest other points, the costs of those arcs and a floor.
+
+        Returns ``(targets, costs, floor)``: ``targets[i]`` holds, in
+        ascending index order, the w points nearest to i by squared
+        distance, i itself left out, for 1 <= w < n; ``costs[i]`` holds the
+        exact movement energy of those arcs, as ``arc_costs`` gives it,
+        from one ``row`` call over all n * w arcs; and ``floor[i]`` is no
+        greater than the cost of any arc from i to a point outside its
+        window.  The floor is the lowest coefficients times the distance of
+        the (w+1)-th nearest point, shrunk by a relative 1e-12 and by
+        ``_HYPOT_OFFSET``: every point left out is at least that far by
+        ``math.hypot``, since a squared distance within [1e-290, 1e300]
+        is correct to a few ulps.  Outside that range it may have underflowed
+        or overflowed, and the floor is -inf.  A window of every other point
+        leaves nothing out, and its floor is inf.  The distances go in
+        blocks of ``_WINDOW_BLOCK`` rows, so no n x n array is built.
+        """
+        n = self.n
+        xs, ys = self._xs, self._ys
+        targets = np.empty((n, w), dtype=np.intp)
+        kth = np.empty(n)
+        with np.errstate(over="ignore"):
+            for lo in range(0, n, _WINDOW_BLOCK):
+                hi = min(lo + _WINDOW_BLOCK, n)
+                dx = np.subtract.outer(xs[lo:hi], xs)
+                dy = np.subtract.outer(ys[lo:hi], ys)
+                d2 = dx * dx + dy * dy
+                rows = np.arange(hi - lo)
+                d2[rows, rows + lo] = np.nan  # sorts after inf: never a point's own target
+                part = np.argpartition(d2, w, axis=1)
+                targets[lo:hi] = np.sort(part[:, :w], axis=1)
+                kth[lo:hi] = d2[rows, part[:, w]]
+            k_dis, span, k_egy = self.row(np.repeat(np.arange(n), w), targets.ravel())
+            costs = (k_dis * span * (k_egy * self.w0)).reshape(n, w)
+            scale, rate = self._bound_scale
+            reach = np.sqrt(np.clip(kth, 1e-290, 1e300)) * _WINDOW_SHRINK - _HYPOT_OFFSET
+            floor = scale * reach * rate
+        if w == n - 1:
+            floor[:] = np.inf
+        else:
+            floor[~((kth >= 1e-290) & (kth <= 1e300))] = -np.inf
+        return targets, costs, floor
 
 
 def build_routing_matrices(

@@ -362,13 +362,9 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
 
 
 def _movement_items(
-    tour_order: list[int], mats: model.RoutingMatrices | model.TravelArcs, v_bar: float
+    tour_order: list[int], mats: model.RoutingMatrices, v_bar: float
 ) -> list[tuple[int, float]]:
-    """(destination index, duration) per tour arc, skipping zero hops.
-
-    ``mats.dist[a, b]`` is a matrix entry, or the distance ``TravelArcs``
-    recorded for an arc the tour computed.
-    """
+    """(destination index, duration) per tour arc, skipping zero hops."""
     arcs = zip(tour_order, tour_order[1:])
     return [(b, float(mats.dist[a, b]) / v_bar) for a, b in arcs if a != b]
 
@@ -431,9 +427,9 @@ def one_to_one_schedule(instance: NetworkInstance) -> tuple[OperationSchedule, S
 
     Transmission time per node is exactly demand / (p0 * apex coefficient);
     the visiting order is nearest-neighbor on directed movement energy, with
-    no shortest-path closure.  The tour hashes only the arcs whose lower
-    bound a step cannot rule out, and each move takes the distance of the
-    arc the tour computed.
+    no shortest-path closure.  The tour hashes each point's window of near
+    arcs and only the other arcs whose lower bound a step cannot rule out,
+    and one more ``TravelArcs.row`` call gives the distance of every move.
     """
     started = _time.perf_counter()
     targets = [u for u in instance.nodes if u.e_d > 0]
@@ -446,8 +442,11 @@ def one_to_one_schedule(instance: NetworkInstance) -> tuple[OperationSchedule, S
         # tour, since one per arcs call costs a few percent of a plan
         with np.errstate(over="ignore"):
             tour = greedy_tour(arcs)
+            order = np.array(tour.order)
+            k_dis, span, _ = arcs.row(order[:-1], order[1:])
+            durations = (k_dis * span / instance.dmc.v_bar).tolist()
         rate = instance.dmc.p0 * instance.dmc.apex_coefficient
-        for dest, t_move in _movement_items(list(tour.order), arcs, instance.dmc.v_bar):
+        for dest, t_move in zip(tour.order[1:], durations):
             x, y = points[dest]
             values += (MOVE, x, y, 0.0, t_move)
             if dest != 0:

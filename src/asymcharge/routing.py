@@ -11,6 +11,12 @@ The local search follows LKH (Helsgaun, EJOR 2000): each point keeps its
 ``_CANDIDATES`` cheapest outgoing arcs, a move's new arcs are drawn from
 those lists while the partial gain stays positive, and don't-look bits
 confine each descent to the points whose arcs a move or a restart changed.
+
+Nearest-neighbor reads its costs through ``NearestNeighborCosts``: a full
+matrix, or the lazy travel arcs of the one-to-one baseline.  Each point
+gets a window of ``_WINDOW`` near targets, priced in bulk, with a floor
+under every arc it leaves out, so most steps settle in plain Python; the
+rest price only the arcs whose lower bound a step cannot rule out.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .errors import MalformedTourError, ValidationError
 
 _GAIN_EPS = 1e-9
 _CANDIDATES = 10  # outgoing candidate arcs kept per point
+_WINDOW = 8  # near targets per point that greedy_tour prices in one kernel call
 _HELD_KARP_MAX = 14
 
 
@@ -47,11 +54,33 @@ class DirectedCostGraph:
     def arc_costs(self, i: int, js) -> np.ndarray:
         return self.cost[i].take(js)
 
+    def window(self, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each point's w cheapest outgoing arcs, their costs and a floor.
+
+        A cost row is its own bound, so the (w+1)-th cheapest arc is the
+        floor of every arc left out; a window of every other point leaves
+        nothing out, and its floor is inf.
+        """
+        n = self.n
+        cost = self.cost.copy()
+        np.fill_diagonal(cost, np.nan)  # sorts after every cost: never a point's own target
+        part = np.argpartition(cost, w, axis=1)
+        targets = np.sort(part[:, :w], axis=1)
+        if w < n - 1:
+            floor = np.take_along_axis(cost, part[:, w : w + 1], axis=1)[:, 0]
+        else:
+            floor = np.full(n, np.inf)
+        return targets, np.take_along_axis(cost, targets, axis=1), floor
+
 
 class NearestNeighborCosts(Protocol):
     """Outgoing arc costs as ``greedy_tour`` reads them.
 
     ``lower_bounds(i, js)`` never exceeds ``arc_costs(i, js)`` elementwise.
+    ``window(w)``, for 1 <= w < n, returns ``(targets, costs, floor)``:
+    the (n, w) indices of w other points per point, each row ascending, the
+    exact costs of those arcs, and per point a value no greater than the
+    cost of any arc from it to a point outside its row (or -inf).
     """
 
     @property
@@ -60,6 +89,8 @@ class NearestNeighborCosts(Protocol):
     def lower_bounds(self, i: int, js) -> np.ndarray: ...
 
     def arc_costs(self, i: int, js) -> np.ndarray: ...
+
+    def window(self, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
 
 @dataclass(frozen=True)
@@ -127,40 +158,63 @@ def expand_tour(tour: Tour, closed: DirectedCostGraph) -> Tour:
 def greedy_tour(g: NearestNeighborCosts) -> Tour:
     """Nearest-neighbor cycle from index 0 on outgoing costs, lowest index on ties.
 
-    A step bounds the arcs to the unvisited points only, computes the exact
-    cost of the one of lowest bound, then, unless that bound was exact, of
-    every other unvisited point whose bound does not exceed that cost; no
-    point left out can win or tie.  A full matrix is its own bound, and a
-    lazy ``g`` computes only the arcs a step cannot rule out.  The closing
+    Every point first gets a window of ``_WINDOW`` near targets with their
+    exact costs and a floor under the cost of every arc it leaves out
+    (``g.window``).  A step scans the window of the current point for the
+    cheapest unvisited target, the lowest index on ties.  That target wins
+    outright when its cost is below the floor; otherwise one ``arc_costs``
+    call prices every unvisited point outside the window whose lower bound
+    does not exceed it.  A window with no unvisited target leaves the step
+    to the bounds alone: the exact cost of the point of lowest bound, then,
+    unless that bound was exact, of every other point whose bound does not
+    exceed that cost.  Each rule skips only points that cannot win or tie,
+    so the tour is the one a scan of every exact cost gives.  The closing
     arc to 0 is computed once.
     """
     n = g.n
     if n == 1:
         return Tour((0, 0), 0.0)
-    unvisited = np.arange(1, n)  # ascending, so argmin ties go to the lowest index
+    targets, costs, floor = (a.tolist() for a in g.window(min(_WINDOW, n - 1)))
+    left = np.ones(n, dtype=bool)  # the points not yet visited, for the bounds
+    left[0] = False
+    seen = [False] * n
+    seen[0] = True
     order = [0]
     total = 0.0
     for _ in range(n - 1):
         here = order[-1]
-        bound = g.lower_bounds(here, unvisited)
-        at = int(bound.argmin())
-        nxt = int(unvisited[at])
-        best = float(g.arc_costs(here, [nxt])[0])
-        if not math.isfinite(best):
-            raise ValidationError("directed costs must be finite")
-        # an exact lowest bound wins outright: no other cost is lower, and
-        # an equal bound belongs to a higher index
-        if best > bound[at]:
-            rivals = np.flatnonzero(bound <= best)
-            rivals = unvisited[rivals[rivals != at]]
-            if rivals.size:
-                costs = g.arc_costs(here, rivals)
-                k = int(costs.argmin())  # rivals ascend: the lowest index of the cheapest
-                if costs[k] < best or (costs[k] == best and rivals[k] < nxt):
-                    nxt, best = int(rivals[k]), float(costs[k])
+        best, nxt = math.inf, -1
+        for j, c in zip(targets[here], costs[here]):
+            if c < best and not seen[j]:  # the row ascends: ties keep the lowest index
+                best, nxt = c, j
+        if nxt < 0 or not best < floor[here]:
+            unvisited = np.flatnonzero(left)  # ascending, so argmin ties go to the lowest index
+            bound = g.lower_bounds(here, unvisited)
+            if nxt >= 0:
+                # only a point outside the window can still win or tie
+                near = targets[here]
+                rivals = [j for j in unvisited[bound <= best].tolist() if j not in near]
+            else:
+                at = int(bound.argmin())
+                nxt = int(unvisited[at])
+                best = float(g.arc_costs(here, [nxt])[0])
+                if not math.isfinite(best):
+                    raise ValidationError("directed costs must be finite")
+                # an exact lowest bound wins outright: no other cost is lower,
+                # and an equal bound belongs to a higher index
+                rivals = []
+                if best > bound[at]:
+                    rivals = np.flatnonzero(bound <= best)
+                    rivals = unvisited[rivals[rivals != at]].tolist()
+            if rivals:
+                prices = g.arc_costs(here, rivals)
+                k = int(prices.argmin())  # rivals ascend: the lowest index of the cheapest
+                if prices[k] < best or (prices[k] == best and rivals[k] < nxt):
+                    nxt, best = rivals[k], float(prices[k])
         order.append(nxt)
         total += best
-        unvisited = unvisited[unvisited != nxt]
+        seen[nxt] = True
+        left[nxt] = False
     total += float(g.arc_costs(order[-1], [0])[0])
     order.append(0)
     return Tour(tuple(order), total)

@@ -530,6 +530,50 @@ class TestCommandLine:
         assert seen == [2]
         assert [row["status"] for row in detail] == ["ok", "ok"]
 
+    @pytest.mark.parametrize(
+        "command, flag, names",
+        [("experiment", "--algorithms", "ra_dmcs,ra_dmcs"), ("experiment", "--nodes", "5,5"),
+         ("atsp-bench", "--solvers", "lk,lk")],
+    )
+    def test_repeated_name_exit_code(self, tmp_path, command, flag, names):
+        # a repeated name would plan the same seeded runs twice and report
+        # them as two runs that agree
+        out = tmp_path / "sweep.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "asymcharge.cli", command, "--nodes", "5", "--repeats", "1",
+             flag, names, "--out", str(out)],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:validation:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["experiment", "atsp-bench"])
+    def test_unwritable_output_exits_before_the_sweep(self, tmp_path, capsys, monkeypatch, command):
+        table = cli._SCHEDULERS if command == "experiment" else cli._TOUR_SOLVERS
+        calls = []
+
+        def counted(run):
+            def call(*args):
+                calls.append(args)
+                return run(*args)
+
+            return call
+
+        for name, run in list(table.items()):
+            monkeypatch.setitem(table, name, counted(run))
+        out = tmp_path / "missing" / "sweep.csv"
+        capsys.readouterr()
+        code = main([command, "--nodes", "5", "--repeats", "1", "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:io:")
+        assert calls == []
+        # the same sweep with a writable path runs the table
+        assert main([command, "--nodes", "5", "--repeats", "1", "--out", str(tmp_path / "s.csv")]) == 0
+        assert calls
+
     def test_infeasible_exit_code_mapping(self):
         assert InfeasibleError("x").exit_code == 3
 

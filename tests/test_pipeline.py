@@ -525,6 +525,24 @@ class TestOneToOne:
         points = instance.n + 1
         assert 0 < sum(hashed) < 0.05 * points * (points - 1)
 
+    def test_tour_makes_few_kernel_calls(self, monkeypatch):
+        from asymcharge.cli import generate_instance
+
+        # one row call per point used to price the steps of the tour: 751
+        # calls for this plan, its replay included; the windows settle most
+        # steps without a call of their own
+        instance = generate_instance(450, seed=1, area=200.0)
+        calls = []
+        row = model.TravelArcs.row
+
+        def counting_row(arcs, i, js=None):
+            calls.append(i)
+            return row(arcs, i, js)
+
+        monkeypatch.setattr(model.TravelArcs, "row", counting_row)
+        one_to_one_schedule(instance)
+        assert len(calls) <= 751 // 3
+
     def test_replay_computes_few_pairs_exactly(self, monkeypatch):
         from asymcharge import directions
         from asymcharge.cli import generate_instance

@@ -1,6 +1,6 @@
 """The row-wise matrix build, the coverage kernel, the direction sweep, the
 batched replay (its array checks and move pricing also on mutated
-schedules), the masked nearest-neighbor tour and the bounded one-to-one
+schedules), the windowed nearest-neighbor tour and the bounded one-to-one
 tour against scalar loops and full matrices.
 
 Every comparison is exact: matrices by their bytes, metrics with ``==``.
@@ -11,7 +11,7 @@ import math
 import numpy as np
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from asymcharge import (
@@ -32,7 +32,7 @@ from asymcharge import (
     plan_schedule,
     select_charging_positions,
 )
-from asymcharge import directions, model, pipeline
+from asymcharge import directions, model, pipeline, routing
 from asymcharge.errors import MalformedScheduleError, ValidationError
 from asymcharge.cli import demo_instance, generate_instance, schedule_to_text
 
@@ -430,13 +430,83 @@ class TestCoefficientMatrix:
         assert runs[0] == runs[1] == runs[2]
 
 
+def window_sizes(n: int) -> tuple[int, ...]:
+    """One target, two, the default and more than there are points."""
+    return (1, 2, routing._WINDOW, n + 1)
+
+
+@st.composite
+def scaled_arcs(draw):
+    """Travel arcs over points scaled by 10**e, e from -300 to 300.
+
+    Below offsets of about 1e-145 a squared distance falls under 1e-290,
+    and above about 1e150 it passes 1e300, so windows there must fall back
+    on the bounds.  The grid
+    scales with the points, or at e <= 0 may stay, putting them all in one
+    cell; duplicates and near neighbours share cells, and some cell pairs
+    get overrides, below the ranges' lower ends too.
+    """
+    e = draw(st.integers(-300, 300))
+    scale = 10.0**e
+    g = draw(grid)
+    if e > 0 or draw(st.booleans()):
+        g *= scale
+    base = draw(st.lists(point, min_size=1, max_size=30))
+    points = base + draw(st.lists(st.sampled_from(base), max_size=6))
+    for p in draw(st.lists(st.sampled_from(base), max_size=6)):
+        points.append((p[0] + draw(st.floats(-0.4, 0.4)) * draw(grid), p[1]))
+    points = [(x * scale, y * scale) for x, y in draw(st.permutations(points))]
+    asym = AsymmetryField(draw(seed), draw(coefficient_range()), draw(coefficient_range()), g)
+    try:
+        cells = [asym.quantize(p) for p in points]
+    except ValidationError:
+        assume(False)
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(st.sampled_from(cells), st.sampled_from(cells)), max_size=8))
+        hit = st.floats(0.01, 5.0)
+        overrides = {pair: (draw(hit), draw(hit)) for pair in pairs}
+        asym = AsymmetryField(asym.seed, asym.k_dis_range, asym.k_egy_range, g, overrides)
+    return model.TravelArcs(points, asym, DmcParams(w0=draw(st.floats(0.5, 9.0))))
+
+
 class TestGreedyTour:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 40), st.integers(0, 3), st.integers(0, 2**32 - 1))
     def test_equal_to_set_scan(self, n, top, s):
-        # costs 0..top: with top = 0 every step is a tie over all unvisited points
+        # costs 0..top: with top = 0 every step is a tie over all unvisited
+        # points, and a window's last cost ties with points left out of it
         g = cost_graph(np.random.default_rng(s).integers(0, top + 1, (n, n)).astype(float))
-        assert greedy_tour(g) == reference_greedy_tour(g)
+        want = reference_greedy_tour(g)
+        for w in window_sizes(n):
+            with mock.patch.object(routing, "_WINDOW", w):
+                assert greedy_tour(g) == want
+
+    def test_window_floor_below_a_rounded_up_root(self):
+        # both arcs from the base station span 5.5 m and cost 22 J, so node
+        # 0 (point 1) comes first; the base station's one-point window holds
+        # point 2, whose squared distance 30.25 is below point 1's
+        # 30.250000000000007, and that root rounds up to 5.500000000000001
+        instance = make_instance(
+            [((3.3000000000000003, 4.4), 5.0, 20.0, 60.0), ((0.0, 5.5), 5.0, 20.0, 60.0)]
+        )
+        points = [instance.bs_pos] + [u.pos for u in instance.nodes]
+        arcs = model.TravelArcs(points, instance.asym, instance.dmc)
+        assert arcs.arc_costs(0, [1, 2]).tolist() == [22.0, 22.0]
+        with mock.patch.object(routing, "_WINDOW", 1):
+            assert arcs.window(1)[0][0].tolist() == [2]
+            assert greedy_tour(arcs).order == (0, 1, 2, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scaled_arcs())
+    def test_windowed_tour_equal_to_set_scan(self, arcs):
+        every = np.arange(arcs.n)
+        with np.errstate(over="ignore"):
+            cost = np.array([arcs.arc_costs(i, every) for i in range(arcs.n)])
+            assume(np.isfinite(cost).all())
+            want = reference_greedy_tour(cost_graph(cost))
+            for w in window_sizes(arcs.n):
+                with mock.patch.object(routing, "_WINDOW", w):
+                    assert greedy_tour(arcs) == want
 
 
 @st.composite
