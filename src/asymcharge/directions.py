@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,18 +31,18 @@ _BLOCK = 32  # points per prefilter block, which bounds the (points, nodes) arra
 
 @dataclass(frozen=True)
 class PosDirPair:
-    """One matrix row: a charging position index, a direction, its coverage."""
+    """One matrix row: a charging position index and a direction."""
 
     pos_index: int
     psi: float
-    covered: frozenset[int]
 
 
 @dataclass(frozen=True)
 class CoefficientMatrix:
     """Transfer coefficients from every (position, direction) pair to every node.
 
-    Rows are sorted by position index first, direction angle second.
+    Rows are sorted by position index first, direction angle second; a
+    row's entries are positive exactly on the nodes its direction covers.
     """
 
     rows: tuple[PosDirPair, ...]
@@ -193,11 +193,8 @@ def build_coefficient_matrix(
         if lo == hi:
             continue
         psis, table = _maximal_sectors(reach.theta[lo:hi], reach.dist[lo:hi], half)
-        ids = reach.node[lo:hi]
-        id_list = ids.tolist()
-        for psi, covered in zip(psis.tolist(), table.tolist()):
-            rows.append(PosDirPair(pi, psi, frozenset(compress(id_list, covered))))
-        blocks.append((ids, table * reach.coef[lo:hi]))
+        rows.extend(PosDirPair(pi, psi) for psi in psis.tolist())
+        blocks.append((reach.node[lo:hi], table * reach.coef[lo:hi]))
     entries = np.zeros((len(rows), instance.n))
     start = 0
     for ids, block in blocks:

@@ -169,8 +169,26 @@ class AsymmetryField:
         x = p[0] / self.grid
         y = p[1] / self.grid
         if not (-_CELL_LIMIT <= x < _CELL_LIMIT and -_CELL_LIMIT <= y < _CELL_LIMIT):
-            raise ValidationError(f"point {p} lies outside the quantization grid's 64-bit range")
+            raise self.off_grid_error(p)
         return (round(x), round(y))
+
+    def off_grid(self, x: np.ndarray, y: np.ndarray) -> int | None:
+        """Index of the first point (x[k], y[k]) that ``quantize`` rejects, or None.
+
+        Within 2**62 grid steps (a power of two, so an exact limit) no
+        quotient can leave int64, which settles most arrays without one.
+        """
+        limit = self.grid * 2.0**62
+        if np.abs(x).max(initial=0.0) <= limit and np.abs(y).max(initial=0.0) <= limit:  # NaN fails
+            return None
+        with np.errstate(over="ignore"):  # an inf quotient fails the range test
+            qx, qy = x / self.grid, y / self.grid
+        inside = (qx >= -_CELL_LIMIT) & (qx < _CELL_LIMIT) & (qy >= -_CELL_LIMIT) & (qy < _CELL_LIMIT)
+        return None if inside.all() else int(inside.argmin())
+
+    def off_grid_error(self, p: Point) -> ValidationError:
+        """The fault of a point whose cell ``quantize`` rejects."""
+        return ValidationError(f"point {p} lies outside the quantization grid's 64-bit range")
 
 
 @dataclass(frozen=True)
@@ -245,13 +263,10 @@ class RoutingMatrices:
             return self.dist * self.egy_rate
 
 
-# np.hypot can exceed math.hypot by an ulp: the shrink takes it below by
-# several ulps, and the offset takes a subnormal one below too
-_HYPOT_SHRINK = 1.0 - 2.0**-49
-_HYPOT_OFFSET = 1e-300
 # a squared distance is correct to a few ulps away from under- and overflow:
 # the shrink takes its root below math.hypot of every farther point
-_WINDOW_SHRINK = 1.0 - 1e-12
+_ROOT_SHRINK = 1.0 - 1e-12
+_ROOT_OFFSET = 1e-300
 _WINDOW_BLOCK = 64  # rows of squared distances per block in TravelArcs.window
 
 
@@ -263,12 +278,12 @@ class TravelArcs:
     ``one_to_one_schedule`` and the replay's check of every move.  That
     tour first asks ``window`` for each point's nearest targets, hashed in
     one ``row`` call, and a floor under every arc a window leaves out; a
-    step the window cannot settle asks ``lower_bounds`` for a cheap numpy
-    bound on the arcs to the points not yet visited and ``arc_costs`` for
-    the exact movement energy of the few arcs that bound cannot rule out.
-    The schedule and the replay each ask ``row`` once for all their moves,
-    one origin per move.  The points are quantized, packed and numbered in
-    one numpy pass.
+    step the window cannot settle asks ``lower_bounds`` for a numpy bound
+    on the arcs to the points not yet visited (both are ``_floor``) and
+    ``arc_costs`` for the few arcs that bound cannot rule out.  The
+    schedule and the replay each ask ``row`` once for all their moves, one
+    origin per move.  The points are checked, quantized, packed and
+    numbered in one numpy pass.
     """
 
     def __init__(self, positions: list[Point], asym: AsymmetryField, dmc: DmcParams):
@@ -277,18 +292,12 @@ class TravelArcs:
         self.w0 = dmc.w0
         coords = itertools.chain.from_iterable(self.positions)
         xy = np.fromiter(coords, dtype=float, count=2 * len(self.positions)).reshape(-1, 2)
-        # the quotients quantize takes, so the same cells; within 2**62 grid
-        # steps (a power of two, so an exact limit) a quotient cannot leave int64
-        if np.abs(xy).max(initial=0.0) <= asym.grid * 2.0**62:  # NaN fails
-            q = xy / asym.grid
-        else:
-            with np.errstate(over="ignore"):  # an inf quotient fails the range test
-                q = xy / asym.grid
-            inside = ((q >= -_CELL_LIMIT) & (q < _CELL_LIMIT)).all(axis=1)
-            if not inside.all():
-                asym.quantize(self.positions[int(inside.argmin())])  # raises its message
-        # rint rounds half to even, as round does
-        cells = np.rint(q).astype("<i8")
+        self._xs = xy[:, 0].copy()
+        self._ys = xy[:, 1].copy()
+        if (off := asym.off_grid(self._xs, self._ys)) is not None:
+            raise asym.off_grid_error(self.positions[off])
+        # quantize's quotients, so its cells: rint rounds half to even, as round does
+        cells = np.rint(xy / asym.grid).astype("<i8")
         # a pair's hash key packs the seed's low 64 bits, the origin cell (the
         # head) and the target cell (the tail), each cell as two signed 64-bit ints
         self._seed = struct.pack("<Q", asym.seed & 0xFFFFFFFFFFFFFFFF)
@@ -296,8 +305,6 @@ class TravelArcs:
         ids: dict[bytes, int] = {}
         self._cell_ids = np.array([ids.setdefault(tail, len(ids)) for tail in self._tails])
         self._cells = None if asym.overrides is None else list(map(tuple, cells.tolist()))
-        self._xs = xy[:, 0].copy()
-        self._ys = xy[:, 1].copy()
         # a hash word w scales to lo + w / 2**64 * (hi - lo) in its range
         (d_lo, d_hi), (e_lo, e_hi) = asym.k_dis_range, asym.k_egy_range
         self._lows = np.array([d_lo, e_lo])
@@ -377,18 +384,32 @@ class TravelArcs:
         span = np.fromiter(map(math.hypot, dx, dy), dtype=float, count=len(targets))
         return k_dis, span, k_egy
 
+    def _floor(self, d2: np.ndarray) -> np.ndarray:
+        """The floor under the cost of every arc at least ``sqrt(d2)`` long.
+
+        The lowest coefficients times the root of the squared distance
+        ``d2``, shrunk by a relative 1e-12 and by ``_ROOT_OFFSET``: within
+        [1e-290, 1e300] ``d2`` is correct to a few ulps, so the shrunk root
+        lies below ``math.hypot`` of each such arc, and IEEE rounding is
+        monotone.  Outside that range ``d2`` may have under- or overflowed,
+        and the floor is -inf.
+        """
+        scale, rate = self._bound_scale
+        floor = scale * (np.sqrt(np.minimum(d2, 1e300)) * _ROOT_SHRINK - _ROOT_OFFSET) * rate
+        floor[~((d2 >= 1e-290) & (d2 <= 1e300))] = -np.inf
+        return floor
+
     def lower_bounds(self, i: int, js) -> np.ndarray:
         """Lower bounds on the movement energy of the arcs from point i to the points js.
 
-        The product of the lowest coefficients and a distance no larger than
-        ``math.hypot``'s: IEEE rounding is monotone, so it never exceeds the
-        exact ``dist * rate`` of ``arc_costs``.  It may be negative at a
-        distance below the offset, which still bounds a nonnegative cost.
+        The floor of each arc's own squared distance: it never exceeds the
+        ``arc_costs`` of that arc.  A squared distance beyond a float
+        overflows with numpy's warning, which callers silence.
         """
         js = np.asarray(js, dtype=np.intp)
-        span = np.hypot(self._xs[i] - self._xs[js], self._ys[i] - self._ys[js])
-        k_dis, rate = self._bound_scale
-        return k_dis * (span * _HYPOT_SHRINK - _HYPOT_OFFSET) * rate
+        dx = self._xs[i] - self._xs[js]
+        dy = self._ys[i] - self._ys[js]
+        return self._floor(dx * dx + dy * dy)
 
     def arc_costs(self, i: int, js) -> np.ndarray:
         """Movement energy of the arcs from point i to each point of js."""
@@ -404,14 +425,11 @@ class TravelArcs:
         exact movement energy of those arcs, as ``arc_costs`` gives it,
         from one ``row`` call over all n * w arcs; and ``floor[i]`` is no
         greater than the cost of any arc from i to a point outside its
-        window.  The floor is the lowest coefficients times the distance of
-        the (w+1)-th nearest point, shrunk by a relative 1e-12 and by
-        ``_HYPOT_OFFSET``: every point left out is at least that far by
-        ``math.hypot``, since a squared distance within [1e-290, 1e300]
-        is correct to a few ulps.  Outside that range it may have underflowed
-        or overflowed, and the floor is -inf.  A window of every other point
-        leaves nothing out, and its floor is inf.  The distances go in
-        blocks of ``_WINDOW_BLOCK`` rows, so no n x n array is built.
+        window.  That floor is the ``lower_bounds`` of the (w+1)-th nearest
+        point, since every point left out is at least as far.  A window of
+        every other point leaves nothing out, and its floor is inf.  The
+        distances go in blocks of ``_WINDOW_BLOCK`` rows, so no n x n array
+        is built.
         """
         n = self.n
         xs, ys = self._xs, self._ys
@@ -430,13 +448,9 @@ class TravelArcs:
                 kth[lo:hi] = d2[rows, part[:, w]]
             k_dis, span, k_egy = self.row(np.repeat(np.arange(n), w), targets.ravel())
             costs = (k_dis * span * (k_egy * self.w0)).reshape(n, w)
-            scale, rate = self._bound_scale
-            reach = np.sqrt(np.clip(kth, 1e-290, 1e300)) * _WINDOW_SHRINK - _HYPOT_OFFSET
-            floor = scale * reach * rate
+            floor = self._floor(kth)
         if w == n - 1:
             floor[:] = np.inf
-        else:
-            floor[~((kth >= 1e-290) & (kth <= 1e300))] = -np.inf
         return targets, costs, floor
 
 

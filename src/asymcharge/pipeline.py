@@ -6,17 +6,16 @@ allocation, and asymmetric tour construction into an operation schedule.
 it point-blank.  A schedule is five numpy columns (state, x, y, psi, t), which
 both schedulers and both file readers fill directly.  ``execute_schedule``
 replays any schedule against the energy models and produces the metrics: it
-checks the items with one array pass per check, prices every move from one
-call of ``model.TravelArcs.row``, the hashing kernel the tours read, with
-the 9-digit tolerance of every move in array passes too, and credits all
-transmissions through the two stages of the coverage kernel the coefficient
-matrix is built from, running the exact stage only on the pairs some
-transmission's sector may cover.
+checks the items and the grid range of their moves with one array pass per
+check, prices every move from one call of ``model.TravelArcs.row``, the
+hashing kernel the tours read, with the 9-digit tolerance of every move in
+array passes too, and credits all transmissions through the two stages of
+the coverage kernel the coefficient matrix is built from, running the
+exact stage only on the pairs some transmission's sector may cover.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import time as _time
@@ -220,31 +219,19 @@ def _received(
     return received, bad
 
 
-def _item_fault(schedule: OperationSchedule, idx: int, start: Point) -> MalformedScheduleError:
-    """The fault of item ``idx``, the first item whose checks fail, as the replay reports it."""
-    items = schedule.items
-    item = items[idx]
-    if not all(map(math.isfinite, (item.pos[0], item.pos[1], item.psi, item.t))):
-        problem = "non-finite position, direction or duration"
-    elif item.t < 0:
-        problem = "negative duration"
-    elif item.state == TRANSMIT:
-        here = next((i.pos for i in reversed(items[:idx]) if i.state == MOVE), start)
-        problem = f"transmits from {item.pos} but the charger is at {here}"
-    else:
-        problem = f"unknown state {item.state}"
-    return MalformedScheduleError(f"item {idx}: {problem}")
-
-
 def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> ScheduleMetrics:
     """Replay a schedule and account for every joule.
 
     Every number in an item must be finite, its duration nonnegative and its
     state known, and transmissions must happen where the charger is.  The
     charger starts at the 9-digit base station, the point an instance file
-    holds.  One array pass per check finds the first item that fails one.
-    Then one ``TravelArcs.row`` call prices every move before it: each
-    move's travel time and energy must be finite, and its duration must
+    holds, and every point it moves through must lie within the hash
+    grid's 64-bit range: the move into the first end outside it faults, or
+    the first move when that end is the start.  One array pass per check
+    finds the first item that fails one, and the same masks word its fault,
+    the item checks ahead of the grid's.  Then one ``TravelArcs.row`` call
+    prices every move before it: each move's travel time and energy must be
+    finite, and its duration must
     match its directed travel time up to what the file format's
     9-significant-digit rounding of the duration and of the move's two ends
     can change.  ``_received`` credits every transmission before it at
@@ -259,36 +246,45 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
     state, x, y, psi, t = schedule.state, schedule.x, schedule.y, schedule.psi, schedule.t
     is_move = state == MOVE
     is_send = state == TRANSMIT
+    moved = np.flatnonzero(is_move)
     # the charger's start, then each move's end
-    end_x = np.append(start[0], x[is_move])
-    end_y = np.append(start[1], y[is_move])
+    end_x = np.append(start[0], x[moved])
+    end_y = np.append(start[1], y[moved])
     before = np.cumsum(is_move) - is_move  # the moves before each item
-    fault = ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(psi) & np.isfinite(t))
-    fault |= (t < 0.0) | ~(is_move | is_send)
-    fault |= is_send & ((x != end_x[before]) | (y != end_y[before]))
+    nonfinite = ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(psi) & np.isfinite(t))
+    negative = t < 0.0
+    unknown = ~(is_move | is_send)
+    misplaced = is_send & ((x != end_x[before]) | (y != end_y[before]))
+    fault = nonfinite | negative | unknown | misplaced
+    # the move into the first end off the hash grid faults, the first move
+    # when that end is the start
+    if (off := instance.asym.off_grid(end_x, end_y)) is not None and moved.size:
+        fault[moved[max(off - 1, 0)]] = True
     faults: list[tuple[int, ValidationError]] = []  # (item index, fault)
     cut = len(t)  # the first faulty item: neither it nor any item after it is priced
     if fault.any():
         cut = int(fault.argmax())
-        faults.append((cut, _item_fault(schedule, cut, start)))
-    moves = np.flatnonzero(is_move[:cut])
+        problem = None  # none of the item checks: the move into a point off the grid
+        if nonfinite[cut]:
+            problem = "non-finite position, direction or duration"
+        elif negative[cut]:
+            problem = "negative duration"
+        elif misplaced[cut]:
+            here = schedule.items[moved[before[cut] - 1]].pos if before[cut] else start
+            problem = f"transmits from {schedule.items[cut].pos} but the charger is at {here}"
+        elif unknown[cut]:
+            problem = f"unknown state {schedule.items[cut].state}"
+        if problem is None:
+            faults.append((cut, instance.asym.off_grid_error((end_x[off].item(), end_y[off].item()))))
+        else:
+            faults.append((cut, MalformedScheduleError(f"item {cut}: {problem}")))
+    moves = moved[: np.searchsorted(moved, cut)]
     sends = np.flatnonzero(is_send[:cut])
 
     move_energy = move_time = distance = 0.0
     if moves.size:
         ends = list(zip(end_x[: moves.size + 1].tolist(), end_y[: moves.size + 1].tolist()))
-        try:
-            arcs = model.TravelArcs(ends, instance.asym, dmc)
-        except ValidationError as exc:
-            # quantize stops the loop at ends[off], the first end off the hash
-            # grid: the move into it faults, after the moves before it
-            with contextlib.suppress(ValidationError):
-                for off, p in enumerate(ends):
-                    instance.asym.quantize(p)
-            faults.append((int(moves[max(off - 1, 0)]), exc))
-            del ends[off:]
-            moves = moves[: max(off - 1, 0)]
-            arcs = model.TravelArcs(ends, instance.asym, dmc)
+        arcs = model.TravelArcs(ends, instance.asym, dmc)
         m = moves.size
         stated = t[moves]
         with np.errstate(over="ignore", invalid="ignore"):  # faults its move below

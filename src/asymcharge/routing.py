@@ -47,12 +47,10 @@ class DirectedCostGraph:
     def n(self) -> int:
         return self.cost.shape[0]
 
-    def lower_bounds(self, i: int, js) -> np.ndarray:
-        """A full matrix is its own bound: the costs from point i to each point of js."""
-        return self.cost[i].take(js)
-
     def arc_costs(self, i: int, js) -> np.ndarray:
         return self.cost[i].take(js)
+
+    lower_bounds = arc_costs  # a full matrix is its own bound
 
     def window(self, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each point's w cheapest outgoing arcs, their costs and a floor.
@@ -76,11 +74,12 @@ class DirectedCostGraph:
 class NearestNeighborCosts(Protocol):
     """Outgoing arc costs as ``greedy_tour`` reads them.
 
-    ``lower_bounds(i, js)`` never exceeds ``arc_costs(i, js)`` elementwise.
-    ``window(w)``, for 1 <= w < n, returns ``(targets, costs, floor)``:
-    the (n, w) indices of w other points per point, each row ascending, the
-    exact costs of those arcs, and per point a value no greater than the
-    cost of any arc from it to a point outside its row (or -inf).
+    ``lower_bounds(i, js)`` never exceeds ``arc_costs(i, js)`` elementwise;
+    a full matrix's bounds are its costs.  ``window(w)``, for 1 <= w < n,
+    returns ``(targets, costs, floor)``: the (n, w) indices of w other
+    points per point, each row ascending, the exact costs of those arcs,
+    and per point a value no greater than the cost of any arc from it to a
+    point outside its row (or -inf).
     """
 
     @property
@@ -161,13 +160,12 @@ def greedy_tour(g: NearestNeighborCosts) -> Tour:
     Every point first gets a window of ``_WINDOW`` near targets with their
     exact costs and a floor under the cost of every arc it leaves out
     (``g.window``).  A step scans the window of the current point for the
-    cheapest unvisited target, the lowest index on ties.  That target wins
-    outright when its cost is below the floor; otherwise one ``arc_costs``
-    call prices every unvisited point outside the window whose lower bound
-    does not exceed it.  A window with no unvisited target leaves the step
-    to the bounds alone: the exact cost of the point of lowest bound, then,
-    unless that bound was exact, of every other point whose bound does not
-    exceed that cost.  Each rule skips only points that cannot win or tie,
+    cheapest unvisited target, the lowest index on ties, and takes it
+    outright when its cost is below the floor.  Otherwise one rule settles
+    the step: a window with no unvisited target first prices the point of
+    lowest bound, and then one ``arc_costs`` call prices every other
+    unvisited point outside the window whose lower bound does not exceed
+    the cost found.  Each rule skips only points that cannot win or tie,
     so the tour is the one a scan of every exact cost gives.  The closing
     arc to 0 is computed once.
     """
@@ -190,22 +188,14 @@ def greedy_tour(g: NearestNeighborCosts) -> Tour:
         if nxt < 0 or not best < floor[here]:
             unvisited = np.flatnonzero(left)  # ascending, so argmin ties go to the lowest index
             bound = g.lower_bounds(here, unvisited)
-            if nxt >= 0:
-                # only a point outside the window can still win or tie
-                near = targets[here]
-                rivals = [j for j in unvisited[bound <= best].tolist() if j not in near]
-            else:
-                at = int(bound.argmin())
-                nxt = int(unvisited[at])
+            if nxt < 0:  # a spent window
+                nxt = int(unvisited[bound.argmin()])
                 best = float(g.arc_costs(here, [nxt])[0])
                 if not math.isfinite(best):
                     raise ValidationError("directed costs must be finite")
-                # an exact lowest bound wins outright: no other cost is lower,
-                # and an equal bound belongs to a higher index
-                rivals = []
-                if best > bound[at]:
-                    rivals = np.flatnonzero(bound <= best)
-                    rivals = unvisited[rivals[rivals != at]].tolist()
+            # only a point not yet priced can still win or tie
+            near = targets[here]
+            rivals = [j for j in unvisited[bound <= best].tolist() if j != nxt and j not in near]
             if rivals:
                 prices = g.arc_costs(here, rivals)
                 k = int(prices.argmin())  # rivals ascend: the lowest index of the cheapest
@@ -466,12 +456,11 @@ def to_symmetric(g: DirectedCostGraph) -> SymmetricReformulation:
     off_diag_total = float(shifted.sum()) - float(np.trace(shifted))
     sentinel = 2.0 * (2.0 * off_diag_total) + 1.0
     sym = np.full((2 * n, 2 * n), sentinel)
-    for i in range(n):
-        sym[i, i + n] = sym[i + n, i] = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                sym[i + n, j] = sym[j, i + n] = shifted[i, j]
+    # mirror i + n meets point j at the shifted cost of i -> j, its own i at 0
+    sym[n:, :n] = shifted
+    sym[:n, n:] = shifted.T
+    np.fill_diagonal(sym[n:, :n], 0.0)
+    np.fill_diagonal(sym[:n, n:], 0.0)
     np.fill_diagonal(sym, 0.0)
     if not np.all(np.isfinite(sym)):
         raise ValidationError("sentinel arithmetic overflowed")

@@ -13,9 +13,10 @@ item checks and move pricing have a per-item loop version here too; the cover
 that encloses every cluster of every k from k = 1, behind
 ``positions.select_charging_positions``; the nearest-neighbor tour that
 takes a Python ``min`` over the unvisited set, behind
-``routing.greedy_tour``; and the one-to-one baseline that hashes every
+``routing.greedy_tour``; the one-to-one baseline that hashes every
 ordered pair into full routing matrices before that tour, behind
-``pipeline.one_to_one_schedule``.  These must agree bit for bit.
+``pipeline.one_to_one_schedule``; and the pair-by-pair fill of the doubled
+matrix behind ``routing.to_symmetric``.  These must agree bit for bit.
 
 The two-phase primal simplex behind ``timing.solve_lp`` is the objective
 oracle for the dual simplex there: both reach an optimal vertex, but not
@@ -628,6 +629,23 @@ def reference_greedy_tour(g: DirectedCostGraph) -> Tour:
         unvisited.remove(nxt)
     order.append(0)
     return Tour(tuple(order), routing.tour_cost(order, g.cost))
+
+
+def reference_symmetric_cost(g: DirectedCostGraph) -> np.ndarray:
+    """The doubled cost matrix of ``routing.to_symmetric``, filled one pair at a time."""
+    n = g.n
+    bonus = float(g.cost.sum()) + 1.0
+    shifted = g.cost + bonus
+    off_diag_total = float(shifted.sum()) - float(np.trace(shifted))
+    sym = np.full((2 * n, 2 * n), 2.0 * (2.0 * off_diag_total) + 1.0)
+    for i in range(n):
+        sym[i, i + n] = sym[i + n, i] = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                sym[i + n, j] = sym[j, i + n] = shifted[i, j]
+    np.fill_diagonal(sym, 0.0)
+    return sym
 
 
 def reference_one_to_one_schedule(instance: NetworkInstance) -> OperationSchedule:

@@ -165,20 +165,22 @@ class TestCoefficientMatrix:
         matrix = build_coefficient_matrix(cover, instance)
         assert matrix.entries.shape == (1, 1)
         assert matrix.entries[0, 0] == pytest.approx(0.362811791, abs=1e-9)
-        assert matrix.rows[0].covered == frozenset({0})
+        assert (matrix.rows[0].pos_index, matrix.rows[0].psi) == (0, 0.0)
 
     def test_uncovered_entry_is_zero(self):
+        # node 1, at 3 phi, lies outside the sector that covers node 0 and
+        # node 0 outside the one that covers node 1: an entry is positive
+        # exactly where the node's bearing lies within phi / 2 of the row's
         phi = DmcParams().phi
-        theta2 = phi * 3.0
-        instance = make_instance(
-            [node_at((5.0, 0.0)), node_at((5.0 * math.cos(theta2), 5.0 * math.sin(theta2)))]
-        )
+        thetas = (0.0, phi * 3.0)
+        instance = make_instance([node_at((5.0 * math.cos(a), 5.0 * math.sin(a))) for a in thetas])
         cover = ChargingPositionSet(positions=((0.0, 0.0),), assignment=(0, 0))
         matrix = build_coefficient_matrix(cover, instance)
-        for row in range(matrix.entries.shape[0]):
-            for col in range(2):
-                positive = matrix.entries[row, col] > 0.0
-                assert positive == (col in matrix.rows[row].covered)
+        assert len(matrix.rows) == 2
+        for row, entries in zip(matrix.rows, matrix.entries):
+            for theta, entry in zip(thetas, entries.tolist()):
+                assert (entry > 0.0) == (angular_distance(theta, row.psi) <= phi / 2.0)
+            assert entries.tolist().count(0.0) == 1
 
     def test_rows_sorted_and_deterministic(self):
         rng = np.random.default_rng(6)

@@ -244,6 +244,28 @@ class TestExecuteSchedule:
             with pytest.raises(error, match=f"^{first}"):
                 execute_schedule(instance, OperationSchedule(items))
 
+    def test_base_station_off_the_hash_grid_faults_the_first_move(self):
+        # the charger starts at a 9-digit base station beyond 64-bit cells:
+        # the first move faults and names it, behind any fault before that
+        # move, and a schedule that never moves replays
+        from asymcharge.errors import ValidationError
+
+        instance = make_instance([node_at((10.0, 0.0))], bs=(1e17, 0.0))
+        here = ScheduleItem(TRANSMIT, (1e17, 0.0), 0.0, 1.0)
+        out = ScheduleItem(MOVE, (10.0, 0.0), 0.0, 1e17)
+        far = ScheduleItem(MOVE, (3e17, 0.0), 0.0, 2e17)
+        negative = ScheduleItem(TRANSMIT, (1e17, 0.0), 0.0, -1.0)
+        for items, error, first in (
+            ((here, out), ValidationError, r"point \(1e\+17, 0.0\) lies outside"),
+            ((far, here), ValidationError, r"point \(1e\+17, 0.0\) lies outside"),
+            ((negative, out), MalformedScheduleError, r"item 0: negative duration$"),
+        ):
+            with pytest.raises(error, match=f"^{first}"):
+                execute_schedule(instance, OperationSchedule(items))
+        metrics = execute_schedule(instance, OperationSchedule((here,)))
+        assert metrics.charging_time == 1.0 and metrics.tour_distance == 0.0
+        assert not metrics.feasible
+
     def test_lowest_index_non_finite_value_wins(self):
         # a transmission whose credit overflows faults ahead of a later move
         # whose energy does, although the moves are checked first

@@ -1,7 +1,8 @@
 """The row-wise matrix build, the coverage kernel, the direction sweep, the
 batched replay (its array checks and move pricing also on mutated
-schedules), the windowed nearest-neighbor tour and the bounded one-to-one
-tour against scalar loops and full matrices.
+schedules), the windowed nearest-neighbor tour, the bounded one-to-one
+tour and the sliced symmetric doubling against scalar loops and full
+matrices.
 
 Every comparison is exact: matrices by their bytes, metrics with ``==``.
 """
@@ -31,6 +32,7 @@ from asymcharge import (
     one_to_one_schedule,
     plan_schedule,
     select_charging_positions,
+    to_symmetric,
 )
 from asymcharge import directions, model, pipeline, routing
 from asymcharge.errors import MalformedScheduleError, ValidationError
@@ -46,6 +48,7 @@ from scalar_reference import (
     reference_nodes_in_range,
     reference_one_to_one_schedule,
     reference_routing_matrices,
+    reference_symmetric_cost,
 )
 from support import ra_coefficients, ra_distance
 from test_acceptance import random_schedule
@@ -395,6 +398,14 @@ def matrix_cases(draw):
     return instance, ChargingPositionSet(points, cover.assignment)
 
 
+def matrix_rows(matrix):
+    """(position, psi, the nodes of positive entries) per row of a coefficient matrix."""
+    return [
+        (r.pos_index, r.psi, frozenset(np.flatnonzero(entries > 0.0).tolist()))
+        for r, entries in zip(matrix.rows, matrix.entries)
+    ]
+
+
 class TestCoefficientMatrix:
     @settings(max_examples=60, deadline=None)
     @given(matrix_cases())
@@ -402,7 +413,7 @@ class TestCoefficientMatrix:
         instance, cover = case
         matrix = build_coefficient_matrix(cover, instance)
         rows, entries = reference_coefficient_matrix(cover, instance)
-        assert [(r.pos_index, r.psi, r.covered) for r in matrix.rows] == rows
+        assert matrix_rows(matrix) == rows
         assert_bitwise_equal(matrix.entries, entries)
 
     def test_shared_bearings_share_events(self):
@@ -415,7 +426,7 @@ class TestCoefficientMatrix:
             cover = ChargingPositionSet((pos,), (0,) * instance.n)
             matrix = build_coefficient_matrix(cover, instance)
             rows, entries = reference_coefficient_matrix(cover, instance)
-            assert [(r.pos_index, r.psi, r.covered) for r in matrix.rows] == rows
+            assert matrix_rows(matrix) == rows
             assert_bitwise_equal(matrix.entries, entries)
 
     @settings(max_examples=40, deadline=None)
@@ -496,6 +507,19 @@ class TestGreedyTour:
             assert arcs.window(1)[0][0].tolist() == [2]
             assert greedy_tour(arcs).order == (0, 1, 2, 0)
 
+    def test_subnormal_squares_bound_nothing(self):
+        # 1.87e-162 squared rounds up to the subnormal 5e-324, whose root
+        # 2.22e-162 exceeds the distance, and 1.0056e-159 squared rounds up
+        # by a relative 2.4e-6; the point at 1e-170 squares to 0
+        asym = AsymmetryField(1, (1.0, 1.0), (1.0, 1.0))
+        xs = (0.0, 1e-170, 1.87e-162, 1.0056e-159)
+        arcs = model.TravelArcs([(x, 0.0) for x in xs], asym, DmcParams())
+        cost = arcs.arc_costs(0, [1, 2, 3])
+        assert np.all(arcs.lower_bounds(0, [1, 2, 3]) <= cost)
+        for w in (1, 2):
+            targets, _, floor = arcs.window(w)
+            assert targets[0].tolist() == [1, 2][:w] and floor[0] <= cost[w]
+
     @settings(max_examples=200, deadline=None)
     @given(scaled_arcs())
     def test_windowed_tour_equal_to_set_scan(self, arcs):
@@ -541,15 +565,39 @@ def one_to_one_instances(draw):
     return NetworkInstance(base.nodes, base.bs_pos, dmc, asym)
 
 
+def travel_arcs(instance):
+    """The travel arcs of the one-to-one tour: the base station, then every node."""
+    points = [instance.bs_pos] + [u.pos for u in instance.nodes]
+    return model.TravelArcs(points, instance.asym, instance.dmc)
+
+
+class TestSymmetricReformulation:
+    def test_equal_to_pair_loop(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 7, 40, 100):
+            for cost in (rng.uniform(0.0, 1e3, (n, n)), rng.integers(0, 3, (n, n)).astype(float)):
+                g = cost_graph(cost)
+                assert_bitwise_equal(to_symmetric(g).cost, reference_symmetric_cost(g))
+
+
 class TestOneToOneTour:
-    @settings(max_examples=120, deadline=None)
-    @given(one_to_one_instances())
-    def test_lower_bounds_never_exceed_costs(self, instance):
-        points = [instance.bs_pos] + [u.pos for u in instance.nodes]
-        arcs = model.TravelArcs(points, instance.asym, instance.dmc)
-        every = np.arange(arcs.n)
-        for i in range(arcs.n):
-            assert np.all(arcs.lower_bounds(i, every) <= arcs.arc_costs(i, every))
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(scaled_arcs(), one_to_one_instances().map(travel_arcs)))
+    def test_lower_bounds_never_exceed_costs(self, arcs):
+        # from 1e-300 to 1e300 and at ordinary scales: each bound lies under
+        # its arc's cost, and each window's floor under every arc it leaves out
+        n = arcs.n
+        every = np.arange(n)
+        with np.errstate(over="ignore"):
+            cost = np.array([arcs.arc_costs(i, every) for i in range(n)])
+            for i in range(n):
+                assert np.all(arcs.lower_bounds(i, every) <= cost[i])
+            for w in sorted({min(w, n - 1) for w in window_sizes(n)} - {0}):
+                targets, _, floor = arcs.window(w)
+                left_out = cost.copy()
+                left_out[every[:, None], targets] = np.inf
+                np.fill_diagonal(left_out, np.inf)
+                assert np.all(floor <= left_out.min(axis=1))
 
     @settings(max_examples=120, deadline=None)
     @given(one_to_one_instances())
