@@ -1,14 +1,17 @@
-"""Charging position selection: clustering until every cluster fits a disc.
+"""Charging position selection: a cluster count whose every cluster fits a disc.
 
-The number of clusters starts at a proven lower bound and grows until every
-cluster lies within the charge distance of its minimum enclosing circle's
-center, rounded to the 9 digits a schedule file stores; those rounded
-centers become the charging positions.  Each k is clustered once, on one
-point array per plan, seeded from the head of one k-means++ draw sequence
-that the plan owns and extends.  A k with a cluster wider than the
-separation reach in x or y is rejected by one numpy pass before any circle
-is built; otherwise its clusters are enclosed in order until one does not
-fit, and a cluster that an earlier k already enclosed keeps its center.
+A cluster count k fits when every cluster lies within the charge distance
+of its minimum enclosing circle's center, rounded to the 9 digits a
+schedule file stores; those rounded centers become the charging positions.
+The search starts at a proven lower bound, probes every fourth k until one
+fits and then scans the gap below that probe.  Each k tried is clustered
+once, on one point array per plan, seeded from the head of one k-means++
+draw sequence that the plan owns and extends, so its clusters do not
+depend on the order the search tries it in.  A k with a cluster wider than
+the separation reach in x or y is rejected by one numpy pass before any
+circle is built; otherwise its clusters are enclosed in order until one
+does not fit, and a cluster that another k already enclosed keeps its
+center.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .errors import ValidationError
 from .model import NetworkInstance, Point, snap9_point
 
 _KMEANS_MAX_ITER = 100
+_K_STRIDE = 4  # the cover's step between probed cluster counts
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,8 @@ class _Seeding:
     """One plan's k-means++ draws: its points, generator, running ``d2`` and centers.
 
     Lloyd draws nothing, so the centers k-means++ draws for k are the first k
-    it draws for k + 1, and the cover's k = L, L + 1, ... share one sequence.
+    it draws for k + 1, and every k the cover tries, in any order, shares
+    one sequence.
     """
 
     __slots__ = ("pts", "rng", "d2", "centers")
@@ -145,7 +150,11 @@ class _Seeding:
         while len(self.centers) < k:
             total = self.d2.sum()
             if total > 0:
-                idx = int(self.rng.choice(n, p=self.d2 / total))
+                # Generator.choice(n, p=d2 / total) without its checks: the
+                # same cumulative sum, uniform draw and right-side search
+                cdf = (self.d2 / total).cumsum()
+                cdf /= cdf[-1]
+                idx = int(cdf.searchsorted(self.rng.random(), side="right"))
             else:
                 idx = int(self.rng.integers(n))
             self.centers.append(idx)
@@ -309,17 +318,21 @@ def _fitted_cover(
 
 
 def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
-    """Smallest cluster count whose clusters all fit the charge range.
+    """A small cluster count whose clusters all fit the charge range.
 
-    Clusters each k = L, L + 1, ... once with ``kmeans``, where L is
-    ``_separated_count``'s lower bound; the first k where every cluster lies
-    within the charge distance of its enclosing circle's center rounded to 9
-    digits wins, and those rounded centers become the charging positions.
-    The LP, the tour and the replay therefore all see the points a schedule
-    file stores.  The node positions become one float array and one
-    k-means++ draw sequence, seeded by the low 64 bits of the instance's
-    asymmetry seed, which every ``kmeans`` call of the plan extends; the
-    result is a pure function of the instance.  Nodes so far apart that n
+    A k fits when every cluster lies within the charge distance of its
+    enclosing circle's center rounded to 9 digits; those rounded centers
+    become the charging positions.  From ``_separated_count``'s lower bound
+    L, ``kmeans`` clusters the probes k = L, L + 4, ... (and n last) until
+    one fits, then each k of the gap above the last failed probe in turn,
+    and the first k that fits wins.  The fit is not monotone in k, so this
+    is the smallest fitting k unless a probe at or above it fails, and then
+    the first fitting k after that probe.  The LP, the tour and the replay
+    therefore all see the points a schedule file stores.  The node
+    positions become one float array and one k-means++ draw sequence,
+    seeded by the low 64 bits of the instance's asymmetry seed, which every
+    ``kmeans`` call of the plan extends; the result is a pure function of
+    the instance.  Nodes so far apart that n
     times their widest squared offset overflows raise ``ValidationError``
     before any clustering.
     """
@@ -335,8 +348,18 @@ def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
     # the seed's low 64 bits, the word every coefficient hash key packs
     draws = _Seeding(pts, instance.asym.seed & 0xFFFF_FFFF_FFFF_FFFF)
     enclosed: dict[tuple[int, ...], Point] = {}
-    for k in range(bound, instance.n + 1):
-        cover = _fitted_cover(pts, kmeans(draws, k), d_max, enclosed)
+
+    def fitted(k: int) -> ChargingPositionSet | None:
+        return _fitted_cover(pts, kmeans(draws, k), d_max, enclosed)
+
+    gap = bound  # the k after the last failed probe
+    for probe in itertools.chain(range(bound, instance.n, _K_STRIDE), (instance.n,)):
+        cover = fitted(probe)
         if cover is not None:
+            for k in range(gap, probe):
+                smaller = fitted(k)
+                if smaller is not None:
+                    return smaller
             return cover
+        gap = probe + 1
     raise AssertionError("unreachable: singleton clusters always fit at distance 0")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -10,8 +11,10 @@ from asymcharge import (
     ValidationError,
     min_enclosing_circle,
     plan_schedule,
+    positions,
     select_charging_positions,
 )
+from asymcharge.cli import generate_instance
 
 from conftest import make_instance
 from support import kmeans
@@ -219,3 +222,30 @@ class TestSelectChargingPositions:
         a = select_charging_positions(instance)
         b = select_charging_positions(instance)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "n, seed, want",
+        [(200, 3, 41), (450, 12, 45), (450, 14, 55), (450, 1758193937, 47)],
+    )
+    def test_stride_search_pinned_covers(self, n, seed, want):
+        # the first three fit at their smallest k but fail some larger k,
+        # never at a probe above it; the last fits at 44, but its probe at
+        # 45 and then 46 fail, so the search passes 44 and returns 47
+        cover = select_charging_positions(generate_instance(n, seed, area=200.0))
+        assert len(cover.positions) == want
+
+    def test_kmeans_calls_of_a_dense_cover(self, monkeypatch):
+        # wrapped as the benchmark wraps the module attribute; the bound is
+        # 19 and 47 fits: 11 calls, where a scan of every k made 29
+        calls = []
+        original = positions.kmeans
+
+        @functools.wraps(original)
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(positions, "kmeans", counting)
+        cover = select_charging_positions(generate_instance(450, 1, area=200.0))
+        assert len(cover.positions) == 47
+        assert calls == [19, 23, 27, 31, 35, 39, 43, 47, 44, 45, 46]

@@ -15,9 +15,12 @@ from asymcharge import (
     held_karp,
     lk_tour,
     metric_closure,
+    model,
+    routing,
     to_symmetric,
     tour_cost,
 )
+from asymcharge.cli import generate_instance
 from asymcharge.errors import MalformedTourError
 
 from support import brute_force_tour, read_cost_matrix, write_cost_matrix
@@ -116,6 +119,28 @@ class TestGreedyTour:
         for _ in range(15):
             closed = random_directed_graph(rng, 8)
             assert greedy_tour(closed).cost >= held_karp(closed).cost - 1e-9
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_spent_window_prices_few_arcs(self, seed, monkeypatch):
+        # a step whose window holds no unvisited point prices the point of
+        # lowest bound and then only the points whose bound does not exceed
+        # its cost; pricing every unvisited point instead gives the same
+        # tours in fewer calls but hashes over 3,500 arcs past the windows
+        instance = generate_instance(450, seed, area=200.0)
+        points = [model.snap9_point(instance.bs_pos)] + [u.pos for u in instance.nodes]
+        arcs = model.TravelArcs(points, instance.asym, instance.dmc)
+        hashed = []
+        row = model.TravelArcs.row
+
+        def counting_row(arcs, i, js=None):
+            hashed.append(len(js))
+            return row(arcs, i, js)
+
+        monkeypatch.setattr(model.TravelArcs, "row", counting_row)
+        greedy_tour(arcs)
+        window = len(points) * routing._WINDOW  # the first call hashes every window
+        assert hashed[0] == window
+        assert sum(hashed[1:]) < 2 * len(points)
 
 
 class TestLkTour:

@@ -3,11 +3,13 @@ segment-swap search against their reference versions.
 
 The dual simplex may stop at another optimal vertex than the two-phase
 primal, so it must match the primal's status and objective (to 1e-9
-relative) and return nonnegative times that meet every demand.  Every other
-comparison is exact: clusters and position sets with ``==`` and by
-``repr``.  The tour search scans only a few candidate arcs per point, so
-it must leave no improving segment swap once its lists hold every other
-point, with costs whose sums are all exact.
+relative) and return nonnegative times that meet every demand.  The cover
+skips cluster counts, so it must equal the eager cover at the count its
+stride rule picks from the eager fits.  Every other comparison is exact:
+clusters and position sets with ``==`` and by ``repr``.  The tour search
+scans only a few candidate arcs per point, so it must leave no improving
+segment swap once its lists hold every other point, with costs whose sums
+are all exact.
 """
 
 import math
@@ -52,6 +54,29 @@ from scalar_reference import (
     reference_solve_lp,
 )
 from support import kmeans
+
+
+def stride_rule_cover(instance):
+    """The eager cover at the k the stride search returns.
+
+    Fits every k from the separation bound up to the first probe (the bound,
+    every ``positions._K_STRIDE``-th k above it, and n) that fits, with
+    ``reference_kmeans`` and ``reference_fitted_cover``; the first k that
+    fits after the last failed probe wins.
+    """
+    points = [u.pos for u in instance.nodes]
+    d_max = instance.dmc.d_max
+    seed = instance.asym.seed & 0xFFFF_FFFF_FFFF_FFFF
+    bound = positions._separated_count(np.asarray(points, dtype=float), d_max)
+    covers = {}
+    gap = bound  # the k after the last failed probe
+    for k in range(bound, instance.n + 1):
+        covers[k] = reference_fitted_cover(points, reference_kmeans(points, k, seed), d_max)
+        if (k - bound) % positions._K_STRIDE == 0 or k == instance.n:
+            if covers[k] is not None:
+                return next(covers[j] for j in range(gap, k + 1) if covers[j] is not None)
+            gap = k + 1
+    raise AssertionError("unreachable: singleton clusters always fit at distance 0")
 
 
 @st.composite
@@ -240,11 +265,35 @@ class TestCover:
     @settings(max_examples=250, deadline=None)
     @given(st.one_of(cover_instances(), spread_instances()))
     def test_equal_to_eager_cover(self, instance):
-        # the reference tries every k from 1; the cover starts at its lower bound
+        # the eager fit of every k from the bound to the first probe that
+        # fits, with the stride rule applied to those results: the first k
+        # that fits after the last failed probe
         got = select_charging_positions(instance)
-        want = reference_select_charging_positions(instance)
+        want = stride_rule_cover(instance)
         assert got == want
         assert repr(got) == repr(want)
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-100, 100)), min_size=1, max_size=40),
+        st.integers(0, 2**64 - 1),
+        st.data(),
+    )
+    def test_draws_equal_to_generator_choice(self, cells, seed, data):
+        # equal and zero-offset points give zero weights, and coordinates
+        # from 1e-100 to 3e100 give weights from 1e-200 to 1e201 in one draw
+        pts = np.array([(m * 10.0**e, 0.0) for m, e in cells])
+        n = len(pts)
+        k = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        want = [int(rng.integers(n))]
+        d2 = ((pts - pts[want[0]]) ** 2).sum(axis=1)
+        while len(want) < k:
+            total = d2.sum()
+            idx = int(rng.choice(n, p=d2 / total)) if total > 0 else int(rng.integers(n))
+            want.append(idx)
+            d2 = np.minimum(d2, ((pts - pts[idx]) ** 2).sum(axis=1))
+        assert positions._Seeding(pts, seed).extend(k) == want
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(cover_instances(), spread_instances()))
@@ -462,15 +511,21 @@ class TestCover:
         assert len(enclosed) == len(set(enclosed)) >= len(cover.positions)
         assert cover == reference_select_charging_positions(instance)
 
-    def test_k_rises_by_one_from_the_bound(self):
+    def test_k_probes_in_strides_then_scans_the_gap(self):
         instance = generate_instance(120, seed=3, area=200.0)
         with mock.patch.object(positions, "kmeans", wraps=positions.kmeans) as km:
             cover = select_charging_positions(instance)
         points = np.asarray([u.pos for u in instance.nodes], dtype=float)
         bound = positions._separated_count(points, instance.dmc.d_max)
         ks = [call.args[1] for call in km.call_args_list]
-        assert len(ks) > 1
-        assert ks == list(range(bound, len(cover.positions) + 1))
+        k = len(cover.positions)
+        # the probes run up to the first at or above k; the gap below it is
+        # scanned up to k, and not past the probe
+        stride = positions._K_STRIDE
+        top = bound - (bound - k) // stride * stride
+        probes = list(range(bound, top + 1, stride))
+        assert len(probes) > 1
+        assert ks == probes + list(range(top - stride + 1, min(k + 1, top)))
 
 
 def tie_costs(rng, n):
