@@ -3,15 +3,20 @@
 Files are JSON with floats written at 9 significant digits; serialize ->
 parse -> serialize is byte-identical.  The readers convert every number in
 file order, so the first bad value raises, and snap them to 9 digits in one
-``snap9_array`` pass.  Experiment runs derive their seeds
+``snap9_array`` pass into the numpy columns an instance or a schedule
+holds; an invalid node before a bad value raises first.  The writers print
+those columns with one ``str.format`` template per row.  The generator
+draws the node columns in whole arrays, the same values a node-by-node
+draw gives.  Experiment runs derive their seeds
 from (master seed, node count, repeat index), so results do not depend on
 worker scheduling.
 
 Two tables make the command line's choices: ``_SCHEDULERS`` maps each
 algorithm name to the function that plans an instance with it, and
 ``_TOUR_SOLVERS`` maps each ``atsp-bench`` solver name to the function that
-finds a tour of a closed cost graph.  ``_text`` prints every value that goes
-to a file or to stdout, and ``_run_row`` builds every run row.
+finds a tour of a closed cost graph.  ``_text`` says how every value prints
+in a file or on stdout (the writers' row templates print column values the
+same way), and ``_run_row`` builds every run row.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -36,8 +42,8 @@ from .model import (
     AsymmetryField,
     DmcParams,
     NetworkInstance,
-    Node,
     build_routing_matrices,
+    check_nodes,
     snap9,
     snap9_array,
 )
@@ -112,14 +118,20 @@ def _snap9_down(x: float) -> float:
     return float(_SNAP9_DOWN.plus(Decimal(x)))
 
 
-def _draw_energies(rng: np.random.Generator) -> tuple[float, float, float]:
-    """Snapped (e_b, e_d, e_c) draw with the demand clamped to the headroom."""
-    e_c = snap9(rng.uniform(60.0, 90.0))
-    e_b = snap9(rng.uniform(6.0, 36.0))
-    e_d = snap9(rng.uniform(18.0, 75.0))
+def _draw_energies(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Snapped e_b, e_d and e_c columns of n nodes, each demand clamped to its headroom.
+
+    Each node's capacity, initial energy and demand are drawn in that order
+    from [60, 90], [6, 36] and [18, 75] J.  One (n, 3) draw scaled as
+    ``lo + span * u`` per column gives the values ``rng.uniform(lo, lo +
+    span)`` gives drawn node by node; a demand above its node's headroom
+    becomes the headroom snapped toward zero.
+    """
+    lo, span = np.array([60.0, 6.0, 18.0]), np.array([30.0, 30.0, 57.0])
+    e_c, e_b, e_d = snap9_array(lo + span * rng.random((n, 3))).T.copy()
     headroom = e_c - e_b
-    if e_d > headroom:
-        e_d = _snap9_down(headroom)
+    over = e_d > headroom
+    e_d[over] = [_snap9_down(h) for h in headroom[over].tolist()]
     return e_b, e_d, e_c
 
 
@@ -156,6 +168,10 @@ def generate_instance(
     distance of the base station; a square that disc covers raises
     ``ValidationError`` before any draw, and one where ``_AVOID_DRAWS``
     draws per node place too few nodes outside it raises after them.
+    Each round draws the positions of all the nodes still missing at once,
+    within the draws left, and the energies of all nodes come from one
+    draw after the positions: the same values, in the same order, as
+    drawing node by node.
     """
     if n < 1:
         raise ValidationError("need at least one node")
@@ -173,46 +189,30 @@ def generate_instance(
             f"no point of the {area} m square lies farther than {dmc.d_max} m from the base station"
         )
     rng = np.random.default_rng(seed)
-    positions: list[tuple[float, float]] = []
-    draws = 0
-    while len(positions) < n:
-        if draws == _AVOID_DRAWS * n:
+    limit = _AVOID_DRAWS * n
+    placed: list[np.ndarray] = []  # the kept (x, y) rows of each round
+    count = draws = 0
+    while count < n:
+        if draws == limit:
             raise ValidationError(
-                f"{_AVOID_DRAWS * n} draws placed only {len(positions)} of {n} nodes farther "
+                f"{limit} draws placed only {count} of {n} nodes farther "
                 f"than {dmc.d_max} m from the base station in the {area} m square"
             )
-        draws += 1
-        x, y = rng.uniform(0.0, area, size=2)
-        if avoid_bs_disc and math.hypot(x - bs[0], y - bs[1]) <= dmc.d_max:
-            continue
-        positions.append((snap9(x), snap9(y)))
-    nodes = []
-    for i, pos in enumerate(positions):
-        e_b, e_d, e_c = _draw_energies(rng)
-        nodes.append(Node(i, pos, e_b, e_d, e_c))
-    asym = AsymmetryField(seed=seed)
-    return NetworkInstance(tuple(nodes), bs, dmc, asym)
+        need = min(n - count, limit - draws)
+        xy = rng.uniform(0.0, area, size=(need, 2))
+        draws += need
+        if avoid_bs_disc:
+            dx, dy = (xy - bs).T.tolist()
+            xy = xy[np.fromiter(map(math.hypot, dx, dy), float, need) > dmc.d_max]
+        placed.append(xy)
+        count += len(xy)
+    x, y = snap9_array(np.concatenate(placed)).T.copy()
+    e_b, e_d, e_c = _draw_energies(rng, n)
+    return NetworkInstance.from_columns(x, y, e_b, e_d, e_c, bs, dmc, AsymmetryField(seed=seed))
 
 
 # ---------------------------------------------------------------------------
 # file formats
-
-
-def _render_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = ",\n".join(
-            f'{pad}  "{k}": {_render_json(v, indent + 1)}' for k, v in value.items()
-        )
-        return "{\n" + body + "\n" + pad + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        body = ",\n".join(f"{pad}  {_render_json(v, indent + 1)}" for v in value)
-        return "[\n" + body + "\n" + pad + "]"
-    return _text(value)
 
 
 def _text(value) -> str:
@@ -224,34 +224,52 @@ def _text(value) -> str:
     return str(value)
 
 
+def _json_document(members: dict[str, str]) -> str:
+    """A file's text: one JSON object of the already printed ``members``, two-space indents."""
+    return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in members.items()) + "\n}\n"
+
+
+def _json_object(values: dict, pad: str) -> str:
+    """A JSON object of scalars at indent ``pad``, each value as ``_text`` prints it."""
+    body = ",\n".join(f'{pad}  "{k}": {_text(v)}' for k, v in values.items())
+    return "{\n" + body + "\n" + pad + "}"
+
+
+def _json_rows(columns: dict[str, np.ndarray], pad: str) -> str:
+    """A JSON list at indent ``pad`` of one object per row of the equal-length ``columns``.
+
+    One ``str.format`` template prints every row: integer columns as
+    ``str`` prints them and the others at 9 significant digits, as
+    ``_text`` prints each value.
+    """
+    inner = pad + "  "
+    fields = ",\n".join(
+        f'{inner}  "{key}": {{{"" if column.dtype.kind in "iu" else ":.9g"}}}'
+        for key, column in columns.items()
+    )
+    template = inner + "{{\n" + fields + "\n" + inner + "}}"
+    rows = zip(*(column.tolist() for column in columns.values()))
+    body = ",\n".join(itertools.starmap(template.format, rows))
+    return "[\n" + body + "\n" + pad + "]" if body else "[]"
+
+
 def instance_to_text(instance: NetworkInstance) -> str:
-    doc = {
-        "nodes": [
-            {"x": u.pos[0], "y": u.pos[1], "e_b": u.e_b, "e_d": u.e_d, "e_c": u.e_c}
-            for u in instance.nodes
-        ],
-        "bs": {"x": instance.bs_pos[0], "y": instance.bs_pos[1]},
-        "dmc": {
-            "p0": instance.dmc.p0,
-            "e_b0": instance.dmc.e_b0,
-            "d": instance.dmc.d_max,
-            "phi": instance.dmc.phi,
-            "v": instance.dmc.v_bar,
-            "w0": instance.dmc.w0,
-            "delta": instance.dmc.delta,
-            "alpha": instance.dmc.alpha,
-            "beta": instance.dmc.beta,
-        },
-        "asym": {
-            "seed": instance.asym.seed,
-            "k_dis_lo": instance.asym.k_dis_range[0],
-            "k_dis_hi": instance.asym.k_dis_range[1],
-            "k_egy_lo": instance.asym.k_egy_range[0],
-            "k_egy_hi": instance.asym.k_egy_range[1],
-            "grid": instance.asym.grid,
-        },
-    }
-    return _render_json(doc) + "\n"
+    dmc, asym = instance.dmc, instance.asym
+    names = ("x", "y", "e_b", "e_d", "e_c")
+    return _json_document({
+        "nodes": _json_rows({k: getattr(instance, k) for k in names}, "  "),
+        "bs": _json_object({"x": instance.bs_pos[0], "y": instance.bs_pos[1]}, "  "),
+        "dmc": _json_object({
+            "p0": dmc.p0, "e_b0": dmc.e_b0, "d": dmc.d_max, "phi": dmc.phi, "v": dmc.v_bar,
+            "w0": dmc.w0, "delta": dmc.delta, "alpha": dmc.alpha, "beta": dmc.beta,
+        }, "  "),
+        "asym": _json_object({
+            "seed": asym.seed,
+            "k_dis_lo": asym.k_dis_range[0], "k_dis_hi": asym.k_dis_range[1],
+            "k_egy_lo": asym.k_egy_range[0], "k_egy_hi": asym.k_egy_range[1],
+            "grid": asym.grid,
+        }, "  "),
+    })
 
 
 # what reading a file's JSON and converting its values can raise; a number
@@ -272,65 +290,55 @@ def _read(path: str, kind: str) -> str:
 
 
 def instance_from_text(text: str) -> NetworkInstance:
+    values: list[float] = []  # x, y, e_b, e_d, e_c of each node in turn
     try:
         doc = json.loads(text)
-        values: list[float] = []  # x, y, e_b, e_d, e_c of each node in turn
         try:
             for u in doc["nodes"]:
                 values += (
                     float(u["x"]), float(u["y"]), float(u["e_b"]), float(u["e_d"]), float(u["e_c"])
                 )
-        except _BAD_VALUE:
-            _snapped_nodes(values)  # an invalid node before the bad value raises first
+            bs = (snap9(doc["bs"]["x"]), snap9(doc["bs"]["y"]))
+            d = doc["dmc"]
+            dmc = DmcParams(
+                p0=float(d["p0"]),
+                e_b0=float(d["e_b0"]),
+                v_bar=float(d["v"]),
+                w0=float(d["w0"]),
+                d_max=float(d["d"]),
+                phi=float(d["phi"]),
+                delta=float(d["delta"]),
+                alpha=float(d["alpha"]),
+                beta=float(d["beta"]),
+            )
+            a = doc["asym"]
+            asym = AsymmetryField(
+                seed=int(a["seed"]),
+                k_dis_range=(float(a["k_dis_lo"]), float(a["k_dis_hi"])),
+                k_egy_range=(float(a["k_egy_lo"]), float(a["k_egy_hi"])),
+                grid=float(a["grid"]),
+            )
+        except (*_BAD_VALUE, ValidationError):
+            check_nodes(*_node_columns(values))  # an invalid node before the fault raises first
             raise
-        nodes = _snapped_nodes(values)
-        bs = (snap9(doc["bs"]["x"]), snap9(doc["bs"]["y"]))
-        d = doc["dmc"]
-        dmc = DmcParams(
-            p0=float(d["p0"]),
-            e_b0=float(d["e_b0"]),
-            v_bar=float(d["v"]),
-            w0=float(d["w0"]),
-            d_max=float(d["d"]),
-            phi=float(d["phi"]),
-            delta=float(d["delta"]),
-            alpha=float(d["alpha"]),
-            beta=float(d["beta"]),
-        )
-        a = doc["asym"]
-        asym = AsymmetryField(
-            seed=int(a["seed"]),
-            k_dis_range=(float(a["k_dis_lo"]), float(a["k_dis_hi"])),
-            k_egy_range=(float(a["k_egy_lo"]), float(a["k_egy_hi"])),
-            grid=float(a["grid"]),
-        )
     except _BAD_VALUE as exc:
         raise ValidationError(f"bad instance file: {exc}") from exc
-    return NetworkInstance(nodes, bs, dmc, asym)
+    return NetworkInstance.from_columns(*_node_columns(values), bs, dmc, asym)
 
 
-def _snapped_nodes(values: list[float]) -> tuple[Node, ...]:
-    """Nodes from five values each (x, y, e_b, e_d, e_c), snapped in one pass.
+def _node_columns(values: list[float]) -> np.ndarray:
+    """The x, y, e_b, e_d and e_c rows of the whole nodes among ``values``, snapped in one pass.
 
     The format carries 9 significant digits; snapping makes a hand-edited
     file with extra digits behave as its re-serialized form.
     """
-    it = iter(snap9_array(np.array(values, dtype=float)).tolist())
-    return tuple(
-        Node(i, (x, y), e_b, e_d, e_c)
-        for i, (x, y, e_b, e_d, e_c) in enumerate(zip(it, it, it, it, it))
-    )
+    whole = np.array(values, dtype=float)[: len(values) - len(values) % 5]
+    return snap9_array(whole).reshape(-1, 5).T.copy()
 
 
 def schedule_to_text(schedule: OperationSchedule) -> str:
-    columns = (schedule.state, schedule.x, schedule.y, schedule.psi, schedule.t)
-    doc = {
-        "items": [
-            {"state": state, "x": x, "y": y, "psi": psi, "t": t}
-            for state, x, y, psi, t in zip(*(column.tolist() for column in columns))
-        ]
-    }
-    return _render_json(doc) + "\n"
+    names = ("state", "x", "y", "psi", "t")
+    return _json_document({"items": _json_rows({k: getattr(schedule, k) for k in names}, "  ")})
 
 
 def schedule_from_text(text: str) -> OperationSchedule:
@@ -560,11 +568,8 @@ def demo_instance() -> NetworkInstance:
         ring(_DEMO_CENTERS[2], 5.0, [190.0, 210.0, 20.0]),
         [_DEMO_CENTERS[3]],
     ]
-    rng = np.random.default_rng(7)
-    nodes = []
-    for pos in (p for blob in blobs for p in blob):
-        e_b, e_d, e_c = _draw_energies(rng)
-        nodes.append(Node(len(nodes), (snap9(pos[0]), snap9(pos[1])), e_b, e_d, e_c))
+    x, y = snap9_array(np.array([p for blob in blobs for p in blob])).T.copy()
+    e_b, e_d, e_c = _draw_energies(np.random.default_rng(7), len(x))
 
     specials = [_DEMO_BS] + _DEMO_CENTERS
     base = AsymmetryField(seed=7)
@@ -574,7 +579,7 @@ def demo_instance() -> NetworkInstance:
             if i != j:
                 overrides[(base.quantize(a), base.quantize(b))] = (1.0, _DEMO_RATE_TABLE[i][j])
     asym = AsymmetryField(seed=7, overrides=overrides)
-    return NetworkInstance(tuple(nodes), _DEMO_BS, DmcParams(), asym)
+    return NetworkInstance.from_columns(x, y, e_b, e_d, e_c, _DEMO_BS, DmcParams(), asym)
 
 
 def demo_report() -> tuple[str, list[dict]]:

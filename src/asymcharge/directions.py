@@ -91,7 +91,7 @@ def near_pairs(points: Sequence[Point], instance: NetworkInstance) -> Near:
     squared distance exceeds ``(d_max * (1 + 1e-9))**2``, which no pair
     within ``d_max`` does.
     """
-    xs, ys = instance.node_xy
+    xs, ys = instance.x, instance.y
     px = np.array([p[0] for p in points], dtype=float)
     py = np.array([p[1] for p in points], dtype=float)
     # never below the smallest normal float, so underflowed squares pass too

@@ -4,6 +4,11 @@ All functions here are pure; routing asymmetry enters through a deterministic
 hash-seeded coefficient field so that every algorithm run against the same
 instance sees one consistent world, including at charging positions that only
 exist after an algorithm has chosen them.
+
+A ``NetworkInstance`` holds its nodes as five read-only numpy columns (x, y,
+e_b, e_d, e_c), which every producer fills and every stage reads;
+``check_nodes`` checks them with one array pass per check, and ``Node`` rows
+are built only for a caller that asks for them.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ import hashlib
 import itertools
 import math
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,9 +75,8 @@ def snap9_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Node:
-    """A rechargeable node: position plus its energy state and demand."""
+class Node(NamedTuple):
+    """A rechargeable node, a row of ``NetworkInstance``: position, energy state and demand."""
 
     id: int
     pos: Point
@@ -79,18 +84,38 @@ class Node:
     e_d: float  # demanded energy (J)
     e_c: float  # battery capacity (J)
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (*self.pos, self.e_b, self.e_d, self.e_c))):
-            raise ValidationError(f"node {self.id}: position and energies must be finite")
-        if self.e_b < 0 or self.e_d < 0:
-            raise ValidationError(f"node {self.id}: energies must be nonnegative")
-        if self.e_c <= 0:
-            raise ValidationError(f"node {self.id}: capacity must be positive")
-        if self.e_b + self.e_d > self.e_c + 1e-9:
-            raise ValidationError(
-                f"node {self.id}: initial energy + demand exceeds capacity "
-                f"({self.e_b} + {self.e_d} > {self.e_c})"
-            )
+
+def check_nodes(
+    x: np.ndarray, y: np.ndarray, e_b: np.ndarray, e_d: np.ndarray, e_c: np.ndarray
+) -> None:
+    """Raise the fault of the lowest faulty node of the columns, one array pass per check.
+
+    A node's position and energies must be finite, its energies
+    nonnegative and its capacity positive, and its initial energy plus
+    demand may exceed its capacity by 1e-9 at most.  The lowest node that
+    fails any check is named with the first check it fails, in that order.
+    """
+    with np.errstate(all="ignore"):  # a non-finite node's sums are never read
+        nonfinite = ~np.isfinite(x) | ~np.isfinite(y)
+        for column in (e_b, e_d, e_c):
+            nonfinite |= ~np.isfinite(column)
+        negative = (e_b < 0) | (e_d < 0)
+        empty = e_c <= 0
+        over = e_b + e_d > e_c + 1e-9
+    fault = nonfinite | negative | empty | over
+    if not fault.any():
+        return
+    i = int(fault.argmax())
+    if nonfinite[i]:
+        raise ValidationError(f"node {i}: position and energies must be finite")
+    if negative[i]:
+        raise ValidationError(f"node {i}: energies must be nonnegative")
+    if empty[i]:
+        raise ValidationError(f"node {i}: capacity must be positive")
+    raise ValidationError(
+        f"node {i}: initial energy + demand exceeds capacity "
+        f"({e_b[i].item()} + {e_d[i].item()} > {e_c[i].item()})"
+    )
 
 
 @dataclass(frozen=True)
@@ -191,55 +216,76 @@ class AsymmetryField:
         return ValidationError(f"point {p} lies outside the quantization grid's 64-bit range")
 
 
-@dataclass(frozen=True)
+_NODE_COLUMNS = ("x", "y", "e_b", "e_d", "e_c")
+
+
 class NetworkInstance:
-    """A complete problem input: nodes, base station, charger, asymmetry."""
+    """A complete problem input: node columns, base station, charger, asymmetry.
 
-    nodes: tuple[Node, ...]
-    bs_pos: Point
-    dmc: DmcParams
-    asym: AsymmetryField
+    The nodes are five read-only float columns with one entry per node id:
+    ``x`` and ``y`` the position, ``e_b`` the initial stored energy,
+    ``e_d`` the demand and ``e_c`` the battery capacity.
+    ``NetworkInstance(nodes, bs_pos, dmc, asym)`` builds them from ``Node``
+    rows, whose ids must be 0..n-1 in order, and ``from_columns`` takes
+    them as they are; both run ``check_nodes`` over the columns.  ``nodes``
+    is the tuple of rows, built once when first read.
+    """
 
-    def __post_init__(self):
-        if len(self.nodes) < 1:
-            raise ValidationError("instance needs at least one node")
-        if not all(map(math.isfinite, self.bs_pos)):
-            raise ValidationError("base station position must be finite")
-        for i, node in enumerate(self.nodes):
+    __slots__ = (*_NODE_COLUMNS, "bs_pos", "dmc", "asym", "_nodes")
+
+    def __init__(self, nodes: Iterable[Node], bs_pos: Point, dmc: DmcParams, asym: AsymmetryField):
+        nodes = tuple(nodes)
+        _, pos, e_b, e_d, e_c = zip(*nodes) if nodes else ((),) * 5
+        x, y = zip(*pos) if nodes else ((), ())
+        self._fill((x, y, e_b, e_d, e_c), bs_pos, dmc, asym)
+        for i, node in enumerate(nodes):
             if node.id != i:
                 raise ValidationError(f"node ids must be 0..n-1 in order (got {node.id} at {i})")
+        self._nodes = nodes
+
+    @classmethod
+    def from_columns(cls, x, y, e_b, e_d, e_c, bs_pos: Point, dmc: DmcParams, asym: AsymmetryField):
+        instance = cls.__new__(cls)
+        instance._fill((x, y, e_b, e_d, e_c), bs_pos, dmc, asym)
+        instance._nodes = None
+        return instance
+
+    def _fill(self, columns, bs_pos: Point, dmc: DmcParams, asym: AsymmetryField) -> None:
+        columns = [np.asarray(column, dtype=float) for column in columns]
+        if any(column.shape != columns[0].shape or column.ndim != 1 for column in columns):
+            raise ValidationError("node columns must be vectors of one length")
+        check_nodes(*columns)
+        if len(columns[0]) < 1:
+            raise ValidationError("instance needs at least one node")
+        if not all(map(math.isfinite, bs_pos)):
+            raise ValidationError("base station position must be finite")
+        for name, column in zip(_NODE_COLUMNS, columns):
+            column.setflags(write=False)
+            setattr(self, name, column)
+        self.bs_pos, self.dmc, self.asym = bs_pos, dmc, asym
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.x)
 
-    @cached_property
-    def node_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        """Node x and y coordinates as float arrays, built once per instance."""
-        return (
-            np.array([u.pos[0] for u in self.nodes], dtype=float),
-            np.array([u.pos[1] for u in self.nodes], dtype=float),
-        )
-
-    @cached_property
-    def _energies(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Node e_b, e_d and e_c as read-only float arrays, built once per instance."""
-        columns = tuple(
-            np.array(column, dtype=float)
-            for column in zip(*((u.e_b, u.e_d, u.e_c) for u in self.nodes))
-        )
-        for column in columns:
-            column.setflags(write=False)
-        return columns
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        if self._nodes is None:
+            pos = zip(self.x.tolist(), self.y.tolist())
+            energies = (self.e_b.tolist(), self.e_d.tolist(), self.e_c.tolist())
+            rows = zip(itertools.count(), pos, *energies)
+            # tuple.__new__ fills each row in C, as ``OperationSchedule.items`` does
+            self._nodes = tuple(map(tuple.__new__, itertools.repeat(Node), rows))
+        return self._nodes
 
     def e_b_vector(self) -> np.ndarray:
-        return self._energies[0]
+        return self.e_b
 
     def e_d_vector(self) -> np.ndarray:
-        return self._energies[1]
+        return self.e_d
 
     def e_c_vector(self) -> np.ndarray:
-        return self._energies[2]
+        return self.e_c
 
 
 @dataclass(frozen=True)
@@ -391,12 +437,13 @@ class TravelArcs:
         ``d2``, shrunk by a relative 1e-12 and by ``_ROOT_OFFSET``: within
         [1e-290, 1e300] ``d2`` is correct to a few ulps, so the shrunk root
         lies below ``math.hypot`` of each such arc, and IEEE rounding is
-        monotone.  Outside that range ``d2`` may have under- or overflowed,
-        and the floor is -inf.
+        monotone.  Above 1e300 the root is taken of 1e300, and every such
+        arc, its square overflowed or not, is longer than that root.  Below
+        1e-290 ``d2`` may have underflowed, and the floor is -inf.
         """
         scale, rate = self._bound_scale
         floor = scale * (np.sqrt(np.minimum(d2, 1e300)) * _ROOT_SHRINK - _ROOT_OFFSET) * rate
-        floor[~((d2 >= 1e-290) & (d2 <= 1e300))] = -np.inf
+        floor[~(d2 >= 1e-290)] = -np.inf
         return floor
 
     def lower_bounds(self, i: int, js) -> np.ndarray:

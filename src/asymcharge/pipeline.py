@@ -428,25 +428,27 @@ def one_to_one_schedule(instance: NetworkInstance) -> tuple[OperationSchedule, S
     and one more ``TravelArcs.row`` call gives the distance of every move.
     """
     started = _time.perf_counter()
-    targets = [u for u in instance.nodes if u.e_d > 0]
+    targets = np.flatnonzero(instance.e_d > 0)
     values: list[float] = []  # state, x, y, psi and t of each item in turn
-    if targets:
-        points = [model.snap9_point(instance.bs_pos)] + [u.pos for u in targets]
+    if targets.size:
+        node_points = zip(instance.x[targets].tolist(), instance.y[targets].tolist())
+        points = [model.snap9_point(instance.bs_pos), *node_points]
         arcs = model.TravelArcs(points, instance.asym, instance.dmc)
         # lazy bounds and costs overflow to inf silently: an inf bound rules
         # nothing out and the tour rejects an inf cost; one errstate per
         # tour, since one per arcs call costs a few percent of a plan
+        rate = instance.dmc.p0 * instance.dmc.apex_coefficient
         with np.errstate(over="ignore"):
             tour = greedy_tour(arcs)
             order = np.array(tour.order)
             k_dis, span, _ = arcs.row(order[:-1], order[1:])
             durations = (k_dis * span / instance.dmc.v_bar).tolist()
-        rate = instance.dmc.p0 * instance.dmc.apex_coefficient
+            sends = (instance.e_d[targets] / rate).tolist()
         for dest, t_move in zip(tour.order[1:], durations):
             x, y = points[dest]
             values += (MOVE, x, y, 0.0, t_move)
             if dest != 0:
-                values += (TRANSMIT, x, y, 0.0, targets[dest - 1].e_d / rate)
+                values += (TRANSMIT, x, y, 0.0, sends[dest - 1])
     schedule = _from_values(values)
     metrics = execute_schedule(instance, schedule)
     runtime = _time.perf_counter() - started

@@ -336,7 +336,7 @@ def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
     times their widest squared offset overflows raise ``ValidationError``
     before any clustering.
     """
-    pts = np.array([u.pos for u in instance.nodes], dtype=float)
+    pts = np.column_stack((instance.x, instance.y))
     # a k-means++ draw weighs each node by its squared offset from a center,
     # out of the sum of all n of them
     with np.errstate(over="ignore"):

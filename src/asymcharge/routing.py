@@ -341,8 +341,15 @@ def lk_tour(g: DirectedCostGraph, seed: int = 0, budget: int = 20) -> Tour:
         moves = _descend(cost, cand, t, pos, active)
         return t + [t[0]], moves
 
+    def price(order: list[int]) -> float:
+        """``tour_cost`` of the order, added in its order from the cost lists."""
+        total = 0.0
+        for a, b in zip(order, order[1:]):
+            total += cost[a][b]
+        return total
+
     best, _ = descend(start.order, start.order[:n])
-    best_cost = tour_cost(best, g.cost)
+    best_cost = price(best)
     rng = random.Random(seed)
     misses = 0
     while misses < budget:
@@ -351,7 +358,7 @@ def lk_tour(g: DirectedCostGraph, seed: int = 0, budget: int = 20) -> Tour:
             kicked, ends = _double_bridge(kicked, rng)
             active += ends
         candidate, _ = descend(kicked, active)
-        candidate_cost = tour_cost(candidate, g.cost)
+        candidate_cost = price(candidate)
         if candidate_cost < best_cost - _GAIN_EPS:
             best, best_cost = candidate, candidate_cost
             misses = 0

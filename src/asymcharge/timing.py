@@ -53,8 +53,8 @@ def build_time_lp(matrix: CoefficientMatrix, instance: NetworkInstance) -> LpPro
     a = instance.dmc.p0 * matrix.entries.T  # (N, K)
     uncovered = np.flatnonzero((demand > 0) & ~(a > 0.0).any(axis=1))
     if uncovered.size:
-        u = instance.nodes[uncovered[0]]
-        raise InfeasibleError(f"node {u.id} demands {u.e_d} J but is covered by no pair")
+        u = int(uncovered[0])
+        raise InfeasibleError(f"node {u} demands {demand[u].item()} J but is covered by no pair")
     return LpProblem(a=a, b=demand)
 
 

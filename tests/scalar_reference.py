@@ -18,6 +18,11 @@ ordered pair into full routing matrices before that tour, behind
 ``pipeline.one_to_one_schedule``; and the pair-by-pair fill of the doubled
 matrix behind ``routing.to_symmetric``.  These must agree bit for bit.
 
+The node-by-node draws behind ``cli.generate_instance``, which draws
+positions a rejection round at a time and energies in one array, and the
+per-node checks behind ``model.check_nodes``, must agree too: the same
+columns bit for bit, and the same fault for the same columns.
+
 The two-phase primal simplex behind ``timing.solve_lp`` is the objective
 oracle for the dual simplex there: both reach an optimal vertex, but not
 always the same one, so they agree on status and objective, not on ``t``.
@@ -38,8 +43,8 @@ import struct
 
 import numpy as np
 
-from asymcharge import model, pipeline, positions, routing, timing
-from asymcharge.model import AsymmetryField, DmcParams, NetworkInstance, Point
+from asymcharge import cli, model, pipeline, positions, routing, timing
+from asymcharge.model import AsymmetryField, DmcParams, NetworkInstance, Node, Point
 from asymcharge.errors import MalformedScheduleError, ValidationError
 from asymcharge.pipeline import MOVE, TRANSMIT, OperationSchedule, ScheduleItem, ScheduleMetrics
 from asymcharge.positions import ChargingPositionSet
@@ -666,3 +671,72 @@ def reference_one_to_one_schedule(instance: NetworkInstance) -> OperationSchedul
                 t = u.e_d / (dmc.p0 * dmc.apex_coefficient)
                 items.append(ScheduleItem(TRANSMIT, u.pos, 0.0, t))
     return OperationSchedule(tuple(items))
+
+
+def reference_check_nodes(x, y, e_b, e_d, e_c) -> None:
+    """The node checks behind ``model.check_nodes``: node after node, each check in turn."""
+    columns = (x, y, e_b, e_d, e_c)
+    for i, values in enumerate(zip(*(np.asarray(c, dtype=float).tolist() for c in columns))):
+        _, _, b, d, c = values
+        if not all(map(math.isfinite, values)):
+            raise ValidationError(f"node {i}: position and energies must be finite")
+        if b < 0 or d < 0:
+            raise ValidationError(f"node {i}: energies must be nonnegative")
+        if c <= 0:
+            raise ValidationError(f"node {i}: capacity must be positive")
+        if b + d > c + 1e-9:
+            raise ValidationError(
+                f"node {i}: initial energy + demand exceeds capacity ({b} + {d} > {c})"
+            )
+
+
+def _reference_draw_energies(rng: np.random.Generator) -> tuple[float, float, float]:
+    """One node's snapped (e_b, e_d, e_c), its demand clamped to the headroom."""
+    e_c = model.snap9(rng.uniform(60.0, 90.0))
+    e_b = model.snap9(rng.uniform(6.0, 36.0))
+    e_d = model.snap9(rng.uniform(18.0, 75.0))
+    headroom = e_c - e_b
+    if e_d > headroom:
+        e_d = cli._snap9_down(headroom)
+    return e_b, e_d, e_c
+
+
+def reference_generate_instance(
+    n: int, seed: int, area: float = 200.0, avoid_bs_disc: bool = False
+) -> NetworkInstance:
+    """The node-by-node draws behind ``cli.generate_instance``, with its checks.
+
+    One position draw per loop turn, re-drawn inside the base station's
+    disc with ``avoid_bs_disc``, up to ``cli._AVOID_DRAWS`` draws per node
+    (read when called), then three scalar energy draws per node.
+    """
+    if n < 1:
+        raise ValidationError("need at least one node")
+    if not (math.isfinite(area) and area >= 0.0):
+        raise ValidationError(f"area must be finite and nonnegative, got {area}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    dmc = DmcParams()
+    bs = (model.snap9(area / 2.0), model.snap9(area / 2.0))
+    if avoid_bs_disc and all(
+        math.hypot(x - bs[0], y - bs[1]) <= dmc.d_max for x in (0.0, area) for y in (0.0, area)
+    ):
+        raise ValidationError(
+            f"no point of the {area} m square lies farther than {dmc.d_max} m from the base station"
+        )
+    rng = np.random.default_rng(seed)
+    positions: list[Point] = []
+    draws = 0
+    while len(positions) < n:
+        if draws == cli._AVOID_DRAWS * n:
+            raise ValidationError(
+                f"{cli._AVOID_DRAWS * n} draws placed only {len(positions)} of {n} nodes farther "
+                f"than {dmc.d_max} m from the base station in the {area} m square"
+            )
+        draws += 1
+        x, y = rng.uniform(0.0, area, size=2)
+        if avoid_bs_disc and math.hypot(x - bs[0], y - bs[1]) <= dmc.d_max:
+            continue
+        positions.append((model.snap9(x), model.snap9(y)))
+    nodes = [Node(i, pos, *_reference_draw_energies(rng)) for i, pos in enumerate(positions)]
+    return NetworkInstance(nodes, bs, dmc, AsymmetryField(seed=seed))

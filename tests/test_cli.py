@@ -4,11 +4,14 @@ import re
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asymcharge import ValidationError, cli
+from asymcharge import ValidationError, cli, model
 from asymcharge.cli import (
     ALGORITHMS,
     ExperimentConfig,
@@ -27,10 +30,37 @@ from asymcharge.cli import (
     write_csv,
 )
 from asymcharge.errors import InfeasibleError
-from asymcharge.pipeline import one_to_one_schedule, plan_schedule
+from asymcharge.pipeline import execute_schedule, one_to_one_schedule, plan_schedule
 
 from conftest import subprocess_env
+from scalar_reference import reference_generate_instance
 from support import load_metrics_csv
+
+
+def _generated(generate, n, seed, area, avoid_bs_disc):
+    """The bits of an instance's node columns and base station, or the message it raised."""
+    try:
+        instance = generate(n, seed, area=area, avoid_bs_disc=avoid_bs_disc)
+    except ValidationError as exc:
+        return str(exc)
+    columns = (instance.x, instance.y, instance.e_b, instance.e_d, instance.e_c, instance.bs_pos)
+    return [np.asarray(c, dtype=float).view(np.uint64).tolist() for c in columns]
+
+
+@st.composite
+def generator_cases(draw):
+    """(n, seed, area, avoid_bs_disc, draws per node), areas from 0 up.
+
+    Few draws per node make ``avoid_bs_disc`` run out on small squares; the
+    real ``_AVOID_DRAWS`` comes only with squares of 45 m and more, over a
+    third of which lies outside the disc, so the node-by-node loop stays short.
+    """
+    draws = draw(st.sampled_from([1, 2, 5, 50, cli._AVOID_DRAWS]))
+    areas = st.sampled_from([45.0, 200.0, 2000.0]) | st.floats(45.0, 5000.0)
+    if draws < cli._AVOID_DRAWS:
+        areas |= st.sampled_from([0.0, 10.0, 28.3, 30.0]) | st.floats(0.0, 45.0)
+    return (draw(st.integers(1, 60)), draw(st.integers(0, 2**64)), draw(areas),
+            draw(st.booleans()), draws)
 
 
 class TestGenerateInstance:
@@ -63,6 +93,23 @@ class TestGenerateInstance:
         for u in instance.nodes:
             assert 0.0 <= u.pos[0] <= 150.0
             assert 0.0 <= u.pos[1] <= 150.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(generator_cases())
+    def test_columns_equal_node_by_node_draws(self, case):
+        n, seed, area, avoid, draws = case
+        with mock.patch.object(cli, "_AVOID_DRAWS", draws):
+            got = _generated(generate_instance, n, seed, area, avoid)
+            want = _generated(reference_generate_instance, n, seed, area, avoid)
+        assert got == want
+
+    def test_avoid_draws_run_out_as_node_by_node(self):
+        # the 20 m disc leaves a fifth of a 40 m square: 10 draws place 3
+        # of 5 nodes, in more than one round
+        with mock.patch.object(cli, "_AVOID_DRAWS", 2):
+            for generate in (generate_instance, reference_generate_instance):
+                with pytest.raises(ValidationError, match=r"^10 draws placed only 3 of 5 nodes "):
+                    generate(5, 2, area=40.0, avoid_bs_disc=True)
 
 
 class TestSerialization:
@@ -124,6 +171,20 @@ class TestSerialization:
             text = f'{{"items": [{{"state": {state}, "x": {x}, "y": 0, "psi": 0, "t": 1}}]}}'
             with pytest.raises(ValidationError, match=r"^bad schedule file: "):
                 schedule_from_text(text)
+
+    def test_columns_end_to_end_build_no_node_rows(self, monkeypatch):
+        # generating, parsing, planning with either scheduler and replaying
+        # read the node columns; only a reader of ``nodes`` builds its rows
+        def refuse(instance):
+            raise AssertionError("instance.nodes was built")
+
+        monkeypatch.setattr(model.NetworkInstance, "nodes", property(refuse))
+        generated = generate_instance(40, seed=3)
+        parsed = instance_from_text(instance_to_text(generated))
+        for instance in (generated, parsed, demo_instance()):
+            for plan in cli._SCHEDULERS.values():
+                schedule, _ = plan(instance, 3)
+                execute_schedule(instance, schedule_from_text(schedule_to_text(schedule)))
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from asymcharge import (
     AsymmetryField,
     DmcParams,
+    NetworkInstance,
     Node,
     ValidationError,
     build_routing_matrices,
@@ -18,7 +19,12 @@ from asymcharge import model
 from asymcharge.errors import MalformedTourError
 
 from conftest import neutral_field
-from scalar_reference import angular_distance, normalize_angle, transfer_coefficient
+from scalar_reference import (
+    angular_distance,
+    normalize_angle,
+    reference_check_nodes,
+    transfer_coefficient,
+)
 from support import (
     ra_coefficients,
     ra_distance,
@@ -286,23 +292,81 @@ class TestAngles:
         assert angular_distance(1.0, 4.0) == angular_distance(4.0, 1.0)
 
 
+def _one_node_instance(node: Node) -> NetworkInstance:
+    return NetworkInstance((node,), (0.0, 0.0), DmcParams(), AsymmetryField(seed=0))
+
+
 class TestNodeValidation:
     def test_rejects_over_capacity(self):
         with pytest.raises(ValidationError):
-            Node(0, (0.0, 0.0), e_b=50.0, e_d=20.0, e_c=60.0)
+            _one_node_instance(Node(0, (0.0, 0.0), e_b=50.0, e_d=20.0, e_c=60.0))
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
-            Node(0, (0.0, 0.0), e_b=-1.0, e_d=0.0, e_c=60.0)
+            _one_node_instance(Node(0, (0.0, 0.0), e_b=-1.0, e_d=0.0, e_c=60.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValidationError):
-            Node(0, (bad, 1.0), 10.0, 20.0, 60.0)
+            _one_node_instance(Node(0, (bad, 1.0), 10.0, 20.0, 60.0))
         with pytest.raises(ValidationError):
-            Node(0, (1.0, 1.0), bad, 20.0, 60.0)
+            _one_node_instance(Node(0, (1.0, 1.0), bad, 20.0, 60.0))
         with pytest.raises(ValidationError):
-            Node(0, (1.0, 1.0), 10.0, 20.0, bad)
+            _one_node_instance(Node(0, (1.0, 1.0), 10.0, 20.0, bad))
+
+
+# values a faulty node may hold: non-finite, negative, zero or too large for its capacity
+_NODE_FAULTS = [math.nan, math.inf, -math.inf, -1.0, -5e-324, 0.0, -0.0, 5e-324, 100.0, 1e308, 1.7e308]
+
+
+def _raised(check, columns) -> str | None:
+    try:
+        check(*columns)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestNodeChecks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        faults=st.lists(
+            st.tuples(st.integers(0, 29), st.integers(0, 4), st.sampled_from(_NODE_FAULTS)),
+            max_size=5,
+        ),
+    )
+    def test_fault_equal_to_node_by_node_checks(self, n, seed, faults):
+        rng = np.random.default_rng(seed)
+        e_c = rng.uniform(60.0, 90.0, n)
+        e_b = rng.uniform(0.0, 30.0, n)
+        columns = [rng.uniform(0.0, 200.0, n), rng.uniform(0.0, 200.0, n), e_b,
+                   (e_c - e_b) * rng.uniform(0.0, 1.0, n), e_c]
+        for node, column, value in faults:
+            columns[column][node % n] = value
+        want = _raised(reference_check_nodes, columns)
+        assert _raised(model.check_nodes, columns) == want
+        bs, dmc, asym = (0.0, 0.0), DmcParams(), AsymmetryField(seed=0)
+        assert _raised(lambda *c: NetworkInstance.from_columns(*c, bs, dmc, asym), columns) == want
+
+    def test_lowest_node_and_first_check_named(self):
+        columns = [np.zeros(4), np.zeros(4), np.full(4, 10.0), np.full(4, 20.0), np.full(4, 60.0)]
+        columns[4][3] = math.nan
+        columns[3][2] = 55.0
+        columns[2][1] = -1.0
+        columns[4][1] = 0.0
+        with pytest.raises(ValidationError, match=r"^node 1: energies must be nonnegative$"):
+            model.check_nodes(*columns)
+        columns[2][1] = 10.0
+        with pytest.raises(ValidationError, match=r"^node 1: capacity must be positive$"):
+            model.check_nodes(*columns)
+        columns[4][1] = 60.0
+        with pytest.raises(
+            ValidationError,
+            match=r"^node 2: initial energy \+ demand exceeds capacity \(10\.0 \+ 55\.0 > 60\.0\)$",
+        ):
+            model.check_nodes(*columns)
 
 
 class TestNonFiniteParameters:

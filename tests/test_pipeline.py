@@ -480,7 +480,10 @@ class TestPlanSchedule:
         full, metrics = plan_schedule(instance, seed=8)
         assert metrics.feasible
         spent = metrics.movement_energy + instance.dmc.p0 * metrics.charging_time
-        short = dataclasses.replace(instance, dmc=dataclasses.replace(instance.dmc, e_b0=0.5 * spent))
+        short = model.NetworkInstance.from_columns(
+            instance.x, instance.y, instance.e_b, instance.e_d, instance.e_c, instance.bs_pos,
+            dataclasses.replace(instance.dmc, e_b0=0.5 * spent), instance.asym,
+        )
         schedule, metrics = plan_schedule(short, seed=8)
         assert schedule == full
         assert metrics.feasible is False
