@@ -13,7 +13,6 @@ from .model import (
     DmcParams,
     EnergyBreakdown,
     NetworkInstance,
-    Node,
     RoutingMatrices,
     build_routing_matrices,
     energy_accounting,

@@ -208,7 +208,7 @@ def generate_instance(
         count += len(xy)
     x, y = snap9_array(np.concatenate(placed)).T.copy()
     e_b, e_d, e_c = _draw_energies(rng, n)
-    return NetworkInstance.from_columns(x, y, e_b, e_d, e_c, bs, dmc, AsymmetryField(seed=seed))
+    return NetworkInstance(x, y, e_b, e_d, e_c, bs, dmc, AsymmetryField(seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +279,19 @@ def instance_to_text(instance: NetworkInstance) -> str:
 _BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
 
+def _integer(value, name: str) -> int:
+    """``int(value)`` of a JSON integer, or of a float equal to one.
+
+    ``int`` runs first, so a value it rejects keeps its message; a bool, a
+    string or a float with a fraction then raises ``ValueError``, which
+    the readers report as a bad file.
+    """
+    whole = int(value)
+    if isinstance(value, (bool, str)) or whole != value:
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return whole
+
+
 def _read(path: str, kind: str) -> str:
     """The text of an input file; a byte outside ASCII raises ``ValidationError``."""
     with open(path, "rb") as f:
@@ -313,7 +326,7 @@ def instance_from_text(text: str) -> NetworkInstance:
             )
             a = doc["asym"]
             asym = AsymmetryField(
-                seed=int(a["seed"]),
+                seed=_integer(a["seed"], "asym seed"),
                 k_dis_range=(float(a["k_dis_lo"]), float(a["k_dis_hi"])),
                 k_egy_range=(float(a["k_egy_lo"]), float(a["k_egy_hi"])),
                 grid=float(a["grid"]),
@@ -323,7 +336,7 @@ def instance_from_text(text: str) -> NetworkInstance:
             raise
     except _BAD_VALUE as exc:
         raise ValidationError(f"bad instance file: {exc}") from exc
-    return NetworkInstance.from_columns(*_node_columns(values), bs, dmc, asym)
+    return NetworkInstance(*_node_columns(values), bs, dmc, asym)
 
 
 def _node_columns(values: list[float]) -> np.ndarray:
@@ -347,7 +360,8 @@ def schedule_from_text(text: str) -> OperationSchedule:
         states: list[int] = []
         values: list[float] = []  # x, y, psi, t of each item in turn
         for i in doc["items"]:
-            states.append(int(i["state"]))
+            state = i["state"]  # a JSON integer, not a bool, is read as it is
+            states.append(state if type(state) is int else _integer(state, "state"))
             values += (float(i["x"]), float(i["y"]), float(i["psi"]), float(i["t"]))
     except _BAD_VALUE as exc:
         raise ValidationError(f"bad schedule file: {exc}") from exc
@@ -355,7 +369,7 @@ def schedule_from_text(text: str) -> OperationSchedule:
         state = next(s for s in states if s not in (MOVE, TRANSMIT))
         raise ValidationError(f"bad schedule file: unknown state {state}")
     x, y, psi, t = snap9_array(np.array(values, dtype=float)).reshape(-1, 4).T.copy()
-    return OperationSchedule.from_columns(np.array(states, dtype=np.int64), x, y, psi, t)
+    return OperationSchedule(np.array(states, dtype=np.int64), x, y, psi, t)
 
 
 def metrics_to_row(metrics: ScheduleMetrics) -> dict:
@@ -579,7 +593,7 @@ def demo_instance() -> NetworkInstance:
             if i != j:
                 overrides[(base.quantize(a), base.quantize(b))] = (1.0, _DEMO_RATE_TABLE[i][j])
     asym = AsymmetryField(seed=7, overrides=overrides)
-    return NetworkInstance.from_columns(x, y, e_b, e_d, e_c, _DEMO_BS, DmcParams(), asym)
+    return NetworkInstance(x, y, e_b, e_d, e_c, _DEMO_BS, DmcParams(), asym)
 
 
 def demo_report() -> tuple[str, list[dict]]:

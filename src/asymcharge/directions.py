@@ -1,8 +1,8 @@
 """Charging direction selection and the transfer coefficient matrix.
 
-``reach_pairs`` is the one coverage kernel: for a list of points it finds
-every node within charge distance of each, with its bearing, distance and
-transfer coefficient.  It has two stages, ``near_pairs``, a numpy distance
+``reach_pairs`` is the one coverage kernel: for points given as x and y
+columns it finds every node within charge distance of each, with its
+bearing, distance and transfer coefficient.  It has two stages, ``near_pairs``, a numpy distance
 test, and ``coverage_math``, the exact per-pair math.  The coefficient
 matrix runs the exact stage on every near pair; the schedule replay runs it
 only on the pairs a transmission's sector may cover.  At each charging
@@ -18,11 +18,11 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import TWO_PI, DmcParams, NetworkInstance, Point
+from .model import TWO_PI, DmcParams, NetworkInstance
 from .positions import ChargingPositionSet
 
 _SMALLEST_NORMAL = sys.float_info.min
@@ -84,21 +84,19 @@ class Near(NamedTuple):
     dy: np.ndarray
 
 
-def near_pairs(points: Sequence[Point], instance: NetworkInstance) -> Near:
+def near_pairs(px: np.ndarray, py: np.ndarray, instance: NetworkInstance) -> Near:
     """The numpy stage of the coverage kernel: the pairs that may lie in range.
 
-    One test per block of at most ``_BLOCK`` points drops the pairs whose
-    squared distance exceeds ``(d_max * (1 + 1e-9))**2``, which no pair
-    within ``d_max`` does.
+    The points are (px[k], py[k]).  One test per block of at most
+    ``_BLOCK`` points drops the pairs whose squared distance exceeds
+    ``(d_max * (1 + 1e-9))**2``, which no pair within ``d_max`` does.
     """
     xs, ys = instance.x, instance.y
-    px = np.array([p[0] for p in points], dtype=float)
-    py = np.array([p[1] for p in points], dtype=float)
     # never below the smallest normal float, so underflowed squares pass too
     limit = max((instance.dmc.d_max * (1.0 + 1e-9)) ** 2, _SMALLEST_NORMAL)
     parts = []
     with np.errstate(over="ignore"):  # an offset or square that overflows is out of range
-        for lo in range(0, len(points), _BLOCK):
+        for lo in range(0, len(px), _BLOCK):
             dx = xs - px[lo : lo + _BLOCK, None]
             dy = ys - py[lo : lo + _BLOCK, None]
             square = dx * dx
@@ -135,13 +133,13 @@ def coverage_math(
     return keep, theta, dist, coef
 
 
-def reach_pairs(points: Sequence[Point], instance: NetworkInstance) -> Reach:
-    """Every node within charge distance of each point, with what covers it.
+def reach_pairs(px: np.ndarray, py: np.ndarray, instance: NetworkInstance) -> Reach:
+    """Every node within charge distance of each point (px[k], py[k]), with what covers it.
 
     ``near_pairs`` finds the pairs that may lie in range and
     ``coverage_math`` computes every one of them exactly.
     """
-    near = near_pairs(points, instance)
+    near = near_pairs(px, py, instance)
     keep, theta, dist, coef = coverage_math(near.dx, near.dy, instance.dmc)
     return Reach(near.point[keep], near.node[keep], theta, dist, coef)
 
@@ -184,7 +182,8 @@ def build_coefficient_matrix(
     it is positive exactly on the nodes its direction covers: ``DmcParams``
     keeps every coefficient within ``d_max`` positive.
     """
-    reach = reach_pairs(positions.positions, instance)
+    px, py = np.array(positions.positions, dtype=float).reshape(-1, 2).T
+    reach = reach_pairs(px, py, instance)
     half = instance.dmc.phi / 2.0
     bounds = np.searchsorted(reach.point, np.arange(len(positions.positions) + 1))
     rows: list[PosDirPair] = []

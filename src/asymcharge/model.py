@@ -6,20 +6,17 @@ instance sees one consistent world, including at charging positions that only
 exist after an algorithm has chosen them.
 
 A ``NetworkInstance`` holds its nodes as five read-only numpy columns (x, y,
-e_b, e_d, e_c), which every producer fills and every stage reads;
-``check_nodes`` checks them with one array pass per check, and ``Node`` rows
-are built only for a caller that asks for them.
+e_b, e_d, e_c), which every producer fills and every stage reads, and
+``check_nodes`` checks them with one array pass per check.  ``TravelArcs``
+takes its points as x and y columns too.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import struct
-from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -73,16 +70,6 @@ def snap9_array(x: np.ndarray) -> np.ndarray:
     out = x.copy()
     out[unsure] = [snap9(v) for v in x[unsure].tolist()]
     return out
-
-
-class Node(NamedTuple):
-    """A rechargeable node, a row of ``NetworkInstance``: position, energy state and demand."""
-
-    id: int
-    pos: Point
-    e_b: float  # initial stored energy (J)
-    e_d: float  # demanded energy (J)
-    e_c: float  # battery capacity (J)
 
 
 def check_nodes(
@@ -224,34 +211,14 @@ class NetworkInstance:
 
     The nodes are five read-only float columns with one entry per node id:
     ``x`` and ``y`` the position, ``e_b`` the initial stored energy,
-    ``e_d`` the demand and ``e_c`` the battery capacity.
-    ``NetworkInstance(nodes, bs_pos, dmc, asym)`` builds them from ``Node``
-    rows, whose ids must be 0..n-1 in order, and ``from_columns`` takes
-    them as they are; both run ``check_nodes`` over the columns.  ``nodes``
-    is the tuple of rows, built once when first read.
+    ``e_d`` the demand and ``e_c`` the battery capacity.  The constructor
+    takes them as they are and runs ``check_nodes`` over them.
     """
 
-    __slots__ = (*_NODE_COLUMNS, "bs_pos", "dmc", "asym", "_nodes")
+    __slots__ = (*_NODE_COLUMNS, "bs_pos", "dmc", "asym")
 
-    def __init__(self, nodes: Iterable[Node], bs_pos: Point, dmc: DmcParams, asym: AsymmetryField):
-        nodes = tuple(nodes)
-        _, pos, e_b, e_d, e_c = zip(*nodes) if nodes else ((),) * 5
-        x, y = zip(*pos) if nodes else ((), ())
-        self._fill((x, y, e_b, e_d, e_c), bs_pos, dmc, asym)
-        for i, node in enumerate(nodes):
-            if node.id != i:
-                raise ValidationError(f"node ids must be 0..n-1 in order (got {node.id} at {i})")
-        self._nodes = nodes
-
-    @classmethod
-    def from_columns(cls, x, y, e_b, e_d, e_c, bs_pos: Point, dmc: DmcParams, asym: AsymmetryField):
-        instance = cls.__new__(cls)
-        instance._fill((x, y, e_b, e_d, e_c), bs_pos, dmc, asym)
-        instance._nodes = None
-        return instance
-
-    def _fill(self, columns, bs_pos: Point, dmc: DmcParams, asym: AsymmetryField) -> None:
-        columns = [np.asarray(column, dtype=float) for column in columns]
+    def __init__(self, x, y, e_b, e_d, e_c, bs_pos: Point, dmc: DmcParams, asym: AsymmetryField):
+        columns = [np.asarray(column, dtype=float) for column in (x, y, e_b, e_d, e_c)]
         if any(column.shape != columns[0].shape or column.ndim != 1 for column in columns):
             raise ValidationError("node columns must be vectors of one length")
         check_nodes(*columns)
@@ -267,25 +234,6 @@ class NetworkInstance:
     @property
     def n(self) -> int:
         return len(self.x)
-
-    @property
-    def nodes(self) -> tuple[Node, ...]:
-        if self._nodes is None:
-            pos = zip(self.x.tolist(), self.y.tolist())
-            energies = (self.e_b.tolist(), self.e_d.tolist(), self.e_c.tolist())
-            rows = zip(itertools.count(), pos, *energies)
-            # tuple.__new__ fills each row in C, as ``OperationSchedule.items`` does
-            self._nodes = tuple(map(tuple.__new__, itertools.repeat(Node), rows))
-        return self._nodes
-
-    def e_b_vector(self) -> np.ndarray:
-        return self.e_b
-
-    def e_d_vector(self) -> np.ndarray:
-        return self.e_d
-
-    def e_c_vector(self) -> np.ndarray:
-        return self.e_c
 
 
 @dataclass(frozen=True)
@@ -317,7 +265,7 @@ _WINDOW_BLOCK = 64  # rows of squared distances per block in TravelArcs.window
 
 
 class TravelArcs:
-    """Directed travel over an ordered point list, computed one origin row on demand.
+    """Directed travel among the points (x[k], y[k]), computed one origin row on demand.
 
     Index 0 is the base station by convention.  ``row`` is the one hashing
     kernel behind ``build_routing_matrices``, the nearest-neighbor tour of
@@ -332,18 +280,15 @@ class TravelArcs:
     numbered in one numpy pass.
     """
 
-    def __init__(self, positions: list[Point], asym: AsymmetryField, dmc: DmcParams):
-        self.positions = tuple(positions)
+    def __init__(self, x: np.ndarray, y: np.ndarray, asym: AsymmetryField, dmc: DmcParams):
         self.asym = asym
         self.w0 = dmc.w0
-        coords = itertools.chain.from_iterable(self.positions)
-        xy = np.fromiter(coords, dtype=float, count=2 * len(self.positions)).reshape(-1, 2)
-        self._xs = xy[:, 0].copy()
-        self._ys = xy[:, 1].copy()
+        self._xs = np.asarray(x, dtype=float)
+        self._ys = np.asarray(y, dtype=float)
         if (off := asym.off_grid(self._xs, self._ys)) is not None:
-            raise asym.off_grid_error(self.positions[off])
+            raise asym.off_grid_error((self._xs[off].item(), self._ys[off].item()))
         # quantize's quotients, so its cells: rint rounds half to even, as round does
-        cells = np.rint(xy / asym.grid).astype("<i8")
+        cells = np.rint(np.column_stack((self._xs, self._ys)) / asym.grid).astype("<i8")
         # a pair's hash key packs the seed's low 64 bits, the origin cell (the
         # head) and the target cell (the tail), each cell as two signed 64-bit ints
         self._seed = struct.pack("<Q", asym.seed & 0xFFFFFFFFFFFFFFFF)
@@ -366,7 +311,7 @@ class TravelArcs:
 
     @property
     def n(self) -> int:
-        return len(self.positions)
+        return len(self._xs)
 
     def row(self, i, js=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(k_dis, span, k_egy)`` of the arcs from origin i to each point of js.
@@ -395,10 +340,9 @@ class TravelArcs:
             starts = np.flatnonzero(first).tolist()
             bounds = zip(starts, starts[1:] + [len(targets)])
             runs = list(zip(i[starts].tolist(), (targets[lo:hi] for lo, hi in bounds)))
-            x, y = self._xs[i], self._ys[i]
         else:
             runs = [(i, targets)]
-            x, y = self.positions[i]
+        x, y = self._xs[i], self._ys[i]
         seed, tails = self._seed, self._tails
         digests = []
         for origin, run in runs:
@@ -509,7 +453,9 @@ def build_routing_matrices(
     The diagonal is 0: no travel, at no rate.  A value beyond a float is
     inf, without a warning; the cost graph rejects it.
     """
-    arcs = TravelArcs(positions, asym, dmc)
+    positions = tuple(positions)
+    x, y = np.array(positions, dtype=float).reshape(-1, 2).T.copy()
+    arcs = TravelArcs(x, y, asym, dmc)
     n = arcs.n
     dist = np.zeros((n, n))
     rate = np.zeros((n, n))
@@ -519,7 +465,7 @@ def build_routing_matrices(
             dist[i] = k_dis * span
             rate[i] = k_egy * dmc.w0
     np.fill_diagonal(rate, 0.0)
-    return RoutingMatrices(arcs.positions, dist, rate)
+    return RoutingMatrices(positions, dist, rate)
 
 
 def final_node_energy(e_b: np.ndarray, e_r: np.ndarray, e_c: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@
 allocation, and asymmetric tour construction into an operation schedule.
 ``one_to_one_schedule`` is the baseline that drives to every node and charges
 it point-blank.  A schedule is five numpy columns (state, x, y, psi, t), which
-both schedulers and both file readers fill directly.  ``execute_schedule``
+both schedulers and the file reader fill directly.  ``execute_schedule``
 replays any schedule against the energy models and produces the metrics: it
 checks the items and the grid range of their moves with one array pass per
 check, prices every move from one call of ``model.TravelArcs.row``, the
@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import time as _time
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -63,33 +62,20 @@ class OperationSchedule:
 
     ``state`` holds MOVE or TRANSMIT, ``x`` and ``y`` the movement target
     or transmission position, ``psi`` the transmission direction (unused
-    for movement items) and ``t`` the duration in seconds; the columns are
-    read-only.  ``OperationSchedule(items)`` builds them from
-    ``ScheduleItem`` rows, and ``from_columns`` takes them as they are.
-    ``items`` is the tuple of rows, built once when first read.  Two
+    for movement items) and ``t`` the duration in seconds.  The constructor
+    takes the columns as they are and makes them read-only.  ``items`` is
+    the tuple of ``ScheduleItem`` rows, built once when first read.  Two
     schedules are equal when their columns are.
     """
 
     __slots__ = (*_COLUMNS, "_items")
 
-    def __init__(self, items: Iterable[ScheduleItem] = ()):
-        items = tuple(items)
-        state, pos, psi, t = zip(*items) if items else ((),) * 4
-        x, y = zip(*pos) if items else ((), ())
-        self._fill(np.array(state), x, y, psi, t)
-        self._items = items
-
-    @classmethod
-    def from_columns(cls, state, x, y, psi, t) -> OperationSchedule:
-        schedule = cls.__new__(cls)
-        schedule._fill(np.asarray(state), x, y, psi, t)
-        schedule._items = None
-        return schedule
-
-    def _fill(self, state: np.ndarray, *values) -> None:
-        for name, column in zip(_COLUMNS, (state, *(np.asarray(v, dtype=float) for v in values))):
+    def __init__(self, state, x, y, psi, t):
+        values = (np.asarray(v, dtype=float) for v in (x, y, psi, t))
+        for name, column in zip(_COLUMNS, (np.asarray(state), *values)):
             column.setflags(write=False)
             setattr(self, name, column)
+        self._items = None
 
     @property
     def items(self) -> tuple[ScheduleItem, ...]:
@@ -168,16 +154,22 @@ def _in_order_sum(values: np.ndarray) -> float:
 
 
 def _received(
-    instance: NetworkInstance, stops: list[Point], stop: np.ndarray, psi: np.ndarray, t: np.ndarray
+    instance: NetworkInstance,
+    stop_x: np.ndarray,
+    stop_y: np.ndarray,
+    stop: np.ndarray,
+    psi: np.ndarray,
+    t: np.ndarray,
 ) -> tuple[np.ndarray, int | None]:
     """Energy each node receives from the transmissions, before capacity clipping.
 
-    Transmission i sends from ``stops[stop[i]]`` in direction ``psi[i]``
-    for ``t[i]`` seconds.  One ``near_pairs`` call searches the distinct
-    stops.  A pair whose numpy bearing lies more than ``phi / 2 + 1e-9``
-    off a transmission's direction is dropped for that transmission:
-    ``np.arctan2`` differs from ``math.atan2`` by an ulp or so, about
-    1e-15 rad, far inside the margin, so the exact test would drop it too.
+    Transmission i sends from the stop ``(stop_x[stop[i]], stop_y[stop[i]])``
+    in direction ``psi[i]`` for ``t[i]`` seconds.  One ``near_pairs`` call
+    searches the distinct stops.  A pair whose numpy bearing lies more than
+    ``phi / 2 + 1e-9`` off a transmission's direction is dropped for that
+    transmission: ``np.arctan2`` differs from ``math.atan2`` by an ulp or
+    so, about 1e-15 rad, far inside the margin, so the exact test would
+    drop it too.
     The exact ``coverage_math`` then runs once on each pair some
     transmission may cover.  Each transmission credits ``p0 * coef * t`` to
     every in-range node its sector covers, and ``bincount`` adds each
@@ -187,8 +179,8 @@ def _received(
     """
     dmc = instance.dmc
     half = dmc.phi / 2.0
-    near = near_pairs(stops, instance)
-    bounds = np.searchsorted(near.point, np.arange(len(stops) + 1))
+    near = near_pairs(stop_x, stop_y, instance)
+    bounds = np.searchsorted(near.point, np.arange(len(stop_x) + 1))
     lo = bounds[stop]
     count = bounds[stop + 1] - lo
     # the pairs of each transmission's stop, transmission after transmission
@@ -270,10 +262,11 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
         elif negative[cut]:
             problem = "negative duration"
         elif misplaced[cut]:
-            here = schedule.items[moved[before[cut] - 1]].pos if before[cut] else start
-            problem = f"transmits from {schedule.items[cut].pos} but the charger is at {here}"
+            at = (x[cut].item(), y[cut].item())
+            here = (end_x[before[cut]].item(), end_y[before[cut]].item())
+            problem = f"transmits from {at} but the charger is at {here}"
         elif unknown[cut]:
-            problem = f"unknown state {schedule.items[cut].state}"
+            problem = f"unknown state {state[cut].item()}"
         if problem is None:
             faults.append((cut, instance.asym.off_grid_error((end_x[off].item(), end_y[off].item()))))
         else:
@@ -283,9 +276,8 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
 
     move_energy = move_time = distance = 0.0
     if moves.size:
-        ends = list(zip(end_x[: moves.size + 1].tolist(), end_y[: moves.size + 1].tolist()))
-        arcs = model.TravelArcs(ends, instance.asym, dmc)
         m = moves.size
+        arcs = model.TravelArcs(end_x[: m + 1], end_y[: m + 1], instance.asym, dmc)
         stated = t[moves]
         with np.errstate(over="ignore", invalid="ignore"):  # faults its move below
             k_dis, span, k_egy = arcs.row(np.arange(m), np.arange(1, m + 1))
@@ -320,12 +312,13 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
 
     received_raw = np.zeros(instance.n)
     if sends.size:
-        points = list(zip(x[sends].tolist(), y[sends].tolist()))
-        # distinct stops, first seen first, keyed as a dict keys them: -0.0
-        # and 0.0 are one key, and its first point keeps the sign atan2 reads
-        stops = dict(zip(dict.fromkeys(points), itertools.count()))
-        stop = np.fromiter(map(stops.__getitem__, points), np.intp, len(points))
-        received_raw, bad = _received(instance, list(stops), stop, psi[sends], t[sends])
+        sx, sy = x[sends], y[sends]
+        # each send's first send from its point, keyed as a dict keys points:
+        # -0.0 and 0.0 are one key, and its first point keeps the sign atan2 reads
+        points = zip(sx.tolist(), sy.tolist())
+        firsts = np.fromiter(map({}.setdefault, points, itertools.count()), np.intp, sends.size)
+        first, stop = np.unique(firsts, return_inverse=True)  # the distinct stops, first seen first
+        received_raw, bad = _received(instance, sx[first], sy[first], stop, psi[sends], t[sends])
         if bad is not None:
             idx = int(sends[bad])
             faults.append((idx, MalformedScheduleError(f"item {idx}: credited energy is not finite")))
@@ -333,12 +326,8 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
         raise min(faults, key=lambda fault: fault[0])[1]
     tran_time = _in_order_sum(t[sends])
 
-    ledger = model.energy_accounting(
-        instance.e_b_vector(), instance.e_c_vector(), received_raw, tran_time, move_energy, dmc
-    )
-    demand_met = bool(
-        np.all(ledger.e_f >= instance.e_b_vector() + instance.e_d_vector() - 1e-6)
-    )
+    ledger = model.energy_accounting(instance.e_b, instance.e_c, received_raw, tran_time, move_energy, dmc)
+    demand_met = bool(np.all(ledger.e_f >= instance.e_b + instance.e_d - 1e-6))
     metrics = ScheduleMetrics(
         total_energy_loss=ledger.e_total_loss,
         charging_energy_loss=ledger.e_wpt_loss,
@@ -368,7 +357,7 @@ def _movement_items(
 def _from_values(values: list[float]) -> OperationSchedule:
     """The schedule whose items' state, x, y, psi and t follow one another in ``values``."""
     state, x, y, psi, t = np.array(values, dtype=float).reshape(-1, 5).T.copy()
-    return OperationSchedule.from_columns(state.astype(np.int64), x, y, psi, t)
+    return OperationSchedule(state.astype(np.int64), x, y, psi, t)
 
 
 def plan_schedule(
@@ -431,9 +420,10 @@ def one_to_one_schedule(instance: NetworkInstance) -> tuple[OperationSchedule, S
     targets = np.flatnonzero(instance.e_d > 0)
     values: list[float] = []  # state, x, y, psi and t of each item in turn
     if targets.size:
-        node_points = zip(instance.x[targets].tolist(), instance.y[targets].tolist())
-        points = [model.snap9_point(instance.bs_pos), *node_points]
-        arcs = model.TravelArcs(points, instance.asym, instance.dmc)
+        bs_x, bs_y = model.snap9_point(instance.bs_pos)
+        px = np.append(bs_x, instance.x[targets])
+        py = np.append(bs_y, instance.y[targets])
+        arcs = model.TravelArcs(px, py, instance.asym, instance.dmc)
         # lazy bounds and costs overflow to inf silently: an inf bound rules
         # nothing out and the tour rejects an inf cost; one errstate per
         # tour, since one per arcs call costs a few percent of a plan
@@ -444,8 +434,8 @@ def one_to_one_schedule(instance: NetworkInstance) -> tuple[OperationSchedule, S
             k_dis, span, _ = arcs.row(order[:-1], order[1:])
             durations = (k_dis * span / instance.dmc.v_bar).tolist()
             sends = (instance.e_d[targets] / rate).tolist()
-        for dest, t_move in zip(tour.order[1:], durations):
-            x, y = points[dest]
+        xs, ys = px[order[1:]].tolist(), py[order[1:]].tolist()
+        for dest, x, y, t_move in zip(tour.order[1:], xs, ys, durations):
             values += (MOVE, x, y, 0.0, t_move)
             if dest != 0:
                 values += (TRANSMIT, x, y, 0.0, sends[dest - 1])

@@ -280,14 +280,14 @@ def _wider_than(pts: np.ndarray, clusters: list[tuple[int, ...]], reach: float) 
 
 
 def _fitted_cover(
-    pts: list[Point] | np.ndarray,
+    pts: np.ndarray,
     clusters: list[tuple[int, ...]],
     d_max: float,
     enclosed: dict[tuple[int, ...], Point],
 ) -> ChargingPositionSet | None:
     """The clusters' 9-digit enclosing-circle centers, if each reaches its members.
 
-    ``pts`` are the node positions, an (n, 2) float array or (x, y) pairs.
+    ``pts`` are the node positions, an (n, 2) float array.
     A cluster wider than ``_separation_reach`` in x or y has no center
     within ``d_max`` of both its extreme members, and one that fits is at
     most 2 d_max wide, so such a k is rejected before any circle is built.
@@ -298,7 +298,6 @@ def _fitted_cover(
     Welzl's shuffle is seeded, so a cluster met again for another k reuses
     its center.
     """
-    pts = np.asarray(pts, dtype=float)
     if _wider_than(pts, clusters, _separation_reach(d_max)):
         return None
     rows = pts.tolist()

@@ -49,7 +49,7 @@ def build_time_lp(matrix: CoefficientMatrix, instance: NetworkInstance) -> LpPro
     A node with a demand and no positive coefficient makes the program
     infeasible; the lowest such node id is named.
     """
-    demand = instance.e_d_vector()
+    demand = instance.e_d
     a = instance.dmc.p0 * matrix.entries.T  # (N, K)
     uncovered = np.flatnonzero((demand > 0) & ~(a > 0.0).any(axis=1))
     if uncovered.size:

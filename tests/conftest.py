@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from asymcharge import AsymmetryField, DmcParams, NetworkInstance, Node
+from asymcharge import AsymmetryField, DmcParams, NetworkInstance
+from support import Node, instance_of
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -29,7 +30,7 @@ def make_instance(node_specs, bs=(0.0, 0.0), dmc=None, asym=None) -> NetworkInst
     nodes = tuple(
         Node(i, pos, e_b, e_d, e_c) for i, (pos, e_b, e_d, e_c) in enumerate(node_specs)
     )
-    return NetworkInstance(nodes, bs, dmc or DmcParams(), asym or neutral_field())
+    return instance_of(nodes, bs, dmc or DmcParams(), asym or neutral_field())
 
 
 @pytest.fixture

@@ -44,12 +44,13 @@ import struct
 import numpy as np
 
 from asymcharge import cli, model, pipeline, positions, routing, timing
-from asymcharge.model import AsymmetryField, DmcParams, NetworkInstance, Node, Point
+from asymcharge.model import AsymmetryField, DmcParams, NetworkInstance, Point
 from asymcharge.errors import MalformedScheduleError, ValidationError
 from asymcharge.pipeline import MOVE, TRANSMIT, OperationSchedule, ScheduleItem, ScheduleMetrics
 from asymcharge.positions import ChargingPositionSet
 from asymcharge.routing import DirectedCostGraph, Tour
 from asymcharge.timing import LpProblem, LpSolution
+from support import Node, columns, instance_of, node_rows, schedule_of
 
 
 def normalize_angle(a: float) -> float:
@@ -123,7 +124,7 @@ def reference_nodes_in_range(
 ) -> tuple[list[int], list[float], list[float]]:
     """Ids, bearings and distances from one ``math.hypot`` test per node."""
     ids, thetas, dists = [], [], []
-    for u in instance.nodes:
+    for u in node_rows(instance):
         dx = u.pos[0] - pos[0]
         dy = u.pos[1] - pos[1]
         d = math.hypot(dx, dy)
@@ -215,7 +216,7 @@ def reference_execute_schedule(
             here = item.pos
         elif item.state == TRANSMIT:
             tran_time += item.t
-            for u in instance.nodes:
+            for u in node_rows(instance):
                 dx = u.pos[0] - item.pos[0]
                 dy = u.pos[1] - item.pos[1]
                 d = math.hypot(dx, dy)
@@ -228,11 +229,9 @@ def reference_execute_schedule(
             raise MalformedScheduleError(f"item {idx}: unknown state {item.state}")
 
     ledger = model.energy_accounting(
-        instance.e_b_vector(), instance.e_c_vector(), received_raw, tran_time, move_energy, dmc
+        instance.e_b, instance.e_c, received_raw, tran_time, move_energy, dmc
     )
-    demand_met = bool(
-        np.all(ledger.e_f >= instance.e_b_vector() + instance.e_d_vector() - 1e-6)
-    )
+    demand_met = bool(np.all(ledger.e_f >= instance.e_b + instance.e_d - 1e-6))
     return ScheduleMetrics(
         total_energy_loss=ledger.e_total_loss,
         charging_energy_loss=ledger.e_wpt_loss,
@@ -288,14 +287,14 @@ def loop_execute_schedule(
     move_energy = move_time = distance = 0.0
     if moves:
         try:
-            arcs = model.TravelArcs(ends, instance.asym, dmc)
+            arcs = model.TravelArcs(*columns(ends), instance.asym, dmc)
         except ValidationError as exc:
             with contextlib.suppress(ValidationError):
                 for cut, p in enumerate(ends):
                     instance.asym.quantize(p)
             faults.append((moves[max(cut - 1, 0)][0], exc))
             del ends[cut:], moves[max(cut - 1, 0) :]
-            arcs = model.TravelArcs(ends, instance.asym, dmc)
+            arcs = model.TravelArcs(*columns(ends), instance.asym, dmc)
         m = len(moves)
         with np.errstate(over="ignore", invalid="ignore"):
             k_dis, span, k_egy = arcs.row(np.arange(m), np.arange(1, m + 1))
@@ -324,7 +323,7 @@ def loop_execute_schedule(
     if sends:
         _, stop, psi, t = (np.array(column) for column in zip(*sends))
         received_raw, bad = pipeline._received(
-            instance, list(stops), stop, psi.astype(float), t.astype(float)
+            instance, *columns(list(stops)), stop, psi.astype(float), t.astype(float)
         )
         if bad is not None:
             idx = sends[bad][0]
@@ -333,11 +332,9 @@ def loop_execute_schedule(
         raise min(faults, key=lambda fault: fault[0])[1]
 
     ledger = model.energy_accounting(
-        instance.e_b_vector(), instance.e_c_vector(), received_raw, tran_time, move_energy, dmc
+        instance.e_b, instance.e_c, received_raw, tran_time, move_energy, dmc
     )
-    demand_met = bool(
-        np.all(ledger.e_f >= instance.e_b_vector() + instance.e_d_vector() - 1e-6)
-    )
+    demand_met = bool(np.all(ledger.e_f >= instance.e_b + instance.e_d - 1e-6))
     metrics = ScheduleMetrics(
         total_energy_loss=ledger.e_total_loss,
         charging_energy_loss=ledger.e_wpt_loss,
@@ -576,7 +573,7 @@ def reference_select_charging_positions(instance: NetworkInstance) -> ChargingPo
     the low 64 bits of the instance's asymmetry seed, so the result is a pure
     function of the instance.
     """
-    node_points = [u.pos for u in instance.nodes]
+    node_points = [u.pos for u in node_rows(instance)]
     seed = instance.asym.seed & 0xFFFF_FFFF_FFFF_FFFF
     for k in range(1, instance.n + 1):
         clusters = reference_kmeans(node_points, k, seed)
@@ -656,7 +653,7 @@ def reference_symmetric_cost(g: DirectedCostGraph) -> np.ndarray:
 def reference_one_to_one_schedule(instance: NetworkInstance) -> OperationSchedule:
     """The baseline schedule from full routing matrices and the set-scan tour."""
     dmc = instance.dmc
-    targets = [u for u in instance.nodes if u.e_d > 0]
+    targets = [u for u in node_rows(instance) if u.e_d > 0]
     items = []
     if targets:
         points = [model.snap9_point(instance.bs_pos)] + [u.pos for u in targets]
@@ -670,7 +667,7 @@ def reference_one_to_one_schedule(instance: NetworkInstance) -> OperationSchedul
                 u = targets[b - 1]
                 t = u.e_d / (dmc.p0 * dmc.apex_coefficient)
                 items.append(ScheduleItem(TRANSMIT, u.pos, 0.0, t))
-    return OperationSchedule(tuple(items))
+    return schedule_of(items)
 
 
 def reference_check_nodes(x, y, e_b, e_d, e_c) -> None:
@@ -739,4 +736,4 @@ def reference_generate_instance(
             continue
         positions.append((model.snap9(x), model.snap9(y)))
     nodes = [Node(i, pos, *_reference_draw_energies(rng)) for i, pos in enumerate(positions)]
-    return NetworkInstance(nodes, bs, dmc, AsymmetryField(seed=seed))
+    return instance_of(nodes, bs, dmc, AsymmetryField(seed=seed))

@@ -1,6 +1,9 @@
 """Library code that only the tests use, kept here unchanged.
 
-Directed segment distance, energy and time, movement totals along a tour,
+Rows for the columnar types (``Node`` rows of an instance through
+``node_rows`` and ``instance_of``, a schedule of ``ScheduleItem`` rows
+through ``schedule_of``, and the x and y ``columns`` of a list of points),
+directed segment distance, energy and time, movement totals along a tour,
 received energy from pair rows, the factorial tour oracle, the plain-text
 cost-matrix format, the metrics-CSV reader with its identity check and
 k-means on a fresh draw sequence: no scheduler or CLI command calls any of
@@ -11,6 +14,7 @@ library's one hashing kernel, so the tests built on them test the library.
 import csv
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,11 +23,50 @@ from asymcharge.errors import MalformedTourError, ValidationError
 from asymcharge.model import (
     AsymmetryField,
     DmcParams,
+    NetworkInstance,
     Point,
     RoutingMatrices,
     TravelArcs,
 )
+from asymcharge.pipeline import OperationSchedule
 from asymcharge.routing import DirectedCostGraph, Tour, cost_graph, tour_cost
+
+
+class Node(NamedTuple):
+    """A rechargeable node as a row of an instance: position, energy state and demand."""
+
+    id: int
+    pos: Point
+    e_b: float  # initial stored energy (J)
+    e_d: float  # demanded energy (J)
+    e_c: float  # battery capacity (J)
+
+
+def node_rows(instance: NetworkInstance) -> tuple[Node, ...]:
+    """The instance's nodes as ``Node`` rows, in id order."""
+    pos = zip(instance.x.tolist(), instance.y.tolist())
+    energies = (instance.e_b.tolist(), instance.e_d.tolist(), instance.e_c.tolist())
+    return tuple(itertools.starmap(Node, zip(itertools.count(), pos, *energies)))
+
+
+def instance_of(nodes, bs: Point, dmc: DmcParams, asym: AsymmetryField) -> NetworkInstance:
+    """The instance of ``Node`` rows, whose ids must be 0..n-1 in order."""
+    nodes = tuple(nodes)
+    assert [u.id for u in nodes] == list(range(len(nodes))), "node ids must be 0..n-1 in order"
+    _, pos, e_b, e_d, e_c = zip(*nodes) if nodes else ((),) * 5
+    return NetworkInstance(*columns(pos), e_b, e_d, e_c, bs, dmc, asym)
+
+
+def schedule_of(items) -> OperationSchedule:
+    """The schedule of ``ScheduleItem`` rows (state, pos, psi, t)."""
+    items = tuple(items)
+    state, pos, psi, t = zip(*items) if items else ((),) * 4
+    return OperationSchedule(np.array(state), *columns(pos), psi, t)
+
+
+def columns(points) -> np.ndarray:
+    """The x and y columns of (x, y) points, as the two rows of one float array."""
+    return np.array(points, dtype=float).reshape(-1, 2).T.copy()
 
 
 def kmeans(points, k: int, seed: int) -> list[tuple[int, ...]]:
@@ -33,7 +76,7 @@ def kmeans(points, k: int, seed: int) -> list[tuple[int, ...]]:
 
 def ra_coefficients(asym: AsymmetryField, a: Point, b: Point) -> tuple[float, float]:
     """Distance and energy-rate coefficients for travel from ``a`` to ``b``."""
-    k_dis, _, k_egy = TravelArcs([a, b], asym, DmcParams()).row(0, [1])
+    k_dis, _, k_egy = TravelArcs(*columns([a, b]), asym, DmcParams()).row(0, [1])
     return (float(k_dis[0]), float(k_egy[0]))
 
 

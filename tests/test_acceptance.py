@@ -21,7 +21,6 @@ from asymcharge import (
     LpProblem,
     MOVE,
     TRANSMIT,
-    OperationSchedule,
     ScheduleItem,
     build_coefficient_matrix,
     build_routing_matrices,
@@ -47,7 +46,14 @@ from scalar_reference import (
     reference_nodes_in_range,
     transfer_coefficient,
 )
-from support import brute_force_tour, kmeans, ra_distance, segment_move_energy_time
+from support import (
+    brute_force_tour,
+    kmeans,
+    node_rows,
+    ra_distance,
+    schedule_of,
+    segment_move_energy_time,
+)
 
 
 @contextmanager
@@ -83,7 +89,7 @@ def random_schedule(rng, instance):
         else:
             psi = float(rng.uniform(0, 2 * math.pi))
             items.append(ScheduleItem(TRANSMIT, here, psi, float(rng.uniform(0, 30))))
-    return OperationSchedule(tuple(items))
+    return schedule_of(tuple(items))
 
 
 def test_criterion_1_energy_conservation():
@@ -105,7 +111,7 @@ def test_criterion_1_energy_conservation():
                     here = item.pos
                 else:
                     tran += item.t
-                    for u in instance.nodes:
+                    for u in node_rows(instance):
                         d = math.dist(u.pos, item.pos)
                         if d > instance.dmc.d_max:
                             continue
@@ -113,8 +119,8 @@ def test_criterion_1_energy_conservation():
                         raw[u.id] += instance.dmc.p0 * transfer_coefficient(
                             item.psi, instance.dmc.phi, th, d, instance.dmc
                         ) * item.t
-            e_b = instance.e_b_vector()
-            e_f = np.minimum(e_b + raw, instance.e_c_vector())
+            e_b = instance.e_b
+            e_f = np.minimum(e_b + raw, instance.e_c)
             e_f0 = instance.dmc.e_b0 - instance.dmc.p0 * tran - move
             e_tb = instance.dmc.e_b0 + e_b.sum()
             e_tf = e_f0 + e_f.sum()
@@ -134,12 +140,12 @@ def test_criterion_2_coverage_validity_and_minimality():
             instance = generate_instance(n, seed=int(rng.integers(2**31)))
             cover = select_charging_positions(instance)
             d_max = instance.dmc.d_max
-            for u in instance.nodes:
+            for u in node_rows(instance):
                 p = cover.positions[cover.assignment[u.id]]
                 assert math.dist(u.pos, p) <= d_max + 1e-9
             k = len(cover.positions)
             if k > 1:
-                points = [u.pos for u in instance.nodes]
+                points = [u.pos for u in node_rows(instance)]
                 smaller = kmeans(points, k - 1, seed=instance.asym.seed)
                 assert any(
                     min_enclosing_circle([points[i] for i in ids])[1] > d_max for ids in smaller

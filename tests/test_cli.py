@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymcharge import ValidationError, cli, model
+from asymcharge import ValidationError, cli
 from asymcharge.cli import (
     ALGORITHMS,
     ExperimentConfig,
@@ -29,12 +29,20 @@ from asymcharge.cli import (
     summarize,
     write_csv,
 )
-from asymcharge.errors import InfeasibleError
-from asymcharge.pipeline import execute_schedule, one_to_one_schedule, plan_schedule
+from asymcharge.errors import InfeasibleError, MalformedScheduleError
+from asymcharge.model import snap9_point
+from asymcharge.pipeline import (
+    MOVE,
+    TRANSMIT,
+    OperationSchedule,
+    execute_schedule,
+    one_to_one_schedule,
+    plan_schedule,
+)
 
-from conftest import subprocess_env
+from conftest import make_instance, subprocess_env
 from scalar_reference import reference_generate_instance
-from support import load_metrics_csv
+from support import load_metrics_csv, node_rows
 
 
 def _generated(generate, n, seed, area, avoid_bs_disc):
@@ -77,7 +85,7 @@ class TestGenerateInstance:
         count = 0
         for seed in range(40):
             instance = generate_instance(250, seed=seed)
-            for u in instance.nodes:
+            for u in node_rows(instance):
                 count += 1
                 assert u.e_b + u.e_d <= u.e_c + 1e-9
         assert count == 10_000
@@ -85,12 +93,12 @@ class TestGenerateInstance:
     def test_avoid_bs_disc(self):
         instance = generate_instance(60, seed=1, avoid_bs_disc=True)
         d = instance.dmc.d_max
-        for u in instance.nodes:
+        for u in node_rows(instance):
             assert math.dist(u.pos, instance.bs_pos) > d
 
     def test_nodes_inside_area(self):
         instance = generate_instance(100, seed=2, area=150.0)
-        for u in instance.nodes:
+        for u in node_rows(instance):
             assert 0.0 <= u.pos[0] <= 150.0
             assert 0.0 <= u.pos[1] <= 150.0
 
@@ -172,19 +180,77 @@ class TestSerialization:
             with pytest.raises(ValidationError, match=r"^bad schedule file: "):
                 schedule_from_text(text)
 
-    def test_columns_end_to_end_build_no_node_rows(self, monkeypatch):
-        # generating, parsing, planning with either scheduler and replaying
-        # read the node columns; only a reader of ``nodes`` builds its rows
-        def refuse(instance):
-            raise AssertionError("instance.nodes was built")
+    @pytest.mark.parametrize("value", ["1.5", "0.99", "true", '"1"'])
+    def test_state_not_an_integer_exit_code(self, tmp_path, capsys, value):
+        # int() read 1.5 and true as a transmission and 0.99 as a move; the
+        # item is valid as either, so only the reader can reject it
+        instance = generate_instance(3, seed=1)
+        inst = tmp_path / "inst.json"
+        inst.write_text(instance_to_text(instance))
+        x, y = snap9_point(instance.bs_pos)
+        sched = tmp_path / "s.json"
+        sched.write_text(f'{{"items": [{{"state": {value}, "x": {x}, "y": {y}, "psi": 0, "t": 0}}]}}')
+        capsys.readouterr()
+        code = main(["evaluate", "--instance", str(inst), "--schedule", str(sched)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error:validation: bad schedule file: state must be an integer, got {value}"]
 
-        monkeypatch.setattr(model.NetworkInstance, "nodes", property(refuse))
+    def test_integer_fields_read_whole_floats(self):
+        text = '{"items": [{"state": 1.0, "x": 0, "y": 0, "psi": 0, "t": 1}]}'
+        assert schedule_from_text(text).state.tolist() == [TRANSMIT]
+        text = instance_to_text(generate_instance(3, seed=1))
+        text = re.sub(r'"seed": [^,\n]+', '"seed": 3.0', text, count=1)
+        assert instance_from_text(text).asym.seed == 3
+
+    @pytest.mark.parametrize("value", ["3.7", "true", '"3"'])
+    def test_seed_not_an_integer_exit_code(self, tmp_path, capsys, value):
+        # int() planned 3.7 with seed 3 and true with seed 1
+        text = instance_to_text(generate_instance(5, seed=2))
+        inst = tmp_path / "inst.json"
+        inst.write_text(re.sub(r'"seed": [^,\n]+', f'"seed": {value}', text, count=1))
+        out = tmp_path / "s.json"
+        capsys.readouterr()
+        code = main(["schedule", "--instance", str(inst), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error:validation: bad instance file: asym seed must be an integer, got {value}"]
+        assert not out.exists()
+        # an invalid node before the seed raises first
+        doc = json.loads(inst.read_text())
+        doc["nodes"][1]["e_b"] = 1000.0
+        with pytest.raises(ValidationError, match=r"^node 1: initial energy \+ demand exceeds capacity"):
+            instance_from_text(json.dumps(doc))
+
+    def test_columns_end_to_end_build_no_node_rows(self, monkeypatch):
+        # generating, parsing, planning with either scheduler and replaying,
+        # the replay's faults included, read the columns; only a reader of
+        # ``items`` builds a schedule's rows
+        def refuse(schedule):
+            raise AssertionError("schedule.items was built")
+
+        monkeypatch.setattr(OperationSchedule, "items", property(refuse))
         generated = generate_instance(40, seed=3)
         parsed = instance_from_text(instance_to_text(generated))
         for instance in (generated, parsed, demo_instance()):
             for plan in cli._SCHEDULERS.values():
                 schedule, _ = plan(instance, 3)
                 execute_schedule(instance, schedule_from_text(schedule_to_text(schedule)))
+        instance = make_instance([((10.0, 0.0), 10.0, 20.0, 60.0)])
+        faults = [
+            ((TRANSMIT,), (5.0,), "item 0: transmits from (5.0, 0.0) but the charger is at (0.0, 0.0)"),
+            (
+                (MOVE, TRANSMIT),
+                (10.0, 11.0),
+                "item 1: transmits from (11.0, 0.0) but the charger is at (10.0, 0.0)",
+            ),
+            ((7,), (0.0,), "item 0: unknown state 7"),
+        ]
+        for state, x, message in faults:
+            zeros = np.zeros(len(x))
+            schedule = OperationSchedule(np.array(state), x, zeros, zeros, np.full(len(x), 10.0))
+            with pytest.raises(MalformedScheduleError, match=f"^{re.escape(message)}$"):
+                execute_schedule(instance, schedule)
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)

@@ -9,7 +9,6 @@ from asymcharge import (
     TRANSMIT,
     ChargingPositionSet,
     DmcParams,
-    OperationSchedule,
     ScheduleItem,
     build_coefficient_matrix,
     directions,
@@ -20,6 +19,7 @@ from asymcharge import (
 
 from conftest import make_instance
 from scalar_reference import angular_distance, reference_nodes_in_range
+from support import columns, schedule_of
 
 GRID_STEP = 0.001
 
@@ -50,7 +50,7 @@ def node_at(pos, e_d=20.0):
 
 def nodes_in_range(pos, instance):
     """Ids, bearings and distances of the nodes the kernel finds around one point."""
-    reach = directions.reach_pairs([pos], instance)
+    reach = directions.reach_pairs(*columns([pos]), instance)
     return reach.node.tolist(), reach.theta.tolist(), reach.dist.tolist()
 
 
@@ -218,7 +218,8 @@ class TestCoefficientMatrix:
         with mock.patch.object(directions, "reach_pairs", wraps=directions.reach_pairs) as reach:
             build_coefficient_matrix(cover, instance)
         assert reach.call_count == 1
-        assert reach.call_args.args[0] == cover.positions
+        px, py = reach.call_args.args[:2]
+        assert list(zip(px.tolist(), py.tolist())) == list(cover.positions)
         # the stops repeat: the replay searches each distinct one once
         stop = pts[0].tolist()
         items = [ScheduleItem(TRANSMIT, instance.bs_pos, psi, 1.0) for psi in (0.0, 2.0)]
@@ -229,8 +230,9 @@ class TestCoefficientMatrix:
             mock.patch.object(pipeline, "near_pairs", wraps=pipeline.near_pairs) as near,
             mock.patch.object(pipeline, "coverage_math", wraps=pipeline.coverage_math) as exact,
         ):
-            execute_schedule(instance, OperationSchedule(tuple(items)))
+            execute_schedule(instance, schedule_of(tuple(items)))
             assert near.call_count == exact.call_count == 1
-            assert near.call_args.args[0] == [instance.bs_pos, tuple(stop)]
-            execute_schedule(instance, OperationSchedule(tuple(items[2:3])))
+            px, py = near.call_args.args[:2]
+            assert list(zip(px.tolist(), py.tolist())) == [instance.bs_pos, tuple(stop)]
+            execute_schedule(instance, schedule_of(tuple(items[2:3])))
         assert near.call_count == exact.call_count == 1  # no transmissions, no search

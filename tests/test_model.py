@@ -9,7 +9,6 @@ from asymcharge import (
     AsymmetryField,
     DmcParams,
     NetworkInstance,
-    Node,
     ValidationError,
     build_routing_matrices,
     energy_accounting,
@@ -26,6 +25,8 @@ from scalar_reference import (
     transfer_coefficient,
 )
 from support import (
+    Node,
+    instance_of,
     ra_coefficients,
     ra_distance,
     received_energy,
@@ -293,7 +294,7 @@ class TestAngles:
 
 
 def _one_node_instance(node: Node) -> NetworkInstance:
-    return NetworkInstance((node,), (0.0, 0.0), DmcParams(), AsymmetryField(seed=0))
+    return instance_of((node,), (0.0, 0.0), DmcParams(), AsymmetryField(seed=0))
 
 
 class TestNodeValidation:
@@ -348,7 +349,7 @@ class TestNodeChecks:
         want = _raised(reference_check_nodes, columns)
         assert _raised(model.check_nodes, columns) == want
         bs, dmc, asym = (0.0, 0.0), DmcParams(), AsymmetryField(seed=0)
-        assert _raised(lambda *c: NetworkInstance.from_columns(*c, bs, dmc, asym), columns) == want
+        assert _raised(lambda *c: NetworkInstance(*c, bs, dmc, asym), columns) == want
 
     def test_lowest_node_and_first_check_named(self):
         columns = [np.zeros(4), np.zeros(4), np.full(4, 10.0), np.full(4, 20.0), np.full(4, 60.0)]
@@ -394,11 +395,9 @@ class TestNonFiniteParameters:
             AsymmetryField(seed=0, k_egy_range=(bad, 1.0))
 
     def test_instance_rejects_non_finite_base_station(self):
-        from asymcharge import NetworkInstance
-
         node = Node(0, (1.0, 1.0), 10.0, 20.0, 60.0)
         with pytest.raises(ValidationError):
-            NetworkInstance((node,), (math.nan, 0.0), DmcParams(), AsymmetryField(seed=0))
+            instance_of((node,), (math.nan, 0.0), DmcParams(), AsymmetryField(seed=0))
 
 
 def _bits(values) -> list[int]:
@@ -445,16 +444,16 @@ class TestSnap9Array:
 
 class TestLedgerVectors:
     def test_built_once_and_read_only(self):
-        from asymcharge import NetworkInstance
-
-        nodes = tuple(Node(i, (float(i), 0.0), 1.0 + i, 2.0, 60.0) for i in range(3))
-        instance = NetworkInstance(nodes, (0.0, 0.0), DmcParams(), AsymmetryField(seed=0))
+        x = [0.0, 1.0, 2.0]
+        instance = NetworkInstance(
+            x, [0.0] * 3, [1.0, 2.0, 3.0], [2.0] * 3, [60.0] * 3,
+            (0.0, 0.0), DmcParams(), AsymmetryField(seed=0),
+        )
         for vector, want in (
-            (instance.e_b_vector, [1.0, 2.0, 3.0]),
-            (instance.e_d_vector, [2.0, 2.0, 2.0]),
-            (instance.e_c_vector, [60.0, 60.0, 60.0]),
+            (instance.e_b, [1.0, 2.0, 3.0]),
+            (instance.e_d, [2.0, 2.0, 2.0]),
+            (instance.e_c, [60.0, 60.0, 60.0]),
         ):
-            assert vector() is vector()
-            assert vector().tolist() == want
+            assert vector.tolist() == want
             with pytest.raises(ValueError):
-                vector()[0] = 0.0
+                vector[0] = 0.0

@@ -12,7 +12,6 @@ from asymcharge import model, pipeline
 from asymcharge import (
     MOVE,
     TRANSMIT,
-    OperationSchedule,
     ScheduleItem,
     execute_schedule,
     one_to_one_schedule,
@@ -22,7 +21,14 @@ from asymcharge.errors import MalformedScheduleError
 from asymcharge import energy_accounting
 
 from conftest import make_instance
-from support import ra_coefficients, ra_distance, segment_move_energy_time
+from support import (
+    columns,
+    node_rows,
+    ra_coefficients,
+    ra_distance,
+    schedule_of,
+    segment_move_energy_time,
+)
 
 APEX = 4000.0 / 100.0**2
 
@@ -42,14 +48,14 @@ def node_at(pos, e_b=10.0, e_d=20.0, e_c=60.0):
 class TestExecuteSchedule:
     def test_empty_schedule(self):
         instance = make_instance([node_at((5.0, 0.0), e_d=0.0)])
-        metrics = execute_schedule(instance, OperationSchedule(()))
+        metrics = execute_schedule(instance, schedule_of(()))
         assert metrics.total_energy_loss == 0.0
         assert metrics.time_span == 0.0
         assert metrics.feasible
 
     def test_empty_schedule_infeasible_with_demand(self):
         instance = make_instance([node_at((5.0, 0.0), e_d=20.0)])
-        metrics = execute_schedule(instance, OperationSchedule(()))
+        metrics = execute_schedule(instance, schedule_of(()))
         assert not metrics.feasible
 
     def test_two_item_hand_schedule(self):
@@ -59,7 +65,7 @@ class TestExecuteSchedule:
             ScheduleItem(MOVE, (10.0, 0.0), 0.0, 10.0),
             ScheduleItem(TRANSMIT, (10.0, 0.0), 0.0, 10.0),
         )
-        metrics = execute_schedule(instance, OperationSchedule(items))
+        metrics = execute_schedule(instance, schedule_of(items))
         assert metrics.movement_energy == pytest.approx(40.0, rel=1e-12)
         assert metrics.received_total == pytest.approx(16.0, rel=1e-12)  # 4 W * 0.4 * 10 s
         assert metrics.charging_energy_loss == pytest.approx(24.0, rel=1e-12)
@@ -74,7 +80,7 @@ class TestExecuteSchedule:
             ScheduleItem(TRANSMIT, (10.0, 0.0), 0.0, 3.5),
             ScheduleItem(MOVE, (0.0, 0.0), 0.0, 10.0),
         )
-        metrics = execute_schedule(instance, OperationSchedule(items))
+        metrics = execute_schedule(instance, schedule_of(items))
         assert metrics.time_span == pytest.approx(sum(i.t for i in items), rel=1e-12)
         assert metrics.time_span == pytest.approx(
             metrics.charging_time + metrics.moving_time, rel=1e-12
@@ -84,7 +90,7 @@ class TestExecuteSchedule:
         instance = make_instance([node_at((10.0, 0.0))])
         items = (ScheduleItem(MOVE, (10.0, 0.0), 0.0, 9.0),)
         with pytest.raises(MalformedScheduleError):
-            execute_schedule(instance, OperationSchedule(items))
+            execute_schedule(instance, schedule_of(items))
 
     def test_duration_checked_at_nine_significant_digits(self):
         # a 98765.43214 m move at 1 m/s is stored as 98765.4321 s, and its end
@@ -101,10 +107,10 @@ class TestExecuteSchedule:
         for x, t, ok in cases:
             items = (ScheduleItem(MOVE, (x, 0.0), 0.0, t),)
             if ok:
-                assert execute_schedule(instance, OperationSchedule(items)).moving_time == t
+                assert execute_schedule(instance, schedule_of(items)).moving_time == t
             else:
                 with pytest.raises(MalformedScheduleError):
-                    execute_schedule(instance, OperationSchedule(items))
+                    execute_schedule(instance, schedule_of(items))
 
     def test_file_round_trip_evaluates_at_area_5000(self):
         from asymcharge.cli import (
@@ -160,7 +166,7 @@ class TestExecuteSchedule:
         instance = make_instance([node_at((10.0, 0.0))])
         items = (ScheduleItem(TRANSMIT, (10.0, 0.0), 0.0, 5.0),)
         with pytest.raises(MalformedScheduleError):
-            execute_schedule(instance, OperationSchedule(items))
+            execute_schedule(instance, schedule_of(items))
 
     def test_transmit_after_moving_elsewhere_rejected(self):
         instance = make_instance([node_at((10.0, 0.0)), node_at((0.0, 10.0))])
@@ -169,7 +175,7 @@ class TestExecuteSchedule:
             ScheduleItem(TRANSMIT, (0.0, 10.0), 0.0, 5.0),
         )
         with pytest.raises(MalformedScheduleError):
-            execute_schedule(instance, OperationSchedule(items))
+            execute_schedule(instance, schedule_of(items))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_item_rejected(self, bad):
@@ -180,19 +186,19 @@ class TestExecuteSchedule:
             ScheduleItem(TRANSMIT, (0.0, 0.0), bad, 1.0),
         ):
             with pytest.raises(MalformedScheduleError):
-                execute_schedule(instance, OperationSchedule((item,)))
+                execute_schedule(instance, schedule_of((item,)))
 
     def test_negative_duration_rejected(self):
         instance = make_instance([node_at((10.0, 0.0))])
         items = (ScheduleItem(TRANSMIT, (0.0, 0.0), 0.0, -1.0),)
         with pytest.raises(MalformedScheduleError):
-            execute_schedule(instance, OperationSchedule(items))
+            execute_schedule(instance, schedule_of(items))
 
     def test_unknown_state_rejected(self):
         instance = make_instance([node_at((10.0, 0.0))])
         items = (ScheduleItem(7, (0.0, 0.0), 0.0, 1.0),)
         with pytest.raises(MalformedScheduleError):
-            execute_schedule(instance, OperationSchedule(items))
+            execute_schedule(instance, schedule_of(items))
 
     def test_one_kernel_call_prices_every_move(self, monkeypatch):
         from asymcharge.cli import generate_instance
@@ -223,7 +229,7 @@ class TestExecuteSchedule:
             ((out, back, out, nan, late), r"item 3: non-finite"),
         ):
             with pytest.raises(MalformedScheduleError, match=f"^{first}"):
-                execute_schedule(instance, OperationSchedule(items))
+                execute_schedule(instance, schedule_of(items))
 
     def test_point_off_the_hash_grid_faults_its_move(self):
         # a cell beyond 64 bits is a validation fault at the move into it,
@@ -242,7 +248,7 @@ class TestExecuteSchedule:
             ((out, nan, far), MalformedScheduleError, r"item 1: non-finite"),
         ):
             with pytest.raises(error, match=f"^{first}"):
-                execute_schedule(instance, OperationSchedule(items))
+                execute_schedule(instance, schedule_of(items))
 
     def test_base_station_off_the_hash_grid_faults_the_first_move(self):
         # the charger starts at a 9-digit base station beyond 64-bit cells:
@@ -261,8 +267,8 @@ class TestExecuteSchedule:
             ((negative, out), MalformedScheduleError, r"item 0: negative duration$"),
         ):
             with pytest.raises(error, match=f"^{first}"):
-                execute_schedule(instance, OperationSchedule(items))
-        metrics = execute_schedule(instance, OperationSchedule((here,)))
+                execute_schedule(instance, schedule_of(items))
+        metrics = execute_schedule(instance, schedule_of((here,)))
         assert metrics.charging_time == 1.0 and metrics.tour_distance == 0.0
         assert not metrics.feasible
 
@@ -285,7 +291,7 @@ class TestExecuteSchedule:
             ((one, one), r"the schedule's energy or time totals are not finite"),
         ):
             with pytest.raises(MalformedScheduleError, match=f"^{first}$"):
-                execute_schedule(instance, OperationSchedule(items))
+                execute_schedule(instance, schedule_of(items))
 
     def test_offset_beyond_a_float_is_out_of_range(self):
         # 2e308 m apart: the offset overflows, quietly, and credits nothing
@@ -293,7 +299,7 @@ class TestExecuteSchedule:
         items = (ScheduleItem(TRANSMIT, (-1e308, 0.0), 0.0, 1.0),)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert execute_schedule(instance, OperationSchedule(items)).received_total == 0.0
+            assert execute_schedule(instance, schedule_of(items)).received_total == 0.0
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -327,7 +333,7 @@ class TestExecuteSchedule:
                     stated = math.nextafter(stated, math.copysign(math.inf, steps))
                 ok = stated >= 0 and abs(t - stated) <= tolerance
             items.append(ScheduleItem(MOVE, b, 0.0, stated))
-        schedule = OperationSchedule(tuple(items))
+        schedule = schedule_of(tuple(items))
         if ok:
             execute_schedule(instance, schedule)
         else:
@@ -458,7 +464,7 @@ class TestPlanSchedule:
                 here = item.pos
             else:
                 tran_time += item.t
-                for u in instance.nodes:
+                for u in node_rows(instance):
                     d = math.dist(u.pos, item.pos)
                     if d > instance.dmc.d_max:
                         continue
@@ -466,7 +472,7 @@ class TestPlanSchedule:
                     c = transfer_coefficient(item.psi, instance.dmc.phi, th, d, instance.dmc)
                     raw[u.id] += instance.dmc.p0 * c * item.t
         ledger = energy_accounting(
-            instance.e_b_vector(), instance.e_c_vector(), raw, tran_time, move_energy, instance.dmc
+            instance.e_b, instance.e_c, raw, tran_time, move_energy, instance.dmc
         )
         assert metrics.total_energy_loss == pytest.approx(ledger.e_total_loss, rel=1e-9)
         assert metrics.charging_energy_loss == pytest.approx(ledger.e_wpt_loss, rel=1e-9)
@@ -480,7 +486,7 @@ class TestPlanSchedule:
         full, metrics = plan_schedule(instance, seed=8)
         assert metrics.feasible
         spent = metrics.movement_energy + instance.dmc.p0 * metrics.charging_time
-        short = model.NetworkInstance.from_columns(
+        short = model.NetworkInstance(
             instance.x, instance.y, instance.e_b, instance.e_d, instance.e_c, instance.bs_pos,
             dataclasses.replace(instance.dmc, e_b0=0.5 * spent), instance.asym,
         )
@@ -489,7 +495,7 @@ class TestPlanSchedule:
         assert metrics.feasible is False
         # the battery ledger reads only the charger's totals, not the nodes' receipts
         ledger = energy_accounting(
-            short.e_b_vector(), short.e_c_vector(), np.zeros(short.n),
+            short.e_b, short.e_c, np.zeros(short.n),
             metrics.charging_time, metrics.movement_energy, short.dmc,
         )
         assert ledger.dmc_energy_ok is False
@@ -578,7 +584,7 @@ class TestOneToOne:
         instance = generate_instance(450, seed=1)
         schedule, _ = one_to_one_schedule(instance)
         stops = list(dict.fromkeys(item.pos for item in schedule.items if item.state == TRANSMIT))
-        in_range = len(directions.reach_pairs(stops, instance).node)
+        in_range = len(directions.reach_pairs(*columns(stops), instance).node)
         exact = []
         coverage_math = pipeline.coverage_math
 

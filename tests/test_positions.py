@@ -17,7 +17,7 @@ from asymcharge import (
 from asymcharge.cli import generate_instance
 
 from conftest import make_instance
-from support import kmeans
+from support import kmeans, node_rows
 
 
 def brute_force_circle(points):
@@ -195,12 +195,12 @@ class TestSelectChargingPositions:
             instance = make_instance(specs, bs=(100.0, 100.0))
             cover = select_charging_positions(instance)
             d_max = instance.dmc.d_max
-            for u in instance.nodes:
+            for u in node_rows(instance):
                 p = cover.positions[cover.assignment[u.id]]
                 assert math.hypot(u.pos[0] - p[0], u.pos[1] - p[1]) <= d_max + 1e-9
             k = len(cover.positions)
             if k > 1:
-                points = [u.pos for u in instance.nodes]
+                points = [u.pos for u in node_rows(instance)]
                 smaller = kmeans(points, k - 1, seed=instance.asym.seed)
                 assert any(radius_of(points, ids) > d_max for ids in smaller)
 

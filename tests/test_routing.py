@@ -23,7 +23,7 @@ from asymcharge import (
 from asymcharge.cli import generate_instance
 from asymcharge.errors import MalformedTourError
 
-from support import brute_force_tour, read_cost_matrix, write_cost_matrix
+from support import brute_force_tour, columns, node_rows, read_cost_matrix, write_cost_matrix
 
 
 def random_directed_graph(rng, n, closed=True):
@@ -127,8 +127,8 @@ class TestGreedyTour:
         # its cost; pricing every unvisited point instead gives the same
         # tours in fewer calls but hashes over 3,500 arcs past the windows
         instance = generate_instance(450, seed, area=200.0)
-        points = [model.snap9_point(instance.bs_pos)] + [u.pos for u in instance.nodes]
-        arcs = model.TravelArcs(points, instance.asym, instance.dmc)
+        points = [model.snap9_point(instance.bs_pos)] + [u.pos for u in node_rows(instance)]
+        arcs = model.TravelArcs(*columns(points), instance.asym, instance.dmc)
         hashed = []
         row = model.TravelArcs.row
 

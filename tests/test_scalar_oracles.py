@@ -21,7 +21,6 @@ from asymcharge import (
     AsymmetryField,
     DmcParams,
     NetworkInstance,
-    OperationSchedule,
     ScheduleItem,
     ChargingPositionSet,
     build_coefficient_matrix,
@@ -50,7 +49,7 @@ from scalar_reference import (
     reference_routing_matrices,
     reference_symmetric_cost,
 )
-from support import ra_coefficients, ra_distance
+from support import columns, node_rows, ra_coefficients, ra_distance, schedule_of
 from test_acceptance import random_schedule
 
 coordinate = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
@@ -138,7 +137,7 @@ class TestRoutingMatrices:
         pairs = data.draw(st.lists(st.tuples(index, index), max_size=30))
         if data.draw(st.booleans()):
             pairs.sort()
-        arcs = model.TravelArcs(points, asym, DmcParams())
+        arcs = model.TravelArcs(*columns(points), asym, DmcParams())
         origins = np.array([a for a, _ in pairs], dtype=np.intp)
         k_dis, span, k_egy = arcs.row(origins, [b for _, b in pairs])
         for at, (a, b) in enumerate(pairs):
@@ -149,7 +148,7 @@ class TestRoutingMatrices:
     def test_demo_table_overrides(self):
         instance = demo_instance()
         points = [instance.bs_pos, (20.0, 20.0), (80.0, 20.0), (20.0, 80.0), (80.0, 80.0)]
-        points += [u.pos for u in instance.nodes]
+        points += [u.pos for u in node_rows(instance)]
         assert_matrices_match(points, instance.asym, instance.dmc)
 
     def test_high_seed_and_negative_coordinates(self):
@@ -256,7 +255,7 @@ class TestReplay:
         offsets = boundary_offsets(d_max, 0.0, 1.0) + [tuple(o) for o in spread.tolist()]
         specs = [((pos[0] + dx, pos[1] + dy), 5.0, 20.0, 60.0) for dx, dy in offsets]
         instance = make_instance(specs, dmc=DmcParams(d_max=d_max))
-        reach = directions.reach_pairs([pos], instance)
+        reach = directions.reach_pairs(*columns([pos]), instance)
         got = (reach.node.tolist(), reach.theta.tolist(), reach.dist.tolist())
         assert got == reference_nodes_in_range(pos, instance)
 
@@ -285,7 +284,7 @@ class TestReplay:
             ScheduleItem(TRANSMIT, stop, psi, 3.0),
             ScheduleItem(TRANSMIT, stop, psi + phi / 2.0, 1.5),
         ]
-        schedule = OperationSchedule(tuple(items))
+        schedule = schedule_of(tuple(items))
         assert execute_schedule(instance, schedule) == reference_execute_schedule(instance, schedule)
 
     @settings(max_examples=100, deadline=None)
@@ -337,7 +336,7 @@ class TestReplay:
             + [ScheduleItem(MOVE, stop, 0.0, there)]
             + items[::-1]
         )
-        schedule = OperationSchedule(tuple(items))
+        schedule = schedule_of(tuple(items))
         assert execute_schedule(instance, schedule) == reference_execute_schedule(instance, schedule)
 
     @settings(max_examples=300, deadline=None)
@@ -353,7 +352,7 @@ class TestReplay:
         items = list(random_schedule(rng, instance).items)
         for kind, at in mutations:
             mutate(items, kind, at, rng, instance)
-        schedule = OperationSchedule(tuple(items))
+        schedule = schedule_of(tuple(items))
         assert replay_outcome(execute_schedule, instance, schedule) == replay_outcome(
             loop_execute_schedule, instance, schedule
         )
@@ -393,7 +392,7 @@ def matrix_cases(draw):
     )
     instance = generate_instance(n, seed=draw(st.integers(0, 2**32 - 1)), area=area, dmc=dmc)
     cover = select_charging_positions(instance)
-    apexes = draw(st.lists(st.sampled_from(instance.nodes), max_size=4))
+    apexes = draw(st.lists(st.sampled_from(node_rows(instance)), max_size=4))
     points = cover.positions + tuple(u.pos for u in apexes)
     return instance, ChargingPositionSet(points, cover.assignment)
 
@@ -433,11 +432,11 @@ class TestCoefficientMatrix:
     @given(matrix_cases())
     def test_kernel_blocks_do_not_change_the_pairs(self, case):
         instance, cover = case
-        points = list(cover.positions) + [u.pos for u in instance.nodes[:40]]
+        points = list(cover.positions) + [u.pos for u in node_rows(instance)[:40]]
         runs = []
         for block in (1, 7, directions._BLOCK):
             with mock.patch.object(directions, "_BLOCK", block):
-                runs.append([a.tobytes() for a in directions.reach_pairs(points, instance)])
+                runs.append([a.tobytes() for a in directions.reach_pairs(*columns(points), instance)])
         assert runs[0] == runs[1] == runs[2]
 
 
@@ -477,7 +476,7 @@ def scaled_arcs(draw):
         hit = st.floats(0.01, 5.0)
         overrides = {pair: (draw(hit), draw(hit)) for pair in pairs}
         asym = AsymmetryField(asym.seed, asym.k_dis_range, asym.k_egy_range, g, overrides)
-    return model.TravelArcs(points, asym, DmcParams(w0=draw(st.floats(0.5, 9.0))))
+    return model.TravelArcs(*columns(points), asym, DmcParams(w0=draw(st.floats(0.5, 9.0))))
 
 
 class TestGreedyTour:
@@ -500,8 +499,8 @@ class TestGreedyTour:
         instance = make_instance(
             [((3.3000000000000003, 4.4), 5.0, 20.0, 60.0), ((0.0, 5.5), 5.0, 20.0, 60.0)]
         )
-        points = [instance.bs_pos] + [u.pos for u in instance.nodes]
-        arcs = model.TravelArcs(points, instance.asym, instance.dmc)
+        points = [instance.bs_pos] + [u.pos for u in node_rows(instance)]
+        arcs = model.TravelArcs(*columns(points), instance.asym, instance.dmc)
         assert arcs.arc_costs(0, [1, 2]).tolist() == [22.0, 22.0]
         with mock.patch.object(routing, "_WINDOW", 1):
             assert arcs.window(1)[0][0].tolist() == [2]
@@ -513,7 +512,7 @@ class TestGreedyTour:
         # by a relative 2.4e-6; the point at 1e-170 squares to 0
         asym = AsymmetryField(1, (1.0, 1.0), (1.0, 1.0))
         xs = (0.0, 1e-170, 1.87e-162, 1.0056e-159)
-        arcs = model.TravelArcs([(x, 0.0) for x in xs], asym, DmcParams())
+        arcs = model.TravelArcs(*columns([(x, 0.0) for x in xs]), asym, DmcParams())
         cost = arcs.arc_costs(0, [1, 2, 3])
         assert np.all(arcs.lower_bounds(0, [1, 2, 3]) <= cost)
         for w in (1, 2):
@@ -556,19 +555,19 @@ def one_to_one_instances(draw):
         grid=g,
     )
     if draw(st.booleans()):
-        cells = [asym.quantize(p) for p in [base.bs_pos] + [u.pos for u in base.nodes]]
+        cells = [asym.quantize(p) for p in [base.bs_pos] + [u.pos for u in node_rows(base)]]
         pairs = draw(st.lists(st.tuples(st.sampled_from(cells), st.sampled_from(cells)), max_size=8))
         hit = st.floats(0.01, 5.0)
         overrides = {pair: (draw(hit), draw(hit)) for pair in pairs}
         asym = AsymmetryField(asym.seed, asym.k_dis_range, asym.k_egy_range, g, overrides)
     dmc = DmcParams(w0=draw(st.floats(min_value=0.5, max_value=9.0)))
-    return NetworkInstance(base.nodes, base.bs_pos, dmc, asym)
+    return NetworkInstance(base.x, base.y, base.e_b, base.e_d, base.e_c, base.bs_pos, dmc, asym)
 
 
 def travel_arcs(instance):
     """The travel arcs of the one-to-one tour: the base station, then every node."""
-    points = [instance.bs_pos] + [u.pos for u in instance.nodes]
-    return model.TravelArcs(points, instance.asym, instance.dmc)
+    points = [instance.bs_pos] + [u.pos for u in node_rows(instance)]
+    return model.TravelArcs(*columns(points), instance.asym, instance.dmc)
 
 
 class TestSymmetricReformulation:

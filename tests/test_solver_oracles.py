@@ -53,7 +53,7 @@ from scalar_reference import (
     reference_select_charging_positions,
     reference_solve_lp,
 )
-from support import kmeans
+from support import kmeans, node_rows
 
 
 def stride_rule_cover(instance):
@@ -64,7 +64,7 @@ def stride_rule_cover(instance):
     ``reference_kmeans`` and ``reference_fitted_cover``; the first k that
     fits after the last failed probe wins.
     """
-    points = [u.pos for u in instance.nodes]
+    points = [u.pos for u in node_rows(instance)]
     d_max = instance.dmc.d_max
     seed = instance.asym.seed & 0xFFFF_FFFF_FFFF_FFFF
     bound = positions._separated_count(np.asarray(points, dtype=float), d_max)
@@ -298,20 +298,20 @@ class TestCover:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(cover_instances(), spread_instances()))
     def test_no_k_below_the_bound_fits(self, instance):
-        points = [u.pos for u in instance.nodes]
+        pts = np.column_stack((instance.x, instance.y))
         d_max = instance.dmc.d_max
-        bound = positions._separated_count(np.asarray(points, dtype=float), d_max)
+        bound = positions._separated_count(pts, d_max)
         assert 1 <= bound <= len(select_charging_positions(instance).positions)
         for k in range(1, bound):
-            clusters = kmeans(points, k, instance.asym.seed)
-            assert positions._fitted_cover(points, clusters, d_max, {}) is None
+            clusters = kmeans(pts, k, instance.asym.seed)
+            assert positions._fitted_cover(pts, clusters, d_max, {}) is None
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(cover_instances(), spread_instances()))
     def test_fit_equal_to_welzl_only_fit(self, instance):
         # the width test rejects a k only where enclosing every cluster
         # rejects it too, and never a k that fits
-        points = [u.pos for u in instance.nodes]
+        points = [u.pos for u in node_rows(instance)]
         pts = np.asarray(points, dtype=float)
         d_max = instance.dmc.d_max
         enclosed = {}
@@ -324,7 +324,7 @@ class TestCover:
 
     def test_no_circle_for_a_k_the_width_test_rejects(self):
         instance = generate_instance(150, seed=1, area=200.0)
-        points = [u.pos for u in instance.nodes]
+        points = [u.pos for u in node_rows(instance)]
         d_max = instance.dmc.d_max
         reach = 2.0 * d_max * (1.0 + 1e-6)
         fits = len(select_charging_positions(instance).positions)
@@ -339,7 +339,7 @@ class TestCover:
             with mock.patch.object(
                 positions, "min_enclosing_circle", wraps=positions.min_enclosing_circle
             ) as welzl:
-                cover = positions._fitted_cover(points, clusters, d_max, {})
+                cover = positions._fitted_cover(np.asarray(points), clusters, d_max, {})
             if wide:
                 rejected += 1
                 assert cover is None
@@ -515,7 +515,7 @@ class TestCover:
         instance = generate_instance(120, seed=3, area=200.0)
         with mock.patch.object(positions, "kmeans", wraps=positions.kmeans) as km:
             cover = select_charging_positions(instance)
-        points = np.asarray([u.pos for u in instance.nodes], dtype=float)
+        points = np.asarray([u.pos for u in node_rows(instance)], dtype=float)
         bound = positions._separated_count(points, instance.dmc.d_max)
         ks = [call.args[1] for call in km.call_args_list]
         k = len(cover.positions)
