@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -90,18 +91,7 @@ _TOUR_SOLVERS = {
     "transform_greedy": lambda closed, seed: _on_symmetric(_TOUR_SOLVERS["greedy"], closed, seed),
 }
 ATSP_SOLVERS = tuple(_TOUR_SOLVERS)
-METRIC_FIELDS = (
-    "total_energy_loss",
-    "charging_energy_loss",
-    "movement_energy",
-    "tour_distance",
-    "time_span",
-    "charging_time",
-    "moving_time",
-    "algorithm_runtime",
-    "received_total",
-    "feasible",
-)
+METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(ScheduleMetrics))
 DETAIL_FIELDS = ("algorithm", "n", "repeat", "seed", "status", *METRIC_FIELDS)
 SUMMARY_FIELDS = (
     "algorithm", "n", "runs",
@@ -128,7 +118,7 @@ def _draw_energies(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nda
     becomes the headroom snapped toward zero.
     """
     lo, span = np.array([60.0, 6.0, 18.0]), np.array([30.0, 30.0, 57.0])
-    e_c, e_b, e_d = snap9_array(lo + span * rng.random((n, 3))).T.copy()
+    e_c, e_b, e_d = snap9_array(lo + span * rng.random((n, 3))).T
     headroom = e_c - e_b
     over = e_d > headroom
     e_d[over] = [_snap9_down(h) for h in headroom[over].tolist()]
@@ -206,7 +196,7 @@ def generate_instance(
             xy = xy[np.fromiter(map(math.hypot, dx, dy), float, need) > dmc.d_max]
         placed.append(xy)
         count += len(xy)
-    x, y = snap9_array(np.concatenate(placed)).T.copy()
+    x, y = snap9_array(np.concatenate(placed)).T
     e_b, e_d, e_c = _draw_energies(rng, n)
     return NetworkInstance(x, y, e_b, e_d, e_c, bs, dmc, AsymmetryField(seed=seed))
 
@@ -346,7 +336,7 @@ def _node_columns(values: list[float]) -> np.ndarray:
     file with extra digits behave as its re-serialized form.
     """
     whole = np.array(values, dtype=float)[: len(values) - len(values) % 5]
-    return snap9_array(whole).reshape(-1, 5).T.copy()
+    return snap9_array(whole).reshape(-1, 5).T
 
 
 def schedule_to_text(schedule: OperationSchedule) -> str:
@@ -368,7 +358,7 @@ def schedule_from_text(text: str) -> OperationSchedule:
     if not set(states) <= {MOVE, TRANSMIT}:
         state = next(s for s in states if s not in (MOVE, TRANSMIT))
         raise ValidationError(f"bad schedule file: unknown state {state}")
-    x, y, psi, t = snap9_array(np.array(values, dtype=float)).reshape(-1, 4).T.copy()
+    x, y, psi, t = snap9_array(np.array(values, dtype=float)).reshape(-1, 4).T
     return OperationSchedule(np.array(states, dtype=np.int64), x, y, psi, t)
 
 
@@ -582,7 +572,7 @@ def demo_instance() -> NetworkInstance:
         ring(_DEMO_CENTERS[2], 5.0, [190.0, 210.0, 20.0]),
         [_DEMO_CENTERS[3]],
     ]
-    x, y = snap9_array(np.array([p for blob in blobs for p in blob])).T.copy()
+    x, y = snap9_array(np.array([p for blob in blobs for p in blob])).T
     e_b, e_d, e_c = _draw_energies(np.random.default_rng(7), len(x))
 
     specials = [_DEMO_BS] + _DEMO_CENTERS

@@ -212,13 +212,14 @@ class NetworkInstance:
     The nodes are five read-only float columns with one entry per node id:
     ``x`` and ``y`` the position, ``e_b`` the initial stored energy,
     ``e_d`` the demand and ``e_c`` the battery capacity.  The constructor
-    takes them as they are and runs ``check_nodes`` over them.
+    copies each column it is given, so the caller's arrays stay its own,
+    and runs ``check_nodes`` over the copies.
     """
 
     __slots__ = (*_NODE_COLUMNS, "bs_pos", "dmc", "asym")
 
     def __init__(self, x, y, e_b, e_d, e_c, bs_pos: Point, dmc: DmcParams, asym: AsymmetryField):
-        columns = [np.asarray(column, dtype=float) for column in (x, y, e_b, e_d, e_c)]
+        columns = [np.array(column, dtype=float) for column in (x, y, e_b, e_d, e_c)]
         if any(column.shape != columns[0].shape or column.ndim != 1 for column in columns):
             raise ValidationError("node columns must be vectors of one length")
         check_nodes(*columns)

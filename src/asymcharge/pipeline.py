@@ -63,7 +63,8 @@ class OperationSchedule:
     ``state`` holds MOVE or TRANSMIT, ``x`` and ``y`` the movement target
     or transmission position, ``psi`` the transmission direction (unused
     for movement items) and ``t`` the duration in seconds.  The constructor
-    takes the columns as they are and makes them read-only.  ``items`` is
+    copies each column it is given and makes the copies read-only, so the
+    caller's arrays stay its own.  ``items`` is
     the tuple of ``ScheduleItem`` rows, built once when first read.  Two
     schedules are equal when their columns are.
     """
@@ -71,8 +72,8 @@ class OperationSchedule:
     __slots__ = (*_COLUMNS, "_items")
 
     def __init__(self, state, x, y, psi, t):
-        values = (np.asarray(v, dtype=float) for v in (x, y, psi, t))
-        for name, column in zip(_COLUMNS, (np.asarray(state), *values)):
+        values = (np.array(v, dtype=float) for v in (x, y, psi, t))
+        for name, column in zip(_COLUMNS, (np.array(state), *values)):
             column.setflags(write=False)
             setattr(self, name, column)
         self._items = None
@@ -164,8 +165,9 @@ def _received(
     """Energy each node receives from the transmissions, before capacity clipping.
 
     Transmission i sends from the stop ``(stop_x[stop[i]], stop_y[stop[i]])``
-    in direction ``psi[i]`` for ``t[i]`` seconds.  One ``near_pairs`` call
-    searches the distinct stops.  A pair whose numpy bearing lies more than
+    in direction ``psi[i]`` for ``t[i]`` seconds; the stops are the
+    charger's start and the ends of its moves, and one ``near_pairs`` call
+    searches them all.  A pair whose numpy bearing lies more than
     ``phi / 2 + 1e-9`` off a transmission's direction is dropped for that
     transmission: ``np.arctan2`` differs from ``math.atan2`` by an ulp or
     so, about 1e-15 rad, far inside the margin, so the exact test would
@@ -312,13 +314,10 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
 
     received_raw = np.zeros(instance.n)
     if sends.size:
-        sx, sy = x[sends], y[sends]
-        # each send's first send from its point, keyed as a dict keys points:
-        # -0.0 and 0.0 are one key, and its first point keeps the sign atan2 reads
-        points = zip(sx.tolist(), sy.tolist())
-        firsts = np.fromiter(map({}.setdefault, points, itertools.count()), np.intp, sends.size)
-        first, stop = np.unique(firsts, return_inverse=True)  # the distinct stops, first seen first
-        received_raw, bad = _received(instance, sx[first], sy[first], stop, psi[sends], t[sends])
+        # the placement check put each send before the cut at the end of the
+        # moves before it
+        stop_x, stop_y = end_x[: moves.size + 1], end_y[: moves.size + 1]
+        received_raw, bad = _received(instance, stop_x, stop_y, before[sends], psi[sends], t[sends])
         if bad is not None:
             idx = int(sends[bad])
             faults.append((idx, MalformedScheduleError(f"item {idx}: credited energy is not finite")))
@@ -356,7 +355,7 @@ def _movement_items(
 
 def _from_values(values: list[float]) -> OperationSchedule:
     """The schedule whose items' state, x, y, psi and t follow one another in ``values``."""
-    state, x, y, psi, t = np.array(values, dtype=float).reshape(-1, 5).T.copy()
+    state, x, y, psi, t = np.array(values, dtype=float).reshape(-1, 5).T
     return OperationSchedule(state.astype(np.int64), x, y, psi, t)
 
 

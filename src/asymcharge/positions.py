@@ -11,7 +11,9 @@ depend on the order the search tries it in.  A k with a cluster wider than
 the separation reach in x or y is rejected by one numpy pass before any
 circle is built; otherwise its clusters are enclosed in order until one
 does not fit, and a cluster that another k already enclosed keeps its
-center.
+center.  Each circle comes from Welzl's incremental loop over a seeded
+shuffle, with three collinear points enclosed by their farthest pair's
+diameter circle.
 """
 
 from __future__ import annotations
@@ -39,61 +41,35 @@ class ChargingPositionSet:
 
 
 def min_enclosing_circle(points: list[Point]) -> tuple[Point, float]:
-    """Smallest circle covering all points (randomized incremental build).
+    """Smallest circle covering all points, by Welzl's incremental loop.
 
-    Expected linear time; the point order is shuffled with a fixed-seed
-    generator so results are reproducible.
+    The points are shuffled with a fixed-seed generator, so results are
+    reproducible, and enclosed one at a time in expected linear time.  A
+    point outside the circle so far restarts it at that point alone; an
+    earlier point outside that one makes the two a diameter, and a point
+    before that one makes the three its circumcircle.  Three collinear points
+    have none, so the farthest two of them become the diameter instead.
     """
     if len(points) == 0:
         raise ValidationError("cannot enclose an empty point set")
     pts = [(float(x), float(y)) for x, y in points]
     random.Random(0x5EED).shuffle(pts)
-    c = None
+    c = (pts[0][0], pts[0][1], 0.0)
     for i, p in enumerate(pts):
-        if c is None or not _in_circle(c, p):
-            c = _circle_one_boundary(pts[: i + 1], p)
+        if _in_circle(c, p):
+            continue
+        c = (p[0], p[1], 0.0)
+        for j, q in enumerate(pts[:i]):
+            if _in_circle(c, q):
+                continue
+            c = _diameter_circle(p, q)
+            for r in pts[:j]:
+                if not _in_circle(c, r):
+                    c = _circumcircle(p, q, r) or max(
+                        _diameter_circle(p, q), _diameter_circle(p, r), _diameter_circle(q, r),
+                        key=lambda d: d[2],
+                    )
     return (c[0], c[1]), c[2]
-
-
-def _circle_one_boundary(points, p):
-    c = (p[0], p[1], 0.0)
-    for i, q in enumerate(points):
-        if not _in_circle(c, q):
-            if c[2] == 0.0:
-                c = _diameter_circle(p, q)
-            else:
-                c = _circle_two_boundary(points[: i + 1], p, q)
-    return c
-
-
-def _circle_two_boundary(points, p, q):
-    circ = _diameter_circle(p, q)
-    left = None
-    right = None
-    px, py = p
-    qx, qy = q
-    for r in points:
-        if _in_circle(circ, r):
-            continue
-        cross = _cross(px, py, qx, qy, r[0], r[1])
-        c = _circumcircle(p, q, r)
-        if c is None:
-            continue
-        if cross > 0.0 and (
-            left is None or _cross(px, py, qx, qy, c[0], c[1]) > _cross(px, py, qx, qy, left[0], left[1])
-        ):
-            left = c
-        elif cross < 0.0 and (
-            right is None or _cross(px, py, qx, qy, c[0], c[1]) < _cross(px, py, qx, qy, right[0], right[1])
-        ):
-            right = c
-    if left is None and right is None:
-        return circ
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return left if left[2] <= right[2] else right
 
 
 def _diameter_circle(a, b):
@@ -120,10 +96,6 @@ def _circumcircle(a, b, c):
 
 def _in_circle(c, p):
     return math.hypot(p[0] - c[0], p[1] - c[1]) <= c[2] * (1.0 + 1e-14) + 1e-14
-
-
-def _cross(x0, y0, x1, y1, x2, y2):
-    return (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
 
 
 class _Seeding:

@@ -11,6 +11,10 @@ Each pivot is a rank-one update of the tableau, reduced-cost row included.
 Only the rows where the entering column is nonzero change, and the covering
 matrix is very sparse, so the update runs row by row over those rows alone,
 in place.
+
+``solve_lp`` returns an optimal solution or raises: ``InfeasibleError`` when
+the simplex finds no entering column for an unmet demand row, and
+``PivotLimitError`` when it runs out of pivots.
 """
 
 from __future__ import annotations
@@ -38,9 +42,10 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """An optimal solution; a program without one raises instead."""
+
     t: np.ndarray
     objective: float
-    status: str  # "optimal" | "infeasible"
 
 
 def build_time_lp(matrix: CoefficientMatrix, instance: NetworkInstance) -> LpProblem:
@@ -62,7 +67,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """Optimal transmission times for a well-formed covering program.
 
     Variables whose constraint column is all-zero cannot help any node and
-    are fixed at zero before solving.
+    are fixed at zero before solving.  A program the simplex finds no
+    optimum for raises ``InfeasibleError``, so a solution it returns is
+    optimal.
     """
     a = np.asarray(problem.a, dtype=float)
     b = np.asarray(problem.b, dtype=float)
@@ -76,26 +83,23 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     t_full = np.zeros(k_all)
     rows = np.flatnonzero(b > 0.0)  # zero-demand rows are satisfied by t = 0
     if rows.size == 0:
-        return LpSolution(t=t_full, objective=0.0, status="optimal")
-    if useful.size == 0:
-        return LpSolution(t=t_full, objective=0.0, status="infeasible")
+        return LpSolution(t=t_full, objective=0.0)
 
-    x, status = _simplex_min(a[np.ix_(rows, useful)], b[rows])
-    if status != "optimal":
-        return LpSolution(t=t_full, objective=0.0, status=status)
+    x = _simplex_min(a[np.ix_(rows, useful)], b[rows])
     x[(x < 0.0) & (x > -1e-12)] = 0.0
     t_full[useful] = x
-    return LpSolution(t=t_full, objective=float(t_full.sum()), status="optimal")
+    return LpSolution(t=t_full, objective=float(t_full.sum()))
 
 
-def _simplex_min(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str]:
+def _simplex_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dual simplex for min 1'x, a x >= b, x >= 0 (a, b >= 0).
 
     The tableau rows are ``[-a | I | -b]`` with the surplus variables basic,
     and the last row holds the reduced costs ``[1 | 0 | -objective]``.  Every
     cost is 1 and ``a >= 0``, so that basis is dual feasible from the start:
     no phase 1 and no artificial columns.  Each pivot raises the dual
-    objective (or keeps it) until no rhs is negative.
+    objective (or keeps it) until no rhs is negative.  A row with a negative
+    rhs and no entry below ``-_EPS`` raises ``InfeasibleError``.
     """
     m, n = a.shape
     # columns: n structural | m surplus | rhs; the last row holds the reduced costs
@@ -124,8 +128,11 @@ def _simplex_min(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str]:
         candidates = np.flatnonzero(entries < -_EPS)
         if candidates.size == 0:
             # the row reads x_B = rhs - sum(entry * x) with rhs < 0 and no
-            # entry < 0, so its basic variable can never reach 0
-            return np.zeros(n), "infeasible"
+            # entry below -_EPS, so no column can enter at that tolerance
+            raise InfeasibleError(
+                f"the simplex found no entering column at its tolerance {_EPS:g}:"
+                " an unmet demand row has no coefficient large enough to pivot on"
+            )
         ratios = np.maximum(tab[m, candidates], 0.0) / -entries[candidates]
         best = ratios.min()
         col = int(candidates[np.argmax(ratios <= best + _EPS * (1.0 + best))])
@@ -148,7 +155,7 @@ def _simplex_min(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str]:
     for row, var in enumerate(basis):
         if var < n:
             x[var] = tab[row, -1]
-    return x, "optimal"
+    return x
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:

@@ -25,7 +25,8 @@ columns bit for bit, and the same fault for the same columns.
 
 The two-phase primal simplex behind ``timing.solve_lp`` is the objective
 oracle for the dual simplex there: both reach an optimal vertex, but not
-always the same one, so they agree on status and objective, not on ``t``.
+always the same one, so they agree on objective, not on ``t``; where the
+oracle finds the program infeasible, ``solve_lp`` must raise.
 It reads its tolerances and limits from ``timing`` when it runs, so a test
 that changes them changes both sides.
 
@@ -165,14 +166,6 @@ def reference_maximal_sectors(
             candidates[covered] = mid
     maximal = [(mid, c) for c, mid in candidates.items() if not any(c < t for t in candidates)]
     return sorted(maximal, key=lambda pair: pair[0])
-
-
-def reference_representative_directions(pos: Point, instance: NetworkInstance) -> list[float]:
-    """One direction per maximal coverage subset of the nodes in range, ascending."""
-    return [
-        psi
-        for psi, _ in reference_maximal_sectors(*reference_nodes_in_range(pos, instance), instance.dmc.phi)
-    ]
 
 
 def reference_coefficient_matrix(
@@ -355,11 +348,12 @@ def loop_execute_schedule(
 _FEAS_TOL = 1e-7  # phase-1 objective above which the program is infeasible
 
 
-def reference_solve_lp(problem: LpProblem) -> LpSolution:
-    """Optimal transmission times for a well-formed covering program.
+def reference_solve_lp(problem: LpProblem) -> tuple[LpSolution, str]:
+    """Optimal transmission times for a well-formed covering program, and a status.
 
-    Variables whose constraint column is all-zero cannot help any node and
-    are fixed at zero before solving.
+    The status is "optimal" or "infeasible"; an infeasible program comes
+    with all times zero.  Variables whose constraint column is all-zero
+    cannot help any node and are fixed at zero before solving.
     """
     a = np.asarray(problem.a, dtype=float)
     b = np.asarray(problem.b, dtype=float)
@@ -373,16 +367,16 @@ def reference_solve_lp(problem: LpProblem) -> LpSolution:
     t_full = np.zeros(k_all)
     rows = np.flatnonzero(b > 0.0)  # zero-demand rows are satisfied by t = 0
     if rows.size == 0:
-        return LpSolution(t=t_full, objective=0.0, status="optimal")
+        return LpSolution(t=t_full, objective=0.0), "optimal"
     if useful.size == 0:
-        return LpSolution(t=t_full, objective=0.0, status="infeasible")
+        return LpSolution(t=t_full, objective=0.0), "infeasible"
 
     x, status = _reference_simplex_min(a[np.ix_(rows, useful)], b[rows])
     if status != "optimal":
-        return LpSolution(t=t_full, objective=0.0, status=status)
+        return LpSolution(t=t_full, objective=0.0), status
     x[(x < 0.0) & (x > -1e-12)] = 0.0
     t_full[useful] = x
-    return LpSolution(t=t_full, objective=float(t_full.sum()), status="optimal")
+    return LpSolution(t=t_full, objective=float(t_full.sum())), "optimal"
 
 
 def _reference_simplex_min(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str]:

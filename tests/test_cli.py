@@ -492,6 +492,22 @@ class TestCommandLine:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:validation:")
 
+    def test_program_below_the_simplex_tolerance_exit_code(self, tmp_path, capsys):
+        # every node is covered, but each p0 * coefficient is about 4e-10,
+        # below the simplex's 1e-9 tolerance: no column can enter, and the
+        # plan must not come back empty
+        text = instance_to_text(generate_instance(30, seed=1, area=100.0))
+        inst = tmp_path / "inst.json"
+        inst.write_text(re.sub(r'"delta": [^,\n]+', '"delta": 1e-6', text, count=1))
+        sched = tmp_path / "s.json"
+        capsys.readouterr()
+        code = main(["schedule", "--instance", str(inst), "--out", str(sched)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error:infeasible:")
+        assert "no entering column" in err[0]
+        assert not sched.exists()
+
     @pytest.mark.parametrize("algorithm", ["ra_dmcs", "o2o_greedy"])
     @pytest.mark.parametrize("field", ["w0", "k_dis_hi"])
     def test_travel_overflow_exit_code(self, tmp_path, algorithm, field):

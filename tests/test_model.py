@@ -457,3 +457,15 @@ class TestLedgerVectors:
             assert vector.tolist() == want
             with pytest.raises(ValueError):
                 vector[0] = 0.0
+
+    def test_caller_arrays_stay_the_callers(self):
+        # the instance freezes copies: the caller's arrays stay writable,
+        # and writing to them leaves the instance's columns as they were
+        given = [np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([1.0, 2.0]),
+                 np.array([2.0, 2.0]), np.array([60.0, 60.0])]
+        instance = NetworkInstance(*given, (0.0, 0.0), DmcParams(), AsymmetryField(seed=0))
+        for column in given:
+            column[0] = 5.0
+        assert instance.x.tolist() == [0.0, 1.0]
+        assert instance.e_b.tolist() == [1.0, 2.0]
+        assert instance.e_c.tolist() == [60.0, 60.0]

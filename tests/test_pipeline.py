@@ -53,6 +53,18 @@ class TestExecuteSchedule:
         assert metrics.time_span == 0.0
         assert metrics.feasible
 
+    def test_caller_arrays_stay_the_callers(self):
+        # the schedule freezes copies: the caller's arrays stay writable,
+        # and writing to them leaves the schedule's columns as they were
+        state = np.array([MOVE, TRANSMIT])
+        x, y, psi, t = np.array([3.0, 3.0]), np.array([4.0, 4.0]), np.zeros(2), np.array([5.0, 1.0])
+        schedule = pipeline.OperationSchedule(state, x, y, psi, t)
+        for column in (state, x, y, psi, t):
+            column[0] = 7
+        assert schedule.state.tolist() == [MOVE, TRANSMIT]
+        assert schedule.x.tolist() == [3.0, 3.0]
+        assert schedule.t.tolist() == [5.0, 1.0]
+
     def test_empty_schedule_infeasible_with_demand(self):
         instance = make_instance([node_at((5.0, 0.0), e_d=20.0)])
         metrics = execute_schedule(instance, schedule_of(()))

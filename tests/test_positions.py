@@ -55,6 +55,30 @@ def brute_force_circle(points):
     return best
 
 
+def degenerate_points(rng, kind):
+    """1-12 points of one degenerate kind, offset up to 1e3 from the origin.
+
+    "cocircular" points lie on one circle up to rounding, "duplicated" ones
+    repeat a few distinct points, "collinear" ones lie exactly on a line
+    (integer coordinates and slope), and "grid" ones on a unit grid.
+    """
+    n = int(rng.integers(1, 13))
+    offset = rng.uniform(-1e3, 1e3, 2)
+    if kind == "cocircular":
+        angles = rng.uniform(0.0, 2.0 * math.pi, n)
+        pts = offset + rng.uniform(0.1, 50.0) * np.column_stack((np.cos(angles), np.sin(angles)))
+    elif kind == "duplicated":
+        distinct = offset + rng.uniform(0.0, 40.0, (int(rng.integers(1, 5)), 2))
+        pts = distinct[rng.integers(0, len(distinct), n)]
+    elif kind == "collinear":
+        steps = rng.integers(-20, 21, n)
+        slope = rng.choice([0, 1, -1, 2, -3])
+        pts = np.round(offset) + np.column_stack((steps, slope * steps))
+    else:
+        pts = offset + rng.integers(0, 5, (n, 2))
+    return [tuple(p) for p in pts.astype(float).tolist()]
+
+
 def radius_of(points, ids):
     return min_enclosing_circle([points[i] for i in ids])[1]
 
@@ -91,6 +115,29 @@ class TestMinEnclosingCircle:
                 math.hypot(p[0] - center[0], p[1] - center[1]) <= radius + 1e-9
                 for p in points
             )
+        kinds = ("cocircular", "duplicated", "collinear", "grid")
+        for kind in itertools.islice(itertools.cycle(kinds), 200):
+            points = degenerate_points(rng, kind)
+            center, radius = min_enclosing_circle(points)
+            _, want_radius = brute_force_circle(points)
+            assert radius == pytest.approx(want_radius, rel=1e-8, abs=0.0), kind
+            assert all(
+                math.hypot(p[0] - center[0], p[1] - center[1]) <= radius + 1e-9
+                for p in points
+            ), kind
+
+    def test_cocircular_points_all_enclosed(self):
+        # four points 20 m from (1e6, 1e6): the circle through three of them
+        # must still pass the in-circle test for the fourth
+        points = [
+            (999980.5602424346, 1000004.7006197249),
+            (1000015.6526809948, 999987.5503583314),
+            (1000019.932534947, 999998.3586436745),
+            (999981.7226069936, 1000008.1201542405),
+        ]
+        center, radius = min_enclosing_circle(points)
+        assert radius == 20.00000000002522
+        assert all(positions._in_circle((*center, radius), p) for p in points)
 
 
 def sse_of_partition(points, groups):

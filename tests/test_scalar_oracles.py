@@ -196,7 +196,8 @@ def mutate(items, kind, at, rng, instance):
         stop = model.snap9_point(tuple(rng.uniform(0, 200, 2)))
         items.insert(i, ScheduleItem(TRANSMIT, stop, 0.0, 1.0))
     elif kind == "zero_pair":
-        # -0.0 and 0.0 are one stop, kept with the sign of whichever comes first
+        # two sends at the end of a move to x = 0.0, one at x = -0.0 and one at
+        # 0.0: both pass the placement check and send from that move's end
         y = float(rng.uniform(0, 200))
         t = travel_time(charger_at(items, i, instance), (0.0, y), instance)
         signs = [-0.0, 0.0][:: int(rng.choice([-1, 1]))]

@@ -57,7 +57,6 @@ class TestBuildTimeLp:
         cover = select_charging_positions(instance)
         matrix = build_coefficient_matrix(cover, instance)
         solution = solve_lp(build_time_lp(matrix, instance))
-        assert solution.status == "optimal"
         assert solution.objective == 0.0
         assert np.all(solution.t == 0.0)
 
@@ -106,7 +105,6 @@ class TestBuildTimeLp:
         a = 4.0 * np.array([[0.4], [0.2]]).T  # (1 node, 2 pairs)
         problem = LpProblem(a=a, b=np.array([16.0]))
         solution = solve_lp(problem)
-        assert solution.status == "optimal"
         assert solution.t[0] == pytest.approx(16.0 / (4.0 * 0.4), rel=1e-9)
         assert solution.t[1] == 0.0
 
@@ -118,7 +116,6 @@ class TestSolveLp:
         a = 4.0 * np.diag(c)
         b = rng.uniform(5.0, 40.0, 4)
         solution = solve_lp(LpProblem(a=a, b=b))
-        assert solution.status == "optimal"
         assert np.allclose(solution.t, b / (4.0 * c), rtol=1e-9)
 
     def test_duplicate_rows_same_objective(self):
@@ -135,7 +132,6 @@ class TestSolveLp:
             n = int(rng.integers(1, 6))
             a, b = random_covering_lp(rng, m, n)
             solution = solve_lp(LpProblem(a=a, b=b))
-            assert solution.status == "optimal"
             want = vertex_enumeration_min(a, b)
             assert solution.objective == pytest.approx(want, rel=1e-6, abs=1e-6)
 
@@ -158,7 +154,6 @@ class TestSolveLp:
     def test_degenerate_variable_dropped(self):
         a = np.array([[0.8, 0.0], [0.5, 0.0]])
         solution = solve_lp(LpProblem(a=a, b=np.array([8.0, 5.0])))
-        assert solution.status == "optimal"
         assert solution.t[1] == 0.0
         assert solution.t[0] == pytest.approx(10.0, rel=1e-9)
 
@@ -167,9 +162,9 @@ class TestSolveLp:
             solve_lp(LpProblem(a=np.ones((2, 2)), b=np.ones(3)))
 
     def test_infeasible_status(self):
-        # positive demand with no coverage at all
-        solution = solve_lp(LpProblem(a=np.zeros((1, 2)), b=np.array([5.0])))
-        assert solution.status == "infeasible"
+        # positive demand with no coverage at all: no column can enter
+        with pytest.raises(InfeasibleError, match=r"no entering column at its tolerance 1e-09"):
+            solve_lp(LpProblem(a=np.zeros((1, 2)), b=np.array([5.0])))
 
     def test_pivot_limit_is_a_library_error(self, monkeypatch):
         from asymcharge import timing
