@@ -416,6 +416,8 @@ class ExperimentConfig:
             raise ValidationError("node counts must be positive")
         if self.repeats < 1:
             raise ValidationError("repeats must be at least 1")
+        if self.workers < 1:
+            raise ValidationError("workers must be at least 1")
         if not (math.isfinite(self.area) and self.area >= 0.0):
             raise ValidationError(f"area must be finite and nonnegative, got {self.area}")
         for a in self.algorithms:

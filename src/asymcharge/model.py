@@ -314,12 +314,11 @@ class TravelArcs:
     def n(self) -> int:
         return len(self._xs)
 
-    def row(self, i, js=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def row(self, i, js) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(k_dis, span, k_egy)`` of the arcs from origin i to each point of js.
 
         ``i`` is one origin index, or an integer array of one origin index
-        per point of ``js``; ``js=None`` means every point, in order, from
-        the one origin ``i``.  This is the one code that turns a pair of
+        per point of ``js``.  This is the one code that turns a pair of
         points into travel coefficients.  A pair's coefficients come from one
         keyed blake2b of the seed and both grid cells, scaled into the
         field's ranges; a same-cell pair (the arc from a point to itself
@@ -330,11 +329,8 @@ class TravelArcs:
         an arc's travel distance is ``k_dis * span`` and its energy rate
         ``k_egy * w0``.
         """
-        if js is None:
-            pick, targets = slice(None), range(self.n)
-        else:
-            pick = np.asarray(js, dtype=np.intp)
-            targets = pick.tolist()
+        pick = np.asarray(js, dtype=np.intp)
+        targets = pick.tolist()
         if isinstance(i, np.ndarray):
             first = np.ones(len(targets), dtype=bool)  # where a run of equal origins starts
             first[1:] = i[1:] != i[:-1]
@@ -460,9 +456,10 @@ def build_routing_matrices(
     n = arcs.n
     dist = np.zeros((n, n))
     rate = np.zeros((n, n))
+    every = np.arange(n)
     with np.errstate(over="ignore"):
         for i in range(n):
-            k_dis, span, k_egy = arcs.row(i)
+            k_dis, span, k_egy = arcs.row(i, every)
             dist[i] = k_dis * span
             rate[i] = k_egy * dmc.w0
     np.fill_diagonal(rate, 0.0)

@@ -35,14 +35,13 @@ from .directions import (
     off_axis,
 )
 from .positions import select_charging_positions
-from .routing import cost_graph, expand_tour, greedy_tour, lk_tour, metric_closure
+from .routing import _in_order_sum, cost_graph, expand_tour, greedy_tour, lk_tour, metric_closure
 from .timing import build_time_lp, solve_lp
 
 MOVE = 0
 TRANSMIT = 1
 
 _TIME_EPS = 1e-12
-_RESTART_BUDGET = 20  # tour-search restarts per plan
 
 
 class ScheduleItem(NamedTuple):
@@ -143,15 +142,6 @@ def _rounding_array(x: np.ndarray) -> np.ndarray:
     unsure = ~sure & np.isfinite(x) & (x != 0.0)
     out[unsure] = [_rounding(v) for v in x[unsure].tolist()]
     return out
-
-
-def _in_order_sum(values: np.ndarray) -> float:
-    """0.0 + values[0] + values[1] + ..., added left to right as a running ``+=`` adds them.
-
-    ``cumsum`` adds in that order from values[0]; the sums differ only where
-    all of them are -0.0, which adding 0.0 last turns into the running 0.0.
-    """
-    return float(np.cumsum(values)[-1]) + 0.0 if values.size else 0.0
 
 
 def _received(
@@ -345,14 +335,6 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
     return metrics
 
 
-def _movement_items(
-    tour_order: list[int], mats: model.RoutingMatrices, v_bar: float
-) -> list[tuple[int, float]]:
-    """(destination index, duration) per tour arc, skipping zero hops."""
-    arcs = zip(tour_order, tour_order[1:])
-    return [(b, float(mats.dist[a, b]) / v_bar) for a, b in arcs if a != b]
-
-
 def _from_values(values: list[float]) -> OperationSchedule:
     """The schedule whose items' state, x, y, psi and t follow one another in ``values``."""
     state, x, y, psi, t = np.array(values, dtype=float).reshape(-1, 5).T
@@ -388,11 +370,13 @@ def plan_schedule(
         points = [model.snap9_point(instance.bs_pos)] + [positions.positions[pi] for pi in kept]
         mats = model.build_routing_matrices(points, instance.asym, instance.dmc)
         closed = metric_closure(cost_graph(mats.move_cost()))
-        tour = expand_tour(lk_tour(closed, seed=seed, budget=_RESTART_BUDGET), closed)
+        tour = expand_tour(lk_tour(closed, seed=seed), closed)
 
         transmitted: set[int] = set()
-        path = list(tour.order)
-        for dest, t_move in _movement_items(path, mats, instance.dmc.v_bar):
+        order = np.array(tour.order)
+        with np.errstate(over="ignore"):  # a duration beyond a float is inf; the replay faults it
+            durations = (mats.dist[order[:-1], order[1:]] / instance.dmc.v_bar).tolist()
+        for dest, t_move in zip(tour.order[1:], durations):
             x, y = points[dest]
             values += (MOVE, x, y, 0.0, t_move)
             if dest != 0 and dest not in transmitted:

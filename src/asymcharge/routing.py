@@ -5,7 +5,9 @@ shortest directed paths) and expanding closure arcs back into witness paths
 afterwards.  Solvers: nearest-neighbor, a segment-swap (orientation-
 preserving 3-opt) local search with seeded double-bridge restarts, an
 exact subset-DP oracle for small point counts, and a symmetric
-node-doubling reformulation of the directed problem.
+node-doubling reformulation of the directed problem.  Every solver prices
+its tour with ``tour_cost``: the tour's arc costs, added in tour order as a
+running ``+=`` adds them, as a Python float.
 
 The local search follows LKH (Helsgaun, EJOR 2000): each point keeps its
 ``_CANDIDATES`` cheapest outgoing arcs, a move's new arcs are drawn from
@@ -117,11 +119,23 @@ def cost_graph(cost: np.ndarray) -> DirectedCostGraph:
     return DirectedCostGraph(cost, hop)
 
 
+def _in_order_sum(values: np.ndarray) -> float:
+    """0.0 + values[0] + values[1] + ..., added left to right as a running ``+=`` adds them.
+
+    ``cumsum`` adds in that order from values[0]; the sums differ only where
+    all of them are -0.0, which adding 0.0 last turns into the running 0.0.
+    A sum beyond a float is inf, without a warning, as a Python float's is.
+    """
+    if not values.size:
+        return 0.0
+    with np.errstate(over="ignore"):
+        return float(np.cumsum(values)[-1]) + 0.0
+
+
 def tour_cost(order: list[int] | tuple[int, ...], cost: np.ndarray) -> float:
-    total = 0.0
-    for a, b in zip(order, order[1:]):
-        total += cost[a, b]
-    return total
+    """The costs of the tour's arcs, added in tour order."""
+    at = np.asarray(order, dtype=np.intp)
+    return _in_order_sum(cost[at[:-1], at[1:]])
 
 
 def _check_closed_tour(order) -> None:
@@ -321,10 +335,11 @@ def lk_tour(g: DirectedCostGraph, seed: int = 0, budget: int = 20) -> Tour:
     ``_descend``), then restarts from double-bridge perturbations of the
     best tour with only the ends of the bridges' new arcs queued, stacking
     more bridges the longer no restart improves; gives up after ``budget``
-    consecutive non-improving restarts.  The best tour is then descended
-    again with every point queued until a whole pass applies no move, so
-    with full candidate lists (n <= ``_CANDIDATES`` + 1) no segment swap
-    improves it.  Deterministic for a fixed (graph, seed, budget).
+    consecutive non-improving restarts; ``tour_cost`` prices the start and
+    every restart.  The best tour is then descended again with every point
+    queued until a whole pass applies no move, so with full candidate lists
+    (n <= ``_CANDIDATES`` + 1) no segment swap improves it.  Deterministic
+    for a fixed (graph, seed, budget).
     """
     start = greedy_tour(g)
     n = g.n
@@ -341,15 +356,8 @@ def lk_tour(g: DirectedCostGraph, seed: int = 0, budget: int = 20) -> Tour:
         moves = _descend(cost, cand, t, pos, active)
         return t + [t[0]], moves
 
-    def price(order: list[int]) -> float:
-        """``tour_cost`` of the order, added in its order from the cost lists."""
-        total = 0.0
-        for a, b in zip(order, order[1:]):
-            total += cost[a][b]
-        return total
-
     best, _ = descend(start.order, start.order[:n])
-    best_cost = price(best)
+    best_cost = tour_cost(best, g.cost)
     rng = random.Random(seed)
     misses = 0
     while misses < budget:
@@ -358,7 +366,7 @@ def lk_tour(g: DirectedCostGraph, seed: int = 0, budget: int = 20) -> Tour:
             kicked, ends = _double_bridge(kicked, rng)
             active += ends
         candidate, _ = descend(kicked, active)
-        candidate_cost = price(candidate)
+        candidate_cost = tour_cost(candidate, g.cost)
         if candidate_cost < best_cost - _GAIN_EPS:
             best, best_cost = candidate, candidate_cost
             misses = 0

@@ -66,10 +66,10 @@ def build_time_lp(matrix: CoefficientMatrix, instance: NetworkInstance) -> LpPro
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Optimal transmission times for a well-formed covering program.
 
-    Variables whose constraint column is all-zero cannot help any node and
-    are fixed at zero before solving.  A program the simplex finds no
-    optimum for raises ``InfeasibleError``, so a solution it returns is
-    optimal.
+    Every column goes to the simplex: one that is zero in every row stays
+    zero through every pivot, so it never enters and its time is zero.  A
+    program the simplex finds no optimum for raises ``InfeasibleError``, so
+    a solution it returns is optimal.
     """
     a = np.asarray(problem.a, dtype=float)
     b = np.asarray(problem.b, dtype=float)
@@ -78,17 +78,13 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if np.any(b < 0):
         raise ValidationError("demands must be nonnegative")
 
-    k_all = a.shape[1]
-    useful = np.flatnonzero(np.any(a > 0.0, axis=0))
-    t_full = np.zeros(k_all)
     rows = np.flatnonzero(b > 0.0)  # zero-demand rows are satisfied by t = 0
     if rows.size == 0:
-        return LpSolution(t=t_full, objective=0.0)
+        return LpSolution(t=np.zeros(a.shape[1]), objective=0.0)
 
-    x = _simplex_min(a[np.ix_(rows, useful)], b[rows])
-    x[(x < 0.0) & (x > -1e-12)] = 0.0
-    t_full[useful] = x
-    return LpSolution(t=t_full, objective=float(t_full.sum()))
+    t = _simplex_min(a[rows], b[rows])
+    t[(t < 0.0) & (t > -1e-12)] = 0.0
+    return LpSolution(t=t, objective=float(t.sum()))
 
 
 def _simplex_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -30,6 +30,9 @@ oracle finds the program infeasible, ``solve_lp`` must raise.
 It reads its tolerances and limits from ``timing`` when it runs, so a test
 that changes them changes both sides.
 
+The running ``+=`` over a tour's arcs, behind ``routing.tour_cost``, must
+agree with it bit for bit, and prices the nearest-neighbor oracle's tour.
+
 The best segment swap over all cut triples is the local-optimality oracle
 for ``routing.lk_tour``, whose candidate-list search scans only a few
 arcs per point: once the lists hold every other point, no swap may improve
@@ -611,6 +614,14 @@ def reference_best_3opt_move(
     return best
 
 
+def reference_tour_cost(order, cost: np.ndarray) -> float:
+    """The tour's arc costs, added one at a time by a running ``+=``."""
+    total = 0.0
+    for a, b in zip(order, order[1:]):
+        total += float(cost[a, b])
+    return total
+
+
 def reference_greedy_tour(g: DirectedCostGraph) -> Tour:
     """Nearest-neighbor cycle from index 0 on outgoing costs, lowest index on ties."""
     n = g.n
@@ -624,7 +635,7 @@ def reference_greedy_tour(g: DirectedCostGraph) -> Tour:
         order.append(nxt)
         unvisited.remove(nxt)
     order.append(0)
-    return Tour(tuple(order), routing.tour_cost(order, g.cost))
+    return Tour(tuple(order), reference_tour_cost(order, g.cost))
 
 
 def reference_symmetric_cost(g: DirectedCostGraph) -> np.ndarray:

@@ -673,6 +673,23 @@ class TestCommandLine:
         assert seen == [2]
         assert [row["status"] for row in detail] == ["ok", "ok"]
 
+    @pytest.mark.parametrize("command, workers", [("experiment", "0"), ("atsp-bench", "-1")])
+    def test_workers_below_one_exit_code(self, tmp_path, capsys, monkeypatch, command, workers):
+        # no worker count below one runs the sweep, serially or in a pool
+        table = cli._SCHEDULERS if command == "experiment" else cli._TOUR_SOLVERS
+        calls = []
+        for name in list(table):
+            monkeypatch.setitem(table, name, lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: calls.append(kw))
+        out = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        code = main([command, "--nodes", "5", "--repeats", "1", "--workers", workers, "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["error:validation: workers must be at least 1"]
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, flag, names",
         [("experiment", "--algorithms", "ra_dmcs,ra_dmcs"), ("experiment", "--nodes", "5,5"),

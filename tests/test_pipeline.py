@@ -220,7 +220,7 @@ class TestExecuteSchedule:
         calls = []
         row = model.TravelArcs.row
 
-        def counting_row(arcs, i, js=None):
+        def counting_row(arcs, i, js):
             calls.append(len(js))
             return row(arcs, i, js)
 
@@ -303,6 +303,18 @@ class TestExecuteSchedule:
             ((one, one), r"the schedule's energy or time totals are not finite"),
         ):
             with pytest.raises(MalformedScheduleError, match=f"^{first}$"):
+                execute_schedule(instance, schedule_of(items))
+
+    def test_moving_time_beyond_a_float_is_a_fault_without_a_warning(self):
+        # each 1e8 m move takes about 1e308 s, so the moving time overflows
+        from asymcharge import DmcParams
+
+        instance = make_instance([node_at((10.0, 0.0))], dmc=DmcParams(v_bar=1e-300))
+        t = 1e8 / 1e-300
+        items = (ScheduleItem(MOVE, (1e8, 0.0), 0.0, t), ScheduleItem(MOVE, (0.0, 0.0), 0.0, t))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedScheduleError, match="totals are not finite$"):
                 execute_schedule(instance, schedule_of(items))
 
     def test_offset_beyond_a_float_is_out_of_range(self):
@@ -578,7 +590,7 @@ class TestOneToOne:
         calls = []
         row = model.TravelArcs.row
 
-        def counting_row(arcs, i, js=None):
+        def counting_row(arcs, i, js):
             calls.append(i)
             return row(arcs, i, js)
 

@@ -132,7 +132,7 @@ class TestGreedyTour:
         hashed = []
         row = model.TravelArcs.row
 
-        def counting_row(arcs, i, js=None):
+        def counting_row(arcs, i, js):
             hashed.append(len(js))
             return row(arcs, i, js)
 

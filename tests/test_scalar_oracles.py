@@ -48,6 +48,7 @@ from scalar_reference import (
     reference_one_to_one_schedule,
     reference_routing_matrices,
     reference_symmetric_cost,
+    reference_tour_cost,
 )
 from support import columns, node_rows, ra_coefficients, ra_distance, schedule_of
 from test_acceptance import random_schedule
@@ -478,6 +479,32 @@ def scaled_arcs(draw):
         overrides = {pair: (draw(hit), draw(hit)) for pair in pairs}
         asym = AsymmetryField(asym.seed, asym.k_dis_range, asym.k_egy_range, g, overrides)
     return model.TravelArcs(*columns(points), asym, DmcParams(w0=draw(st.floats(0.5, 9.0))))
+
+
+@st.composite
+def priced_tours(draw):
+    """A cost matrix of zeros and values from 1e-300 to 1e300, and a tour over it.
+
+    Most values share one decade, so that their sums round; the tour runs
+    from 0 to 0 through up to 30 points, revisits and repeated points
+    included, and with none between it is the one-point tour (0, 0).
+    """
+    n = draw(st.integers(1, 12))
+    e = draw(st.integers(-300, 299))
+    decade = st.floats(10.0**e, 10.0 ** (e + 1))
+    arc = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-300, 1e300), decade, decade)
+    cost = np.array(draw(st.lists(arc, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return [0, *draw(st.lists(st.integers(0, n - 1), max_size=30)), 0], cost
+
+
+class TestTourCost:
+    @settings(max_examples=300, deadline=None)
+    @given(priced_tours())
+    def test_equal_to_running_sum(self, tour):
+        order, cost = tour
+        got = routing.tour_cost(order, cost)
+        assert type(got) is float
+        assert got.hex() == reference_tour_cost(order, cost).hex()
 
 
 class TestGreedyTour:

@@ -621,8 +621,8 @@ class TestSegmentSwapScan:
         instance = generate_instance(10, seed=3, area=2000.0)
         tours = []
 
-        def lk_spy(g, seed, budget):
-            tours.append((g.cost, lk_tour(g, seed, budget)))
+        def lk_spy(g, *args, **kwargs):
+            tours.append((g.cost, lk_tour(g, *args, **kwargs)))
             return tours[-1][1]
 
         with mock.patch.object(pipeline, "lk_tour", lk_spy):
