@@ -11,12 +11,9 @@ from .errors import (
 from .model import (
     AsymmetryField,
     DmcParams,
-    EnergyBreakdown,
     NetworkInstance,
     RoutingMatrices,
     build_routing_matrices,
-    energy_accounting,
-    final_node_energy,
 )
 from .positions import (
     ChargingPositionSet,

@@ -1,10 +1,12 @@
 """Instance generation, file formats, experiment sweeps, and the command line.
 
 Files are JSON with floats written at 9 significant digits; serialize ->
-parse -> serialize is byte-identical.  The readers convert every number in
-file order, so the first bad value raises, and snap them to 9 digits in one
-``snap9_array`` pass into the numpy columns an instance or a schedule
-holds; an invalid node before a bad value raises first.  The writers print
+parse -> serialize is byte-identical.  The readers take every value in
+file order, so the first bad value raises; each float field must be a JSON
+number, and the node and item values turn into floats by one type scan and
+one numpy pass, then snap to 9 digits in one ``snap9_array`` pass into the
+numpy columns an instance or a schedule holds; an invalid node before a
+bad value raises first.  The writers print
 those columns with one ``str.format`` template per row.  The generator
 draws the node columns in whole arrays, the same values a node-by-node
 draw gives.  Experiment runs derive their seeds
@@ -22,6 +24,7 @@ same way), and ``_run_row`` builds every run row.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -97,7 +100,6 @@ SUMMARY_FIELDS = (
     "algorithm", "n", "runs",
     *(f"{name}_{stat}" for name in METRIC_FIELDS for stat in ("mean", "ci95")),
 )
-_HELD_KARP_BENCH_MAX = 12
 
 
 _SNAP9_DOWN = Context(prec=9, rounding=ROUND_DOWN)
@@ -243,16 +245,20 @@ def _json_rows(columns: dict[str, np.ndarray], pad: str) -> str:
     return "[\n" + body + "\n" + pad + "]" if body else "[]"
 
 
+_NODE_FIELDS = ("x", "y", "e_b", "e_d", "e_c")
+_ITEM_FIELDS = ("x", "y", "psi", "t")  # and each item's integer "state" ahead of them
+# each charger parameter's key in a file, in file order
+_DMC_KEYS = {"p0": "p0", "e_b0": "e_b0", "d_max": "d", "phi": "phi", "v_bar": "v", "w0": "w0",
+             "delta": "delta", "alpha": "alpha", "beta": "beta"}
+_ASYM_KEYS = ("k_dis_lo", "k_dis_hi", "k_egy_lo", "k_egy_hi", "grid")  # after "seed"
+
+
 def instance_to_text(instance: NetworkInstance) -> str:
     dmc, asym = instance.dmc, instance.asym
-    names = ("x", "y", "e_b", "e_d", "e_c")
     return _json_document({
-        "nodes": _json_rows({k: getattr(instance, k) for k in names}, "  "),
+        "nodes": _json_rows({k: getattr(instance, k) for k in _NODE_FIELDS}, "  "),
         "bs": _json_object({"x": instance.bs_pos[0], "y": instance.bs_pos[1]}, "  "),
-        "dmc": _json_object({
-            "p0": dmc.p0, "e_b0": dmc.e_b0, "d": dmc.d_max, "phi": dmc.phi, "v": dmc.v_bar,
-            "w0": dmc.w0, "delta": dmc.delta, "alpha": dmc.alpha, "beta": dmc.beta,
-        }, "  "),
+        "dmc": _json_object({key: getattr(dmc, name) for name, key in _DMC_KEYS.items()}, "  "),
         "asym": _json_object({
             "seed": asym.seed,
             "k_dis_lo": asym.k_dis_range[0], "k_dis_hi": asym.k_dis_range[1],
@@ -282,6 +288,37 @@ def _integer(value, name: str) -> int:
     return whole
 
 
+_NUMBER_TYPES = {int, float}  # what json.loads gives a JSON number; a bool is neither
+
+
+def _number(value, name: str) -> float:
+    """``float(value)`` of a JSON number; as in ``_integer``, ``float``'s own errors come first."""
+    number = float(value)
+    if type(value) not in _NUMBER_TYPES:
+        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
+    return number
+
+
+def _floats(raw: list, fields: tuple[str, ...], what: str, check=None) -> np.ndarray:
+    """The ``fields`` of each ``what`` in ``raw``, as floats: one type scan and one numpy pass.
+
+    Else the first value that is not a JSON number a float holds raises,
+    named by ``what``, index and field, after ``check`` of the whole rows before it.
+    """
+    if set(map(type, raw)) <= _NUMBER_TYPES:
+        with contextlib.suppress(OverflowError):  # an integer beyond a float
+            return np.array(raw, dtype=float)
+    m = len(fields)
+    for at, value in enumerate(raw):
+        try:
+            _number(value, f"{what} {at // m} {fields[at % m]}")
+        except _BAD_VALUE:
+            if check is not None:
+                check(np.array(raw[: at - at % m], dtype=float))
+            raise
+    raise AssertionError("unreachable: the list holds a value that is not a JSON number")
+
+
 def _read(path: str, kind: str) -> str:
     """The text of an input file; a byte outside ASCII raises ``ValidationError``."""
     with open(path, "rb") as f:
@@ -293,81 +330,69 @@ def _read(path: str, kind: str) -> str:
 
 
 def instance_from_text(text: str) -> NetworkInstance:
-    values: list[float] = []  # x, y, e_b, e_d, e_c of each node in turn
+    raw: list = []  # x, y, e_b, e_d, e_c of each node in turn, as the file holds them
     try:
         doc = json.loads(text)
         try:
             for u in doc["nodes"]:
-                values += (
-                    float(u["x"]), float(u["y"]), float(u["e_b"]), float(u["e_d"]), float(u["e_c"])
-                )
-            bs = (snap9(doc["bs"]["x"]), snap9(doc["bs"]["y"]))
+                raw += (u["x"], u["y"], u["e_b"], u["e_d"], u["e_c"])
+            columns = _node_columns(raw)
+            bs = tuple(snap9(_number(doc["bs"][key], f"bs {key}")) for key in ("x", "y"))
             d = doc["dmc"]
-            dmc = DmcParams(
-                p0=float(d["p0"]),
-                e_b0=float(d["e_b0"]),
-                v_bar=float(d["v"]),
-                w0=float(d["w0"]),
-                d_max=float(d["d"]),
-                phi=float(d["phi"]),
-                delta=float(d["delta"]),
-                alpha=float(d["alpha"]),
-                beta=float(d["beta"]),
-            )
+            dmc = DmcParams(**{k: _number(d[key], f"dmc {key}") for k, key in _DMC_KEYS.items()})
             a = doc["asym"]
-            asym = AsymmetryField(
-                seed=_integer(a["seed"], "asym seed"),
-                k_dis_range=(float(a["k_dis_lo"]), float(a["k_dis_hi"])),
-                k_egy_range=(float(a["k_egy_lo"]), float(a["k_egy_hi"])),
-                grid=float(a["grid"]),
-            )
+            seed = _integer(a["seed"], "asym seed")
+            k = [_number(a[key], f"asym {key}") for key in _ASYM_KEYS]
+            asym = AsymmetryField(seed, (k[0], k[1]), (k[2], k[3]), k[4])
         except (*_BAD_VALUE, ValidationError):
-            check_nodes(*_node_columns(values))  # an invalid node before the fault raises first
+            # a bad value or an invalid node before the fault raises first
+            check_nodes(*_node_columns(raw))
             raise
     except _BAD_VALUE as exc:
         raise ValidationError(f"bad instance file: {exc}") from exc
-    return NetworkInstance(*_node_columns(values), bs, dmc, asym)
+    return NetworkInstance(*columns, bs, dmc, asym)
 
 
-def _node_columns(values: list[float]) -> np.ndarray:
-    """The x, y, e_b, e_d and e_c rows of the whole nodes among ``values``, snapped in one pass.
+def _node_columns(raw: list) -> np.ndarray:
+    """The x, y, e_b, e_d and e_c rows of the nodes in ``raw``, snapped in one pass.
 
     The format carries 9 significant digits; snapping makes a hand-edited
-    file with extra digits behave as its re-serialized form.
+    file with extra digits behave as its re-serialized form.  Nodes before
+    a value that is not a JSON number are checked before it raises.
     """
-    whole = np.array(values, dtype=float)[: len(values) - len(values) % 5]
-    return snap9_array(whole).reshape(-1, 5).T
+
+    def snapped(values: np.ndarray) -> np.ndarray:
+        return snap9_array(values).reshape(-1, 5).T
+
+    return snapped(_floats(raw, _NODE_FIELDS, "node", lambda head: check_nodes(*snapped(head))))
 
 
 def schedule_to_text(schedule: OperationSchedule) -> str:
-    names = ("state", "x", "y", "psi", "t")
+    names = ("state", *_ITEM_FIELDS)
     return _json_document({"items": _json_rows({k: getattr(schedule, k) for k in names}, "  ")})
 
 
 def schedule_from_text(text: str) -> OperationSchedule:
+    raw: list = []  # x, y, psi, t of each item in turn, as the file holds them
     try:
         doc = json.loads(text)
         states: list[int] = []
-        values: list[float] = []  # x, y, psi, t of each item in turn
-        for i in doc["items"]:
-            state = i["state"]  # a JSON integer, not a bool, is read as it is
-            states.append(state if type(state) is int else _integer(state, "state"))
-            values += (float(i["x"]), float(i["y"]), float(i["psi"]), float(i["t"]))
+        try:
+            for i in doc["items"]:
+                state = i["state"]  # a JSON integer, not a bool, is read as it is
+                states.append(state if type(state) is int else _integer(state, "state"))
+                raw += (i["x"], i["y"], i["psi"], i["t"])
+        except _BAD_VALUE:
+            _floats(raw, _ITEM_FIELDS, "item")  # a bad number before the fault raises first
+            raise
+        values = _floats(raw, _ITEM_FIELDS, "item")
     except _BAD_VALUE as exc:
         raise ValidationError(f"bad schedule file: {exc}") from exc
     if not set(states) <= {MOVE, TRANSMIT}:
         state = next(s for s in states if s not in (MOVE, TRANSMIT))
         raise ValidationError(f"bad schedule file: unknown state {state}")
-    x, y, psi, t = snap9_array(np.array(values, dtype=float)).reshape(-1, 4).T
+    x, y, psi, t = snap9_array(values).reshape(-1, 4).T
     return OperationSchedule(np.array(states, dtype=np.int64), x, y, psi, t)
-
-
-def metrics_to_row(metrics: ScheduleMetrics) -> dict:
-    row = {}
-    for name in METRIC_FIELDS:
-        value = getattr(metrics, name)
-        row[name] = bool(value) if name == "feasible" else float(value)
-    return row
 
 
 def _run_row(algorithm: str, n: int, repeat: int, seed: int, status: str,
@@ -375,7 +400,7 @@ def _run_row(algorithm: str, n: int, repeat: int, seed: int, status: str,
     """One row of ``DETAIL_FIELDS``; a failed run has no metric cells."""
     row = {"algorithm": algorithm, "n": n, "repeat": repeat, "seed": seed, "status": status}
     if metrics is not None:
-        row.update(metrics_to_row(metrics))
+        row.update(dataclasses.asdict(metrics))
     return row
 
 
@@ -488,6 +513,13 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     return summarize(detail, ("algorithm", "n"), METRIC_FIELDS), detail
 
 
+def _timed(solver: str, closed, seed: int):
+    """``solver``'s tour of the closed cost graph and the seconds it took."""
+    started = time.perf_counter()
+    tour = _TOUR_SOLVERS[solver](closed, seed)
+    return tour, time.perf_counter() - started
+
+
 def _bench_job(args):
     n, repeat, master_seed, area, solvers = args
     run_seed = derive_seed(master_seed, n, repeat)
@@ -496,27 +528,25 @@ def _bench_job(args):
     dmc = DmcParams()
     asym = AsymmetryField(seed=run_seed)
     mats = build_routing_matrices(points, asym, dmc)
-    closed = metric_closure(cost_graph(mats.move_cost()))
-
-    hk_cost = None
-    if n <= _HELD_KARP_BENCH_MAX:
-        hk_cost = held_karp(closed).cost
+    closed = metric_closure(cost_graph(mats.cost))
+    # within the exact solver's limit its one timed run is both the
+    # held_karp row and the reference of every row's gap
+    exact = _timed("held_karp", closed, run_seed) if n <= routing._HELD_KARP_MAX else None
 
     rows = []
     for solver in solvers:
-        if solver == "held_karp" and n > routing._HELD_KARP_MAX:
+        if solver == "held_karp" and exact is None:
             continue
         row = {"solver": solver, "n": n, "repeat": repeat, "seed": run_seed, "status": "ok"}
         try:
-            t0 = time.perf_counter()
-            tour = _TOUR_SOLVERS[solver](closed, run_seed)
-            runtime = time.perf_counter() - t0
+            tour, runtime = exact if solver == "held_karp" else _timed(solver, closed, run_seed)
             expanded = expand_tour(tour, closed)
             distance = tour_cost(expanded.order, mats.dist)
             row["tour_energy"] = tour.cost
             row["moving_time"] = distance / dmc.v_bar
             row["runtime"] = runtime
-            if hk_cost is not None:
+            if exact is not None:
+                hk_cost = exact[0].cost
                 row["held_karp_gap"] = (tour.cost - hk_cost) / hk_cost if hk_cost > 0 else 0.0
         except Exception as exc:  # noqa: BLE001
             row["status"] = f"error: {exc}"
@@ -625,7 +655,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _print_metrics(metrics: ScheduleMetrics) -> None:
-    for name, value in metrics_to_row(metrics).items():
+    for name, value in dataclasses.asdict(metrics).items():
         print(f"{name} = {_text(value)}")
 
 

@@ -239,7 +239,7 @@ class NetworkInstance:
 
 @dataclass(frozen=True)
 class RoutingMatrices:
-    """Directed travel distances and energy rates over an ordered point list.
+    """Directed travel distances and movement energies over an ordered point list.
 
     Index 0 is the base station by convention.  Neither matrix is symmetric
     in general.
@@ -247,15 +247,7 @@ class RoutingMatrices:
 
     positions: tuple[Point, ...]
     dist: np.ndarray  # (n, n) directed distances (m)
-    egy_rate: np.ndarray  # (n, n) directed energy rates (J/m)
-
-    def move_cost(self) -> np.ndarray:
-        """Directed movement energy matrix (J), elementwise dist * rate.
-
-        A product beyond a float is inf, without a warning; callers reject it.
-        """
-        with np.errstate(over="ignore"):
-            return self.dist * self.egy_rate
+    cost: np.ndarray  # (n, n) directed movement energies (J)
 
 
 # a squared distance is correct to a few ulps away from under- and overflow:
@@ -447,7 +439,8 @@ def build_routing_matrices(
 ) -> RoutingMatrices:
     """Directed travel matrices, built one origin row at a time by ``TravelArcs.row``.
 
-    The diagonal is 0: no travel, at no rate.  A value beyond a float is
+    An arc's movement energy is its distance times its rate ``k_egy * w0``.
+    The diagonal is 0: no travel, at no cost.  A value beyond a float is
     inf, without a warning; the cost graph rejects it.
     """
     positions = tuple(positions)
@@ -455,71 +448,12 @@ def build_routing_matrices(
     arcs = TravelArcs(x, y, asym, dmc)
     n = arcs.n
     dist = np.zeros((n, n))
-    rate = np.zeros((n, n))
+    cost = np.zeros((n, n))
     every = np.arange(n)
     with np.errstate(over="ignore"):
         for i in range(n):
             k_dis, span, k_egy = arcs.row(i, every)
             dist[i] = k_dis * span
-            rate[i] = k_egy * dmc.w0
-    np.fill_diagonal(rate, 0.0)
-    return RoutingMatrices(positions, dist, rate)
-
-
-def final_node_energy(e_b: np.ndarray, e_r: np.ndarray, e_c: np.ndarray) -> np.ndarray:
-    """Stored energy after charging: capacity-clipped elementwise minimum."""
-    e_b, e_r, e_c = (np.asarray(v, dtype=float) for v in (e_b, e_r, e_c))
-    if not (e_b.shape == e_r.shape == e_c.shape):
-        raise ValidationError("energy vectors must have equal length")
-    return np.minimum(e_b + e_r, e_c)
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """All schedule-level energy totals derived from one set of inputs."""
-
-    e_mc_tran: float  # charger energy spent transmitting (J)
-    e_mc_move: float  # charger energy spent moving (J)
-    e_mc_total: float  # charger energy spent in total (J)
-    e_f0: float  # charger battery after the schedule (J)
-    e_f: np.ndarray  # per-node stored energy after the schedule (J)
-    e_nodes_rcv: float  # energy actually banked by the nodes (J)
-    e_wpt_loss: float  # transmitted minus banked (J)
-    e_total_loss: float  # all energy that ended up nowhere useful (J)
-    dmc_energy_ok: bool  # charger battery stayed nonnegative
-
-
-def energy_accounting(
-    e_b: np.ndarray,
-    e_c: np.ndarray,
-    received_raw: np.ndarray,
-    tran_time_total: float,
-    move_energy: float,
-    dmc: DmcParams,
-) -> EnergyBreakdown:
-    """Evaluate the energy ledger of a schedule from its aggregate quantities.
-
-    ``received_raw`` is the pre-clipping per-node received energy; banking is
-    capacity-limited, and anything transmitted but not banked counts as loss.
-    """
-    e_b = np.asarray(e_b, dtype=float)
-    e_c = np.asarray(e_c, dtype=float)
-    e_mc_tran = dmc.p0 * tran_time_total
-    e_mc_total = e_mc_tran + move_energy
-    e_f0 = dmc.e_b0 - e_mc_total
-    ok = e_f0 >= 0.0
-    e_f = final_node_energy(e_b, received_raw, e_c)
-    e_nodes_rcv = float(np.sum(e_f - e_b))
-    e_wpt_loss = e_mc_tran - e_nodes_rcv
-    e_total_loss = e_mc_total - e_nodes_rcv
-    return EnergyBreakdown(
-        e_mc_tran=e_mc_tran,
-        e_mc_move=move_energy,
-        e_mc_total=e_mc_total,
-        e_f0=e_f0,
-        e_f=e_f,
-        e_nodes_rcv=e_nodes_rcv,
-        e_wpt_loss=e_wpt_loss,
-        e_total_loss=e_total_loss,
-        dmc_energy_ok=ok,
-    )
+            cost[i] = dist[i] * (k_egy * dmc.w0)
+    np.fill_diagonal(cost, 0.0)
+    return RoutingMatrices(positions, dist, cost)

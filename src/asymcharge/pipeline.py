@@ -221,9 +221,12 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
     can change.  ``_received`` credits every transmission before it at
     once, and every credit must be finite.  Only then is the fault of the
     lowest item index raised.  Running totals add in item order, as a
-    running ``+=`` does.  Received energy accumulates linearly and is
-    capacity-clipped once at the end.  The schedule is feasible when every
-    demand is met and the charger's battery does not run out.
+    running ``+=`` does.  Each node banks what it receives up to its
+    capacity.  The charger sends ``p0`` times the charging time and spends
+    that plus the movement energy; the total loss is what it spends less
+    what the nodes bank, the charging loss what it sends less that.  The
+    schedule is feasible when every demand is met and the battery covers
+    what the charger spends.
     """
     dmc = instance.dmc
     start = model.snap9_point(instance.bs_pos)
@@ -315,19 +318,22 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
         raise min(faults, key=lambda fault: fault[0])[1]
     tran_time = _in_order_sum(t[sends])
 
-    ledger = model.energy_accounting(instance.e_b, instance.e_c, received_raw, tran_time, move_energy, dmc)
-    demand_met = bool(np.all(ledger.e_f >= instance.e_b + instance.e_d - 1e-6))
+    e_f = np.minimum(instance.e_b + received_raw, instance.e_c)
+    banked = float(np.sum(e_f - instance.e_b))
+    sent = dmc.p0 * tran_time
+    spent = sent + move_energy
+    demand_met = bool(np.all(e_f >= instance.e_b + instance.e_d - 1e-6))
     metrics = ScheduleMetrics(
-        total_energy_loss=ledger.e_total_loss,
-        charging_energy_loss=ledger.e_wpt_loss,
-        movement_energy=ledger.e_mc_move,
+        total_energy_loss=spent - banked,
+        charging_energy_loss=sent - banked,
+        movement_energy=move_energy,
         tour_distance=distance,
         time_span=move_time + tran_time,
         charging_time=tran_time,
         moving_time=move_time,
         algorithm_runtime=0.0,
-        received_total=ledger.e_nodes_rcv,
-        feasible=demand_met and ledger.dmc_energy_ok,
+        received_total=banked,
+        feasible=demand_met and dmc.e_b0 - spent >= 0.0,
     )
     # every item's values are finite, but their sums can still overflow
     if not all(map(math.isfinite, vars(metrics).values())):
@@ -369,7 +375,7 @@ def plan_schedule(
         kept = sorted(per_position)
         points = [model.snap9_point(instance.bs_pos)] + [positions.positions[pi] for pi in kept]
         mats = model.build_routing_matrices(points, instance.asym, instance.dmc)
-        closed = metric_closure(cost_graph(mats.move_cost()))
+        closed = metric_closure(cost_graph(mats.cost))
         tour = expand_tour(lk_tour(closed, seed=seed), closed)
 
         transmitted: set[int] = set()

@@ -34,10 +34,9 @@ _K_STRIDE = 4  # the cover's step between probed cluster counts
 
 @dataclass(frozen=True)
 class ChargingPositionSet:
-    """Selected charging positions plus the node -> position assignment."""
+    """Selected charging positions: every node lies within ``d_max`` of one of them."""
 
     positions: tuple[Point, ...]
-    assignment: tuple[int, ...]  # node index -> position index
 
 
 def min_enclosing_circle(points: list[Point]) -> tuple[Point, float]:
@@ -274,8 +273,7 @@ def _fitted_cover(
         return None
     rows = pts.tolist()
     centers = []
-    assignment = [0] * len(rows)
-    for ci, ids in enumerate(clusters):
+    for ids in clusters:
         members = [tuple(rows[i]) for i in ids]
         if ids not in enclosed:
             enclosed[ids] = snap9_point(min_enclosing_circle(members)[0])
@@ -283,9 +281,7 @@ def _fitted_cover(
         if not all(math.hypot(x - cx, y - cy) <= d_max for x, y in members):
             return None
         centers.append((cx, cy))
-        for i in ids:
-            assignment[i] = ci
-    return ChargingPositionSet(positions=tuple(centers), assignment=tuple(assignment))
+    return ChargingPositionSet(positions=tuple(centers))
 
 
 def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:

@@ -9,7 +9,8 @@ straightforward one-pair-at-a-time and one-node-at-a-time loops behind
 ``model.build_routing_matrices``, ``directions.reach_pairs``,
 ``directions.build_coefficient_matrix`` (the event sweep that tests every
 node at every arc midpoint) and ``pipeline.execute_schedule``, whose
-item checks and move pricing have a per-item loop version here too; the cover
+item checks and move pricing have a per-item loop version here too, both
+replays ending in the one energy ledger ``reference_ledger``; the cover
 that encloses every cluster of every k from k = 1, behind
 ``positions.select_charging_positions``; the nearest-neighbor tour that
 takes a Python ``min`` over the unvisited set, behind
@@ -109,18 +110,21 @@ def reference_coefficients(asym: AsymmetryField, a: Point, b: Point) -> tuple[fl
 def reference_routing_matrices(
     positions: list[Point], asym: AsymmetryField, dmc: DmcParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(dist, egy_rate) from one coefficient lookup per ordered pair."""
+    """(dist, cost) from one coefficient lookup per ordered pair.
+
+    An arc's movement energy is its distance times its rate ``k_egy * w0``.
+    """
     n = len(positions)
     dist = np.zeros((n, n))
-    rate = np.zeros((n, n))
+    cost = np.zeros((n, n))
     for i, a in enumerate(positions):
         for j, b in enumerate(positions):
             if i == j:
                 continue
             k_dis, k_egy = reference_coefficients(asym, a, b)
             dist[i, j] = k_dis * math.hypot(a[0] - b[0], a[1] - b[1])
-            rate[i, j] = k_egy * dmc.w0
-    return dist, rate
+            cost[i, j] = dist[i, j] * (k_egy * dmc.w0)
+    return dist, cost
 
 
 def reference_nodes_in_range(
@@ -189,6 +193,43 @@ def reference_coefficient_matrix(
     return rows, np.array(entries) if entries else np.zeros((0, instance.n))
 
 
+def reference_ledger(
+    instance: NetworkInstance,
+    received_raw: np.ndarray,
+    tran_time: float,
+    move_energy: float,
+    move_time: float,
+    distance: float,
+) -> ScheduleMetrics:
+    """The metrics of a replay from its per-node received energy and its totals.
+
+    Each node banks its received energy up to its capacity.  The charger
+    sends ``p0`` times the charging time and spends that plus the movement
+    energy; the total loss is what it spends minus what the nodes bank, the
+    charging loss what it sends minus that.  The schedule is feasible when
+    every node ends within 1e-6 J of its initial energy plus demand, or
+    above, and the charger's battery covers what it spends.
+    """
+    dmc = instance.dmc
+    e_f = np.minimum(instance.e_b + received_raw, instance.e_c)
+    banked = float(np.sum(e_f - instance.e_b))
+    sent = dmc.p0 * tran_time
+    spent = sent + move_energy
+    demand_met = bool(np.all(e_f >= instance.e_b + instance.e_d - 1e-6))
+    return ScheduleMetrics(
+        total_energy_loss=spent - banked,
+        charging_energy_loss=sent - banked,
+        movement_energy=move_energy,
+        tour_distance=distance,
+        time_span=move_time + tran_time,
+        charging_time=tran_time,
+        moving_time=move_time,
+        algorithm_runtime=0.0,
+        received_total=banked,
+        feasible=demand_met and dmc.e_b0 - spent >= 0.0,
+    )
+
+
 def reference_execute_schedule(
     instance: NetworkInstance, schedule: OperationSchedule
 ) -> ScheduleMetrics:
@@ -224,22 +265,7 @@ def reference_execute_schedule(
         else:
             raise MalformedScheduleError(f"item {idx}: unknown state {item.state}")
 
-    ledger = model.energy_accounting(
-        instance.e_b, instance.e_c, received_raw, tran_time, move_energy, dmc
-    )
-    demand_met = bool(np.all(ledger.e_f >= instance.e_b + instance.e_d - 1e-6))
-    return ScheduleMetrics(
-        total_energy_loss=ledger.e_total_loss,
-        charging_energy_loss=ledger.e_wpt_loss,
-        movement_energy=ledger.e_mc_move,
-        tour_distance=distance,
-        time_span=move_time + tran_time,
-        charging_time=tran_time,
-        moving_time=move_time,
-        algorithm_runtime=0.0,
-        received_total=ledger.e_nodes_rcv,
-        feasible=demand_met and ledger.dmc_energy_ok,
-    )
+    return reference_ledger(instance, received_raw, tran_time, move_energy, move_time, distance)
 
 
 def loop_execute_schedule(
@@ -327,22 +353,7 @@ def loop_execute_schedule(
     if faults:
         raise min(faults, key=lambda fault: fault[0])[1]
 
-    ledger = model.energy_accounting(
-        instance.e_b, instance.e_c, received_raw, tran_time, move_energy, dmc
-    )
-    demand_met = bool(np.all(ledger.e_f >= instance.e_b + instance.e_d - 1e-6))
-    metrics = ScheduleMetrics(
-        total_energy_loss=ledger.e_total_loss,
-        charging_energy_loss=ledger.e_wpt_loss,
-        movement_energy=ledger.e_mc_move,
-        tour_distance=distance,
-        time_span=move_time + tran_time,
-        charging_time=tran_time,
-        moving_time=move_time,
-        algorithm_runtime=0.0,
-        received_total=ledger.e_nodes_rcv,
-        feasible=demand_met and ledger.dmc_energy_ok,
-    )
+    metrics = reference_ledger(instance, received_raw, tran_time, move_energy, move_time, distance)
     if not all(map(math.isfinite, dataclasses.astuple(metrics))):
         raise MalformedScheduleError("the schedule's energy or time totals are not finite")
     return metrics
@@ -554,11 +565,7 @@ def reference_fitted_cover(
         for i in ids
     ):
         return None
-    assignment = [0] * len(points)
-    for ci, ids in enumerate(clusters):
-        for nid in ids:
-            assignment[nid] = ci
-    return ChargingPositionSet(positions=tuple(centers), assignment=tuple(assignment))
+    return ChargingPositionSet(positions=tuple(centers))
 
 
 def reference_select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:
@@ -663,7 +670,7 @@ def reference_one_to_one_schedule(instance: NetworkInstance) -> OperationSchedul
     if targets:
         points = [model.snap9_point(instance.bs_pos)] + [u.pos for u in targets]
         mats = model.build_routing_matrices(points, instance.asym, dmc)
-        tour = reference_greedy_tour(routing.cost_graph(mats.move_cost()))
+        tour = reference_greedy_tour(routing.cost_graph(mats.cost))
         for a, b in zip(tour.order, tour.order[1:]):
             if a == b:
                 continue

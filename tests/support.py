@@ -109,9 +109,8 @@ def tour_move_energy_time(
     energy = 0.0
     time = 0.0
     for a, b in zip(tour, tour[1:]):
-        d = mat.dist[a, b]
-        energy += d * mat.egy_rate[a, b]
-        time += d / dmc.v_bar
+        energy += mat.cost[a, b]
+        time += mat.dist[a, b] / dmc.v_bar
     return energy, time
 
 

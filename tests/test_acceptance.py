@@ -70,7 +70,7 @@ def random_closed_graph(rng, n):
     points = [tuple(p) for p in rng.uniform(0, 200, size=(n, 2))]
     asym = AsymmetryField(seed=int(rng.integers(2**31)))
     mats = build_routing_matrices(points, asym, DmcParams())
-    return metric_closure(cost_graph(mats.move_cost()))
+    return metric_closure(cost_graph(mats.cost))
 
 
 # -- criterion 1 -------------------------------------------------------------
@@ -140,9 +140,10 @@ def test_criterion_2_coverage_validity_and_minimality():
             instance = generate_instance(n, seed=int(rng.integers(2**31)))
             cover = select_charging_positions(instance)
             d_max = instance.dmc.d_max
-            for u in node_rows(instance):
-                p = cover.positions[cover.assignment[u.id]]
-                assert math.dist(u.pos, p) <= d_max + 1e-9
+            # every node lies within d_max of some position
+            px, py = np.array(cover.positions).T
+            reach = np.hypot(instance.x[:, None] - px, instance.y[:, None] - py).min(axis=1)
+            assert (reach <= d_max + 1e-9).all()
             k = len(cover.positions)
             if k > 1:
                 points = [u.pos for u in node_rows(instance)]
@@ -200,7 +201,7 @@ def test_criterion_3_direction_set_equivalence():
                 )
 
             # the library's directions: the rows of a one-position matrix
-            cover = ChargingPositionSet(positions=(pos,), assignment=(0,) * instance.n)
+            cover = ChargingPositionSet(positions=(pos,))
             directions = [row.psi for row in build_coefficient_matrix(cover, instance).rows]
             rep_family = {coverage(psi) for psi in directions}
             grid_subsets = {s for s in (coverage(psi) for psi in grid) if s}

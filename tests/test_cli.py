@@ -222,6 +222,57 @@ class TestSerialization:
         with pytest.raises(ValidationError, match=r"^node 1: initial energy \+ demand exceeds capacity"):
             instance_from_text(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "section, index, key, value, name",
+        [
+            ("nodes", 0, "x", "12.5", "node 0 x"),
+            ("nodes", 3, "e_c", True, "node 3 e_c"),
+            ("dmc", None, "p0", "4", "dmc p0"),
+            ("bs", None, "x", True, "bs x"),
+            ("asym", None, "grid", "0.01", "asym grid"),
+            ("items", 1, "x", "100", "item 1 x"),
+            ("items", 2, "psi", False, "item 2 psi"),
+        ],
+    )
+    def test_number_field_not_a_number_exit_code(self, tmp_path, capsys, section, index, key, value, name):
+        # float() read each of these: a numeric string as its number, a bool as 0 or 1
+        instance = generate_instance(5, seed=2)
+        files = {"instance": json.loads(instance_to_text(instance))}
+        files["schedule"] = json.loads(schedule_to_text(one_to_one_schedule(instance)[0]))
+        kind = "schedule" if section == "items" else "instance"
+        target = files[kind][section]
+        (target if index is None else target[index])[key] = value
+        for name_, doc in files.items():
+            (tmp_path / f"{name_}.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main([
+            "evaluate", "--instance", str(tmp_path / "instance.json"),
+            "--schedule", str(tmp_path / "schedule.json"),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error:validation: bad {kind} file: {name} must be a number, got {json.dumps(value)}"]
+
+    def test_first_non_number_raises_after_the_nodes_before_it(self):
+        doc = json.loads(instance_to_text(generate_instance(6, seed=3)))
+        doc["nodes"][4]["y"] = "7"
+        doc["dmc"]["beta"] = None
+        with pytest.raises(ValidationError, match=r'^bad instance file: node 4 y must be a number, got "7"$'):
+            instance_from_text(json.dumps(doc))
+        # an invalid node before the string raises first, a later one does not
+        doc["nodes"][5]["e_b"] = 1000.0
+        with pytest.raises(ValidationError, match=r"^bad instance file: node 4 y must be a number"):
+            instance_from_text(json.dumps(doc))
+        doc["nodes"][2]["e_b"] = 1000.0
+        with pytest.raises(ValidationError, match=r"^node 2: initial energy \+ demand exceeds capacity"):
+            instance_from_text(json.dumps(doc))
+        # a missing key after a string in an earlier item raises second
+        items = json.loads(schedule_to_text(one_to_one_schedule(generate_instance(6, seed=3))[0]))
+        items["items"][1]["t"] = "1"
+        del items["items"][3]["x"]
+        with pytest.raises(ValidationError, match=r'^bad schedule file: item 1 t must be a number, got "1"$'):
+            schedule_from_text(json.dumps(items))
+
     def test_columns_end_to_end_build_no_node_rows(self, monkeypatch):
         # generating, parsing, planning with either scheduler and replaying,
         # the replay's faults included, read the columns; only a reader of
@@ -340,6 +391,25 @@ class TestAtspBench:
         assert "held_karp" not in solvers[16]
         assert len(solvers[16]) == 2 * (len(cfg.atsp_solvers) - 1)
         assert all(r["status"] == "ok" for r in rows)
+        assert all("held_karp_gap" not in r for r in rows if r["n"] == 16)
+
+    def test_exact_solver_runs_once_per_instance(self, monkeypatch):
+        calls = []
+        original = cli.held_karp
+
+        def spy(closed):
+            calls.append(closed.n)
+            return original(closed)
+
+        monkeypatch.setattr(cli, "held_karp", spy)
+        cfg = ExperimentConfig(n_values=[6, 13], repeats=2, seed=8, workers=1)
+        rows = run_atsp_bench(cfg)
+        assert calls == [6, 6, 13, 13]
+        # every row within the exact solver's limit, 13 points included, has a gap
+        assert all(r["status"] == "ok" and r["held_karp_gap"] >= -1e-12 for r in rows)
+        exact = [r for r in rows if r["solver"] == "held_karp"]
+        assert [r["n"] for r in exact] == [6, 6, 13, 13]
+        assert all(r["held_karp_gap"] == 0.0 for r in exact)
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValidationError):

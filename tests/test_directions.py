@@ -56,7 +56,7 @@ def nodes_in_range(pos, instance):
 
 def representative_directions(pos, instance):
     """The directions the coefficient matrix keeps at a one-position cover."""
-    cover = ChargingPositionSet(positions=(pos,), assignment=(0,) * instance.n)
+    cover = ChargingPositionSet(positions=(pos,))
     return [row.psi for row in build_coefficient_matrix(cover, instance).rows]
 
 
@@ -161,7 +161,7 @@ class TestRepresentativeDirections:
 class TestCoefficientMatrix:
     def test_single_node_single_row(self):
         instance = make_instance([node_at((5.0, 0.0))])
-        cover = ChargingPositionSet(positions=((0.0, 0.0),), assignment=(0,))
+        cover = ChargingPositionSet(positions=((0.0, 0.0),))
         matrix = build_coefficient_matrix(cover, instance)
         assert matrix.entries.shape == (1, 1)
         assert matrix.entries[0, 0] == pytest.approx(0.362811791, abs=1e-9)
@@ -174,7 +174,7 @@ class TestCoefficientMatrix:
         phi = DmcParams().phi
         thetas = (0.0, phi * 3.0)
         instance = make_instance([node_at((5.0 * math.cos(a), 5.0 * math.sin(a))) for a in thetas])
-        cover = ChargingPositionSet(positions=((0.0, 0.0),), assignment=(0, 0))
+        cover = ChargingPositionSet(positions=((0.0, 0.0),))
         matrix = build_coefficient_matrix(cover, instance)
         assert len(matrix.rows) == 2
         for row, entries in zip(matrix.rows, matrix.entries):

@@ -6,18 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymcharge import (
+    MOVE,
+    TRANSMIT,
     AsymmetryField,
     DmcParams,
     NetworkInstance,
+    ScheduleItem,
     ValidationError,
     build_routing_matrices,
-    energy_accounting,
-    final_node_energy,
+    execute_schedule,
 )
 from asymcharge import model
 from asymcharge.errors import MalformedTourError
 
-from conftest import neutral_field
+from conftest import make_instance, neutral_field
 from scalar_reference import (
     angular_distance,
     normalize_angle,
@@ -30,6 +32,7 @@ from support import (
     ra_coefficients,
     ra_distance,
     received_energy,
+    schedule_of,
     segment_move_energy_time,
     tour_move_energy_time,
 )
@@ -225,61 +228,93 @@ class TestReceivedEnergy:
         assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
 
+def replay(node_specs, items, **dmc):
+    """The metrics of a hand-built schedule over nodes around a base station at the origin.
+
+    A transmission from the origin reaches a node there at the apex
+    coefficient; ``delta=5000`` makes that 0.5.
+    """
+    instance = make_instance(node_specs, dmc=DmcParams(**dmc))
+    return execute_schedule(instance, schedule_of(items))
+
+
+def send(t, pos=(0.0, 0.0)):
+    return ScheduleItem(TRANSMIT, pos, 0.0, t)
+
+
 class TestFinalNodeEnergy:
     def test_below_capacity(self):
-        got = final_node_energy([10.0], [20.0], [60.0])
-        assert got[0] == 30.0
+        # 0.5 of 4 W for 10 s: 10 J + 20 J stays under 60 J
+        metrics = replay([((0.0, 0.0), 10.0, 20.0, 60.0)], [send(10.0)], delta=5000.0)
+        assert metrics.received_total == 20.0
+        assert metrics.feasible
 
     def test_capacity_clamp(self):
-        got = final_node_energy([50.0], [20.0], [60.0])
-        assert got[0] == 60.0
+        # 50 J + 20 J is clipped to 60 J: 10 J banked, the rest is loss
+        metrics = replay([((0.0, 0.0), 50.0, 10.0, 60.0)], [send(10.0)], delta=5000.0)
+        assert metrics.received_total == 10.0
+        assert metrics.charging_energy_loss == 30.0
+        assert metrics.feasible
 
     def test_no_received(self):
-        got = final_node_energy([12.0, 7.0], [0.0, 0.0], [60.0, 60.0])
-        assert list(got) == [12.0, 7.0]
+        # a node beyond d_max gains nothing: all that is sent is lost
+        metrics = replay([((100.0, 0.0), 7.0, 0.0, 60.0)], [send(5.0)])
+        assert metrics.received_total == 0.0
+        assert metrics.charging_energy_loss == metrics.total_energy_loss == 20.0
 
     def test_length_mismatch(self):
+        # node columns of unequal length never reach a replay
         with pytest.raises(ValidationError):
-            final_node_energy([1.0], [1.0, 2.0], [3.0])
+            NetworkInstance([0.0], [0.0], [1.0], [1.0, 2.0], [3.0], (0.0, 0.0), DmcParams(),
+                            neutral_field())
 
 
 class TestEnergyAccounting:
-    def test_all_zero(self, dmc):
-        led = energy_accounting([10.0], [60.0], np.zeros(1), 0.0, 0.0, dmc)
-        assert led.e_mc_tran == 0.0
-        assert led.e_total_loss == 0.0
-        assert led.e_f0 == dmc.e_b0
+    def test_all_zero(self):
+        metrics = replay([((5.0, 0.0), 10.0, 0.0, 60.0)], [])
+        assert metrics.total_energy_loss == metrics.charging_energy_loss == 0.0
+        assert metrics.received_total == metrics.movement_energy == 0.0
+        assert metrics.feasible
 
-    def test_single_pair_example(self, dmc):
+    def test_single_pair_example(self):
         # one pair at coefficient 0.5 transmitting 10 s at 4 W
-        raw = received_energy(np.array([[0.5]]), np.array([10.0]), dmc.p0)
-        led = energy_accounting([10.0], [60.0], raw, 10.0, 0.0, dmc)
-        assert led.e_mc_tran == pytest.approx(40.0, rel=1e-12)
-        assert led.e_nodes_rcv == pytest.approx(20.0, rel=1e-12)
-        assert led.e_wpt_loss == pytest.approx(20.0, rel=1e-12)
+        metrics = replay([((0.0, 0.0), 10.0, 20.0, 60.0)], [send(10.0)], delta=5000.0)
+        assert metrics.charging_time * 4.0 == pytest.approx(40.0, rel=1e-12)
+        assert metrics.received_total == pytest.approx(20.0, rel=1e-12)
+        assert metrics.charging_energy_loss == pytest.approx(20.0, rel=1e-12)
+        assert metrics.total_energy_loss == metrics.charging_energy_loss
 
     def test_battery_deficit_flag(self):
-        dmc = DmcParams(e_b0=10.0)
-        led = energy_accounting([0.0], [60.0], np.zeros(1), 100.0, 0.0, dmc)
-        assert led.dmc_energy_ok is False
-        assert led.e_f0 == 10.0 - 400.0
+        # the node's demand is met, but 400 J sent empties a 10 J battery
+        metrics = replay([((0.0, 0.0), 0.0, 0.0, 60.0)], [send(100.0)], e_b0=10.0)
+        assert metrics.feasible is False
+        assert replay([((0.0, 0.0), 0.0, 0.0, 60.0)], [send(100.0)]).feasible is True
 
     def test_conservation_identity_random(self, dmc):
+        # what the charger and the nodes hold before, less what they hold
+        # after, is the total loss
         rng = np.random.default_rng(17)
         for _ in range(100):
             n = int(rng.integers(1, 8))
+            xy = rng.uniform(-15.0, 15.0, (n, 2))
             e_b = rng.uniform(6, 36, n)
             e_c = rng.uniform(60, 90, n)
-            raw = rng.uniform(0, 80, n)
-            tran_time = float(rng.uniform(0, 100))
-            move = float(rng.uniform(0, 500))
-            led = energy_accounting(e_b, e_c, raw, tran_time, move, dmc)
-            e_tb = dmc.e_b0 + e_b.sum()
-            e_tf = led.e_f0 + led.e_f.sum()
-            assert e_tb - e_tf == pytest.approx(led.e_total_loss, rel=1e-9, abs=1e-9)
-            assert led.e_f0 == pytest.approx(
-                dmc.e_b0 - led.e_mc_tran - led.e_mc_move, rel=1e-12
-            )
+            specs = [((x, y), b, 0.0, c) for (x, y), b, c in zip(xy.tolist(), e_b, e_c)]
+            stop = (float(rng.uniform(-5.0, 5.0)), float(rng.uniform(-5.0, 5.0)))
+            out = math.hypot(*stop)
+            items = [ScheduleItem(MOVE, stop, 0.0, out / dmc.v_bar)]
+            items += [
+                ScheduleItem(TRANSMIT, stop, float(psi), float(t))
+                for psi, t in zip(rng.uniform(0, 2 * math.pi, 3), rng.uniform(0, 30, 3))
+            ]
+            items.append(ScheduleItem(MOVE, (0.0, 0.0), 0.0, out / dmc.v_bar))
+            metrics = replay(specs, items)
+            assert metrics.movement_energy == pytest.approx(2 * out * dmc.w0, rel=1e-12)
+            before = dmc.e_b0 + e_b.sum()
+            e_f0 = dmc.e_b0 - dmc.p0 * metrics.charging_time - metrics.movement_energy
+            after = e_f0 + e_b.sum() + metrics.received_total
+            assert before - after == pytest.approx(metrics.total_energy_loss, rel=1e-9, abs=1e-9)
+            assert 0.0 <= metrics.received_total <= e_c.sum() - e_b.sum()
 
 
 class TestAngles:

@@ -242,9 +242,9 @@ class TestSelectChargingPositions:
             instance = make_instance(specs, bs=(100.0, 100.0))
             cover = select_charging_positions(instance)
             d_max = instance.dmc.d_max
+            # every node lies within d_max of some position
             for u in node_rows(instance):
-                p = cover.positions[cover.assignment[u.id]]
-                assert math.hypot(u.pos[0] - p[0], u.pos[1] - p[1]) <= d_max + 1e-9
+                assert min(math.dist(u.pos, p) for p in cover.positions) <= d_max + 1e-9
             k = len(cover.positions)
             if k > 1:
                 points = [u.pos for u in node_rows(instance)]

@@ -2,8 +2,9 @@
 
 The gate over n, field size and seed that every schedule a scheduler returns
 passes ``evaluate`` after the text round trip, feasible and with the
-in-memory metrics; and a literal instance file and schedule file that must
-read and write back byte for byte, which pins the file layout.
+in-memory metrics, and that both sets of metrics keep the energy ledger;
+and a literal instance file and schedule file that must read and write
+back byte for byte, which pins the file layout.
 """
 
 import dataclasses
@@ -39,12 +40,27 @@ MATCHED = [
 def test_schedules_survive_file_round_trip(n, area, seed):
     instance = generate_instance(n, seed=seed, area=area)
     parsed = instance_from_text(instance_to_text(instance))
+    dmc = instance.dmc
+    headroom = float((instance.e_c - instance.e_b).sum())
     for schedule, metrics in (plan_schedule(instance, seed=seed), one_to_one_schedule(instance)):
         replayed = execute_schedule(parsed, schedule_from_text(schedule_to_text(schedule)))
         assert metrics.feasible and replayed.feasible
         for name in MATCHED:
             a, b = getattr(metrics, name), getattr(replayed, name)
             assert math.isclose(a, b, rel_tol=1e-6, abs_tol=1e-6), (name, a, b)
+        # the ledger: every value a plain float or bool, losses that add up,
+        # no more banked than the batteries hold, and a battery that covers
+        # what is spent.  The banked energy is not bounded by what is sent:
+        # a sector charges every node it covers at up to the apex
+        # coefficient, so crowded nodes bank more than that.
+        for m in (metrics, replayed):
+            assert {type(v) for v in dataclasses.astuple(m)} == {float, bool}
+            parts = m.charging_energy_loss + m.movement_energy
+            assert math.isclose(m.total_energy_loss, parts, rel_tol=1e-9, abs_tol=1e-9)
+            assert m.time_span == m.charging_time + m.moving_time
+            assert 0.0 <= m.received_total <= headroom * (1.0 + 1e-9) + 1e-9
+            if m.feasible:
+                assert dmc.e_b0 >= m.movement_energy + dmc.p0 * m.charging_time
 
 
 # Written by the readers' and writers' layout as it stands: two-space

@@ -31,7 +31,7 @@ def random_directed_graph(rng, n, closed=True):
     points = [tuple(p) for p in rng.uniform(0, 200, size=(n, 2))]
     asym = AsymmetryField(seed=int(rng.integers(2**31)))
     mats = build_routing_matrices(points, asym, DmcParams())
-    g = cost_graph(mats.move_cost())
+    g = cost_graph(mats.cost)
     return metric_closure(g) if closed else g
 
 

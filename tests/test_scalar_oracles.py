@@ -109,9 +109,9 @@ def assert_bitwise_equal(got, want):
 
 def assert_matrices_match(points, asym, dmc):
     mats = build_routing_matrices(points, asym, dmc)
-    dist, rate = reference_routing_matrices(points, asym, dmc)
+    dist, cost = reference_routing_matrices(points, asym, dmc)
     assert_bitwise_equal(mats.dist, dist)
-    assert_bitwise_equal(mats.egy_rate, rate)
+    assert_bitwise_equal(mats.cost, cost)
 
 
 class TestRoutingMatrices:
@@ -396,7 +396,7 @@ def matrix_cases(draw):
     cover = select_charging_positions(instance)
     apexes = draw(st.lists(st.sampled_from(node_rows(instance)), max_size=4))
     points = cover.positions + tuple(u.pos for u in apexes)
-    return instance, ChargingPositionSet(points, cover.assignment)
+    return instance, ChargingPositionSet(points)
 
 
 def matrix_rows(matrix):
@@ -424,7 +424,7 @@ class TestCoefficientMatrix:
         specs = [((r * dx, r * dy), 5.0, 20.0, 60.0) for dx, dy in rays for r in (1, 2, 3)]
         instance = make_instance(specs + [((0.0, 0.0), 5.0, 20.0, 60.0)])
         for pos in ((0.0, 0.0), (2.0, 2.0), (-6.0, 8.0)):
-            cover = ChargingPositionSet((pos,), (0,) * instance.n)
+            cover = ChargingPositionSet((pos,))
             matrix = build_coefficient_matrix(cover, instance)
             rows, entries = reference_coefficient_matrix(cover, instance)
             assert matrix_rows(matrix) == rows

@@ -563,7 +563,7 @@ def tour_graphs(draw, max_n):
     if kind == "closure":
         points = [tuple(p) for p in rng.uniform(0.0, 200.0, (n, 2))]
         mats = build_routing_matrices(points, AsymmetryField(seed=seed), DmcParams())
-        return metric_closure(cost_graph(mats.move_cost()))
+        return metric_closure(cost_graph(mats.cost))
     if kind == "ties":
         return cost_graph(tie_costs(rng, n))
     return cost_graph(rng.integers(0, 65, (n, n)) / 8.0)

@@ -79,7 +79,7 @@ class TestBuildTimeLp:
             [((0.0, 0.0), 10.0, 16.0, 60.0), ((30.0, 0.0), 10.0, 5.0, 60.0)],
             bs=(5.0, 30.0),
         )
-        cover = ChargingPositionSet(positions=((0.0, 0.0),), assignment=(0, 0))
+        cover = ChargingPositionSet(positions=((0.0, 0.0),))
         matrix = build_coefficient_matrix(cover, instance)
         assert matrix.entries.shape == (1, 2)
         assert not matrix.entries[:, 1].any()
@@ -94,7 +94,7 @@ class TestBuildTimeLp:
              ((0.0, 30.0), 10.0, 0.0, 60.0), ((40.0, 0.0), 10.0, 5.0, 60.0)],
             bs=(5.0, 30.0),
         )
-        cover = ChargingPositionSet(positions=((0.0, 0.0),), assignment=(0, 0, 0, 0))
+        cover = ChargingPositionSet(positions=((0.0, 0.0),))
         matrix = build_coefficient_matrix(cover, instance)
         assert not matrix.entries[:, 1:].any()
         with pytest.raises(InfeasibleError, match=r"^node 1 demands 5\.0 J but is covered by no pair$"):
