@@ -1,17 +1,15 @@
 """Instance generation, file formats, experiment sweeps, and the command line.
 
 Files are JSON with floats written at 9 significant digits; serialize ->
-parse -> serialize is byte-identical.  The readers take every value in
-file order, so the first bad value raises; each float field must be a JSON
-number, and the node and item values turn into floats by one type scan and
-one numpy pass, then snap to 9 digits in one ``snap9_array`` pass into the
+parse -> serialize is byte-identical.  The readers convert every number in
+file order, so the first bad value raises (a float field must be a JSON
+number), and snap them to 9 digits in one ``snap9_array`` pass into the
 numpy columns an instance or a schedule holds; an invalid node before a
-bad value raises first.  The writers print
-those columns with one ``str.format`` template per row.  The generator
-draws the node columns in whole arrays, the same values a node-by-node
-draw gives.  Experiment runs derive their seeds
-from (master seed, node count, repeat index), so results do not depend on
-worker scheduling.
+bad value raises first.  The writers print those columns with one
+``str.format`` template per row.  The generator draws the node columns in
+whole arrays, the same values a node-by-node draw gives.  Experiment runs
+derive their seeds from (master seed, node count, repeat index), so results
+do not depend on worker scheduling.
 
 Two tables make the command line's choices: ``_SCHEDULERS`` maps each
 algorithm name to the function that plans an instance with it, and
@@ -24,7 +22,6 @@ same way), and ``_run_row`` builds every run row.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -261,9 +258,7 @@ def instance_to_text(instance: NetworkInstance) -> str:
         "dmc": _json_object({key: getattr(dmc, name) for name, key in _DMC_KEYS.items()}, "  "),
         "asym": _json_object({
             "seed": asym.seed,
-            "k_dis_lo": asym.k_dis_range[0], "k_dis_hi": asym.k_dis_range[1],
-            "k_egy_lo": asym.k_egy_range[0], "k_egy_hi": asym.k_egy_range[1],
-            "grid": asym.grid,
+            **dict(zip(_ASYM_KEYS, (*asym.k_dis_range, *asym.k_egy_range, asym.grid))),
         }, "  "),
     })
 
@@ -291,32 +286,20 @@ def _integer(value, name: str) -> int:
 _NUMBER_TYPES = {int, float}  # what json.loads gives a JSON number; a bool is neither
 
 
-def _number(value, name: str) -> float:
-    """``float(value)`` of a JSON number; as in ``_integer``, ``float``'s own errors come first."""
-    number = float(value)
-    if type(value) not in _NUMBER_TYPES:
-        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
-    return number
+def _numbers(row: dict, keys, what: str, at: int | None = None) -> list[float]:
+    """``float`` of ``row``'s ``keys`` in turn; ``float``'s own errors come first, as in ``_integer``.
 
-
-def _floats(raw: list, fields: tuple[str, ...], what: str, check=None) -> np.ndarray:
-    """The ``fields`` of each ``what`` in ``raw``, as floats: one type scan and one numpy pass.
-
-    Else the first value that is not a JSON number a float holds raises,
-    named by ``what``, index and field, after ``check`` of the whole rows before it.
+    A value that is not a JSON number (a string, or a bool) then raises
+    ``ValueError`` naming ``what``, ``at`` and the key.
     """
-    if set(map(type, raw)) <= _NUMBER_TYPES:
-        with contextlib.suppress(OverflowError):  # an integer beyond a float
-            return np.array(raw, dtype=float)
-    m = len(fields)
-    for at, value in enumerate(raw):
-        try:
-            _number(value, f"{what} {at // m} {fields[at % m]}")
-        except _BAD_VALUE:
-            if check is not None:
-                check(np.array(raw[: at - at % m], dtype=float))
-            raise
-    raise AssertionError("unreachable: the list holds a value that is not a JSON number")
+    got = []
+    for key in keys:
+        value = row[key]
+        got.append(float(value))
+        if type(value) not in _NUMBER_TYPES:
+            where = what if at is None else f"{what} {at}"
+            raise ValueError(f"{where} {key} must be a number, got {json.dumps(value)}")
+    return got
 
 
 def _read(path: str, kind: str) -> str:
@@ -330,41 +313,35 @@ def _read(path: str, kind: str) -> str:
 
 
 def instance_from_text(text: str) -> NetworkInstance:
-    raw: list = []  # x, y, e_b, e_d, e_c of each node in turn, as the file holds them
+    values: list[float] = []  # x, y, e_b, e_d, e_c of each node in turn
     try:
         doc = json.loads(text)
         try:
-            for u in doc["nodes"]:
-                raw += (u["x"], u["y"], u["e_b"], u["e_d"], u["e_c"])
-            columns = _node_columns(raw)
-            bs = tuple(snap9(_number(doc["bs"][key], f"bs {key}")) for key in ("x", "y"))
+            for at, u in enumerate(doc["nodes"]):
+                values += _numbers(u, _NODE_FIELDS, "node", at)
+            bs = tuple(map(snap9, _numbers(doc["bs"], ("x", "y"), "bs")))
             d = doc["dmc"]
-            dmc = DmcParams(**{k: _number(d[key], f"dmc {key}") for k, key in _DMC_KEYS.items()})
+            dmc = DmcParams(**dict(zip(_DMC_KEYS, _numbers(d, _DMC_KEYS.values(), "dmc"))))
             a = doc["asym"]
             seed = _integer(a["seed"], "asym seed")
-            k = [_number(a[key], f"asym {key}") for key in _ASYM_KEYS]
+            k = _numbers(a, _ASYM_KEYS, "asym")
             asym = AsymmetryField(seed, (k[0], k[1]), (k[2], k[3]), k[4])
         except (*_BAD_VALUE, ValidationError):
-            # a bad value or an invalid node before the fault raises first
-            check_nodes(*_node_columns(raw))
+            check_nodes(*_node_columns(values))  # an invalid node before the fault raises first
             raise
     except _BAD_VALUE as exc:
         raise ValidationError(f"bad instance file: {exc}") from exc
-    return NetworkInstance(*columns, bs, dmc, asym)
+    return NetworkInstance(*_node_columns(values), bs, dmc, asym)
 
 
-def _node_columns(raw: list) -> np.ndarray:
-    """The x, y, e_b, e_d and e_c rows of the nodes in ``raw``, snapped in one pass.
+def _node_columns(values: list[float]) -> np.ndarray:
+    """The x, y, e_b, e_d and e_c rows of the whole nodes among ``values``, snapped in one pass.
 
     The format carries 9 significant digits; snapping makes a hand-edited
-    file with extra digits behave as its re-serialized form.  Nodes before
-    a value that is not a JSON number are checked before it raises.
+    file with extra digits behave as its re-serialized form.
     """
-
-    def snapped(values: np.ndarray) -> np.ndarray:
-        return snap9_array(values).reshape(-1, 5).T
-
-    return snapped(_floats(raw, _NODE_FIELDS, "node", lambda head: check_nodes(*snapped(head))))
+    whole = np.array(values, dtype=float)[: len(values) - len(values) % 5]
+    return snap9_array(whole).reshape(-1, 5).T
 
 
 def schedule_to_text(schedule: OperationSchedule) -> str:
@@ -373,25 +350,20 @@ def schedule_to_text(schedule: OperationSchedule) -> str:
 
 
 def schedule_from_text(text: str) -> OperationSchedule:
-    raw: list = []  # x, y, psi, t of each item in turn, as the file holds them
     try:
         doc = json.loads(text)
         states: list[int] = []
-        try:
-            for i in doc["items"]:
-                state = i["state"]  # a JSON integer, not a bool, is read as it is
-                states.append(state if type(state) is int else _integer(state, "state"))
-                raw += (i["x"], i["y"], i["psi"], i["t"])
-        except _BAD_VALUE:
-            _floats(raw, _ITEM_FIELDS, "item")  # a bad number before the fault raises first
-            raise
-        values = _floats(raw, _ITEM_FIELDS, "item")
+        values: list[float] = []  # x, y, psi, t of each item in turn
+        for at, i in enumerate(doc["items"]):
+            state = i["state"]  # a JSON integer, not a bool, is read as it is
+            states.append(state if type(state) is int else _integer(state, "state"))
+            values += _numbers(i, _ITEM_FIELDS, "item", at)
     except _BAD_VALUE as exc:
         raise ValidationError(f"bad schedule file: {exc}") from exc
     if not set(states) <= {MOVE, TRANSMIT}:
         state = next(s for s in states if s not in (MOVE, TRANSMIT))
         raise ValidationError(f"bad schedule file: unknown state {state}")
-    x, y, psi, t = snap9_array(values).reshape(-1, 4).T
+    x, y, psi, t = snap9_array(np.array(values, dtype=float)).reshape(-1, 4).T
     return OperationSchedule(np.array(states, dtype=np.int64), x, y, psi, t)
 
 
