@@ -1,4 +1,7 @@
-"""Charge-tour scheduling for sector chargers under asymmetric travel costs."""
+"""Charge-tour scheduling for sector chargers under asymmetric travel costs.
+
+The root exports the plan-and-replay workflow; each stage's types live in its module.
+"""
 
 from .errors import (
     InfeasibleError,
@@ -8,42 +11,11 @@ from .errors import (
     SchedulingError,
     ValidationError,
 )
-from .model import (
-    AsymmetryField,
-    DmcParams,
-    NetworkInstance,
-    RoutingMatrices,
-    build_routing_matrices,
-)
-from .positions import (
-    ChargingPositionSet,
-    min_enclosing_circle,
-    select_charging_positions,
-)
-from .directions import (
-    CoefficientMatrix,
-    PosDirPair,
-    build_coefficient_matrix,
-)
-from .timing import LpProblem, LpSolution, build_time_lp, solve_lp
-from .routing import (
-    DirectedCostGraph,
-    SymmetricReformulation,
-    Tour,
-    cost_graph,
-    expand_tour,
-    greedy_tour,
-    held_karp,
-    lk_tour,
-    metric_closure,
-    to_symmetric,
-    tour_cost,
-)
+from .model import AsymmetryField, DmcParams, NetworkInstance
 from .pipeline import (
     MOVE,
     TRANSMIT,
     OperationSchedule,
-    ScheduleItem,
     ScheduleMetrics,
     execute_schedule,
     one_to_one_schedule,

@@ -146,7 +146,6 @@ def generate_instance(
     n: int,
     seed: int,
     area: float = 200.0,
-    dmc: DmcParams | None = None,
     avoid_bs_disc: bool = False,
 ) -> NetworkInstance:
     """Random instance: uniform nodes, centered base station, default charger.
@@ -168,7 +167,7 @@ def generate_instance(
         raise ValidationError(f"area must be finite and nonnegative, got {area}")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
-    dmc = dmc or DmcParams()
+    dmc = DmcParams()
     bs = (snap9(area / 2.0), snap9(area / 2.0))
     if avoid_bs_disc and all(
         math.hypot(x - bs[0], y - bs[1]) <= dmc.d_max for x in (0.0, area) for y in (0.0, area)
@@ -252,6 +251,8 @@ _ASYM_KEYS = ("k_dis_lo", "k_dis_hi", "k_egy_lo", "k_egy_hi", "grid")  # after "
 
 def instance_to_text(instance: NetworkInstance) -> str:
     dmc, asym = instance.dmc, instance.asym
+    if asym.overrides:  # the file would replay other coefficients
+        raise ValidationError("coefficient overrides are not part of the instance format")
     return _json_document({
         "nodes": _json_rows({k: getattr(instance, k) for k in _NODE_FIELDS}, "  "),
         "bs": _json_object({"x": instance.bs_pos[0], "y": instance.bs_pos[1]}, "  "),

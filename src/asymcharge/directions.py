@@ -1,11 +1,11 @@
 """Charging direction selection and the transfer coefficient matrix.
 
-``reach_pairs`` is the one coverage kernel: for points given as x and y
-columns it finds every node within charge distance of each, with its
-bearing, distance and transfer coefficient.  It has two stages, ``near_pairs``, a numpy distance
-test, and ``coverage_math``, the exact per-pair math.  The coefficient
-matrix runs the exact stage on every near pair; the schedule replay runs it
-only on the pairs a transmission's sector may cover.  At each charging
+The coverage kernel finds every node within charge distance of points given
+as x and y columns, with its bearing, distance and transfer coefficient, in
+two stages: ``near_pairs``, a numpy distance test, and ``coverage_math``,
+the exact per-pair math.  The coefficient matrix runs the exact stage on
+every near pair, the replay only on the pairs a sector may cover; both then
+apply one rule, ``covers``.  At each charging
 position, the continuum of possible sector directions is reduced to a
 finite representative set: one direction per maximal coverage subset, found
 from a table of which in-range nodes the sector covers at the midpoint of
@@ -49,16 +49,6 @@ class CoefficientMatrix:
     entries: np.ndarray  # (K, N)
 
 
-class Reach(NamedTuple):
-    """Every in-range (point, node) pair, ordered by point, then node id."""
-
-    point: np.ndarray  # index into the points searched
-    node: np.ndarray  # node id
-    theta: np.ndarray  # bearing in [0, 2*pi), counterclockwise from +x; 0 at the apex
-    dist: np.ndarray
-    coef: np.ndarray  # delta / (alpha + dist) ** beta
-
-
 def normalize_angles(a: np.ndarray) -> np.ndarray:
     """Angles mapped to [0, 2*pi): ``fmod`` by a turn, one turn added to a
     negative remainder, and 0 where that sum rounds up to 2*pi."""
@@ -72,6 +62,11 @@ def off_axis(theta: np.ndarray, psi) -> np.ndarray:
     """Circular distance in [0, pi] between angles already in [0, 2*pi)."""
     d = np.abs(theta - psi)
     return np.minimum(d, TWO_PI - d)
+
+
+def covers(theta: np.ndarray, dist: np.ndarray, psi, half: float) -> np.ndarray:
+    """Which in-range pairs a sector at ``psi`` covers: the apex, and bearings within ``half``."""
+    return (dist == 0.0) | (off_axis(theta, psi) <= half)
 
 
 class Near(NamedTuple):
@@ -133,23 +128,11 @@ def coverage_math(
     return keep, theta, dist, coef
 
 
-def reach_pairs(px: np.ndarray, py: np.ndarray, instance: NetworkInstance) -> Reach:
-    """Every node within charge distance of each point (px[k], py[k]), with what covers it.
-
-    ``near_pairs`` finds the pairs that may lie in range and
-    ``coverage_math`` computes every one of them exactly.
-    """
-    near = near_pairs(px, py, instance)
-    keep, theta, dist, coef = coverage_math(near.dx, near.dy, instance.dmc)
-    return Reach(near.point[keep], near.node[keep], theta, dist, coef)
-
-
 def _maximal_sectors(theta: np.ndarray, dist: np.ndarray, half: float) -> tuple[np.ndarray, np.ndarray]:
     """Directions and coverage rows of the maximal coverage subsets at one position.
 
-    Takes one position's in-range nodes.  The sector covers a node at the
-    apex for every direction and any other node whose bearing lies within
-    ``half`` of the direction.  The coverage subset is sampled at the
+    Takes one position's in-range nodes, which ``covers`` decides for each
+    direction.  The coverage subset is sampled at the
     midpoint of every arc between the event angles, where some node enters
     or leaves the sector; each subset keeps its smallest midpoint, and a
     subset strictly inside another is dropped.  Returns psi ascending and a
@@ -161,7 +144,7 @@ def _maximal_sectors(theta: np.ndarray, dist: np.ndarray, half: float) -> tuple[
         return np.zeros(1), np.ones((1, theta.size), dtype=bool)
     events = events[np.concatenate(([True], events[1:] != events[:-1]))]
     mids = np.sort(normalize_angles((events + np.append(events[1:], events[0] + TWO_PI)) / 2.0))
-    table = ~off | (off_axis(theta, mids[:, None]) <= half)
+    table = covers(theta, dist, mids[:, None], half)
     ones = table.astype(float)
     shared = ones @ ones.T  # exact counts; shared[i, j] == size[i]: row i lies inside row j
     size = shared.diagonal()
@@ -177,23 +160,26 @@ def build_coefficient_matrix(
 ) -> CoefficientMatrix:
     """Assemble the full (position, direction) -> node coefficient matrix.
 
-    One ``reach_pairs`` call covers every position.  A row is a direction's
-    coverage row times the coefficients of the position's in-range nodes, so
-    it is positive exactly on the nodes its direction covers: ``DmcParams``
-    keeps every coefficient within ``d_max`` positive.
+    One ``near_pairs`` call and one ``coverage_math`` call cover every
+    position.  A row is a direction's coverage row times the coefficients
+    of the position's in-range nodes, so it is positive exactly on the
+    nodes its direction covers: ``DmcParams`` keeps every coefficient
+    within ``d_max`` positive.
     """
     px, py = np.array(positions.positions, dtype=float).reshape(-1, 2).T
-    reach = reach_pairs(px, py, instance)
+    near = near_pairs(px, py, instance)
+    keep, theta, dist, coef = coverage_math(near.dx, near.dy, instance.dmc)
+    point, node = near.point[keep], near.node[keep]
     half = instance.dmc.phi / 2.0
-    bounds = np.searchsorted(reach.point, np.arange(len(positions.positions) + 1))
+    bounds = np.searchsorted(point, np.arange(len(positions.positions) + 1))
     rows: list[PosDirPair] = []
     blocks = []
     for pi, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         if lo == hi:
             continue
-        psis, table = _maximal_sectors(reach.theta[lo:hi], reach.dist[lo:hi], half)
+        psis, table = _maximal_sectors(theta[lo:hi], dist[lo:hi], half)
         rows.extend(PosDirPair(pi, psi) for psi in psis.tolist())
-        blocks.append((reach.node[lo:hi], table * reach.coef[lo:hi]))
+        blocks.append((node[lo:hi], table * coef[lo:hi]))
     entries = np.zeros((len(rows), instance.n))
     start = 0
     for ids, block in blocks:

@@ -124,6 +124,8 @@ class DmcParams:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
                 raise ValidationError(f"dmc parameter {name} must be positive and finite")
+            # the 9 digits a file stores, so a plan replays the same from one
+            object.__setattr__(self, name, snap9(value))
         if not self.phi < TWO_PI:
             raise ValidationError("sector angle must be below a full turn")
         # the coefficient falls with d, so its values at 0 and d_max bound it
@@ -158,12 +160,15 @@ class AsymmetryField:
     k_egy_range: tuple[float, float] = (1.0, 1.0)
     grid: float = 0.01
     # optional exact per-cell-pair coefficients, e.g. for replaying a published
-    # coefficient table; not part of the serialized format
+    # coefficient table; not part of the file format, so ``cli.instance_to_text`` refuses them
     overrides: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not all(map(math.isfinite, (*self.k_dis_range, *self.k_egy_range, self.grid))):
             raise ValidationError("coefficient ranges and grid must be finite")
+        for name in ("k_dis_range", "k_egy_range"):  # 9 digits, as in ``DmcParams``
+            object.__setattr__(self, name, tuple(map(snap9, getattr(self, name))))
+        object.__setattr__(self, "grid", snap9(self.grid))
         for lo, hi in (self.k_dis_range, self.k_egy_range):
             if lo <= 0 or hi <= 0:
                 raise ValidationError("coefficient range bounds must be positive")

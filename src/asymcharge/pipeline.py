@@ -30,6 +30,7 @@ from .model import NetworkInstance, Point
 from .directions import (
     build_coefficient_matrix,
     coverage_math,
+    covers,
     near_pairs,
     normalize_angles,
     off_axis,
@@ -164,7 +165,7 @@ def _received(
     drop it too.
     The exact ``coverage_math`` then runs once on each pair some
     transmission may cover.  Each transmission credits ``p0 * coef * t`` to
-    every in-range node its sector covers, and ``bincount`` adds each
+    every in-range node its sector ``covers``, and ``bincount`` adds each
     node's credits in transmission order, the order a running ``+=`` per
     transmission takes.  Also returns the index of the first transmission
     with a credit that is not finite, or None.
@@ -193,7 +194,7 @@ def _received(
     at = slot[pair]
     inside = at >= 0
     at, send = at[inside], send[inside]
-    covered = (dist[at] == 0.0) | (off_axis(theta[at], psi[send]) <= half)
+    covered = covers(theta[at], dist[at], psi[send], half)
     at, send = at[covered], send[covered]
     with np.errstate(over="ignore", invalid="ignore"):  # reported as the first bad send
         credit = dmc.p0 * coef[at] * t[send]

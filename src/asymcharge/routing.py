@@ -14,8 +14,8 @@ The local search follows LKH (Helsgaun, EJOR 2000): each point keeps its
 those lists while the partial gain stays positive, and don't-look bits
 confine each descent to the points whose arcs a move or a restart changed.
 
-Nearest-neighbor reads its costs through ``NearestNeighborCosts``: a full
-matrix, or the lazy travel arcs of the one-to-one baseline.  Each point
+Nearest-neighbor reads a full ``DirectedCostGraph`` or the lazy travel
+arcs of the one-to-one baseline, through the members it names.  Each point
 gets a window of ``_WINDOW`` near targets, priced in bulk, with a floor
 under every arc it leaves out, so most steps settle in plain Python; the
 rest price only the arcs whose lower bound a step cannot rule out.
@@ -28,7 +28,6 @@ import random
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -71,27 +70,6 @@ class DirectedCostGraph:
         else:
             floor = np.full(n, np.inf)
         return targets, np.take_along_axis(cost, targets, axis=1), floor
-
-
-class NearestNeighborCosts(Protocol):
-    """Outgoing arc costs as ``greedy_tour`` reads them.
-
-    ``lower_bounds(i, js)`` never exceeds ``arc_costs(i, js)`` elementwise;
-    a full matrix's bounds are its costs.  ``window(w)``, for 1 <= w < n,
-    returns ``(targets, costs, floor)``: the (n, w) indices of w other
-    points per point, each row ascending, the exact costs of those arcs,
-    and per point a value no greater than the cost of any arc from it to a
-    point outside its row (or -inf).
-    """
-
-    @property
-    def n(self) -> int: ...
-
-    def lower_bounds(self, i: int, js) -> np.ndarray: ...
-
-    def arc_costs(self, i: int, js) -> np.ndarray: ...
-
-    def window(self, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
 
 @dataclass(frozen=True)
@@ -168,8 +146,14 @@ def expand_tour(tour: Tour, closed: DirectedCostGraph) -> Tour:
     return Tour(tuple(order), tour_cost(order, closed.cost))
 
 
-def greedy_tour(g: NearestNeighborCosts) -> Tour:
+def greedy_tour(g) -> Tour:
     """Nearest-neighbor cycle from index 0 on outgoing costs, lowest index on ties.
+
+    ``g`` has ``n`` points; ``g.arc_costs(i, js)`` are the exact costs of
+    the arcs from i to js and ``g.lower_bounds(i, js)`` never exceed them.
+    ``g.window(w)``, 1 <= w < n, gives ``(targets, costs, floor)``: per
+    point the ascending indices of w others, those arcs' exact costs, and
+    a value (or -inf) no greater than any arc to a point outside the row.
 
     Every point first gets a window of ``_WINDOW`` near targets with their
     exact costs and a floor under the cost of every arc it leaves out

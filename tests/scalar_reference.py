@@ -3,10 +3,11 @@
 The paper's transfer model for one sector and one node, with its scalar
 angle helpers (``normalize_angle``, ``angular_distance``,
 ``transfer_coefficient``), behind ``directions.normalize_angles``,
-``directions.off_axis`` and ``directions.reach_pairs``.  The
+``directions.off_axis``, ``directions.covers`` and the coverage kernel
+(``directions.near_pairs`` then ``directions.coverage_math``).  The
 straightforward one-pair-at-a-time and one-node-at-a-time loops behind
 ``model.TravelArcs.row`` (one blake2b of the whole key per pair),
-``model.build_routing_matrices``, ``directions.reach_pairs``,
+``model.build_routing_matrices``, the coverage kernel,
 ``directions.build_coefficient_matrix`` (the event sweep that tests every
 node at every arc midpoint) and ``pipeline.execute_schedule``, whose
 item checks and move pricing have a per-item loop version here too, both

@@ -3,6 +3,7 @@
 Rows for the columnar types (``Node`` rows of an instance through
 ``node_rows`` and ``instance_of``, a schedule of ``ScheduleItem`` rows
 through ``schedule_of``, and the x and y ``columns`` of a list of points),
+the in-range pairs of the two coverage stages together (``reach_pairs``),
 directed segment distance, energy and time, movement totals along a tour,
 received energy from pair rows, the factorial tour oracle, the plain-text
 cost-matrix format, the metrics-CSV reader with its identity check and
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from asymcharge import positions
+from asymcharge import directions, positions
 from asymcharge.errors import MalformedTourError, ValidationError
 from asymcharge.model import (
     AsymmetryField,
@@ -67,6 +68,28 @@ def schedule_of(items) -> OperationSchedule:
 def columns(points) -> np.ndarray:
     """The x and y columns of (x, y) points, as the two rows of one float array."""
     return np.array(points, dtype=float).reshape(-1, 2).T.copy()
+
+
+class Reach(NamedTuple):
+    """Every in-range (point, node) pair, ordered by point, then node id."""
+
+    point: np.ndarray  # index into the points searched
+    node: np.ndarray  # node id
+    theta: np.ndarray  # bearing in [0, 2*pi), counterclockwise from +x; 0 at the apex
+    dist: np.ndarray
+    coef: np.ndarray  # delta / (alpha + dist) ** beta
+
+
+def reach_pairs(px: np.ndarray, py: np.ndarray, instance: NetworkInstance) -> Reach:
+    """Every node within charge distance of each point (px[k], py[k]), with what covers it.
+
+    ``near_pairs`` finds the pairs that may lie in range and
+    ``coverage_math`` computes every one of them exactly, as
+    ``build_coefficient_matrix`` runs the two stages.
+    """
+    near = directions.near_pairs(px, py, instance)
+    keep, theta, dist, coef = directions.coverage_math(near.dx, near.dy, instance.dmc)
+    return Reach(near.point[keep], near.node[keep], theta, dist, coef)
 
 
 def kmeans(points, k: int, seed: int) -> list[tuple[int, ...]]:

@@ -15,29 +15,25 @@ import numpy as np
 import pytest
 
 from asymcharge import (
-    AsymmetryField,
-    ChargingPositionSet,
-    DmcParams,
-    LpProblem,
     MOVE,
     TRANSMIT,
-    ScheduleItem,
-    build_coefficient_matrix,
-    build_routing_matrices,
-    cost_graph,
+    AsymmetryField,
+    DmcParams,
     execute_schedule,
-    held_karp,
-    lk_tour,
-    metric_closure,
-    min_enclosing_circle,
     one_to_one_schedule,
     plan_schedule,
-    select_charging_positions,
-    solve_lp,
-    to_symmetric,
 )
+from asymcharge.directions import build_coefficient_matrix
+from asymcharge.pipeline import ScheduleItem
+from asymcharge.positions import (
+    ChargingPositionSet,
+    min_enclosing_circle,
+    select_charging_positions,
+)
+from asymcharge.routing import cost_graph, held_karp, lk_tour, metric_closure, to_symmetric
+from asymcharge.timing import LpProblem, solve_lp
 from asymcharge.cli import generate_instance
-from asymcharge.model import snap9_point
+from asymcharge.model import build_routing_matrices, snap9_point
 
 from conftest import subprocess_env
 from scalar_reference import (

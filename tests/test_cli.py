@@ -134,6 +134,14 @@ class TestSerialization:
         again = schedule_to_text(schedule_from_text(text))
         assert text == again
 
+    def test_coefficient_overrides_not_written(self):
+        # the demo's tabulated coefficients have no place in the file, which
+        # would replay the hashed ones
+        with pytest.raises(
+            ValidationError, match="^coefficient overrides are not part of the instance format$"
+        ):
+            instance_to_text(demo_instance())
+
     def test_bad_instance_rejected(self):
         with pytest.raises(ValidationError):
             instance_from_text("{not json")
@@ -418,7 +426,7 @@ class TestAtspBench:
 
 class TestDemo:
     def test_positions_recover_table_points(self):
-        from asymcharge import select_charging_positions
+        from asymcharge.positions import select_charging_positions
 
         cover = select_charging_positions(demo_instance())
         got = sorted((round(x, 6), round(y, 6)) for x, y in cover.positions)

@@ -4,22 +4,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from asymcharge import (
-    MOVE,
-    TRANSMIT,
-    ChargingPositionSet,
-    DmcParams,
-    ScheduleItem,
-    build_coefficient_matrix,
-    directions,
-    execute_schedule,
-    pipeline,
-    select_charging_positions,
-)
+from asymcharge import MOVE, TRANSMIT, DmcParams, directions, execute_schedule, pipeline
+from asymcharge.directions import build_coefficient_matrix
+from asymcharge.pipeline import ScheduleItem
+from asymcharge.positions import ChargingPositionSet, select_charging_positions
 
 from conftest import make_instance
 from scalar_reference import angular_distance, reference_nodes_in_range
-from support import columns, schedule_of
+from support import columns, reach_pairs, schedule_of
 
 GRID_STEP = 0.001
 
@@ -50,7 +42,7 @@ def node_at(pos, e_d=20.0):
 
 def nodes_in_range(pos, instance):
     """Ids, bearings and distances of the nodes the kernel finds around one point."""
-    reach = directions.reach_pairs(*columns([pos]), instance)
+    reach = reach_pairs(*columns([pos]), instance)
     return reach.node.tolist(), reach.theta.tolist(), reach.dist.tolist()
 
 
@@ -215,10 +207,13 @@ class TestCoefficientMatrix:
         )
         cover = select_charging_positions(instance)
         assert len(cover.positions) > 1
-        with mock.patch.object(directions, "reach_pairs", wraps=directions.reach_pairs) as reach:
+        with (
+            mock.patch.object(directions, "near_pairs", wraps=directions.near_pairs) as near,
+            mock.patch.object(directions, "coverage_math", wraps=directions.coverage_math) as exact,
+        ):
             build_coefficient_matrix(cover, instance)
-        assert reach.call_count == 1
-        px, py = reach.call_args.args[:2]
+        assert near.call_count == exact.call_count == 1
+        px, py = near.call_args.args[:2]
         assert list(zip(px.tolist(), py.tolist())) == list(cover.positions)
         # the stops repeat: the replay searches each distinct one once
         stop = pts[0].tolist()

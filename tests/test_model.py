@@ -11,11 +11,11 @@ from asymcharge import (
     AsymmetryField,
     DmcParams,
     NetworkInstance,
-    ScheduleItem,
     ValidationError,
-    build_routing_matrices,
     execute_schedule,
 )
+from asymcharge.model import build_routing_matrices
+from asymcharge.pipeline import ScheduleItem
 from asymcharge import model
 from asymcharge.errors import MalformedTourError
 
@@ -433,6 +433,18 @@ class TestNonFiniteParameters:
         with pytest.raises(ValidationError, match="p0 times the transfer coefficient"):
             DmcParams(**params)
         assert DmcParams(p0=1e-300).p0 == 1e-300
+
+    def test_parameters_hold_the_file_digits(self):
+        # what an instance file stores, so a written plan replays the same
+        assert DmcParams().phi == 0.785398163
+        assert DmcParams(v_bar=1.474609375).v_bar == 1.47460938
+        field = AsymmetryField(seed=0, k_dis_range=(1 / 3, 2 / 3), grid=0.1 + 0.2)
+        assert field.k_dis_range == (0.333333333, 0.666666667)
+        assert field.grid == 0.3
+        with pytest.raises(TypeError):
+            DmcParams(p0="4")
+        with pytest.raises(TypeError):
+            AsymmetryField(seed=0, grid="1")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_field_rejects(self, bad):

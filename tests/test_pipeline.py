@@ -9,14 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymcharge import model, pipeline
-from asymcharge import (
-    MOVE,
-    TRANSMIT,
-    ScheduleItem,
-    execute_schedule,
-    one_to_one_schedule,
-    plan_schedule,
-)
+from asymcharge import MOVE, TRANSMIT, execute_schedule, one_to_one_schedule, plan_schedule
+from asymcharge.pipeline import ScheduleItem
 from asymcharge.errors import MalformedScheduleError
 
 from conftest import make_instance
@@ -25,6 +19,7 @@ from support import (
     node_rows,
     ra_coefficients,
     ra_distance,
+    reach_pairs,
     schedule_of,
     segment_move_energy_time,
 )
@@ -594,7 +589,6 @@ class TestOneToOne:
         assert len(calls) <= 751 // 3
 
     def test_replay_computes_few_pairs_exactly(self, monkeypatch):
-        from asymcharge import directions
         from asymcharge.cli import generate_instance
 
         # a point-blank transmission's 45 degree sector covers few of the
@@ -603,7 +597,7 @@ class TestOneToOne:
         instance = generate_instance(450, seed=1)
         schedule, _ = one_to_one_schedule(instance)
         stops = list(dict.fromkeys(item.pos for item in schedule.items if item.state == TRANSMIT))
-        in_range = len(directions.reach_pairs(*columns(stops), instance).node)
+        in_range = len(reach_pairs(*columns(stops), instance).node)
         exact = []
         coverage_math = pipeline.coverage_math
 

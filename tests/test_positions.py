@@ -5,15 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from asymcharge import (
-    TRANSMIT,
-    DmcParams,
-    ValidationError,
-    min_enclosing_circle,
-    plan_schedule,
-    positions,
-    select_charging_positions,
-)
+from asymcharge import TRANSMIT, DmcParams, ValidationError, plan_schedule, positions
+from asymcharge.positions import min_enclosing_circle, select_charging_positions
 from asymcharge.cli import generate_instance
 
 from conftest import make_instance

@@ -1,9 +1,9 @@
 """Plan, write both files, read them back and replay: nothing may change.
 
-The gate over n, field size and seed that every schedule a scheduler returns
-passes ``evaluate`` after the text round trip, feasible and with the
-in-memory metrics, and that both sets of metrics keep the energy ledger;
-and a literal instance file and schedule file that must read and write
+The gate over n, field size, seed, charger and asymmetry field that every
+schedule a scheduler returns passes ``evaluate`` after the text round trip,
+with the in-memory metrics and feasible unless the battery runs out, and
+that both sets of metrics keep the energy ledger; and a literal instance file and schedule file that must read and write
 back byte for byte, which pins the file layout.
 """
 
@@ -13,7 +13,15 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymcharge import ScheduleMetrics, execute_schedule, one_to_one_schedule, plan_schedule
+from asymcharge import (
+    AsymmetryField,
+    DmcParams,
+    NetworkInstance,
+    ScheduleMetrics,
+    execute_schedule,
+    one_to_one_schedule,
+    plan_schedule,
+)
 from asymcharge.cli import (
     generate_instance,
     instance_from_text,
@@ -29,6 +37,24 @@ MATCHED = [
 ]
 
 
+@st.composite
+def chargers(draw):
+    """A charger whose parameters are rarely 9-digit values."""
+    return DmcParams(
+        p0=draw(st.floats(1.0, 10.0)),
+        w0=draw(st.floats(1.0, 8.0)),
+        v_bar=draw(st.floats(0.3, 3.0)),
+        d_max=draw(st.floats(8.0, 40.0)),
+        phi=draw(st.floats(0.3, 3.0)),
+    )
+
+
+@st.composite
+def coefficient_ranges(draw, lo_min):
+    lo = draw(st.floats(lo_min, 1.0))
+    return (lo, lo + draw(st.floats(0.0, 1.0)))
+
+
 # About 1 plan in 20 of this mix came out infeasible while the LP ran at the
 # unsnapped positions; 50 examples catch that with about 93% probability.
 @settings(max_examples=50, deadline=None)
@@ -36,15 +62,22 @@ MATCHED = [
     n=st.integers(min_value=1, max_value=60),
     area=st.sampled_from([50.0, 200.0, 2000.0, 5000.0]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dmc=chargers(),
+    k_dis=coefficient_ranges(0.3),
+    k_egy=coefficient_ranges(0.5),
+    grid=st.sampled_from([0.01, 0.1, 1.0]),
 )
-def test_schedules_survive_file_round_trip(n, area, seed):
-    instance = generate_instance(n, seed=seed, area=area)
+def test_schedules_survive_file_round_trip(n, area, seed, dmc, k_dis, k_egy, grid):
+    g = generate_instance(n, seed=seed, area=area)
+    asym = AsymmetryField(seed, k_dis, k_egy, grid)
+    instance = NetworkInstance(g.x, g.y, g.e_b, g.e_d, g.e_c, g.bs_pos, dmc, asym)
     parsed = instance_from_text(instance_to_text(instance))
-    dmc = instance.dmc
     headroom = float((instance.e_c - instance.e_b).sum())
     for schedule, metrics in (plan_schedule(instance, seed=seed), one_to_one_schedule(instance)):
         replayed = execute_schedule(parsed, schedule_from_text(schedule_to_text(schedule)))
-        assert metrics.feasible and replayed.feasible
+        # every demand is met; a costly field may drain the battery, and then only that fails
+        battery_ok = dmc.e_b0 >= metrics.movement_energy + dmc.p0 * metrics.charging_time
+        assert metrics.feasible == replayed.feasible == battery_ok
         for name in MATCHED:
             a, b = getattr(metrics, name), getattr(replayed, name)
             assert math.isclose(a, b, rel_tol=1e-6, abs_tol=1e-6), (name, a, b)

@@ -3,20 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from asymcharge import (
-    AsymmetryField,
-    DmcParams,
+from asymcharge import AsymmetryField, DmcParams, ValidationError, model, routing
+from asymcharge.model import build_routing_matrices
+from asymcharge.routing import (
     Tour,
-    ValidationError,
-    build_routing_matrices,
     cost_graph,
     expand_tour,
     greedy_tour,
     held_karp,
     lk_tour,
     metric_closure,
-    model,
-    routing,
     to_symmetric,
     tour_cost,
 )

@@ -21,18 +21,15 @@ from asymcharge import (
     AsymmetryField,
     DmcParams,
     NetworkInstance,
-    ScheduleItem,
-    ChargingPositionSet,
-    build_coefficient_matrix,
-    build_routing_matrices,
-    cost_graph,
     execute_schedule,
-    greedy_tour,
     one_to_one_schedule,
     plan_schedule,
-    select_charging_positions,
-    to_symmetric,
 )
+from asymcharge.directions import build_coefficient_matrix
+from asymcharge.model import build_routing_matrices
+from asymcharge.pipeline import ScheduleItem
+from asymcharge.positions import ChargingPositionSet, select_charging_positions
+from asymcharge.routing import cost_graph, greedy_tour, to_symmetric
 from asymcharge import directions, model, pipeline, routing
 from asymcharge.errors import MalformedScheduleError, ValidationError
 from asymcharge.cli import demo_instance, generate_instance, schedule_to_text
@@ -50,7 +47,7 @@ from scalar_reference import (
     reference_symmetric_cost,
     reference_tour_cost,
 )
-from support import columns, node_rows, ra_coefficients, ra_distance, schedule_of
+from support import columns, node_rows, ra_coefficients, ra_distance, reach_pairs, schedule_of
 from test_acceptance import random_schedule
 
 coordinate = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
@@ -257,7 +254,7 @@ class TestReplay:
         offsets = boundary_offsets(d_max, 0.0, 1.0) + [tuple(o) for o in spread.tolist()]
         specs = [((pos[0] + dx, pos[1] + dy), 5.0, 20.0, 60.0) for dx, dy in offsets]
         instance = make_instance(specs, dmc=DmcParams(d_max=d_max))
-        reach = directions.reach_pairs(*columns([pos]), instance)
+        reach = reach_pairs(*columns([pos]), instance)
         got = (reach.node.tolist(), reach.theta.tolist(), reach.dist.tolist())
         assert got == reference_nodes_in_range(pos, instance)
 
@@ -392,7 +389,8 @@ def matrix_cases(draw):
         alpha=draw(st.sampled_from([100.0, 0.5, 3.0])),
         beta=draw(st.sampled_from([2.0, 1.7, 2.5, 3.0])),
     )
-    instance = generate_instance(n, seed=draw(st.integers(0, 2**32 - 1)), area=area, dmc=dmc)
+    g = generate_instance(n, seed=draw(st.integers(0, 2**32 - 1)), area=area)
+    instance = NetworkInstance(g.x, g.y, g.e_b, g.e_d, g.e_c, g.bs_pos, dmc, g.asym)
     cover = select_charging_positions(instance)
     apexes = draw(st.lists(st.sampled_from(node_rows(instance)), max_size=4))
     points = cover.positions + tuple(u.pos for u in apexes)
@@ -438,7 +436,7 @@ class TestCoefficientMatrix:
         runs = []
         for block in (1, 7, directions._BLOCK):
             with mock.patch.object(directions, "_BLOCK", block):
-                runs.append([a.tobytes() for a in directions.reach_pairs(*columns(points), instance)])
+                runs.append([a.tobytes() for a in reach_pairs(*columns(points), instance)])
         assert runs[0] == runs[1] == runs[2]
 
 

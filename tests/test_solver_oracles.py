@@ -27,24 +27,24 @@ from asymcharge import (
     AsymmetryField,
     DmcParams,
     InfeasibleError,
-    LpProblem,
-    build_coefficient_matrix,
-    build_routing_matrices,
-    build_time_lp,
-    cost_graph,
-    held_karp,
-    lk_tour,
-    metric_closure,
     pipeline,
     plan_schedule,
     positions,
     routing,
-    select_charging_positions,
-    solve_lp,
     timing,
+)
+from asymcharge.directions import build_coefficient_matrix
+from asymcharge.model import build_routing_matrices
+from asymcharge.positions import select_charging_positions
+from asymcharge.routing import (
+    cost_graph,
+    held_karp,
+    lk_tour,
+    metric_closure,
     to_symmetric,
     tour_cost,
 )
+from asymcharge.timing import LpProblem, build_time_lp, solve_lp
 from asymcharge.cli import generate_instance
 
 from conftest import make_instance, neutral_field

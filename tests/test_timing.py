@@ -3,17 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from asymcharge import (
-    ChargingPositionSet,
-    InfeasibleError,
-    LpProblem,
-    PivotLimitError,
-    ValidationError,
-    build_coefficient_matrix,
-    build_time_lp,
-    select_charging_positions,
-    solve_lp,
-)
+from asymcharge import InfeasibleError, PivotLimitError, ValidationError
+from asymcharge.directions import build_coefficient_matrix
+from asymcharge.positions import ChargingPositionSet, select_charging_positions
+from asymcharge.timing import LpProblem, build_time_lp, solve_lp
 
 from conftest import make_instance
 
