@@ -3,13 +3,13 @@
 Files are JSON with floats written at 9 significant digits; serialize ->
 parse -> serialize is byte-identical.  The readers convert every number in
 file order, so the first bad value raises (a float field must be a JSON
-number), and snap them to 9 digits in one ``snap9_array`` pass into the
-numpy columns an instance or a schedule holds; an invalid node before a
-bad value raises first.  The writers print those columns with one
-``str.format`` template per row.  The generator draws the node columns in
-whole arrays, the same values a node-by-node draw gives.  Experiment runs
-derive their seeds from (master seed, node count, repeat index), so results
-do not depend on worker scheduling.
+number), into the numpy columns an instance or a schedule holds, which
+snap them to the file's 9 digits, so ``schedule`` prints what ``evaluate``
+of its files prints; an invalid node before a bad value raises first.  The
+writers print those columns with one ``str.format`` template per row.  The
+generator draws the node columns in whole arrays, the same values a
+node-by-node draw gives.  Experiment runs derive their seeds from (master
+seed, node count, repeat index), so results do not depend on worker scheduling.
 
 Two tables make the command line's choices: ``_SCHEDULERS`` maps each
 algorithm name to the function that plans an instance with it, and
@@ -194,7 +194,7 @@ def generate_instance(
             xy = xy[np.fromiter(map(math.hypot, dx, dy), float, need) > dmc.d_max]
         placed.append(xy)
         count += len(xy)
-    x, y = snap9_array(np.concatenate(placed)).T
+    x, y = np.concatenate(placed).T
     e_b, e_d, e_c = _draw_energies(rng, n)
     return NetworkInstance(x, y, e_b, e_d, e_c, bs, dmc, AsymmetryField(seed=seed))
 
@@ -320,7 +320,7 @@ def instance_from_text(text: str) -> NetworkInstance:
         try:
             for at, u in enumerate(doc["nodes"]):
                 values += _numbers(u, _NODE_FIELDS, "node", at)
-            bs = tuple(map(snap9, _numbers(doc["bs"], ("x", "y"), "bs")))
+            bs = tuple(_numbers(doc["bs"], ("x", "y"), "bs"))
             d = doc["dmc"]
             dmc = DmcParams(**dict(zip(_DMC_KEYS, _numbers(d, _DMC_KEYS.values(), "dmc"))))
             a = doc["asym"]
@@ -328,21 +328,12 @@ def instance_from_text(text: str) -> NetworkInstance:
             k = _numbers(a, _ASYM_KEYS, "asym")
             asym = AsymmetryField(seed, (k[0], k[1]), (k[2], k[3]), k[4])
         except (*_BAD_VALUE, ValidationError):
-            check_nodes(*_node_columns(values))  # an invalid node before the fault raises first
+            # an invalid node read before the fault raises first, at the digits an instance holds
+            check_nodes(*snap9_array(np.reshape(values[: len(values) // 5 * 5], (-1, 5)).T))
             raise
     except _BAD_VALUE as exc:
         raise ValidationError(f"bad instance file: {exc}") from exc
-    return NetworkInstance(*_node_columns(values), bs, dmc, asym)
-
-
-def _node_columns(values: list[float]) -> np.ndarray:
-    """The x, y, e_b, e_d and e_c rows of the whole nodes among ``values``, snapped in one pass.
-
-    The format carries 9 significant digits; snapping makes a hand-edited
-    file with extra digits behave as its re-serialized form.
-    """
-    whole = np.array(values, dtype=float)[: len(values) - len(values) % 5]
-    return snap9_array(whole).reshape(-1, 5).T
+    return NetworkInstance(*np.reshape(values, (-1, 5)).T, bs, dmc, asym)
 
 
 def schedule_to_text(schedule: OperationSchedule) -> str:
@@ -364,7 +355,7 @@ def schedule_from_text(text: str) -> OperationSchedule:
     if not set(states) <= {MOVE, TRANSMIT}:
         state = next(s for s in states if s not in (MOVE, TRANSMIT))
         raise ValidationError(f"bad schedule file: unknown state {state}")
-    x, y, psi, t = snap9_array(np.array(values, dtype=float)).reshape(-1, 4).T
+    x, y, psi, t = np.array(values, dtype=float).reshape(-1, 4).T
     return OperationSchedule(np.array(states, dtype=np.int64), x, y, psi, t)
 
 
@@ -577,7 +568,7 @@ def demo_instance() -> NetworkInstance:
         ring(_DEMO_CENTERS[2], 5.0, [190.0, 210.0, 20.0]),
         [_DEMO_CENTERS[3]],
     ]
-    x, y = snap9_array(np.array([p for blob in blobs for p in blob])).T
+    x, y = np.array([p for blob in blobs for p in blob]).T
     e_b, e_d, e_c = _draw_energies(np.random.default_rng(7), len(x))
 
     specials = [_DEMO_BS] + _DEMO_CENTERS

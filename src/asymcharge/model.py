@@ -31,8 +31,8 @@ Point = tuple[float, float]
 def snap9(x: float) -> float:
     """Round to the 9-significant-digit value the file formats store.
 
-    Coordinates that appear in schedule files are snapped at construction so
-    a serialize/parse round trip reproduces them exactly.
+    Instances, schedules and charger parameters hold snapped values from
+    construction, so a serialize/parse round trip reproduces them exactly.
     """
     return float(format(float(x), ".9g"))
 
@@ -46,28 +46,29 @@ _POW10 = np.array([float(10**k) for k in range(23)])
 
 
 def snap9_array(x: np.ndarray) -> np.ndarray:
-    """``snap9`` of every value, bit for bit, with numpy proving most of them.
+    """``snap9`` of every value, bit for bit, rounded in numpy where that is sure.
 
-    A nonzero finite x with e = floor(log10|x|) and p = 8 - e, |p| <= 22,
-    is already snapped when r = rint(x * 10**p) has |r| < 10**9 and
-    r / 10**p gives x back (or x / 10**-p and r * 10**-p for p < 0).
-    Both operands are exact and IEEE rounds the quotient or product
-    correctly, so x is then the double of a decimal of at most 9 digits,
-    the decimal ``format(x, ".9g")`` prints.  Zeros stay as they are;
-    every other value goes through ``snap9``.
+    For a nonzero finite x with e = floor(log10|x|) and p = 8 - e, |p| <= 22,
+    take q = x * 10**p (x / 10**-p for p < 0) and r = rint(q).  Below 10**9
+    q is within 1.2e-7 of the exact product, so where q is more than 1e-6
+    from a half-integer and 10**8 <= |r| <= 10**9 (a log10 one off fails
+    that, or meets it at the power of ten both round to), r holds the 9
+    digits ``format(x, ".9g")`` prints, and r / 10**p (r * 10**-p), of two
+    exact operands rounded once, is their double.  Zeros stay as they are;
+    every other value, ties among them, goes through ``snap9``.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
-        mag = np.abs(x)
-        p = 8.0 - np.floor(np.log10(mag))
-        unsure = ~(np.abs(p) <= 22.0)  # also non-finite x and zero
-        scale = _POW10[np.where(unsure, 0.0, np.abs(p)).astype(np.intp)]
+        p = 8.0 - np.floor(np.log10(np.abs(x)))
+        sure = np.abs(p) <= 22.0  # false for non-finite x and zero
+        scale = _POW10[np.where(sure, np.abs(p), 0.0).astype(np.intp)]
         up = p >= 0.0
-        r = np.rint(np.where(up, x * scale, x / scale))
-        back = np.where(up, r / scale, r * scale)
-    unsure |= ~(np.abs(r) < 1e9) | (back != x)
-    unsure &= x != 0.0
-    out = x.copy()
+        q = np.where(up, x * scale, x / scale)
+        r = np.rint(q)
+        out = np.where(up, r / scale, r * scale)
+        sure &= (np.abs(r) >= 1e8) & (np.abs(r) <= 1e9) & (np.abs(q - r) < 0.5 - 1e-6)
+    out = np.where(sure, out, x)
+    unsure = ~sure & (x != 0.0)
     out[unsure] = [snap9(v) for v in x[unsure].tolist()]
     return out
 
@@ -217,8 +218,8 @@ class NetworkInstance:
     The nodes are five read-only float columns with one entry per node id:
     ``x`` and ``y`` the position, ``e_b`` the initial stored energy,
     ``e_d`` the demand and ``e_c`` the battery capacity.  The constructor
-    copies each column it is given, so the caller's arrays stay its own,
-    and runs ``check_nodes`` over the copies.
+    holds ``snap9`` copies of the columns and the base station, the digits
+    an instance file stores, and runs ``check_nodes`` over the copies.
     """
 
     __slots__ = (*_NODE_COLUMNS, "bs_pos", "dmc", "asym")
@@ -227,15 +228,16 @@ class NetworkInstance:
         columns = [np.array(column, dtype=float) for column in (x, y, e_b, e_d, e_c)]
         if any(column.shape != columns[0].shape or column.ndim != 1 for column in columns):
             raise ValidationError("node columns must be vectors of one length")
+        columns = snap9_array(np.stack(columns))
         check_nodes(*columns)
         if len(columns[0]) < 1:
             raise ValidationError("instance needs at least one node")
-        if not all(map(math.isfinite, bs_pos)):
-            raise ValidationError("base station position must be finite")
+        if len(bs_pos) != 2 or not all(map(math.isfinite, bs_pos)):
+            raise ValidationError("base station position must be two finite numbers")
+        columns.setflags(write=False)
         for name, column in zip(_NODE_COLUMNS, columns):
-            column.setflags(write=False)
             setattr(self, name, column)
-        self.bs_pos, self.dmc, self.asym = bs_pos, dmc, asym
+        self.bs_pos, self.dmc, self.asym = snap9_point(bs_pos), dmc, asym
 
     @property
     def n(self) -> int:

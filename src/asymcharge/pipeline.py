@@ -3,8 +3,9 @@
 ``plan_schedule`` chains position selection, direction reduction, time
 allocation, and asymmetric tour construction into an operation schedule.
 ``one_to_one_schedule`` is the baseline that drives to every node and charges
-it point-blank.  A schedule is five numpy columns (state, x, y, psi, t), which
-both schedulers and the file reader fill directly.  ``execute_schedule``
+it point-blank.  A schedule is five numpy columns (state, x, y, psi, t) at the
+9 digits a schedule file stores, which both schedulers and the file reader
+fill directly.  ``execute_schedule``
 replays any schedule against the energy models and produces the metrics: it
 checks the items and the grid range of their moves with one array pass per
 check, prices every move from one call of ``model.TravelArcs.row``, the
@@ -63,18 +64,22 @@ class OperationSchedule:
     ``state`` holds MOVE or TRANSMIT, ``x`` and ``y`` the movement target
     or transmission position, ``psi`` the transmission direction (unused
     for movement items) and ``t`` the duration in seconds.  The constructor
-    copies each column it is given and makes the copies read-only, so the
-    caller's arrays stay its own.  ``items`` is
-    the tuple of ``ScheduleItem`` rows, built once when first read.  Two
-    schedules are equal when their columns are.
+    holds read-only copies of the columns, x, y, psi and t at the 9 digits a
+    schedule file stores.  ``items`` is the tuple of ``ScheduleItem`` rows,
+    built once when first read.  Two schedules are equal when their columns are.
     """
 
     __slots__ = (*_COLUMNS, "_items")
 
     def __init__(self, state, x, y, psi, t):
-        values = (np.array(v, dtype=float) for v in (x, y, psi, t))
-        for name, column in zip(_COLUMNS, (np.array(state), *values)):
-            column.setflags(write=False)
+        state = np.array(state)
+        values = [np.array(v, dtype=float) for v in (x, y, psi, t)]
+        if any(v.shape != state.shape or v.ndim != 1 for v in values):
+            raise ValidationError("schedule columns must be vectors of one length")
+        values = model.snap9_array(np.stack(values))
+        state.setflags(write=False)
+        values.setflags(write=False)
+        for name, column in zip(_COLUMNS, (state, *values)):
             setattr(self, name, column)
         self._items = None
 
@@ -209,17 +214,16 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
 
     Every number in an item must be finite, its duration nonnegative and its
     state known, and transmissions must happen where the charger is.  The
-    charger starts at the 9-digit base station, the point an instance file
-    holds, and every point it moves through must lie within the hash
-    grid's 64-bit range: the move into the first end outside it faults, or
-    the first move when that end is the start.  One array pass per check
-    finds the first item that fails one, and the same masks word its fault,
-    the item checks ahead of the grid's.  Then one ``TravelArcs.row`` call
-    prices every move before it: each move's travel time and energy must be
-    finite, and its duration must
-    match its directed travel time up to what the file format's
-    9-significant-digit rounding of the duration and of the move's two ends
-    can change.  ``_received`` credits every transmission before it at
+    charger starts at the base station, and every point it moves through
+    must lie within the hash grid's 64-bit range: the move into the first
+    end outside it faults, or the first move when that end is the start.
+    One array pass per check finds the first item that fails one, and the
+    same masks word its fault, the item checks ahead of the grid's.  Then
+    one ``TravelArcs.row`` call prices every move before it: each move's
+    travel time and energy must be finite, and its duration must match its
+    directed travel time up to what the file format's 9-significant-digit
+    rounding of the duration and of the move's two ends can change.
+    ``_received`` credits every transmission before it at
     once, and every credit must be finite.  Only then is the fault of the
     lowest item index raised.  Running totals add in item order, as a
     running ``+=`` does.  Each node banks what it receives up to its
@@ -230,7 +234,7 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
     what the charger spends.
     """
     dmc = instance.dmc
-    start = model.snap9_point(instance.bs_pos)
+    start = instance.bs_pos
     state, x, y, psi, t = schedule.state, schedule.x, schedule.y, schedule.psi, schedule.t
     is_move = state == MOVE
     is_send = state == TRANSMIT
@@ -359,7 +363,7 @@ def plan_schedule(
     movement-energy graph.  Positions allocated zero transmission time are
     not visited at all.  The cover's positions already carry the 9 digits a
     schedule file stores, so the LP, the tour and the replay all see the
-    same points.
+    same points, and the metrics are those of the schedule its file holds.
     """
     started = _time.perf_counter()
     positions = select_charging_positions(instance)
@@ -374,7 +378,7 @@ def plan_schedule(
     values: list[float] = []  # state, x, y, psi and t of each item in turn
     if per_position:
         kept = sorted(per_position)
-        points = [model.snap9_point(instance.bs_pos)] + [positions.positions[pi] for pi in kept]
+        points = [instance.bs_pos] + [positions.positions[pi] for pi in kept]
         mats = model.build_routing_matrices(points, instance.asym, instance.dmc)
         closed = metric_closure(cost_graph(mats.cost))
         tour = expand_tour(lk_tour(closed, seed=seed), closed)
@@ -410,7 +414,7 @@ def one_to_one_schedule(instance: NetworkInstance) -> tuple[OperationSchedule, S
     targets = np.flatnonzero(instance.e_d > 0)
     values: list[float] = []  # state, x, y, psi and t of each item in turn
     if targets.size:
-        bs_x, bs_y = model.snap9_point(instance.bs_pos)
+        bs_x, bs_y = instance.bs_pos
         px = np.append(bs_x, instance.x[targets])
         py = np.append(bs_y, instance.y[targets])
         arcs = model.TravelArcs(px, py, instance.asym, instance.dmc)

@@ -908,12 +908,12 @@ class TestPrintedForms:
             "tour_distance_ci95,time_span_mean,time_span_ci95,charging_time_mean,charging_time_ci95,"
             "moving_time_mean,moving_time_ci95,algorithm_runtime_mean,algorithm_runtime_ci95,"
             "received_total_mean,received_total_ci95,feasible_mean,feasible_ci95",
-            "o2o_greedy,5,2,1585.58749,271.096825,346.242045,2.40575623,1239.34545,273.502581,"
-            "309.836362,68.3756453,457.61978,60.4820842,147.783418,7.89356116,309.836362,68.3756453,"
-            "*,*,244.891627,29.1684884,1,0",
-            "ra_dmcs,5,2,1329.73625,16.2030295,362.88099,184.175472,966.855262,200.378502,"
-            "241.713815,50.0946254,392.178351,8.44478622,150.464535,41.6498392,241.713815,50.0946254,"
-            "*,*,238.977151,17.5761154,1,0",
+            "o2o_greedy,5,2,1585.58749,271.096826,346.242044,2.4057558,1239.34545,273.502581,"
+            "309.836362,68.3756453,457.61978,60.4820842,147.783418,7.89356102,309.836362,68.3756452,"
+            "*,*,244.891627,29.1684883,1,0",
+            "ra_dmcs,5,2,1329.73625,16.203029,362.88099,184.175473,966.855262,200.378502,"
+            "241.713815,50.0946254,392.178351,8.44478613,150.464535,41.6498394,241.713816,50.0946255,"
+            "*,*,238.977151,17.5761152,1,0",
         ]
         assert masked_csv(runs)[0] == self.METRICS_HEADER
 

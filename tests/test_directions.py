@@ -216,7 +216,7 @@ class TestCoefficientMatrix:
         px, py = near.call_args.args[:2]
         assert list(zip(px.tolist(), py.tolist())) == list(cover.positions)
         # the stops repeat: the replay searches each distinct one once
-        stop = pts[0].tolist()
+        stop = [instance.x[0].item(), instance.y[0].item()]  # node 0, as the instance holds it
         items = [ScheduleItem(TRANSMIT, instance.bs_pos, psi, 1.0) for psi in (0.0, 2.0)]
         items.append(ScheduleItem(MOVE, tuple(stop), 0.0, math.dist(instance.bs_pos, stop)))
         items += [ScheduleItem(TRANSMIT, tuple(stop), psi, 1.0) for psi in (0.0, 2.0, -1.0)]

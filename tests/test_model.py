@@ -313,7 +313,7 @@ class TestEnergyAccounting:
             instance = make_instance(specs)
             schedule = schedule_of(items)
             metrics = execute_schedule(instance, schedule)
-            raw = np.zeros(n)
+            raw = np.zeros(n)  # banked from the stop, directions and times the schedule holds
             for item in schedule.items[1:-1]:
                 for u in range(n):
                     dx, dy = instance.x[u] - item.pos[0], instance.y[u] - item.pos[1]
@@ -323,7 +323,8 @@ class TestEnergyAccounting:
             banked = float(np.sum(np.minimum(instance.e_b + raw, instance.e_c) - instance.e_b))
             clipped += bool(np.any(instance.e_b + raw > instance.e_c))
             assert metrics.received_total == pytest.approx(banked, rel=1e-9, abs=1e-9)
-            assert metrics.movement_energy == pytest.approx(2 * out * dmc.w0, rel=1e-12)
+            held = math.hypot(*schedule.items[0].pos)  # the stop's 9 digits
+            assert metrics.movement_energy == pytest.approx(2 * held * dmc.w0, rel=1e-12)
             before = dmc.e_b0 + instance.e_b.sum()
             e_f0 = dmc.e_b0 - dmc.p0 * metrics.charging_time - metrics.movement_energy
             after = e_f0 + instance.e_b.sum() + banked
@@ -397,8 +398,11 @@ class TestNodeChecks:
             columns[column][node % n] = value
         want = _raised(reference_check_nodes, columns)
         assert _raised(model.check_nodes, columns) == want
+        # the constructor checks the 9 digits it holds
+        snapped = [model.snap9_array(column) for column in columns]
         bs, dmc, asym = (0.0, 0.0), DmcParams(), AsymmetryField(seed=0)
-        assert _raised(lambda *c: NetworkInstance(*c, bs, dmc, asym), columns) == want
+        held = _raised(reference_check_nodes, snapped)
+        assert _raised(lambda *c: NetworkInstance(*c, bs, dmc, asym), columns) == held
 
     def test_lowest_node_and_first_check_named(self):
         columns = [np.zeros(4), np.zeros(4), np.full(4, 10.0), np.full(4, 20.0), np.full(4, 60.0)]
@@ -445,6 +449,12 @@ class TestNonFiniteParameters:
             DmcParams(p0="4")
         with pytest.raises(TypeError):
             AsymmetryField(seed=0, grid="1")
+        # the node columns and the base station too
+        instance = NetworkInstance([1 / 3], [2 / 3], [0.1 + 0.2], [20.0], [60.0],
+                                   (100.123456789123, 1 / 7), DmcParams(), AsymmetryField(seed=0))
+        assert (instance.x.tolist(), instance.y.tolist()) == ([0.333333333], [0.666666667])
+        assert instance.e_b.tolist() == [0.3]
+        assert instance.bs_pos == (100.123457, 0.142857143)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_field_rejects(self, bad):
@@ -457,8 +467,9 @@ class TestNonFiniteParameters:
 
     def test_instance_rejects_non_finite_base_station(self):
         node = Node(0, (1.0, 1.0), 10.0, 20.0, 60.0)
-        with pytest.raises(ValidationError):
-            instance_of((node,), (math.nan, 0.0), DmcParams(), AsymmetryField(seed=0))
+        for bs in ((math.nan, 0.0), (1.0,), (1.0, 2.0, 3.0)):  # a point is two finite numbers
+            with pytest.raises(ValidationError, match="^base station position must be two finite"):
+                instance_of((node,), bs, DmcParams(), AsymmetryField(seed=0))
 
 
 def _bits(values) -> list[int]:
@@ -466,12 +477,15 @@ def _bits(values) -> list[int]:
 
 
 def _edge_values() -> list[float]:
-    """Powers of ten and 9-digit decimals next to them, each with the doubles
-    one ulp either side, from the subnormals to the largest double."""
+    """Powers of ten, 9-digit decimals next to them and 10-digit decimal ties,
+    each with the doubles one ulp either side, from the subnormals to the
+    largest double.  A tie's q lies within 1e-6 of a half-integer, where
+    ``snap9_array`` leaves numpy for ``snap9``."""
     values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308]
     values.append(1.7976931348623157e308)
+    ties = ("1.234567885", "9.999999995", "1.000000005", "9.999999985")
     for k in range(-330, 309):
-        for digits in ("1", "0.999999999", "1.00000001", "9.99999999", "1.23456789"):
+        for digits in ("1", "0.999999999", "1.00000001", "9.99999999", "1.23456789", *ties):
             x = float(f"{digits}e{k}")
             values += [x, -x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
     return values

@@ -13,7 +13,7 @@ import hashlib
 from asymcharge import ScheduleMetrics, one_to_one_schedule, plan_schedule
 from asymcharge.cli import _text, demo_report, generate_instance, schedule_to_text
 
-PINNED = "ce24c51128f636e16d68aea56fba4ddf573b7b8b1993c9eca0516b9d458de4c0"
+PINNED = "18fe9b41e4f20c7072298852dd12c06a19684aca613cdae07c0ded65988e9222"
 
 PRINTED = [f.name for f in dataclasses.fields(ScheduleMetrics) if f.name != "algorithm_runtime"]
 CASES = [(n, area) for n in (1, 12, 60) for area in (200.0, 2000.0)]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from asymcharge import model, pipeline
 from asymcharge import MOVE, TRANSMIT, execute_schedule, one_to_one_schedule, plan_schedule
 from asymcharge.pipeline import ScheduleItem
-from asymcharge.errors import MalformedScheduleError
+from asymcharge.errors import MalformedScheduleError, ValidationError
 
 from conftest import make_instance
 from support import (
@@ -59,6 +59,21 @@ class TestExecuteSchedule:
         assert schedule.x.tolist() == [3.0, 3.0]
         assert schedule.t.tolist() == [5.0, 1.0]
 
+    def test_columns_of_one_length(self):
+        # a column of another length would replay into a bare numpy error or go unread
+        schedule = pipeline.OperationSchedule
+        with pytest.raises(ValidationError, match="^schedule columns must be vectors of one length$"):
+            schedule([0, 0], [100.0, 100.0, 7.0], [100.0, 100.0], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ValidationError, match="^schedule columns must be vectors of one length$"):
+            schedule([0, 0], [1.0, 2.0], [1.0, 2.0], [0.0, 0.0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValidationError, match="^schedule columns must be vectors of one length$"):
+            schedule([[0]], [[1.0]], [[1.0]], [[0.0]], [[1.0]])
+
+    def test_columns_hold_the_file_digits(self):
+        # what a schedule file stores, so a schedule in memory replays as its file
+        schedule = pipeline.OperationSchedule([MOVE], [1 / 3], [2 / 3], [1 / 7], [0.1 + 0.2])
+        assert schedule.items == ((MOVE, (0.333333333, 0.666666667), 0.142857143, 0.3),)
+
     def test_empty_schedule_infeasible_with_demand(self):
         instance = make_instance([node_at((5.0, 0.0), e_d=20.0)])
         metrics = execute_schedule(instance, schedule_of(()))
@@ -99,7 +114,7 @@ class TestExecuteSchedule:
             execute_schedule(instance, schedule_of(items))
 
     def test_duration_checked_at_nine_significant_digits(self):
-        # a 98765.43214 m move at 1 m/s is stored as 98765.4321 s, and its end
+        # a 98765.43214 m move at 1 m/s is held as 98765.4321 s, and its end
         # as 98765.4321 m; a 10 m move between round points has next to no
         # rounding to absorb, so half a microsecond off is wrong
         instance = make_instance([node_at((10.0, 0.0))])
@@ -110,13 +125,19 @@ class TestExecuteSchedule:
             (10.0, 10.0, True),
             (10.0, 10.0000005, False),
         )
+        # a 10.00004 m move between ends 98765.4321 m out, priced before its
+        # far end 98775.43214 m is held as 98775.4321 m: 4e-5 s off the held
+        # move, which rounding both ends can change by 1e-4 s, but not 1.4e-4 s
+        far = make_instance([node_at((10.0, 0.0))], bs=(98765.4321, 0.0))
+        cases += ((98775.43214, 10.00004, True), (98775.43214, 10.00014, False))
         for x, t, ok in cases:
+            at = far if x > 98770.0 else instance
             items = (ScheduleItem(MOVE, (x, 0.0), 0.0, t),)
             if ok:
-                assert execute_schedule(instance, schedule_of(items)).moving_time == t
+                assert execute_schedule(at, schedule_of(items)).moving_time == model.snap9(t)
             else:
                 with pytest.raises(MalformedScheduleError):
-                    execute_schedule(instance, schedule_of(items))
+                    execute_schedule(at, schedule_of(items))
 
     def test_file_round_trip_evaluates_at_area_5000(self):
         from asymcharge.cli import (
@@ -328,30 +349,38 @@ class TestExecuteSchedule:
         st.integers(0, 2**32 - 1),
     )
     def test_move_tolerance_equal_to_four_roundings_per_move(self, ends, which, sign, steps, s):
-        # the replay rounds each end once; a duration off by the tolerance of
-        # four roundings per move, or a few ulps either side of it, must be
-        # accepted or rejected as that formula says
+        # a producer prices each move from its ends before the schedule holds
+        # their 9 digits; a duration off by the tolerance of four roundings
+        # per move, or a few ulps either side of it, is held at 9 digits
+        # too, and must be accepted or rejected as that formula says of the
+        # ends and duration the schedule holds
         from asymcharge import AsymmetryField, DmcParams
 
         dmc = DmcParams(v_bar=0.7)
         asym = AsymmetryField(seed=s)
         instance = make_instance([node_at((1.0, 1.0))], bs=ends[0], dmc=dmc, asym=asym)
-        ends[0] = model.snap9_point(ends[0])  # where the replay starts the charger
+        ends[0] = instance.bs_pos  # where the replay starts the charger
         which %= len(ends) - 1
+
+        def tolerance(a, b, t):
+            shift = sum(map(pipeline._rounding, (a[0], a[1], b[0], b[1])))
+            k = ra_coefficients(asym, a, b)[0]
+            return pipeline._rounding(t) + k * shift / dmc.v_bar + math.ulp(t)
+
         items = []
         for j, (a, b) in enumerate(zip(ends, ends[1:])):
             t = ra_distance(a, b, asym) / dmc.v_bar
             stated = t
             if j == which:
-                shift = sum(map(pipeline._rounding, (a[0], a[1], b[0], b[1])))
-                k = ra_coefficients(asym, a, b)[0]
-                tolerance = pipeline._rounding(t) + k * shift / dmc.v_bar + math.ulp(t)
-                stated = t + sign * tolerance
+                stated = t + sign * tolerance(a, b, t)
                 for _ in range(abs(steps)):
                     stated = math.nextafter(stated, math.copysign(math.inf, steps))
-                ok = stated >= 0 and abs(t - stated) <= tolerance
             items.append(ScheduleItem(MOVE, b, 0.0, stated))
         schedule = schedule_of(tuple(items))
+        held = [ends[0]] + [item.pos for item in schedule.items]
+        a, b, stated = held[which], held[which + 1], schedule.t[which].item()
+        t = ra_distance(a, b, asym) / dmc.v_bar
+        ok = stated >= 0 and abs(t - stated) <= tolerance(a, b, t)
         if ok:
             execute_schedule(instance, schedule)
         else:

@@ -8,6 +8,7 @@ import pytest
 from asymcharge import TRANSMIT, DmcParams, ValidationError, plan_schedule, positions
 from asymcharge.positions import min_enclosing_circle, select_charging_positions
 from asymcharge.cli import generate_instance
+from asymcharge.model import snap9_point
 
 from conftest import make_instance
 from support import kmeans, node_rows
@@ -245,14 +246,21 @@ class TestSelectChargingPositions:
                 assert any(radius_of(points, ids) > d_max for ids in smaller)
 
     def test_fit_judged_at_the_stored_center(self):
-        # one circle would center at 21.0000000001, stored as 21.0, which is
-        # 20.0000000001 m from node 0: each node needs its own position
-        specs = [((1.0000000001, 0.0), 10.0, 20.0, 60.0), ((41.0000000001, 0.0), 10.0, 20.0, 60.0)]
-        instance = make_instance(specs, bs=(50.0, 50.0), dmc=DmcParams(d_max=20.0))
+        # three 9-digit nodes lie 19.99999998 m from their enclosing circle's
+        # center (35.06064924, 37.85085294), stored as (35.0606492,
+        # 37.8508529), which is 20.00000004 m from node 0: one position
+        # cannot serve them, and node 0 gets its own
+        nodes = [(46.9129252, 53.9605877), (15.3194122, 34.644054), (37.4141126, 17.9898054)]
+        instance = make_instance([(p, 10.0, 20.0, 60.0) for p in nodes], bs=(50.0, 50.0),
+                                 dmc=DmcParams(d_max=20.0))
+        center, radius = min_enclosing_circle(nodes)
+        assert radius < 20.0 - 1e-8
+        assert math.dist(nodes[0], (35.0606492, 37.8508529)) > 20.0 + 1e-8
+        assert center != (35.0606492, 37.8508529) == snap9_point(center)
         cover = select_charging_positions(instance)
-        assert sorted(cover.positions) == [(1.0, 0.0), (41.0, 0.0)]
+        assert sorted(cover.positions) == [(26.3667624, 26.3169297), nodes[0]]
         schedule, metrics = plan_schedule(instance)
-        assert {item.pos for item in schedule.items if item.state == TRANSMIT} == {(1.0, 0.0), (41.0, 0.0)}
+        assert {item.pos for item in schedule.items if item.state == TRANSMIT} == set(cover.positions)
         assert metrics.feasible
 
     def test_deterministic(self):

@@ -1,14 +1,18 @@
 """Plan, write both files, read them back and replay: nothing may change.
 
-The gate over n, field size, seed, charger and asymmetry field that every
-schedule a scheduler returns passes ``evaluate`` after the text round trip,
-with the in-memory metrics and feasible unless the battery runs out, and
-that both sets of metrics keep the energy ledger; and a literal instance file and schedule file that must read and write
-back byte for byte, which pins the file layout.
+The gate over n, field size, seed, charger, asymmetry field and node values
+off the 9-digit grid that every schedule a scheduler returns passes
+``evaluate`` after the text round trip, with the in-memory metrics bit for
+bit and feasible unless the battery runs out, and that both sets of metrics
+keep the energy ledger; and a literal instance file and schedule file that
+must read and write back byte for byte, which pins the file layout.
 """
 
 import dataclasses
 import math
+import struct
+
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,11 +34,7 @@ from asymcharge.cli import (
     schedule_to_text,
 )
 
-MATCHED = [
-    f.name
-    for f in dataclasses.fields(ScheduleMetrics)
-    if f.name not in ("algorithm_runtime", "feasible")
-]
+MATCHED = [f.name for f in dataclasses.fields(ScheduleMetrics) if f.name != "algorithm_runtime"]
 
 
 @st.composite
@@ -70,17 +70,24 @@ def coefficient_ranges(draw, lo_min):
 def test_schedules_survive_file_round_trip(n, area, seed, dmc, k_dis, k_egy, grid):
     g = generate_instance(n, seed=seed, area=area)
     asym = AsymmetryField(seed, k_dis, k_egy, grid)
-    instance = NetworkInstance(g.x, g.y, g.e_b, g.e_d, g.e_c, g.bs_pos, dmc, asym)
+    # every node value and the base station off by a relative 1e-9 at most:
+    # positions either way, energies the way that keeps each node valid
+    u = np.random.default_rng(seed).uniform(-1e-9, 1e-9, (5, n + 1))
+    x, y = g.x * (1.0 + u[0, :n]), g.y * (1.0 + u[1, :n])
+    bs = (g.bs_pos[0] * (1.0 + u[0, n]), g.bs_pos[1] * (1.0 + u[1, n]))
+    e_b, e_d = g.e_b * (1.0 - abs(u[2, :n])), g.e_d * (1.0 - abs(u[3, :n]))
+    instance = NetworkInstance(x, y, e_b, e_d, g.e_c * (1.0 + abs(u[4, :n])), bs, dmc, asym)
     parsed = instance_from_text(instance_to_text(instance))
     headroom = float((instance.e_c - instance.e_b).sum())
     for schedule, metrics in (plan_schedule(instance, seed=seed), one_to_one_schedule(instance)):
         replayed = execute_schedule(parsed, schedule_from_text(schedule_to_text(schedule)))
         # every demand is met; a costly field may drain the battery, and then only that fails
         battery_ok = dmc.e_b0 >= metrics.movement_energy + dmc.p0 * metrics.charging_time
-        assert metrics.feasible == replayed.feasible == battery_ok
+        assert metrics.feasible == battery_ok
+        # a plan in memory is the plan on disk: every metric bit for bit
         for name in MATCHED:
             a, b = getattr(metrics, name), getattr(replayed, name)
-            assert math.isclose(a, b, rel_tol=1e-6, abs_tol=1e-6), (name, a, b)
+            assert struct.pack("<d", a) == struct.pack("<d", b), (name, a, b)
         # the ledger: every value a plain float or bool, losses that add up,
         # no more banked than the batteries hold, and a battery that covers
         # what is spent.  The banked energy is not bounded by what is sent:

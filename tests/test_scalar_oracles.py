@@ -34,7 +34,7 @@ from asymcharge import directions, model, pipeline, routing
 from asymcharge.errors import MalformedScheduleError, ValidationError
 from asymcharge.cli import demo_instance, generate_instance, schedule_to_text
 
-from conftest import make_instance
+from conftest import make_instance, neutral_field
 from scalar_reference import (
     loop_execute_schedule,
     reference_coefficient_matrix,
@@ -370,7 +370,8 @@ class TestReplay:
         here = instance.bs_pos
         for item in schedule.items:
             if item.state == MOVE:
-                assert item.t == ra_distance(here, item.pos, instance.asym) / instance.dmc.v_bar
+                travel = ra_distance(here, item.pos, instance.asym) / instance.dmc.v_bar
+                assert item.t == model.snap9(travel)  # the 9 digits the schedule holds
                 here = item.pos
 
 
@@ -518,15 +519,13 @@ class TestGreedyTour:
                 assert greedy_tour(g) == want
 
     def test_window_floor_below_a_rounded_up_root(self):
-        # both arcs from the base station span 5.5 m and cost 22 J, so node
-        # 0 (point 1) comes first; the base station's one-point window holds
-        # point 2, whose squared distance 30.25 is below point 1's
-        # 30.250000000000007, and that root rounds up to 5.500000000000001
-        instance = make_instance(
-            [((3.3000000000000003, 4.4), 5.0, 20.0, 60.0), ((0.0, 5.5), 5.0, 20.0, 60.0)]
-        )
-        points = [instance.bs_pos] + [u.pos for u in node_rows(instance)]
-        arcs = model.TravelArcs(*columns(points), instance.asym, instance.dmc)
+        # both arcs from the base station span 5.5 m and cost 22 J, so point
+        # 1 comes first; the base station's one-point window holds point 2,
+        # whose squared distance 30.25 is below point 1's 30.250000000000007,
+        # and that root rounds up to 5.500000000000001; an instance would
+        # hold point 1 at 9 digits, so the arcs take the raw points
+        points = [(0.0, 0.0), (3.3000000000000003, 4.4), (0.0, 5.5)]
+        arcs = model.TravelArcs(*columns(points), neutral_field(), DmcParams())
         assert arcs.arc_costs(0, [1, 2]).tolist() == [22.0, 22.0]
         with mock.patch.object(routing, "_WINDOW", 1):
             assert arcs.window(1)[0][0].tolist() == [2]
