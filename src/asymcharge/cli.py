@@ -488,10 +488,10 @@ def _bench_job(args):
     n, repeat, master_seed, area, solvers = args
     run_seed = derive_seed(master_seed, n, repeat)
     rng = np.random.default_rng(run_seed)
-    points = [(float(x), float(y)) for x, y in rng.uniform(0.0, area, size=(n, 2))]
+    x, y = rng.uniform(0.0, area, size=(n, 2)).T
     dmc = DmcParams()
     asym = AsymmetryField(seed=run_seed)
-    mats = build_routing_matrices(points, asym, dmc)
+    mats = build_routing_matrices(x, y, asym, dmc)
     closed = metric_closure(cost_graph(mats.cost))
     # within the exact solver's limit its one timed run is both the
     # held_karp row and the reference of every row's gap

@@ -4,12 +4,13 @@ The coverage kernel finds every node within charge distance of points given
 as x and y columns, with its bearing, distance and transfer coefficient, in
 two stages: ``near_pairs``, a numpy distance test, and ``coverage_math``,
 the exact per-pair math.  The coefficient matrix runs the exact stage on
-every near pair, the replay only on the pairs a sector may cover; both then
-apply one rule, ``covers``.  At each charging
-position, the continuum of possible sector directions is reduced to a
-finite representative set: one direction per maximal coverage subset, found
-from a table of which in-range nodes the sector covers at the midpoint of
-every arc between the angles where some node enters or leaves it.
+every near pair of the cover's position columns, the replay only on the
+pairs a sector may cover; both then apply one rule, ``covers``.  At each
+charging position, the continuum of possible sector directions is reduced
+to a finite representative set: one direction per maximal coverage subset,
+found from a table of which in-range nodes the sector covers at the
+midpoint of every arc between the angles where some node enters or leaves
+it.  Each matrix row is named by a (position index, psi) pair.
 """
 
 from __future__ import annotations
@@ -30,22 +31,15 @@ _BLOCK = 32  # points per prefilter block, which bounds the (points, nodes) arra
 
 
 @dataclass(frozen=True)
-class PosDirPair:
-    """One matrix row: a charging position index and a direction."""
-
-    pos_index: int
-    psi: float
-
-
-@dataclass(frozen=True)
 class CoefficientMatrix:
     """Transfer coefficients from every (position, direction) pair to every node.
 
-    Rows are sorted by position index first, direction angle second; a
-    row's entries are positive exactly on the nodes its direction covers.
+    Each row is a ``(position index, psi)`` pair, sorted by position index
+    first, direction angle second; a row's entries are positive exactly on
+    the nodes its direction covers.
     """
 
-    rows: tuple[PosDirPair, ...]
+    rows: tuple[tuple[int, float], ...]
     entries: np.ndarray  # (K, N)
 
 
@@ -166,19 +160,19 @@ def build_coefficient_matrix(
     nodes its direction covers: ``DmcParams`` keeps every coefficient
     within ``d_max`` positive.
     """
-    px, py = np.array(positions.positions, dtype=float).reshape(-1, 2).T
+    px, py = positions.positions.T
     near = near_pairs(px, py, instance)
     keep, theta, dist, coef = coverage_math(near.dx, near.dy, instance.dmc)
     point, node = near.point[keep], near.node[keep]
     half = instance.dmc.phi / 2.0
-    bounds = np.searchsorted(point, np.arange(len(positions.positions) + 1))
-    rows: list[PosDirPair] = []
+    bounds = np.searchsorted(point, np.arange(len(px) + 1))
+    rows: list[tuple[int, float]] = []
     blocks = []
     for pi, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         if lo == hi:
             continue
         psis, table = _maximal_sectors(theta[lo:hi], dist[lo:hi], half)
-        rows.extend(PosDirPair(pi, psi) for psi in psis.tolist())
+        rows.extend(zip(repeat(pi), psis.tolist()))
         blocks.append((node[lo:hi], table * coef[lo:hi]))
     entries = np.zeros((len(rows), instance.n))
     start = 0

@@ -246,13 +246,13 @@ class NetworkInstance:
 
 @dataclass(frozen=True)
 class RoutingMatrices:
-    """Directed travel distances and movement energies over an ordered point list.
+    """Directed travel distances and movement energies among the n points ``positions``.
 
-    Index 0 is the base station by convention.  Neither matrix is symmetric
-    in general.
+    ``positions`` is an (n, 2) float array, row k the x and y of point k, and
+    index 0 is the base station by convention.  Neither matrix is symmetric.
     """
 
-    positions: tuple[Point, ...]
+    positions: np.ndarray
     dist: np.ndarray  # (n, n) directed distances (m)
     cost: np.ndarray  # (n, n) directed movement energies (J)
 
@@ -442,16 +442,14 @@ class TravelArcs:
 
 
 def build_routing_matrices(
-    positions: list[Point], asym: AsymmetryField, dmc: DmcParams
+    x: np.ndarray, y: np.ndarray, asym: AsymmetryField, dmc: DmcParams
 ) -> RoutingMatrices:
-    """Directed travel matrices, built one origin row at a time by ``TravelArcs.row``.
+    """Directed travel matrices among the points (x[k], y[k]), one ``TravelArcs.row`` per origin.
 
     An arc's movement energy is its distance times its rate ``k_egy * w0``.
     The diagonal is 0: no travel, at no cost.  A value beyond a float is
     inf, without a warning; the cost graph rejects it.
     """
-    positions = tuple(positions)
-    x, y = np.array(positions, dtype=float).reshape(-1, 2).T.copy()
     arcs = TravelArcs(x, y, asym, dmc)
     n = arcs.n
     dist = np.zeros((n, n))
@@ -463,4 +461,4 @@ def build_routing_matrices(
             dist[i] = k_dis * span
             cost[i] = dist[i] * (k_egy * dmc.w0)
     np.fill_diagonal(cost, 0.0)
-    return RoutingMatrices(positions, dist, cost)
+    return RoutingMatrices(np.column_stack((x, y)), dist, cost)

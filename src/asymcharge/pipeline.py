@@ -1,11 +1,14 @@
 """End-to-end schedulers and the schedule evaluator.
 
 ``plan_schedule`` chains position selection, direction reduction, time
-allocation, and asymmetric tour construction into an operation schedule.
+allocation, and asymmetric tour construction into an operation schedule,
+passing plain columns between the stages: the cover's (k, 2) positions, the
+matrix's (position index, psi) rows, and the x and y of the tour's points.
 ``one_to_one_schedule`` is the baseline that drives to every node and charges
-it point-blank.  A schedule is five numpy columns (state, x, y, psi, t) at the
-9 digits a schedule file stores, which both schedulers and the file reader
-fill directly.  ``execute_schedule``
+it point-blank.  Both build their schedule in one tour-to-schedule step,
+which sends at each point on its first visit.  A schedule is five numpy
+columns (state, x, y, psi, t) at the 9 digits a schedule file stores, which
+both schedulers and the file reader fill directly.  ``execute_schedule``
 replays any schedule against the energy models and produces the metrics: it
 checks the items and the grid range of their moves with one array pass per
 check, prices every move from one call of ``model.TravelArcs.row``, the
@@ -346,10 +349,26 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
     return metrics
 
 
-def _from_values(values: list[float]) -> OperationSchedule:
-    """The schedule whose items' state, x, y, psi and t follow one another in ``values``."""
+def _tour_schedule(
+    instance: NetworkInstance, started: float, px: np.ndarray, py: np.ndarray,
+    order: tuple[int, ...], durations: list[float], sends: dict[int, list[tuple[float, float]]],
+) -> tuple[OperationSchedule, ScheduleMetrics]:
+    """The schedule of a tour over the points (px[k], py[k]), replayed for its metrics.
+
+    Step s of ``order`` is a move of ``durations[s]`` seconds.  The first visit
+    to a point pops its ``(psi, t)`` sends, so a later visit sends nothing.
+    """
+    values: list[float] = []  # state, x, y, psi and t of each item in turn
+    xs, ys = px.tolist(), py.tolist()
+    for dest, t_move in zip(order[1:], durations):
+        x, y = xs[dest], ys[dest]
+        values += (MOVE, x, y, 0.0, t_move)
+        for psi, t in sends.pop(dest, ()):
+            values += (TRANSMIT, x, y, psi, t)
     state, x, y, psi, t = np.array(values, dtype=float).reshape(-1, 5).T
-    return OperationSchedule(state.astype(np.int64), x, y, psi, t)
+    schedule = OperationSchedule(state.astype(np.int64), x, y, psi, t)
+    metrics = execute_schedule(instance, schedule)
+    return schedule, replace(metrics, algorithm_runtime=_time.perf_counter() - started)
 
 
 def plan_schedule(
@@ -370,35 +389,23 @@ def plan_schedule(
     matrix = build_coefficient_matrix(positions, instance)
     solution = solve_lp(build_time_lp(matrix, instance))
 
+    # the rows come by position, then psi, so the sends keep that order
     per_position: dict[int, list[tuple[float, float]]] = {}
-    for row, t in zip(matrix.rows, solution.t):
+    for (pi, psi), t in zip(matrix.rows, solution.t.tolist()):
         if t > _TIME_EPS:
-            per_position.setdefault(row.pos_index, []).append((row.psi, float(t)))
+            per_position.setdefault(pi, []).append((psi, t))
 
-    values: list[float] = []  # state, x, y, psi and t of each item in turn
+    px, py = np.vstack((instance.bs_pos, positions.positions[list(per_position)])).T
+    order, durations = (0,), []
     if per_position:
-        kept = sorted(per_position)
-        points = [instance.bs_pos] + [positions.positions[pi] for pi in kept]
-        mats = model.build_routing_matrices(points, instance.asym, instance.dmc)
+        mats = model.build_routing_matrices(px, py, instance.asym, instance.dmc)
         closed = metric_closure(cost_graph(mats.cost))
-        tour = expand_tour(lk_tour(closed, seed=seed), closed)
-
-        transmitted: set[int] = set()
-        order = np.array(tour.order)
+        order = expand_tour(lk_tour(closed, seed=seed), closed).order
+        stops = np.array(order)
         with np.errstate(over="ignore"):  # a duration beyond a float is inf; the replay faults it
-            durations = (mats.dist[order[:-1], order[1:]] / instance.dmc.v_bar).tolist()
-        for dest, t_move in zip(tour.order[1:], durations):
-            x, y = points[dest]
-            values += (MOVE, x, y, 0.0, t_move)
-            if dest != 0 and dest not in transmitted:
-                transmitted.add(dest)
-                for psi, t in sorted(per_position[kept[dest - 1]]):
-                    values += (TRANSMIT, x, y, psi, t)
-
-    schedule = _from_values(values)
-    metrics = execute_schedule(instance, schedule)
-    runtime = _time.perf_counter() - started
-    return schedule, replace(metrics, algorithm_runtime=runtime)
+            durations = (mats.dist[stops[:-1], stops[1:]] / instance.dmc.v_bar).tolist()
+    sends = dict(enumerate(per_position.values(), start=1))
+    return _tour_schedule(instance, started, px, py, order, durations, sends)
 
 
 def one_to_one_schedule(instance: NetworkInstance) -> tuple[OperationSchedule, ScheduleMetrics]:
@@ -412,28 +419,21 @@ def one_to_one_schedule(instance: NetworkInstance) -> tuple[OperationSchedule, S
     """
     started = _time.perf_counter()
     targets = np.flatnonzero(instance.e_d > 0)
-    values: list[float] = []  # state, x, y, psi and t of each item in turn
+    bs_x, bs_y = instance.bs_pos
+    px = np.append(bs_x, instance.x[targets])
+    py = np.append(bs_y, instance.y[targets])
+    order, durations, sends = (0,), [], {}
     if targets.size:
-        bs_x, bs_y = instance.bs_pos
-        px = np.append(bs_x, instance.x[targets])
-        py = np.append(bs_y, instance.y[targets])
         arcs = model.TravelArcs(px, py, instance.asym, instance.dmc)
         # lazy bounds and costs overflow to inf silently: an inf bound rules
         # nothing out and the tour rejects an inf cost; one errstate per
         # tour, since one per arcs call costs a few percent of a plan
         rate = instance.dmc.p0 * instance.dmc.apex_coefficient
         with np.errstate(over="ignore"):
-            tour = greedy_tour(arcs)
-            order = np.array(tour.order)
-            k_dis, span, _ = arcs.row(order[:-1], order[1:])
+            order = greedy_tour(arcs).order
+            stops = np.array(order)
+            k_dis, span, _ = arcs.row(stops[:-1], stops[1:])
             durations = (k_dis * span / instance.dmc.v_bar).tolist()
-            sends = (instance.e_d[targets] / rate).tolist()
-        xs, ys = px[order[1:]].tolist(), py[order[1:]].tolist()
-        for dest, x, y, t_move in zip(tour.order[1:], xs, ys, durations):
-            values += (MOVE, x, y, 0.0, t_move)
-            if dest != 0:
-                values += (TRANSMIT, x, y, 0.0, sends[dest - 1])
-    schedule = _from_values(values)
-    metrics = execute_schedule(instance, schedule)
-    runtime = _time.perf_counter() - started
-    return schedule, replace(metrics, algorithm_runtime=runtime)
+            times = (instance.e_d[targets] / rate).tolist()
+        sends = {k: [(0.0, t)] for k, t in enumerate(times, start=1)}
+    return _tour_schedule(instance, started, px, py, order, durations, sends)

@@ -34,9 +34,17 @@ _K_STRIDE = 4  # the cover's step between probed cluster counts
 
 @dataclass(frozen=True)
 class ChargingPositionSet:
-    """Selected charging positions: every node lies within ``d_max`` of one of them."""
+    """Selected charging positions: every node lies within ``d_max`` of one of them.
 
-    positions: tuple[Point, ...]
+    ``positions`` is a read-only (k, 2) float array, row i the x and y of position i,
+    which the constructor copies from the points it is given.
+    """
+
+    positions: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "positions", np.array(self.positions, dtype=float))
+        self.positions.setflags(write=False)
 
 
 def min_enclosing_circle(points: list[Point]) -> tuple[Point, float]:
@@ -281,7 +289,7 @@ def _fitted_cover(
         if not all(math.hypot(x - cx, y - cy) <= d_max for x, y in members):
             return None
         centers.append((cx, cy))
-    return ChargingPositionSet(positions=tuple(centers))
+    return ChargingPositionSet(centers)
 
 
 def select_charging_positions(instance: NetworkInstance) -> ChargingPositionSet:

@@ -413,14 +413,12 @@ class SymmetricReformulation:
 
     Point i pairs with a mirror point i + n at stored cost 0; the directed
     arc cost from i to j is carried by the (mirror i, j) edge shifted up by a
-    constant bonus so no stored cost is negative; every other pairing gets a
-    prohibitive sentinel.  Decoded tour costs subtract n * bonus.
+    constant so no stored cost is negative; every other pairing gets a
+    prohibitive sentinel.  ``decode`` prices its tour at the directed costs.
     """
 
     cost: np.ndarray  # (2n, 2n) symmetric
     n: int
-    bonus: float
-    sentinel: float
 
     def decode(self, order: tuple[int, ...], directed_cost: np.ndarray) -> Tour:
         """Recover the directed tour from a mirror-alternating cycle."""
@@ -463,4 +461,4 @@ def to_symmetric(g: DirectedCostGraph) -> SymmetricReformulation:
     np.fill_diagonal(sym, 0.0)
     if not np.all(np.isfinite(sym)):
         raise ValidationError("sentinel arithmetic overflowed")
-    return SymmetricReformulation(cost=sym, n=n, bonus=bonus, sentinel=sentinel)
+    return SymmetricReformulation(cost=sym, n=n)

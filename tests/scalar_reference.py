@@ -182,7 +182,7 @@ def reference_coefficient_matrix(
     """(position, psi, covered) per row and the entries, one node at a time."""
     dmc = instance.dmc
     rows, entries = [], []
-    for pi, pos in enumerate(cover.positions):
+    for pi, pos in enumerate(map(tuple, cover.positions.tolist())):
         ids, thetas, dists = reference_nodes_in_range(pos, instance)
         reach = dict(zip(ids, zip(thetas, dists)))
         for psi, covered in reference_maximal_sectors(ids, thetas, dists, dmc.phi):
@@ -670,7 +670,7 @@ def reference_one_to_one_schedule(instance: NetworkInstance) -> OperationSchedul
     items = []
     if targets:
         points = [model.snap9_point(instance.bs_pos)] + [u.pos for u in targets]
-        mats = model.build_routing_matrices(points, instance.asym, dmc)
+        mats = model.build_routing_matrices(*columns(points), instance.asym, dmc)
         tour = reference_greedy_tour(routing.cost_graph(mats.cost))
         for a, b in zip(tour.order, tour.order[1:]):
             if a == b:

@@ -63,9 +63,9 @@ def criterion(number, name):
 
 
 def random_closed_graph(rng, n):
-    points = [tuple(p) for p in rng.uniform(0, 200, size=(n, 2))]
+    x, y = rng.uniform(0, 200, size=(n, 2)).T
     asym = AsymmetryField(seed=int(rng.integers(2**31)))
-    mats = build_routing_matrices(points, asym, DmcParams())
+    mats = build_routing_matrices(x, y, asym, DmcParams())
     return metric_closure(cost_graph(mats.cost))
 
 
@@ -137,7 +137,7 @@ def test_criterion_2_coverage_validity_and_minimality():
             cover = select_charging_positions(instance)
             d_max = instance.dmc.d_max
             # every node lies within d_max of some position
-            px, py = np.array(cover.positions).T
+            px, py = cover.positions.T
             reach = np.hypot(instance.x[:, None] - px, instance.y[:, None] - py).min(axis=1)
             assert (reach <= d_max + 1e-9).all()
             k = len(cover.positions)
@@ -198,7 +198,7 @@ def test_criterion_3_direction_set_equivalence():
 
             # the library's directions: the rows of a one-position matrix
             cover = ChargingPositionSet(positions=(pos,))
-            directions = [row.psi for row in build_coefficient_matrix(cover, instance).rows]
+            directions = [psi for _, psi in build_coefficient_matrix(cover, instance).rows]
             rep_family = {coverage(psi) for psi in directions}
             grid_subsets = {s for s in (coverage(psi) for psi in grid) if s}
             # domination holds unconditionally, resolvable arcs or not

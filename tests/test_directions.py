@@ -49,7 +49,7 @@ def nodes_in_range(pos, instance):
 def representative_directions(pos, instance):
     """The directions the coefficient matrix keeps at a one-position cover."""
     cover = ChargingPositionSet(positions=(pos,))
-    return [row.psi for row in build_coefficient_matrix(cover, instance).rows]
+    return [psi for _, psi in build_coefficient_matrix(cover, instance).rows]
 
 
 class TestNodesInRange:
@@ -157,7 +157,7 @@ class TestCoefficientMatrix:
         matrix = build_coefficient_matrix(cover, instance)
         assert matrix.entries.shape == (1, 1)
         assert matrix.entries[0, 0] == pytest.approx(0.362811791, abs=1e-9)
-        assert (matrix.rows[0].pos_index, matrix.rows[0].psi) == (0, 0.0)
+        assert matrix.rows[0] == (0, 0.0)
 
     def test_uncovered_entry_is_zero(self):
         # node 1, at 3 phi, lies outside the sector that covers node 0 and
@@ -169,9 +169,9 @@ class TestCoefficientMatrix:
         cover = ChargingPositionSet(positions=((0.0, 0.0),))
         matrix = build_coefficient_matrix(cover, instance)
         assert len(matrix.rows) == 2
-        for row, entries in zip(matrix.rows, matrix.entries):
+        for (_, psi), entries in zip(matrix.rows, matrix.entries):
             for theta, entry in zip(thetas, entries.tolist()):
-                assert (entry > 0.0) == (angular_distance(theta, row.psi) <= phi / 2.0)
+                assert (entry > 0.0) == (angular_distance(theta, psi) <= phi / 2.0)
             assert entries.tolist().count(0.0) == 1
 
     def test_rows_sorted_and_deterministic(self):
@@ -185,8 +185,7 @@ class TestCoefficientMatrix:
         m2 = build_coefficient_matrix(cover, instance)
         assert m1.rows == m2.rows
         assert np.array_equal(m1.entries, m2.entries)
-        order = [(r.pos_index, r.psi) for r in m1.rows]
-        assert order == sorted(order)
+        assert list(m1.rows) == sorted(m1.rows)
 
     def test_entries_bounded(self):
         rng = np.random.default_rng(7)
@@ -214,7 +213,7 @@ class TestCoefficientMatrix:
             build_coefficient_matrix(cover, instance)
         assert near.call_count == exact.call_count == 1
         px, py = near.call_args.args[:2]
-        assert list(zip(px.tolist(), py.tolist())) == list(cover.positions)
+        assert np.array_equal(np.column_stack((px, py)), cover.positions)
         # the stops repeat: the replay searches each distinct one once
         stop = [instance.x[0].item(), instance.y[0].item()]  # node 0, as the instance holds it
         items = [ScheduleItem(TRANSMIT, instance.bs_pos, psi, 1.0) for psi in (0.0, 2.0)]

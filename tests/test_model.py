@@ -28,6 +28,7 @@ from scalar_reference import (
 )
 from support import (
     Node,
+    columns,
     instance_of,
     ra_coefficients,
     ra_distance,
@@ -94,7 +95,7 @@ class TestAsymmetryField:
         with pytest.raises(ValidationError):
             ra_coefficients(field, (0.0, 0.0), p)
         with pytest.raises(ValidationError):
-            build_routing_matrices([(0.0, 0.0), p], field, DmcParams())
+            build_routing_matrices(*columns([(0.0, 0.0), p]), field, DmcParams())
 
     def test_cells_at_int64_ends_accepted(self):
         field = AsymmetryField(seed=0, grid=1.0)
@@ -131,11 +132,11 @@ class TestSegmentMove:
 
 class TestTourMove:
     def test_stay_at_base(self, dmc):
-        mats = build_routing_matrices([(0.0, 0.0), (3.0, 0.0)], neutral_field(), dmc)
+        mats = build_routing_matrices([0.0, 3.0], [0.0, 0.0], neutral_field(), dmc)
         assert tour_move_energy_time([0, 0], mats, dmc) == (0.0, 0.0)
 
     def test_additivity(self, dmc):
-        mats = build_routing_matrices([(0.0, 0.0), (1.0, 0.0)], neutral_field(), dmc)
+        mats = build_routing_matrices([0.0, 1.0], [0.0, 0.0], neutral_field(), dmc)
         # segments of 1 m at 4 J/m, out and back
         energy, time = tour_move_energy_time([0, 1, 0], mats, dmc)
         assert energy == pytest.approx(8.0)
@@ -144,7 +145,7 @@ class TestTourMove:
     def test_matches_per_segment_oracle(self, dmc):
         asym = AsymmetryField(seed=5)
         points = [(0.0, 0.0), (12.0, 3.0), (7.0, -4.0), (2.0, 9.0)]
-        mats = build_routing_matrices(points, asym, dmc)
+        mats = build_routing_matrices(*columns(points), asym, dmc)
         tour = [0, 2, 1, 3, 0]
         energy, time = tour_move_energy_time(tour, mats, dmc)
         want_e = 0.0
@@ -157,7 +158,7 @@ class TestTourMove:
         assert time == pytest.approx(want_t, rel=1e-12)
 
     def test_malformed_tours(self, dmc):
-        mats = build_routing_matrices([(0.0, 0.0), (1.0, 0.0)], neutral_field(), dmc)
+        mats = build_routing_matrices([0.0, 1.0], [0.0, 0.0], neutral_field(), dmc)
         with pytest.raises(MalformedTourError):
             tour_move_energy_time([0], mats, dmc)
         with pytest.raises(MalformedTourError):

@@ -638,3 +638,48 @@ class TestOneToOne:
         execute_schedule(instance, schedule)
         assert len(exact) == 1
         assert 0 < exact[0] < in_range / 3
+
+
+def sends_by_visit(schedule):
+    """Per stop of the charger: its point, whether it is the first visit there, and its sends."""
+    stops = []
+    visited = set()
+    for item in schedule.items:
+        if item.state == MOVE:
+            stops.append((item.pos, item.pos not in visited, []))
+            visited.add(item.pos)
+        else:
+            assert stops, "a send before the first move"
+            stops[-1][2].append(item)
+    return stops
+
+
+class TestTourToSchedule:
+    @pytest.mark.parametrize("n, seed, revisited", [(40, 0, 2), (100, 5, 4)])
+    def test_sends_on_the_first_visit_only(self, n, seed, revisited):
+        from asymcharge.cli import generate_instance
+        from asymcharge.directions import build_coefficient_matrix
+        from asymcharge.positions import select_charging_positions
+        from asymcharge.timing import build_time_lp, solve_lp
+
+        instance = generate_instance(n, seed, area=2000.0)
+        plan, _ = plan_schedule(instance, seed=seed)
+        for schedule in (plan, one_to_one_schedule(instance)[0]):
+            for pos, first, sends in sends_by_visit(schedule):
+                assert all(item.pos == pos for item in sends)
+                assert first or not sends
+        # the tour passes back through positions it has sent from
+        senders = {pos for pos, _, sends in sends_by_visit(plan) if sends}
+        again = {pos for pos, first, _ in sends_by_visit(plan) if not first}
+        assert len(senders & again) == revisited
+        # each LP row given time is sent once, at its position, in its direction
+        cover = select_charging_positions(instance)
+        matrix = build_coefficient_matrix(cover, instance)
+        solution = solve_lp(build_time_lp(matrix, instance))
+        want = sorted(
+            (tuple(cover.positions[pi].tolist()), model.snap9(psi), model.snap9(t))
+            for (pi, psi), t in zip(matrix.rows, solution.t.tolist())
+            if t > pipeline._TIME_EPS
+        )
+        got = sorted((item.pos, item.psi, item.t) for item in plan.items if item.state == TRANSMIT)
+        assert got == want

@@ -225,7 +225,7 @@ class TestSelectChargingPositions:
         specs = [((x * 100.0, 0.0), 10.0, 20.0, 60.0) for x in range(5)]
         cover = select_charging_positions(make_instance(specs, bs=(50.0, 50.0)))
         assert len(cover.positions) == 5
-        got = sorted(cover.positions)
+        got = sorted(map(tuple, cover.positions.tolist()))
         assert got == [pytest.approx((x * 100.0, 0.0)) for x in range(5)]
 
     def test_coverage_validity_and_minimality(self):
@@ -258,9 +258,10 @@ class TestSelectChargingPositions:
         assert math.dist(nodes[0], (35.0606492, 37.8508529)) > 20.0 + 1e-8
         assert center != (35.0606492, 37.8508529) == snap9_point(center)
         cover = select_charging_positions(instance)
-        assert sorted(cover.positions) == [(26.3667624, 26.3169297), nodes[0]]
+        stored = sorted(map(tuple, cover.positions.tolist()))
+        assert stored == [(26.3667624, 26.3169297), nodes[0]]
         schedule, metrics = plan_schedule(instance)
-        assert {item.pos for item in schedule.items if item.state == TRANSMIT} == set(cover.positions)
+        assert {item.pos for item in schedule.items if item.state == TRANSMIT} == set(stored)
         assert metrics.feasible
 
     def test_deterministic(self):
@@ -269,7 +270,7 @@ class TestSelectChargingPositions:
         instance = make_instance(specs, bs=(100.0, 100.0))
         a = select_charging_positions(instance)
         b = select_charging_positions(instance)
-        assert a == b
+        assert np.array_equal(a.positions, b.positions)
 
     @pytest.mark.parametrize(
         "n, seed, want",

@@ -24,9 +24,9 @@ from support import brute_force_tour, columns, node_rows, read_cost_matrix, writ
 
 def random_directed_graph(rng, n, closed=True):
     """Random asymmetric costs drawn through the coefficient field."""
-    points = [tuple(p) for p in rng.uniform(0, 200, size=(n, 2))]
+    x, y = rng.uniform(0, 200, size=(n, 2)).T
     asym = AsymmetryField(seed=int(rng.integers(2**31)))
-    mats = build_routing_matrices(points, asym, DmcParams())
+    mats = build_routing_matrices(x, y, asym, DmcParams())
     g = cost_graph(mats.cost)
     return metric_closure(g) if closed else g
 
@@ -240,7 +240,8 @@ class TestSymmetricReformulation:
         doubled = held_karp(cost_graph(sym.cost))
         decoded = sym.decode(doubled.order, g.cost)
         assert decoded.cost == pytest.approx(tour_cost(decoded.order, g.cost), rel=1e-12)
-        assert doubled.cost - g.n * sym.bonus == pytest.approx(decoded.cost, rel=1e-9)
+        bonus = float(g.cost.sum()) + 1.0  # the shift to_symmetric adds to every arc
+        assert doubled.cost - g.n * bonus == pytest.approx(decoded.cost, rel=1e-9)
 
     def test_exact_transform_equals_exact_direct(self):
         # integer costs make every sum exact, so equality is literal

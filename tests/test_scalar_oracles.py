@@ -105,7 +105,7 @@ def assert_bitwise_equal(got, want):
 
 
 def assert_matrices_match(points, asym, dmc):
-    mats = build_routing_matrices(points, asym, dmc)
+    mats = build_routing_matrices(*columns(points), asym, dmc)
     dist, cost = reference_routing_matrices(points, asym, dmc)
     assert_bitwise_equal(mats.dist, dist)
     assert_bitwise_equal(mats.cost, cost)
@@ -394,15 +394,15 @@ def matrix_cases(draw):
     instance = NetworkInstance(g.x, g.y, g.e_b, g.e_d, g.e_c, g.bs_pos, dmc, g.asym)
     cover = select_charging_positions(instance)
     apexes = draw(st.lists(st.sampled_from(node_rows(instance)), max_size=4))
-    points = cover.positions + tuple(u.pos for u in apexes)
+    points = cover.positions.tolist() + [u.pos for u in apexes]
     return instance, ChargingPositionSet(points)
 
 
 def matrix_rows(matrix):
     """(position, psi, the nodes of positive entries) per row of a coefficient matrix."""
     return [
-        (r.pos_index, r.psi, frozenset(np.flatnonzero(entries > 0.0).tolist()))
-        for r, entries in zip(matrix.rows, matrix.entries)
+        (pi, psi, frozenset(np.flatnonzero(entries > 0.0).tolist()))
+        for (pi, psi), entries in zip(matrix.rows, matrix.entries)
     ]
 
 
@@ -433,7 +433,7 @@ class TestCoefficientMatrix:
     @given(matrix_cases())
     def test_kernel_blocks_do_not_change_the_pairs(self, case):
         instance, cover = case
-        points = list(cover.positions) + [u.pos for u in node_rows(instance)[:40]]
+        points = cover.positions.tolist() + [u.pos for u in node_rows(instance)[:40]]
         runs = []
         for block in (1, 7, directions._BLOCK):
             with mock.patch.object(directions, "_BLOCK", block):

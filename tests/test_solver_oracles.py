@@ -58,6 +58,15 @@ from scalar_reference import (
 from support import kmeans, node_rows
 
 
+def same_cover(got, want) -> bool:
+    """Whether two covers, or two Nones, hold the same positions bit for bit (-0.0 is not 0.0)."""
+    if got is None or want is None:
+        return got is want
+    return got.positions.shape == want.positions.shape and (
+        got.positions.tobytes() == want.positions.tobytes()
+    )
+
+
 def stride_rule_cover(instance):
     """The eager cover at the k the stride search returns.
 
@@ -276,8 +285,7 @@ class TestCover:
         # that fits after the last failed probe
         got = select_charging_positions(instance)
         want = stride_rule_cover(instance)
-        assert got == want
-        assert repr(got) == repr(want)
+        assert same_cover(got, want)
 
     @settings(max_examples=250, deadline=None)
     @given(
@@ -325,8 +333,7 @@ class TestCover:
             clusters = kmeans(pts, k, instance.asym.seed)
             got = positions._fitted_cover(pts, clusters, d_max, enclosed)
             want = reference_fitted_cover(points, clusters, d_max)
-            assert got == want
-            assert repr(got) == repr(want)
+            assert same_cover(got, want)
 
     def test_no_circle_for_a_k_the_width_test_rejects(self):
         instance = generate_instance(150, seed=1, area=200.0)
@@ -367,9 +374,8 @@ class TestCover:
             assert positions._separated_count(pts[[0, 3, 4]], d_max) == 1
             specs = [((x, 0.0), 0.0, 1.0, 10.0) for x in xs]
             instance = make_instance(specs, dmc=DmcParams(d_max=d_max))
-            assert select_charging_positions(instance) == reference_select_charging_positions(
-                instance
-            )
+            want = reference_select_charging_positions(instance)
+            assert same_cover(select_charging_positions(instance), want)
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(scattered_cells(), duplicated_cells()), st.data())
@@ -439,8 +445,7 @@ class TestCover:
         assert km.call_count >= 1
         assert all(call.args[0] is km.call_args.args[0] for call in km.call_args_list)
         want = reference_select_charging_positions(instance)
-        assert cover == want
-        assert repr(cover) == repr(want)
+        assert same_cover(cover, want)
 
     def test_plans_in_threads_at_once(self):
         # threads that plan one instance at once each own their draws; every
@@ -453,7 +458,7 @@ class TestCover:
             try:
                 for rep in range(8):
                     got = select_charging_positions(instance)
-                    if got != want or repr(got) != repr(want):
+                    if not same_cover(got, want):
                         failures.append(rep)
             except Exception as exc:  # noqa: BLE001 - reported by the assertion below
                 failures.append(exc)
@@ -480,16 +485,15 @@ class TestCover:
                 specs = [(p, 0.0, 1.0, 10.0) for p in points]
                 instance = make_instance(specs, dmc=DmcParams(d_max=d_max))
                 got = select_charging_positions(instance)
-                assert repr(got) == repr(reference_select_charging_positions(instance))
+                assert same_cover(got, reference_select_charging_positions(instance))
                 if span == 2.0 * d_max and len(points) < 3:
                     assert len(got.positions) == 1
 
     def test_generated_instances(self):
         for seed, area in ((1, 200.0), (4, 2000.0)):
             instance = generate_instance(150, seed=seed, area=area)
-            assert select_charging_positions(instance) == reference_select_charging_positions(
-                instance
-            )
+            want = reference_select_charging_positions(instance)
+            assert same_cover(select_charging_positions(instance), want)
 
     def test_separated_nodes_cluster_once(self):
         # the bound already equals n, so one k is tried and each node is
@@ -515,7 +519,7 @@ class TestCover:
             cover = select_charging_positions(instance)
         enclosed = [tuple(call.args[0]) for call in welzl.call_args_list]
         assert len(enclosed) == len(set(enclosed)) >= len(cover.positions)
-        assert cover == reference_select_charging_positions(instance)
+        assert same_cover(cover, reference_select_charging_positions(instance))
 
     def test_k_probes_in_strides_then_scans_the_gap(self):
         instance = generate_instance(120, seed=3, area=200.0)
@@ -561,8 +565,8 @@ def tour_graphs(draw, max_n):
         return cost_graph(doubled_costs(rng, draw(st.integers(1, max_n // 2))))
     n = draw(st.integers(1, max_n))
     if kind == "closure":
-        points = [tuple(p) for p in rng.uniform(0.0, 200.0, (n, 2))]
-        mats = build_routing_matrices(points, AsymmetryField(seed=seed), DmcParams())
+        x, y = rng.uniform(0.0, 200.0, (n, 2)).T
+        mats = build_routing_matrices(x, y, AsymmetryField(seed=seed), DmcParams())
         return metric_closure(cost_graph(mats.cost))
     if kind == "ties":
         return cost_graph(tie_costs(rng, n))

@@ -1,5 +1,6 @@
-"""The package's surface: the root exports the plan-and-replay workflow, and
-every public name a module defines is read by the program.
+"""The package's surface: the root exports the plan-and-replay workflow,
+every public name a module defines is read by the program, and so is every
+field of its dataclasses.
 
 A name only tests read belongs in ``tests/``; the benchmark script
 ``planbench/run.py`` counts as the program, since it reads stage types and
@@ -7,6 +8,7 @@ module attributes it times.
 """
 
 import ast
+import itertools
 import types
 from pathlib import Path
 
@@ -69,14 +71,55 @@ def read(tree: ast.Module) -> set[str]:
     return names
 
 
+# the package's modules by file name, and the benchmark script
+MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+BENCH = ast.parse((ROOT / "planbench" / "run.py").read_text())
+
+
 def test_every_public_name_is_read_by_the_program():
-    modules = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    readers = [tree for name, tree in modules.items() if name != "__init__.py"]
-    readers.append(ast.parse((ROOT / "planbench" / "run.py").read_text()))
+    readers = [tree for name, tree in MODULES.items() if name != "__init__.py"] + [BENCH]
     used = set().union(*map(read, readers))
     unread = {
         f"{name[:-3]}.{symbol}"
-        for name, tree in modules.items()
+        for name, tree in MODULES.items()
         for symbol in defined(tree) - used
     }
     assert not unread, f"public names no program code reads: {sorted(unread)}"
+
+
+def dataclass_fields(tree: ast.Module) -> set[tuple[str, str]]:
+    """(class, field) for every annotated field of each ``@dataclass`` a module defines."""
+    found = set()
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            found |= {
+                (node.name, stmt.target.id)
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            }
+    return found
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    """Each field is read as an attribute of some object somewhere in the program.
+
+    The match is by name alone: a field counts as read when the program
+    reads any attribute of that name, whatever the object.  A class the
+    program lists with ``dataclasses.fields`` reads all its fields that way.
+    """
+    attributes, listed = set(), set()
+    for node in itertools.chain.from_iterable(map(ast.walk, [*MODULES.values(), BENCH])):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("fields", "dataclasses.fields"):
+            listed |= {arg.id for arg in node.args[:1] if isinstance(arg, ast.Name)}
+    unread = sorted(
+        f"{name[:-3]}.{cls}.{field}"
+        for name, tree in MODULES.items()
+        for cls, field in dataclass_fields(tree)
+        if cls not in listed and field not in attributes
+    )
+    assert not unread, f"dataclass fields no program code reads: {unread}"
