@@ -33,7 +33,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from decimal import ROUND_DOWN, Context, Decimal
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from .model import (
     check_nodes,
     snap9,
     snap9_array,
+    snap9_down,
 )
 from .pipeline import (
     MOVE,
@@ -99,14 +99,6 @@ SUMMARY_FIELDS = (
 )
 
 
-_SNAP9_DOWN = Context(prec=9, rounding=ROUND_DOWN)
-
-
-def _snap9_down(x: float) -> float:
-    """Snap to 9 significant digits rounding toward zero (never upward)."""
-    return float(_SNAP9_DOWN.plus(Decimal(x)))
-
-
 def _draw_energies(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Snapped e_b, e_d and e_c columns of n nodes, each demand clamped to its headroom.
 
@@ -120,7 +112,7 @@ def _draw_energies(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nda
     e_c, e_b, e_d = snap9_array(lo + span * rng.random((n, 3))).T
     headroom = e_c - e_b
     over = e_d > headroom
-    e_d[over] = [_snap9_down(h) for h in headroom[over].tolist()]
+    e_d[over] = [snap9_down(h) for h in headroom[over].tolist()]
     return e_b, e_d, e_c
 
 
@@ -571,13 +563,12 @@ def demo_instance() -> NetworkInstance:
     x, y = np.array([p for blob in blobs for p in blob]).T
     e_b, e_d, e_c = _draw_energies(np.random.default_rng(7), len(x))
 
-    specials = [_DEMO_BS] + _DEMO_CENTERS
-    base = AsymmetryField(seed=7)
-    overrides = {}
-    for i, a in enumerate(specials):
-        for j, b in enumerate(specials):
-            if i != j:
-                overrides[(base.quantize(a), base.quantize(b))] = (1.0, _DEMO_RATE_TABLE[i][j])
+    specials = AsymmetryField(seed=7).cells(*np.array([_DEMO_BS] + _DEMO_CENTERS).T)
+    cells = list(map(tuple, specials.tolist()))
+    overrides = {
+        (a, b): (1.0, _DEMO_RATE_TABLE[i][j])
+        for i, a in enumerate(cells) for j, b in enumerate(cells) if i != j
+    }
     asym = AsymmetryField(seed=7, overrides=overrides)
     return NetworkInstance(x, y, e_b, e_d, e_c, _DEMO_BS, DmcParams(), asym)
 

@@ -30,7 +30,7 @@ _SMALLEST_NORMAL = sys.float_info.min
 _BLOCK = 32  # points per prefilter block, which bounds the (points, nodes) arrays
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays: compared and hashed by identity
 class CoefficientMatrix:
     """Transfer coefficients from every (position, direction) pair to every node.
 

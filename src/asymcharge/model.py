@@ -9,6 +9,11 @@ A ``NetworkInstance`` holds its nodes as five read-only numpy columns (x, y,
 e_b, e_d, e_c), which every producer fills and every stage reads, and
 ``check_nodes`` checks them with one array pass per check.  ``TravelArcs``
 takes its points as x and y columns too.
+
+It is the one module that rounds: ``AsymmetryField.cells`` is the grid cell
+rule, and ``snap9``, ``snap9_down`` and ``rounding9`` (half a unit in the
+9th digit, the replay's tolerance) are the file's 9-digit rules, whose
+numpy forms share one power table and one certified-decade step.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
+from decimal import ROUND_DOWN, Context, Decimal
 
 import numpy as np
 
@@ -41,35 +47,74 @@ def snap9_point(p: Point) -> Point:
     return (snap9(p[0]), snap9(p[1]))
 
 
-# 10**k for k = 0..22, each an exact double
-_POW10 = np.array([float(10**k) for k in range(23)])
+_SNAP9_DOWN = Context(prec=9, rounding=ROUND_DOWN)
+
+
+def snap9_down(x: float) -> float:
+    """Snap to 9 significant digits rounding toward zero (never upward)."""
+    return float(_SNAP9_DOWN.plus(Decimal(x)))
+
+
+def rounding9(x: float) -> float:
+    """Half a unit in the 9th significant digit of ``x``: the most a file's rounding moves it."""
+    return 0.5 * 10.0 ** (math.floor(math.log10(abs(x))) - 8) if x else 0.0
+
+
+# _POWERS[k] is the double 10.0**k for -315 <= k <= 308; a negative k indexes from the end
+_POWERS = np.array([10.0**k for k in (*range(309), *range(-315, 0))])
+
+
+def _decades(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(e, sure)``: e = floor(log10|x|) from numpy, and where e is certainly exact.
+
+    Where |x| lies more than a relative 1e-12 inside [10**e, 10**(e + 1)),
+    for e in -307..307, the exact logarithm is more than 4e-13 from an
+    integer, many ulps more than ``math.log10`` or ``np.log10`` can be off,
+    so ``math.floor`` gives e as well.  Elsewhere e is 0 and not sure.
+    """
+    mag = np.abs(x)
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(mag))
+    sure = np.abs(e) <= 307.0
+    e = np.where(sure, e, 0.0).astype(np.intp)
+    sure &= (mag > _POWERS[e] * (1.0 + 1e-12)) & (mag < _POWERS[e + 1] * (1.0 - 1e-12))
+    return e, sure
 
 
 def snap9_array(x: np.ndarray) -> np.ndarray:
     """``snap9`` of every value, bit for bit, rounded in numpy where that is sure.
 
-    For a nonzero finite x with e = floor(log10|x|) and p = 8 - e, |p| <= 22,
-    take q = x * 10**p (x / 10**-p for p < 0) and r = rint(q).  Below 10**9
-    q is within 1.2e-7 of the exact product, so where q is more than 1e-6
-    from a half-integer and 10**8 <= |r| <= 10**9 (a log10 one off fails
-    that, or meets it at the power of ten both round to), r holds the 9
-    digits ``format(x, ".9g")`` prints, and r / 10**p (r * 10**-p), of two
-    exact operands rounded once, is their double.  Zeros stay as they are;
-    every other value, ties among them, goes through ``snap9``.
+    For x of a certain decade e (``_decades``), -14 <= e <= 8, take
+    q = x * 10**(8 - e), the exact product rounded once, and r = rint(q).
+    Where q is more than 1e-6 from a half-integer, r holds the 9 digits
+    ``format(x, ".9g")`` prints, and r / 10**(8 - e), of two exact operands
+    rounded once, is their double.  Zeros stay as they are; every other
+    value, ties among them, goes through ``snap9``.
     """
     x = np.asarray(x, dtype=float)
+    e, sure = _decades(x)
+    sure &= (e >= -14) & (e <= 8)  # 10**(8 - e) is exact up to 10**22
+    scale = _POWERS[np.where(sure, 8 - e, 0)]
     with np.errstate(all="ignore"):
-        p = 8.0 - np.floor(np.log10(np.abs(x)))
-        sure = np.abs(p) <= 22.0  # false for non-finite x and zero
-        scale = _POW10[np.where(sure, np.abs(p), 0.0).astype(np.intp)]
-        up = p >= 0.0
-        q = np.where(up, x * scale, x / scale)
+        q = x * scale
         r = np.rint(q)
-        out = np.where(up, r / scale, r * scale)
-        sure &= (np.abs(r) >= 1e8) & (np.abs(r) <= 1e9) & (np.abs(q - r) < 0.5 - 1e-6)
-    out = np.where(sure, out, x)
+        sure &= np.abs(q - r) < 0.5 - 1e-6
+    out = np.where(sure, r / scale, x)
     unsure = ~sure & (x != 0.0)
     out[unsure] = [snap9(v) for v in x[unsure].tolist()]
+    return out
+
+
+def rounding9_array(x: np.ndarray) -> np.ndarray:
+    """``rounding9`` of every finite value, bit for bit; 0.0 for the others.
+
+    Where ``_decades`` is sure of e, that is ``0.5 * 10.0 ** (e - 8)`` from
+    the table; every other nonzero finite value goes through ``rounding9``.
+    """
+    e, sure = _decades(x)
+    out = np.where(sure, 0.5 * _POWERS[e - 8], 0.0)
+    unsure = ~sure & np.isfinite(x) & (x != 0.0)
+    out[unsure] = [rounding9(v) for v in x[unsure].tolist()]
     return out
 
 
@@ -182,16 +227,8 @@ class AsymmetryField:
             if not all(math.isfinite(c) and c >= 0.0 for c in hit):
                 raise ValidationError("coefficient overrides must be finite and nonnegative")
 
-    def quantize(self, p: Point) -> tuple[int, int]:
-        """Grid cell of a point; hash keys pack it as two signed 64-bit ints."""
-        x = p[0] / self.grid
-        y = p[1] / self.grid
-        if not (-_CELL_LIMIT <= x < _CELL_LIMIT and -_CELL_LIMIT <= y < _CELL_LIMIT):
-            raise self.off_grid_error(p)
-        return (round(x), round(y))
-
     def off_grid(self, x: np.ndarray, y: np.ndarray) -> int | None:
-        """Index of the first point (x[k], y[k]) that ``quantize`` rejects, or None.
+        """Index of the first point (x[k], y[k]) whose cell leaves int64, or None.
 
         Within 2**62 grid steps (a power of two, so an exact limit) no
         quotient can leave int64, which settles most arrays without one.
@@ -205,8 +242,16 @@ class AsymmetryField:
         return None if inside.all() else int(inside.argmin())
 
     def off_grid_error(self, p: Point) -> ValidationError:
-        """The fault of a point whose cell ``quantize`` rejects."""
+        """The fault of a point whose cell ``off_grid`` rejects."""
         return ValidationError(f"point {p} lies outside the quantization grid's 64-bit range")
+
+    def cells(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The (n, 2) int64 cells of the points (x[k], y[k]): their quotients by
+        ``grid``, rounded half to even.  Hash keys pack each cell as two signed
+        64-bit ints, and the first point ``off_grid`` rejects raises."""
+        if (off := self.off_grid(x, y)) is not None:
+            raise self.off_grid_error((x[off].item(), y[off].item()))
+        return np.rint(np.column_stack((x, y)) / self.grid).astype("<i8")
 
 
 _NODE_COLUMNS = ("x", "y", "e_b", "e_d", "e_c")
@@ -244,7 +289,7 @@ class NetworkInstance:
         return len(self.x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays: compared and hashed by identity
 class RoutingMatrices:
     """Directed travel distances and movement energies among the n points ``positions``.
 
@@ -276,8 +321,8 @@ class TravelArcs:
     on the arcs to the points not yet visited (both are ``_floor``) and
     ``arc_costs`` for the few arcs that bound cannot rule out.  The
     schedule and the replay each ask ``row`` once for all their moves, one
-    origin per move.  The points are checked, quantized, packed and
-    numbered in one numpy pass.
+    origin per move.  ``AsymmetryField.cells`` checks and quantizes the
+    points in one numpy pass, and one more packs and numbers the cells.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, asym: AsymmetryField, dmc: DmcParams):
@@ -285,10 +330,7 @@ class TravelArcs:
         self.w0 = dmc.w0
         self._xs = np.asarray(x, dtype=float)
         self._ys = np.asarray(y, dtype=float)
-        if (off := asym.off_grid(self._xs, self._ys)) is not None:
-            raise asym.off_grid_error((self._xs[off].item(), self._ys[off].item()))
-        # quantize's quotients, so its cells: rint rounds half to even, as round does
-        cells = np.rint(np.column_stack((self._xs, self._ys)) / asym.grid).astype("<i8")
+        cells = asym.cells(self._xs, self._ys)
         # a pair's hash key packs the seed's low 64 bits, the origin cell (the
         # head) and the target cell (the tail), each cell as two signed 64-bit ints
         self._seed = struct.pack("<Q", asym.seed & 0xFFFFFFFFFFFFFFFF)
@@ -398,8 +440,8 @@ class TravelArcs:
         dy = self._ys[i] - self._ys[js]
         return self._floor(dx * dx + dy * dy)
 
-    def arc_costs(self, i: int, js) -> np.ndarray:
-        """Movement energy of the arcs from point i to each point of js."""
+    def arc_costs(self, i, js) -> np.ndarray:
+        """Movement energy of the arcs from origin i to each point of js, as ``row`` takes them."""
         k_dis, span, k_egy = self.row(i, js)
         return k_dis * span * (k_egy * self.w0)
 
@@ -409,8 +451,8 @@ class TravelArcs:
         Returns ``(targets, costs, floor)``: ``targets[i]`` holds, in
         ascending index order, the w points nearest to i by squared
         distance, i itself left out, for 1 <= w < n; ``costs[i]`` holds the
-        exact movement energy of those arcs, as ``arc_costs`` gives it,
-        from one ``row`` call over all n * w arcs; and ``floor[i]`` is no
+        exact movement energy of those arcs, from one ``arc_costs`` call
+        over all n * w arcs; and ``floor[i]`` is no
         greater than the cost of any arc from i to a point outside its
         window.  That floor is the ``lower_bounds`` of the (w+1)-th nearest
         point, since every point left out is at least as far.  A window of
@@ -433,8 +475,7 @@ class TravelArcs:
                 part = np.argpartition(d2, w, axis=1)
                 targets[lo:hi] = np.sort(part[:, :w], axis=1)
                 kth[lo:hi] = d2[rows, part[:, w]]
-            k_dis, span, k_egy = self.row(np.repeat(np.arange(n), w), targets.ravel())
-            costs = (k_dis * span * (k_egy * self.w0)).reshape(n, w)
+            costs = self.arc_costs(np.repeat(np.arange(n), w), targets.ravel()).reshape(n, w)
             floor = self._floor(kth)
         if w == n - 1:
             floor[:] = np.inf
@@ -446,9 +487,9 @@ def build_routing_matrices(
 ) -> RoutingMatrices:
     """Directed travel matrices among the points (x[k], y[k]), one ``TravelArcs.row`` per origin.
 
-    An arc's movement energy is its distance times its rate ``k_egy * w0``.
-    The diagonal is 0: no travel, at no cost.  A value beyond a float is
-    inf, without a warning; the cost graph rejects it.
+    An arc's movement energy is its distance times its rate ``k_egy * w0``;
+    a point's arc to itself is (1, 1) times span 0, so both diagonals are 0.
+    A value beyond a float is inf, without a warning; the cost graph rejects it.
     """
     arcs = TravelArcs(x, y, asym, dmc)
     n = arcs.n
@@ -460,5 +501,4 @@ def build_routing_matrices(
             k_dis, span, k_egy = arcs.row(i, every)
             dist[i] = k_dis * span
             cost[i] = dist[i] * (k_egy * dmc.w0)
-    np.fill_diagonal(cost, 0.0)
     return RoutingMatrices(np.column_stack((x, y)), dist, cost)

@@ -12,10 +12,10 @@ both schedulers and the file reader fill directly.  ``execute_schedule``
 replays any schedule against the energy models and produces the metrics: it
 checks the items and the grid range of their moves with one array pass per
 check, prices every move from one call of ``model.TravelArcs.row``, the
-hashing kernel the tours read, with the 9-digit tolerance of every move in
-array passes too, and credits all transmissions through the two stages of
-the coverage kernel the coefficient matrix is built from, running the
-exact stage only on the pairs some transmission's sector may cover.
+hashing kernel the tours read, with the 9-digit tolerance of every move from
+``model.rounding9_array``, and credits all transmissions through the two
+stages of the coverage kernel the coefficient matrix is built from, running
+the exact stage only on the pairs some transmission's sector may cover.
 """
 
 from __future__ import annotations
@@ -119,40 +119,6 @@ class ScheduleMetrics:
     feasible: bool
 
 
-def _rounding(x: float) -> float:
-    """Half a unit in the 9th significant digit of ``x``: the most a file's rounding moves it."""
-    return 0.5 * 10.0 ** (math.floor(math.log10(abs(x))) - 8) if x else 0.0
-
-
-# 10.0 ** k for k = -315 ... 308, each the double ``_rounding`` computes
-_POWERS_FROM = -315
-_POWERS = np.array([10.0**k for k in range(_POWERS_FROM, 309)])
-
-
-def _rounding_array(x: np.ndarray) -> np.ndarray:
-    """``_rounding`` of every finite value, bit for bit; 0.0 for the others.
-
-    Take e = floor(log10|x|) from numpy.  Where |x| lies more than a
-    relative 1e-12 inside [10**e, 10**(e + 1)), for e in -307..307, the
-    exact logarithm is more than 4e-13 from an integer, many ulps more
-    than ``math.log10`` or ``np.log10`` can be off, so ``math.floor``
-    gives e as well, and the result is ``0.5 * 10.0 ** (e - 8)`` from a
-    table of the doubles Python computes.  Zeros give 0.0; every other
-    finite value, near a power of ten or below 1e-307, goes through
-    ``_rounding``.
-    """
-    mag = np.abs(x)
-    with np.errstate(all="ignore"):
-        e = np.floor(np.log10(mag))
-    sure = (e >= -307.0) & (e <= 307.0)  # also false for zero and non-finite values
-    k = np.where(sure, e, 0.0).astype(np.intp) - _POWERS_FROM
-    sure &= (mag > _POWERS[k] * (1.0 + 1e-12)) & (mag < _POWERS[k + 1] * (1.0 - 1e-12))
-    out = np.where(sure, 0.5 * _POWERS[k - 8], 0.0)
-    unsure = ~sure & np.isfinite(x) & (x != 0.0)
-    out[unsure] = [_rounding(v) for v in x[unsure].tolist()]
-    return out
-
-
 def _received(
     instance: NetworkInstance,
     stop_x: np.ndarray,
@@ -225,9 +191,9 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
     one ``TravelArcs.row`` call prices every move before it: each move's
     travel time and energy must be finite, and its duration must match its
     directed travel time up to what the file format's 9-significant-digit
-    rounding of the duration and of the move's two ends can change.
-    ``_received`` credits every transmission before it at
-    once, and every credit must be finite.  Only then is the fault of the
+    rounding of the duration and of the move's two ends, ``model.rounding9``
+    of each, can change.  ``_received`` credits every transmission before it
+    at once, and every credit must be finite.  Only then is the fault of the
     lowest item index raised.  Running totals add in item order, as a
     running ``+=`` does.  Each node banks what it receives up to its
     capacity.  The charger sends ``p0`` times the charging time and spends
@@ -289,7 +255,7 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
             travel = d / dmc.v_bar
             # half a unit in the 9th digit of each end's coordinates, once
             # per end, and of each travel time, in one pass
-            half = _rounding_array(np.concatenate((end_x[: m + 1], end_y[: m + 1], travel)))
+            half = model.rounding9_array(np.concatenate((end_x[: m + 1], end_y[: m + 1], travel)))
             ex, ey = half[: m + 1], half[m + 1 : 2 * m + 2]
             shift = ex[:-1] + ey[:-1] + ex[1:] + ey[1:]
             # math.ulp covers the binary error of the stored decimal; it is
@@ -298,20 +264,20 @@ def execute_schedule(instance: NetworkInstance, schedule: OperationSchedule) -> 
             tolerance = half[2 * m + 2 :] + k_dis * shift / dmc.v_bar + ulp
             wrong = np.abs(travel - stated) > tolerance
             wrong |= ~(np.isfinite(travel) & np.isfinite(energy))
-        priced = int(wrong.argmax()) if wrong.any() else m  # the moves before the first wrong one
-        if priced < m:
-            idx = int(moves[priced])
-            said, took = float(stated[priced]), float(travel[priced])
+        if wrong.any():  # the first wrong move names the fault
+            first = int(wrong.argmax())
+            idx = int(moves[first])
+            said, took = float(stated[first]), float(travel[first])
             if not math.isfinite(took):
                 problem = "travel time is not finite"
-            elif not math.isfinite(energy[priced]):
+            elif not math.isfinite(energy[first]):
                 problem = "move energy is not finite"
             else:
                 problem = f"duration {said:.9g} s does not match travel time {took:.9g} s"
             faults.append((idx, MalformedScheduleError(f"item {idx}: {problem}")))
-        move_energy = _in_order_sum(energy[:priced])
-        move_time = _in_order_sum(stated[:priced])
-        distance = _in_order_sum(d[:priced])
+        move_energy = _in_order_sum(energy)
+        move_time = _in_order_sum(stated)
+        distance = _in_order_sum(d)
 
     received_raw = np.zeros(instance.n)
     if sends.size:

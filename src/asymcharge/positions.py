@@ -32,7 +32,7 @@ _KMEANS_MAX_ITER = 100
 _K_STRIDE = 4  # the cover's step between probed cluster counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays: compared and hashed by identity
 class ChargingPositionSet:
     """Selected charging positions: every node lies within ``d_max`` of one of them.
 

@@ -6,7 +6,8 @@ angle helpers (``normalize_angle``, ``angular_distance``,
 ``directions.off_axis``, ``directions.covers`` and the coverage kernel
 (``directions.near_pairs`` then ``directions.coverage_math``).  The
 straightforward one-pair-at-a-time and one-node-at-a-time loops behind
-``model.TravelArcs.row`` (one blake2b of the whole key per pair),
+``model.TravelArcs.row`` (one blake2b of the whole key per pair, of cells
+from ``quantize``, the scalar ``round`` behind ``model.AsymmetryField.cells``),
 ``model.build_routing_matrices``, the coverage kernel,
 ``directions.build_coefficient_matrix`` (the event sweep that tests every
 node at every arc midpoint) and ``pipeline.execute_schedule``, whose
@@ -89,10 +90,23 @@ def transfer_coefficient(psi: float, phi: float, theta: float, d: float, dmc: Dm
     return dmc.delta / (dmc.alpha + d) ** dmc.beta
 
 
+def quantize(asym: AsymmetryField, p: Point) -> tuple[int, int]:
+    """Grid cell of one point by scalar ``round``, behind ``AsymmetryField.cells``.
+
+    Hash keys pack each cell as two signed 64-bit ints, so a quotient
+    outside [-2**63, 2**63) raises the field's ``off_grid_error``.
+    """
+    x = p[0] / asym.grid
+    y = p[1] / asym.grid
+    if not (-(2.0**63) <= x < 2.0**63 and -(2.0**63) <= y < 2.0**63):
+        raise asym.off_grid_error(p)
+    return (round(x), round(y))
+
+
 def reference_coefficients(asym: AsymmetryField, a: Point, b: Point) -> tuple[float, float]:
     """(k_dis, k_egy) from one blake2b of the packed seed and both cells."""
-    qa = asym.quantize(a)
-    qb = asym.quantize(b)
+    qa = quantize(asym, a)
+    qb = quantize(asym, b)
     if qa == qb:
         return (1.0, 1.0)
     if asym.overrides is not None:
@@ -276,7 +290,7 @@ def loop_execute_schedule(
 
     The items are checked one by one up to the first fault; a running
     ``+=`` adds the moves before the first wrong one, each with a scalar
-    ``_rounding`` tolerance; the credits come from ``pipeline._received``.
+    ``model.rounding9`` tolerance; the credits come from ``pipeline._received``.
     Faults, messages and metrics are those ``execute_schedule`` must give.
     """
     dmc = instance.dmc
@@ -314,7 +328,7 @@ def loop_execute_schedule(
         except ValidationError as exc:
             with contextlib.suppress(ValidationError):
                 for cut, p in enumerate(ends):
-                    instance.asym.quantize(p)
+                    quantize(instance.asym, p)
             faults.append((moves[max(cut - 1, 0)][0], exc))
             del ends[cut:], moves[max(cut - 1, 0) :]
             arcs = model.TravelArcs(*columns(ends), instance.asym, dmc)
@@ -323,7 +337,7 @@ def loop_execute_schedule(
             k_dis, span, k_egy = arcs.row(np.arange(m), np.arange(1, m + 1))
             d = k_dis * span
             energy = d * k_egy * dmc.w0
-        shifts = [(pipeline._rounding(x), pipeline._rounding(y)) for x, y in ends]
+        shifts = [(model.rounding9(x), model.rounding9(y)) for x, y in ends]
         for (idx, stated), (a0, a1), (b0, b1), k, dk, ek in zip(
             moves, shifts, shifts[1:], k_dis.tolist(), d.tolist(), energy.tolist()
         ):
@@ -332,7 +346,7 @@ def loop_execute_schedule(
                 problem = "travel time is not finite"
             elif not math.isfinite(ek):
                 problem = "move energy is not finite"
-            elif abs(t - stated) > pipeline._rounding(t) + k * (a0 + a1 + b0 + b1) / dmc.v_bar + math.ulp(t):
+            elif abs(t - stated) > model.rounding9(t) + k * (a0 + a1 + b0 + b1) / dmc.v_bar + math.ulp(t):
                 problem = f"duration {stated:.9g} s does not match travel time {t:.9g} s"
             else:
                 move_energy += ek
@@ -707,7 +721,7 @@ def _reference_draw_energies(rng: np.random.Generator) -> tuple[float, float, fl
     e_d = model.snap9(rng.uniform(18.0, 75.0))
     headroom = e_c - e_b
     if e_d > headroom:
-        e_d = cli._snap9_down(headroom)
+        e_d = model.snap9_down(headroom)
     return e_b, e_d, e_c
 
 

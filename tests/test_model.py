@@ -15,6 +15,8 @@ from asymcharge import (
     execute_schedule,
 )
 from asymcharge.model import build_routing_matrices
+from asymcharge.directions import build_coefficient_matrix
+from asymcharge.positions import select_charging_positions
 from asymcharge.pipeline import ScheduleItem
 from asymcharge import model
 from asymcharge.errors import MalformedTourError
@@ -23,6 +25,7 @@ from conftest import make_instance, neutral_field
 from scalar_reference import (
     angular_distance,
     normalize_angle,
+    quantize,
     reference_check_nodes,
     transfer_coefficient,
 )
@@ -91,7 +94,9 @@ class TestAsymmetryField:
         # the hash key packs each cell as two signed 64-bit ints
         field = AsymmetryField(seed=0)
         with pytest.raises(ValidationError):
-            field.quantize(p)
+            quantize(field, p)
+        with pytest.raises(ValidationError, match="64-bit range"):
+            field.cells(*columns([(0.0, 0.0), p]))
         with pytest.raises(ValidationError):
             ra_coefficients(field, (0.0, 0.0), p)
         with pytest.raises(ValidationError):
@@ -99,8 +104,27 @@ class TestAsymmetryField:
 
     def test_cells_at_int64_ends_accepted(self):
         field = AsymmetryField(seed=0, grid=1.0)
-        assert field.quantize((2.0**63 - 1024.0, -(2.0**63))) == (2**63 - 1024, -(2**63))
-        assert AsymmetryField(seed=0, grid=1e-300).quantize((0.0, 1e-290)) == (0, 10**10)
+        tiny = AsymmetryField(seed=0, grid=1e-300)
+        for asym, p, cell in [
+            (field, (2.0**63 - 1024.0, -(2.0**63)), (2**63 - 1024, -(2**63))),
+            (tiny, (0.0, 1e-290), (0, 10**10)),
+        ]:
+            assert quantize(asym, p) == cell
+            assert asym.cells(*columns([p])).tolist() == [list(cell)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=8),
+        st.sampled_from([0.01, 0.25, 1.0, 7.5]),
+    )
+    def test_cells_equal_to_scalar_round(self, points, g):
+        # quotients at or next to half-integers (at them for the grids that
+        # are powers of two): rint rounds half to even, as round does
+        points += [(k * g / 2.0, -k * g / 2.0) for k in (1, 3, 5)]
+        asym = AsymmetryField(seed=0, grid=g)
+        want = [list(quantize(asym, p)) for p in points]
+        got = asym.cells(*columns(points))
+        assert got.dtype == np.dtype("<i8") and got.tolist() == want
 
 
 class TestRaDistance:
@@ -545,3 +569,18 @@ class TestLedgerVectors:
         assert instance.x.tolist() == [0.0, 1.0]
         assert instance.e_b.tolist() == [1.0, 2.0]
         assert instance.e_c.tolist() == [60.0, 60.0]
+
+
+def test_stage_results_compare_and_hash_by_identity():
+    # their fields are arrays, whose == is elementwise and which have no
+    # hash: two equal results built apart are two objects, and neither
+    # comparing nor hashing them raises
+    instance = make_instance([((0.0, 0.0), 10.0, 20.0, 60.0), ((100.0, 5.0), 10.0, 20.0, 60.0)])
+    for build in (
+        lambda: select_charging_positions(instance),
+        lambda: build_coefficient_matrix(select_charging_positions(instance), instance),
+        lambda: build_routing_matrices(instance.x, instance.y, instance.asym, instance.dmc),
+    ):
+        a, b = build(), build()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2

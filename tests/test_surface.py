@@ -1,6 +1,6 @@
 """The package's surface: the root exports the plan-and-replay workflow,
 every public name a module defines is read by the program, and so is every
-field of its dataclasses.
+field of its dataclasses; and only ``model`` rounds.
 
 A name only tests read belongs in ``tests/``; the benchmark script
 ``planbench/run.py`` counts as the program, since it reads stage types and
@@ -123,3 +123,36 @@ def test_every_dataclass_field_is_read_by_the_program():
         if cls not in listed and field not in attributes
     )
     assert not unread, f"dataclass fields no program code reads: {unread}"
+
+
+ROUNDING_ATTRIBUTES = {"log10", "rint", "floor"}
+
+
+def rounding(tree: ast.Module) -> set[str]:
+    """What in a module rounds: a rounding attribute read, a built-in ``round`` call, ``decimal``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ROUNDING_ATTRIBUTES:
+            found.add(ast.unparse(node))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "round":
+            found.add("round()")
+        elif isinstance(node, ast.Import):
+            found |= {f"import {a.name}" for a in node.names if a.name.split(".")[0] == "decimal"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "decimal":
+            found.add(f"from {node.module} import")
+    return found
+
+
+def test_only_model_rounds():
+    """Grid cells and the files' 9 digits are rules of ``model`` alone.
+
+    The other modules call ``model``'s rules and print 9-digit values; none
+    takes a logarithm's floor, rounds to an integer or imports ``decimal``.
+    """
+    rounds = {
+        f"{name[:-3]}: {what}"
+        for name, tree in MODULES.items()
+        if name != "model.py"
+        for what in rounding(tree)
+    }
+    assert not rounds, f"rounding outside model: {sorted(rounds)}"
