@@ -76,10 +76,10 @@ _SCHEDULERS = {
 ALGORITHMS = tuple(_SCHEDULERS)
 
 
-def _on_symmetric(solve, closed, seed):
-    """``solve``'s tour of the symmetric transform of ``closed``, decoded back."""
+def _transform_lk(closed, seed):
+    """``lk_tour`` of the symmetric transform of ``closed``, decoded back."""
     sym = to_symmetric(closed)
-    return sym.decode(solve(cost_graph(sym.cost), seed).order, closed.cost)
+    return sym.decode(lk_tour(cost_graph(sym.cost), seed=seed).order, closed.cost)
 
 
 # each tour solver, called with (closed cost graph, seed), returns a tour
@@ -87,8 +87,7 @@ _TOUR_SOLVERS = {
     "greedy": lambda closed, seed: greedy_tour(closed),
     "lk": lambda closed, seed: lk_tour(closed, seed=seed),
     "held_karp": lambda closed, seed: held_karp(closed),
-    "transform_lk": lambda closed, seed: _on_symmetric(_TOUR_SOLVERS["lk"], closed, seed),
-    "transform_greedy": lambda closed, seed: _on_symmetric(_TOUR_SOLVERS["greedy"], closed, seed),
+    "transform_lk": _transform_lk,
 }
 ATSP_SOLVERS = tuple(_TOUR_SOLVERS)
 METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(ScheduleMetrics))

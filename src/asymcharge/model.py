@@ -306,7 +306,6 @@ class RoutingMatrices:
 # the shrink takes its root below math.hypot of every farther point
 _ROOT_SHRINK = 1.0 - 1e-12
 _ROOT_OFFSET = 1e-300
-_WINDOW_BLOCK = 64  # rows of squared distances per block in TravelArcs.window
 
 
 class TravelArcs:
@@ -314,15 +313,13 @@ class TravelArcs:
 
     Index 0 is the base station by convention.  ``row`` is the one hashing
     kernel behind ``build_routing_matrices``, the nearest-neighbor tour of
-    ``one_to_one_schedule`` and the replay's check of every move.  That
-    tour first asks ``window`` for each point's nearest targets, hashed in
-    one ``row`` call, and a floor under every arc a window leaves out; a
-    step the window cannot settle asks ``lower_bounds`` for a numpy bound
-    on the arcs to the points not yet visited (both are ``_floor``) and
-    ``arc_costs`` for the few arcs that bound cannot rule out.  The
-    schedule and the replay each ask ``row`` once for all their moves, one
-    origin per move.  ``AsymmetryField.cells`` checks and quantizes the
-    points in one numpy pass, and one more packs and numbers the cells.
+    ``one_to_one_schedule`` and the replay's check of every move.  For that
+    tour an arc's key is its squared distance (``keys``), ``bound`` turns a
+    squared distance into a floor under the cost of every arc at least that
+    long, and ``arc_costs`` prices arcs through ``row``.  The schedule and
+    the replay each ask ``row`` once for all their moves, one origin per
+    move.  ``AsymmetryField.cells`` checks and quantizes the points in one
+    numpy pass, and one more packs and numbers the cells.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, asym: AsymmetryField, dmc: DmcParams):
@@ -412,7 +409,17 @@ class TravelArcs:
         span = np.fromiter(map(math.hypot, dx, dy), dtype=float, count=len(targets))
         return k_dis, span, k_egy
 
-    def _floor(self, d2: np.ndarray) -> np.ndarray:
+    def keys(self, i, js) -> np.ndarray:
+        """Squared distances from origins i to points js, broadcast as ``xs[i] - xs[js]`` is.
+
+        A square beyond a float overflows with numpy's warning, which
+        callers silence.
+        """
+        dx = self._xs[i] - self._xs[js]
+        dy = self._ys[i] - self._ys[js]
+        return dx * dx + dy * dy
+
+    def bound(self, d2: np.ndarray) -> np.ndarray:
         """The floor under the cost of every arc at least ``sqrt(d2)`` long.
 
         The lowest coefficients times the root of the squared distance
@@ -428,58 +435,10 @@ class TravelArcs:
         floor[~(d2 >= 1e-290)] = -np.inf
         return floor
 
-    def lower_bounds(self, i: int, js) -> np.ndarray:
-        """Lower bounds on the movement energy of the arcs from point i to the points js.
-
-        The floor of each arc's own squared distance: it never exceeds the
-        ``arc_costs`` of that arc.  A squared distance beyond a float
-        overflows with numpy's warning, which callers silence.
-        """
-        js = np.asarray(js, dtype=np.intp)
-        dx = self._xs[i] - self._xs[js]
-        dy = self._ys[i] - self._ys[js]
-        return self._floor(dx * dx + dy * dy)
-
     def arc_costs(self, i, js) -> np.ndarray:
         """Movement energy of the arcs from origin i to each point of js, as ``row`` takes them."""
         k_dis, span, k_egy = self.row(i, js)
         return k_dis * span * (k_egy * self.w0)
-
-    def window(self, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each point's w nearest other points, the costs of those arcs and a floor.
-
-        Returns ``(targets, costs, floor)``: ``targets[i]`` holds, in
-        ascending index order, the w points nearest to i by squared
-        distance, i itself left out, for 1 <= w < n; ``costs[i]`` holds the
-        exact movement energy of those arcs, from one ``arc_costs`` call
-        over all n * w arcs; and ``floor[i]`` is no
-        greater than the cost of any arc from i to a point outside its
-        window.  That floor is the ``lower_bounds`` of the (w+1)-th nearest
-        point, since every point left out is at least as far.  A window of
-        every other point leaves nothing out, and its floor is inf.  The
-        distances go in blocks of ``_WINDOW_BLOCK`` rows, so no n x n array
-        is built.
-        """
-        n = self.n
-        xs, ys = self._xs, self._ys
-        targets = np.empty((n, w), dtype=np.intp)
-        kth = np.empty(n)
-        with np.errstate(over="ignore"):
-            for lo in range(0, n, _WINDOW_BLOCK):
-                hi = min(lo + _WINDOW_BLOCK, n)
-                dx = np.subtract.outer(xs[lo:hi], xs)
-                dy = np.subtract.outer(ys[lo:hi], ys)
-                d2 = dx * dx + dy * dy
-                rows = np.arange(hi - lo)
-                d2[rows, rows + lo] = np.nan  # sorts after inf: never a point's own target
-                part = np.argpartition(d2, w, axis=1)
-                targets[lo:hi] = np.sort(part[:, :w], axis=1)
-                kth[lo:hi] = d2[rows, part[:, w]]
-            costs = self.arc_costs(np.repeat(np.arange(n), w), targets.ravel()).reshape(n, w)
-            floor = self._floor(kth)
-        if w == n - 1:
-            floor[:] = np.inf
-        return targets, costs, floor
 
 
 def build_routing_matrices(

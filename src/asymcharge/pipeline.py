@@ -380,7 +380,7 @@ def one_to_one_schedule(instance: NetworkInstance) -> tuple[OperationSchedule, S
     Transmission time per node is exactly demand / (p0 * apex coefficient);
     the visiting order is nearest-neighbor on directed movement energy, with
     no shortest-path closure.  The tour hashes each point's window of near
-    arcs and only the other arcs whose lower bound a step cannot rule out,
+    arcs and only the other arcs whose bound a step cannot rule out,
     and one more ``TravelArcs.row`` call gives the distance of every move.
     """
     started = _time.perf_counter()

@@ -15,10 +15,13 @@ those lists while the partial gain stays positive, and don't-look bits
 confine each descent to the points whose arcs a move or a restart changed.
 
 Nearest-neighbor reads a full ``DirectedCostGraph`` or the lazy travel
-arcs of the one-to-one baseline, through the members it names.  Each point
-gets a window of ``_WINDOW`` near targets, priced in bulk, with a floor
-under every arc it leaves out, so most steps settle in plain Python; the
-rest price only the arcs whose lower bound a step cannot rule out.
+arcs of the one-to-one baseline through three members: exact arc costs,
+keys that order the arcs out of a point, and a bound that turns a key into
+a floor under every arc of that key or more.  A cost graph's key and bound
+are the cost itself; the travel arcs' key is the squared distance.  Each
+point gets a window of ``_WINDOW`` targets of least key, priced in bulk,
+with a floor under every arc it leaves out, so most steps settle in plain
+Python; the rest price only the arcs whose bound a step cannot rule out.
 """
 
 from __future__ import annotations
@@ -36,10 +39,11 @@ from .errors import MalformedTourError, ValidationError
 _GAIN_EPS = 1e-9
 _CANDIDATES = 10  # outgoing candidate arcs kept per point
 _WINDOW = 8  # near targets per point that greedy_tour prices in one kernel call
+_WINDOW_BLOCK = 64  # origins per block of keys in _window
 _HELD_KARP_MAX = 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays: compared and hashed by identity
 class DirectedCostGraph:
     cost: np.ndarray  # (n, n) directed costs, zero diagonal
     next_hop: np.ndarray  # (n, n) first hop of a cheapest path, identity-ish
@@ -48,28 +52,13 @@ class DirectedCostGraph:
     def n(self) -> int:
         return self.cost.shape[0]
 
-    def arc_costs(self, i: int, js) -> np.ndarray:
-        return self.cost[i].take(js)
+    def arc_costs(self, i, js) -> np.ndarray:
+        return self.cost[i, js]
 
-    lower_bounds = arc_costs  # a full matrix is its own bound
+    keys = arc_costs  # the costs order the arcs out of a point
 
-    def window(self, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each point's w cheapest outgoing arcs, their costs and a floor.
-
-        A cost row is its own bound, so the (w+1)-th cheapest arc is the
-        floor of every arc left out; a window of every other point leaves
-        nothing out, and its floor is inf.
-        """
-        n = self.n
-        cost = self.cost.copy()
-        np.fill_diagonal(cost, np.nan)  # sorts after every cost: never a point's own target
-        part = np.argpartition(cost, w, axis=1)
-        targets = np.sort(part[:, :w], axis=1)
-        if w < n - 1:
-            floor = np.take_along_axis(cost, part[:, w : w + 1], axis=1)[:, 0]
-        else:
-            floor = np.full(n, np.inf)
-        return targets, np.take_along_axis(cost, targets, axis=1), floor
+    def bound(self, keys: np.ndarray) -> np.ndarray:
+        return keys  # and each cost bounds itself
 
 
 @dataclass(frozen=True)
@@ -146,31 +135,61 @@ def expand_tour(tour: Tour, closed: DirectedCostGraph) -> Tour:
     return Tour(tuple(order), tour_cost(order, closed.cost))
 
 
+def _window(g, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each point's w nearest others by key, those arcs' exact costs and a floor.
+
+    Returns ``(targets, costs, floor)`` for 1 <= w < n: ``targets[i]`` holds,
+    in ascending index order, the w points of least key from i, i itself
+    left out; ``costs[i]`` their exact costs, from one ``arc_costs`` call
+    over all n * w arcs; and ``floor[i]`` the ``bound`` of the (w+1)-th
+    least key, which lies under every arc the window leaves out, since each
+    has a key at least as great.  A window of every other point leaves
+    nothing out, and its floor is inf.  The keys go in blocks of
+    ``_WINDOW_BLOCK`` origins, so no n x n array is built.
+    """
+    n = g.n
+    every = np.arange(n)
+    targets = np.empty((n, w), dtype=np.intp)
+    kth = np.empty(n)
+    for lo in range(0, n, _WINDOW_BLOCK):
+        hi = min(lo + _WINDOW_BLOCK, n)
+        key = g.keys(every[lo:hi, None], every)
+        rows = np.arange(hi - lo)
+        key[rows, rows + lo] = np.nan  # sorts after inf: never a point's own target
+        part = np.argpartition(key, w, axis=1)
+        targets[lo:hi] = np.sort(part[:, :w], axis=1)
+        kth[lo:hi] = key[rows, part[:, w]]
+    costs = g.arc_costs(np.repeat(every, w), targets.ravel()).reshape(n, w)
+    floor = g.bound(kth) if w < n - 1 else np.full(n, np.inf)
+    return targets, costs, floor
+
+
 def greedy_tour(g) -> Tour:
     """Nearest-neighbor cycle from index 0 on outgoing costs, lowest index on ties.
 
-    ``g`` has ``n`` points; ``g.arc_costs(i, js)`` are the exact costs of
-    the arcs from i to js and ``g.lower_bounds(i, js)`` never exceed them.
-    ``g.window(w)``, 1 <= w < n, gives ``(targets, costs, floor)``: per
-    point the ascending indices of w others, those arcs' exact costs, and
-    a value (or -inf) no greater than any arc to a point outside the row.
+    ``g`` has ``n`` points and three members for the arcs from a point i
+    to points js: ``g.arc_costs(i, js)``, their exact costs; ``g.keys(i,
+    js)``, a fresh array of keys broadcast as ``xs[i] - xs[js]`` is; and
+    ``g.bound(keys)``, per key a value (or -inf) no greater than the cost
+    of any arc whose key is at least that key.
 
-    Every point first gets a window of ``_WINDOW`` near targets with their
-    exact costs and a floor under the cost of every arc it leaves out
-    (``g.window``).  A step scans the window of the current point for the
-    cheapest unvisited target, the lowest index on ties, and takes it
-    outright when its cost is below the floor.  Otherwise one rule settles
-    the step: a window with no unvisited target first prices the point of
+    Every point first gets a window of ``_WINDOW`` targets of least key
+    with their exact costs and a floor under the cost of every arc it
+    leaves out (``_window``).  A step scans the window of the current
+    point for the cheapest unvisited target, the lowest index on ties, and
+    takes it outright when its cost is below the floor.  Otherwise one
+    rule settles the step: the unvisited points are bounded by their own
+    keys, a window with no unvisited target first prices the point of
     lowest bound, and then one ``arc_costs`` call prices every other
-    unvisited point outside the window whose lower bound does not exceed
-    the cost found.  Each rule skips only points that cannot win or tie,
-    so the tour is the one a scan of every exact cost gives.  The closing
-    arc to 0 is computed once.
+    unvisited point outside the window whose bound does not exceed the
+    cost found.  Each rule skips only points that cannot win or tie, so
+    the tour is the one a scan of every exact cost gives.  The closing arc
+    to 0 is computed once.
     """
     n = g.n
     if n == 1:
         return Tour((0, 0), 0.0)
-    targets, costs, floor = (a.tolist() for a in g.window(min(_WINDOW, n - 1)))
+    targets, costs, floor = (a.tolist() for a in _window(g, min(_WINDOW, n - 1)))
     left = np.ones(n, dtype=bool)  # the points not yet visited, for the bounds
     left[0] = False
     seen = [False] * n
@@ -185,7 +204,7 @@ def greedy_tour(g) -> Tour:
                 best, nxt = c, j
         if nxt < 0 or not best < floor[here]:
             unvisited = np.flatnonzero(left)  # ascending, so argmin ties go to the lowest index
-            bound = g.lower_bounds(here, unvisited)
+            bound = g.bound(g.keys(here, unvisited))
             if nxt < 0:  # a spent window
                 nxt = int(unvisited[bound.argmin()])
                 best = float(g.arc_costs(here, [nxt])[0])
@@ -407,7 +426,7 @@ def held_karp(g: DirectedCostGraph) -> Tour:
     return Tour(tuple(order), tour_cost(order, cost))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays: compared and hashed by identity
 class SymmetricReformulation:
     """Node-doubled symmetric instance of a directed tour problem.
 

@@ -32,7 +32,7 @@ _MAX_PIVOTS = 20000
 _STALL_LIMIT = 60  # pivots without dual progress before switching to Bland's rule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays: compared and hashed by identity
 class LpProblem:
     """min 1't  s.t.  a @ t >= b, t >= 0."""
 
@@ -40,7 +40,7 @@ class LpProblem:
     b: np.ndarray  # (n_constraints,), nonnegative
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays: compared and hashed by identity
 class LpSolution:
     """An optimal solution; a program without one raises instead."""
 

@@ -921,7 +921,7 @@ class TestPrintedForms:
         out = tmp_path / "bench.csv"
         argv = ["atsp-bench", "--nodes", "6", "--repeats", "1", "--seed", "1", "--out", str(out)]
         assert main(argv) == 0
-        assert capsys.readouterr().out == f"wrote {out} (5 rows, 0 failed)\n"
+        assert capsys.readouterr().out == f"wrote {out} (4 rows, 0 failed)\n"
         seed = 7869264077265352632  # derive_seed(1, 6, 0)
         assert masked_csv(out) == [
             "solver,n,repeat,seed,status,tour_energy,moving_time,runtime,held_karp_gap",
@@ -929,5 +929,4 @@ class TestPrintedForms:
             f"lk,6,0,{seed},ok,1251.8301,312.957525,*,0",
             f"held_karp,6,0,{seed},ok,1251.8301,312.957525,*,0",
             f"transform_lk,6,0,{seed},ok,1251.8301,312.957525,*,0",
-            f"transform_greedy,6,0,{seed},ok,1323.4774,330.86935,*,0.0572340438",
         ]

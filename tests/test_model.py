@@ -18,6 +18,8 @@ from asymcharge.model import build_routing_matrices
 from asymcharge.directions import build_coefficient_matrix
 from asymcharge.positions import select_charging_positions
 from asymcharge.pipeline import ScheduleItem
+from asymcharge.routing import cost_graph, metric_closure, to_symmetric
+from asymcharge.timing import build_time_lp, solve_lp
 from asymcharge import model
 from asymcharge.errors import MalformedTourError
 
@@ -576,10 +578,18 @@ def test_stage_results_compare_and_hash_by_identity():
     # hash: two equal results built apart are two objects, and neither
     # comparing nor hashing them raises
     instance = make_instance([((0.0, 0.0), 10.0, 20.0, 60.0), ((100.0, 5.0), 10.0, 20.0, 60.0)])
+
+    def matrix():
+        return build_coefficient_matrix(select_charging_positions(instance), instance)
+
     for build in (
         lambda: select_charging_positions(instance),
-        lambda: build_coefficient_matrix(select_charging_positions(instance), instance),
+        matrix,
         lambda: build_routing_matrices(instance.x, instance.y, instance.asym, instance.dmc),
+        lambda: metric_closure(cost_graph(np.ones((2, 2)))),
+        lambda: to_symmetric(cost_graph(np.ones((2, 2)))),
+        lambda: build_time_lp(matrix(), instance),
+        lambda: solve_lp(build_time_lp(matrix(), instance)),
     ):
         a, b = build(), build()
         assert a == a and a != b

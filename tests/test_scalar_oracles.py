@@ -29,7 +29,7 @@ from asymcharge.directions import build_coefficient_matrix
 from asymcharge.model import build_routing_matrices
 from asymcharge.pipeline import ScheduleItem
 from asymcharge.positions import ChargingPositionSet, select_charging_positions
-from asymcharge.routing import cost_graph, greedy_tour, to_symmetric
+from asymcharge.routing import cost_graph, greedy_tour, metric_closure, to_symmetric
 from asymcharge import directions, model, pipeline, routing
 from asymcharge.errors import MalformedScheduleError, ValidationError
 from asymcharge.cli import demo_instance, generate_instance, schedule_to_text
@@ -487,6 +487,21 @@ def scaled_arcs(draw):
 
 
 @st.composite
+def window_sources(draw):
+    """A closed cost graph or travel arcs over 2 to 150 points, past one key block.
+
+    Costs and coordinates are small integers, so equal keys are common.
+    """
+    n = draw(st.integers(2, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.integers(0, 20))
+    if draw(st.booleans()):
+        return metric_closure(cost_graph(rng.integers(0, top + 1, (n, n)).astype(float)))
+    asym = AsymmetryField(draw(seed), (0.5, 1.5), (0.8, 1.2), draw(grid))
+    return model.TravelArcs(*rng.integers(0, top + 1, (2, n)).astype(float), asym, DmcParams())
+
+
+@st.composite
 def priced_tours(draw):
     """A cost matrix of zeros and values from 1e-300 to 1e300, and a tour over it.
 
@@ -534,7 +549,7 @@ class TestGreedyTour:
         arcs = model.TravelArcs(*columns(points), neutral_field(), DmcParams())
         assert arcs.arc_costs(0, [1, 2]).tolist() == [22.0, 22.0]
         with mock.patch.object(routing, "_WINDOW", 1):
-            assert arcs.window(1)[0][0].tolist() == [2]
+            assert routing._window(arcs, 1)[0][0].tolist() == [2]
             assert greedy_tour(arcs).order == (0, 1, 2, 0)
 
     def test_subnormal_squares_bound_nothing(self):
@@ -545,10 +560,23 @@ class TestGreedyTour:
         xs = (0.0, 1e-170, 1.87e-162, 1.0056e-159)
         arcs = model.TravelArcs(*columns([(x, 0.0) for x in xs]), asym, DmcParams())
         cost = arcs.arc_costs(0, [1, 2, 3])
-        assert np.all(arcs.lower_bounds(0, [1, 2, 3]) <= cost)
+        assert np.all(arcs.bound(arcs.keys(0, [1, 2, 3])) <= cost)
         for w in (1, 2):
-            targets, _, floor = arcs.window(w)
+            targets, _, floor = routing._window(arcs, w)
             assert targets[0].tolist() == [1, 2][:w] and floor[0] <= cost[w]
+
+    @settings(max_examples=60, deadline=None)
+    @given(window_sources())
+    def test_key_blocks_do_not_change_the_window(self, g):
+        # blocks of one origin, of seven and the default give the same
+        # targets, costs and floors; the other property tests draw 64 points
+        # or fewer, so they only ever run the first block
+        for w in sorted({min(w, g.n - 1) for w in window_sizes(g.n)}):
+            runs = []
+            for block in (1, 7, routing._WINDOW_BLOCK):
+                with mock.patch.object(routing, "_WINDOW_BLOCK", block):
+                    runs.append([a.tobytes() for a in routing._window(g, w)])
+            assert runs[0] == runs[1] == runs[2]
 
     @settings(max_examples=200, deadline=None)
     @given(scaled_arcs())
@@ -621,9 +649,9 @@ class TestOneToOneTour:
         with np.errstate(over="ignore"):
             cost = np.array([arcs.arc_costs(i, every) for i in range(n)])
             for i in range(n):
-                assert np.all(arcs.lower_bounds(i, every) <= cost[i])
+                assert np.all(arcs.bound(arcs.keys(i, every)) <= cost[i])
             for w in sorted({min(w, n - 1) for w in window_sizes(n)} - {0}):
-                targets, _, floor = arcs.window(w)
+                targets, _, floor = routing._window(arcs, w)
                 left_out = cost.copy()
                 left_out[every[:, None], targets] = np.inf
                 np.fill_diagonal(left_out, np.inf)
